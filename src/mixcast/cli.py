@@ -33,13 +33,15 @@ def _fail(err) -> "SystemExit":
     return SystemExit(3)
 
 
-def _write_run_manifest(path: Path, command: str, config: dict, artifacts: dict, started: float):
+def _write_run_manifest(path: Path, command: str, config: dict, artifacts: dict, started: float,
+                        results: dict | None = None):
     payload = {
         "command": command,
         "config": config,
         "artifacts": {k: str(v) for k, v in artifacts.items()},
         "wall_clock_s": round(time.time() - started, 3),
         "version": __version__,
+        **(results or {}),
     }
     missing = [str(p) for p in artifacts.values() if not Path(p).exists()]
     if missing:
@@ -179,7 +181,7 @@ def _predict_in_chunks(params, mcfg, windows, chunk=512):
 
 
 def evaluate_run(checkpoint_path, dataset, manifest, levels=metrics.DEFAULT_LEVELS,
-                 grid_points=500, crps_points=2001, normalized_space=False):
+                 grid_points=500, normalized_space=False):
     """Score a checkpoint on the dataset's test split.
 
     The data-quality settings and normalizer stored at training time are
@@ -226,7 +228,6 @@ def evaluate_run(checkpoint_path, dataset, manifest, levels=metrics.DEFAULT_LEVE
         levels=tuple(levels),
         interval_points=grid_points,
         interval_range=interval_range,
-        crps_points=crps_points,
     )
     meta = {
         "variant": mcfg.variant,
@@ -449,14 +450,13 @@ def cmd_train(data_path, variant, k, epochs, batch_size, lr, seed, input_steps, 
 @click.option("--levels", default="0.5:0.95:0.05", show_default=True)
 @click.option("--grid-points", type=int, default=500, show_default=True,
               help="Interval-derivation grid points.")
-@click.option("--crps-points", type=int, default=2001, show_default=True)
 @click.option("--normalized-space", is_flag=True, default=False,
               help="Score in normalized space instead of raw units.")
 @click.option("--ridge-node", type=int, default=0, show_default=True)
 @click.option("--ridge-window", type=int, default=0, show_default=True)
 @click.option("--name", default=None, help="Report base name.")
 @click.option("--out", type=click.Path(), default=None)
-def cmd_evaluate(checkpoint, data_path, levels, grid_points, crps_points, normalized_space,
+def cmd_evaluate(checkpoint, data_path, levels, grid_points, normalized_space,
                  ridge_node, ridge_window, name, out):
     """Score a checkpoint on the test split; write report + plot tables."""
     started = time.time()
@@ -468,7 +468,6 @@ def cmd_evaluate(checkpoint, data_path, levels, grid_points, crps_points, normal
             manifest,
             levels=parse_levels(levels),
             grid_points=grid_points,
-            crps_points=crps_points,
             normalized_space=normalized_space,
         )
         base = _out_dir(out) / (name or (Path(checkpoint).name.split(".")[0] + "_eval"))
@@ -496,11 +495,11 @@ def cmd_evaluate(checkpoint, data_path, levels, grid_points, crps_points, normal
                 "data": str(data_path),
                 "levels": levels,
                 "grid_points": grid_points,
-                "crps_points": crps_points,
                 "normalized_space": normalized_space,
             },
             artifacts,
             started,
+            results={"clipped_interval_elements": report.clipped_interval_elements},
         )
     except (data.DataError, IndexError) as err:
         raise _fail(err)

@@ -280,9 +280,19 @@ class Splits:
 def prepare_splits(d: SeriesDataset, t_h: int, t_f: int, fractions=(0.7, 0.1, 0.2)) -> Splits:
     """Split sessions into contiguous blocks, fit the normalizer on the
     training block only (covered nodes only, when masked), and window
-    each split with it."""
+    each split with it.
+
+    Blank cells are rejected: windows would carry their stored 0.0 as a
+    real speed, into the normalizer, the inputs and the scored targets."""
     from .training import Normalizer
 
+    if d.missing is not None and d.missing.any():
+        s, t, i = (int(v) for v in np.argwhere(d.missing)[0])
+        raise DataError(
+            f"{int(d.missing.sum())} blank cells, first at row "
+            f"{s * d.missing.shape[1] + t + 2}/node {d.node_ids[i]}; "
+            "missing values are not supported"
+        )
     split = d.split_sessions(fractions)
     train_vals = d.values[split["train"]]
     if d.coverage is not None:

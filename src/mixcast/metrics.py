@@ -1,14 +1,13 @@
 """Scoring of probabilistic and deterministic forecasts.
 
-CRPS integrates the squared gap between the predicted CDF and the unit
-step at the observed value; a point prediction is treated as a step CDF,
-for which CRPS reduces to the absolute error. Interval quality is
-summarized by the mean total width (avg_width) and the mean absolute gap
-between nominal confidence and empirical coverage (calib_error), both
-averaged over a set of confidence levels.
-
-Scoring is chunked over elements in a fixed order, so results are
-deterministic and the chunks could be farmed out concurrently.
+CRPS is the integrated squared gap between the predicted CDF and the unit
+step at the observed value. For a Gaussian mixture it has a closed form;
+a point prediction is treated as a step CDF, for which CRPS reduces to
+the absolute error. Interval quality is summarized by the mean total
+width (avg_width) and the mean absolute gap between nominal confidence
+and empirical coverage (calib_error), both averaged over a set of
+confidence levels; intervals come from mixture densities on a shared
+grid.
 """
 from __future__ import annotations
 
@@ -19,28 +18,27 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import intervals as iv
-from .gmm import MixtureBatch, PointPrediction, cdf_values
+from .gmm import MixtureBatch, PointPrediction
 
 DEFAULT_LEVELS = tuple(np.round(np.arange(0.50, 0.951, 0.05), 10))
 MAPE_EPSILON = 1e-3
 _TAIL_SIGMAS = 8.0
 _CHUNK = 2048
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 @dataclass
 class ScoringConfig:
-    """Grid and level choices for batch evaluation.
+    """Interval grid and level choices for batch evaluation.
 
-    The interval grid (default 500 points) is intentionally coarser than
-    the CRPS grid (default 2001 points); interval_range is the shared
-    evaluation range, e.g. (0, max speed) in raw units, and is derived
-    from the mixtures' 8-sigma support when omitted.
+    interval_range is the shared interval grid range, e.g. (0, max speed)
+    in raw units, and is derived from the mixtures' 8-sigma support when
+    omitted.
     """
 
     levels: tuple = DEFAULT_LEVELS
     interval_points: int = 500
     interval_range: tuple | None = None
-    crps_points: int = 2001
 
 
 @dataclass
@@ -54,6 +52,9 @@ class EvaluationReport:
     per_horizon: list = field(default_factory=list)  # (step, crps, avg_width, calib_error)
     calibration_curve: list = field(default_factory=list)  # (level, coverage)
     meta: dict = field(default_factory=dict)
+    # Elements whose interval grid held less than intervals.MASS_COMPLETE_MIN
+    # of their mass before normalization; kept out of the text report.
+    clipped_interval_elements: int = 0
 
 
 def crps_point(p: PointPrediction | float, y: float) -> float:
@@ -64,86 +65,33 @@ def crps_point(p: PointPrediction | float, y: float) -> float:
     return abs(value - y)
 
 
-def crps_mixture(m, y: float, range_lo: float, range_hi: float, points: int) -> float:
-    """CRPS of a mixture by trapezoidal integration of (F - H)^2.
-
-    The grid must cover y; otherwise the integrand's step would be
-    clipped and the score biased, so such calls are rejected.
-    """
-    if not range_lo <= y <= range_hi:
-        raise ValueError(f"y={y!r} outside integration range [{range_lo!r}, {range_hi!r}]")
-    if points < 2:
-        raise ValueError(f"need at least 2 integration points, got {points}")
-    x = np.linspace(range_lo, range_hi, points)
-    f = cdf_values(m.weights, m.means, m.variances, x)
-    h = (x >= y).astype(float)
-    total = float(np.trapezoid((f - h) ** 2, x))
-    # The integrand jumps inside the cell holding y; splitting that one
-    # cell at y removes an O(dx) bias the node trapezoid would carry.
-    j = int(np.searchsorted(x, y, side="left"))
-    if j > 0:
-        fy = cdf_values(m.weights, m.means, m.variances, np.asarray(y, float))
-        total += _jump_cell_correction(
-            float(x[j - 1]), float(x[j]), y, float(f[j - 1]), float(f[j]), float(fy)
-        )
-    return total
+def _abs_gap_mean(m: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """E|m + s Z| for standard normal Z: 2 s phi(m/s) + m (2 Phi(m/s) - 1)."""
+    z = m / s
+    return 2.0 * s * _INV_SQRT_2PI * np.exp(-0.5 * z * z) + m * (2.0 * ndtr(z) - 1.0)
 
 
-def _jump_cell_correction(x_left, x_right, y, f_left, f_right, f_y):
-    """Replace the node trapezoid of the cell [x_left, x_right] containing
-    y (x_left < y <= x_right) with the two sub-trapezoids split at y."""
-    old = (x_right - x_left) * ((f_left**2) + (f_right - 1.0) ** 2) / 2.0
-    left = (y - x_left) * (f_left**2 + f_y**2) / 2.0
-    right = (x_right - y) * ((f_y - 1.0) ** 2 + (f_right - 1.0) ** 2) / 2.0
-    return left + right - old
+def crps_mixture_batch(mb: MixtureBatch, y: np.ndarray) -> np.ndarray:
+    """Exact per-element CRPS of Gaussian mixtures (Grimit et al. 2006).
 
+    CRPS = E|X - y| - E|X - X'| / 2 with X, X' drawn from the mixture:
 
-def crps_range(m, y: float):
-    """Default integration bounds: the mixture's 8-sigma support union
-    the same padding around y."""
-    smax = math.sqrt(float(np.max(m.variances)))
-    pad = _TAIL_SIGMAS * smax
-    lo = min(float(np.min(m.means)) - pad, y - pad)
-    hi = max(float(np.max(m.means)) + pad, y + pad)
-    return lo, hi
+        sum_k w_k A(y - mu_k, s_k^2)
+          - 1/2 sum_{k,l} w_k w_l A(mu_k - mu_l, s_k^2 + s_l^2)
 
-
-def crps_mixture_batch(mb: MixtureBatch, y: np.ndarray, points: int = 2001) -> np.ndarray:
-    """Per-element CRPS with per-element 8-sigma integration bounds.
-
-    mb holds flat element mixtures (M, K); y is (M,). Elements are scored
-    in fixed-size chunks, reduced in index order.
+    with A(m, s^2) = E|m + s Z|. A is even in m, so the pair sum runs over
+    the diagonal, where A(0, 2 s_k^2) = 2 s_k / sqrt(pi), plus each
+    unordered pair once. mb has element shape y.shape.
     """
     y = np.asarray(y, dtype=float)
-    m_count = y.size
-    out = np.empty(m_count)
-    smax = np.sqrt(mb.variances.max(axis=-1))
-    pad = _TAIL_SIGMAS * smax
-    lo = np.minimum(mb.means.min(axis=-1) - pad, y - pad)
-    hi = np.maximum(mb.means.max(axis=-1) + pad, y + pad)
-    step = (hi - lo) / (points - 1)
-    base = np.arange(points)
-    f_y = cdf_values(mb.weights, mb.means, mb.variances, y)
-    for start in range(0, m_count, _CHUNK):
-        sl = slice(start, min(start + _CHUNK, m_count))
-        x = lo[sl, None] + step[sl, None] * base[None, :]
-        # Accumulate the CDF component by component to keep temporaries
-        # at (chunk, points) rather than (chunk, points, K).
-        f = np.zeros_like(x)
-        for k in range(mb.k):
-            sd = np.sqrt(mb.variances[sl, k])[:, None]
-            f += mb.weights[sl, k][:, None] * ndtr((x - mb.means[sl, k][:, None]) / sd)
-        g = (f - (x >= y[sl, None])) ** 2
-        out[sl] = step[sl] * (g.sum(axis=1) - 0.5 * (g[:, 0] + g[:, -1]))
-        # Same jump-cell split as the scalar path. lo < y < hi holds by
-        # construction of the bounds, so 1 <= j <= points - 1.
-        t = (y[sl] - lo[sl]) / step[sl]
-        j = np.ceil(t - 1e-12).astype(int)
-        rows = np.arange(x.shape[0])
-        out[sl] += _jump_cell_correction(
-            x[rows, j - 1], x[rows, j], y[sl], f[rows, j - 1], f[rows, j], f_y[sl]
-        )
-    return out
+    w, mu, var = mb.weights, mb.means, mb.variances
+    sd = np.sqrt(var)
+    spread = np.sum(w * _abs_gap_mean(y[..., None] - mu, sd), axis=-1)
+    k, l = np.triu_indices(mb.k, 1)
+    gap = _abs_gap_mean(mu[..., k] - mu[..., l], np.sqrt(var[..., k] + var[..., l]))
+    pairs = np.sum(w * w * sd, axis=-1) / math.sqrt(math.pi)
+    pairs += np.sum(w[..., k] * w[..., l] * gap, axis=-1)
+    return spread - pairs
 
 
 def deterministic_scores(points: np.ndarray, targets: np.ndarray):
@@ -218,6 +166,7 @@ def evaluate(batch, scoring: ScoringConfig | None = None, meta: dict | None = No
     n_elem = flat_targets.size
     y = flat_targets.ravel()
 
+    clipped = 0
     if points is not None:
         pts = np.asarray(points, dtype=float).reshape(-1, t_f)
         crps_elem = np.abs(pts.ravel() - y)
@@ -225,7 +174,7 @@ def evaluate(batch, scoring: ScoringConfig | None = None, meta: dict | None = No
         point_est = pts.ravel()
     else:
         mb_flat = mixtures.reshape(n_elem)
-        crps_elem = crps_mixture_batch(mb_flat, y, cfg.crps_points)
+        crps_elem = crps_mixture_batch(mb_flat, y)
         point_est = mb_flat.point_estimates()
         if cfg.interval_range is not None:
             lo, hi = cfg.interval_range
@@ -240,6 +189,7 @@ def evaluate(batch, scoring: ScoringConfig | None = None, meta: dict | None = No
         for start in range(0, n_elem, _CHUNK):
             sl = slice(start, min(start + _CHUNK, n_elem))
             dens = _density_rows(mb_flat, sl, x)
+            clipped += int(np.count_nonzero(dens.sum(axis=1) * dx < iv.MASS_COMPLETE_MIN))
             masks = iv.hpd_select_batch(dens, levels)
             w, c, _ = iv.interval_stats_batch(masks, lo, dx, y[sl], dens, want_mass=False)
             width_elem[sl] = w
@@ -276,6 +226,7 @@ def evaluate(batch, scoring: ScoringConfig | None = None, meta: dict | None = No
         per_horizon=per_horizon,
         calibration_curve=curve,
         meta=dict(meta or {}),
+        clipped_interval_elements=clipped,
     )
 
 

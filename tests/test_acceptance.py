@@ -69,7 +69,7 @@ def train_and_score(dataset, variant, k, seed, coverage=None):
             mixtures=preds.scale_shift(nrm.std, nrm.mean),
         )
     rep = metrics.evaluate(
-        batch, ScoringConfig(interval_range=(0.0, worked.max_value), crps_points=1001)
+        batch, ScoringConfig(interval_range=(0.0, worked.max_value))
     )
     return rep.crps_mean, result.batch_digests
 
@@ -161,33 +161,30 @@ class TestCriterion2CRPS:
     def test_crps_oracle_equivalence(self):
         started = time.time()
         rng = np.random.default_rng(8)
-        worst = 0.0
-        for _ in range(200):
-            mu = rng.uniform(-5, 5)
-            sigma = rng.uniform(0.2, 3.0)
-            y = mu + sigma * rng.uniform(-3, 3)
-            m = GaussianMixture([1.0], [mu], [sigma**2])
-            lo, hi = metrics.crps_range(m, y)
-            got = metrics.crps_mixture(m, y, lo, hi, 2001)
-            z = (y - mu) / sigma
-            closed = sigma * (z * (2 * norm.cdf(z) - 1) + 2 * norm.pdf(z) - 1 / math.sqrt(math.pi))
-            worst = max(worst, abs(got - closed) / closed)
-        assert worst < 1e-3
+        mu = rng.uniform(-5, 5, 200)
+        sigma = rng.uniform(0.2, 3.0, 200)
+        y = mu + sigma * rng.uniform(-3, 3, 200)
+        got = metrics.crps_mixture_batch(
+            MixtureBatch(np.ones((200, 1)), mu[:, None], (sigma**2)[:, None]), y
+        )
+        z = (y - mu) / sigma
+        closed = sigma * (z * (2 * norm.cdf(z) - 1) + 2 * norm.pdf(z) - 1 / math.sqrt(math.pi))
+        worst = float(np.max(np.abs(got - closed) / closed))
+        assert worst < 1e-12
 
-        # Floor-variance spike: CRPS collapses to the absolute error.
-        worst_dirac = 0.0
-        for _ in range(50):
-            xhat = float(rng.uniform(-2, 2))
-            y = float(rng.uniform(-2, 2))
-            m = GaussianMixture([1.0], [xhat], [0.0])
-            points = 2001
-            dx = 8.0 / (points - 1)
-            got = metrics.crps_mixture(m, y, -4.0, 4.0, points)
-            assert abs(got - abs(y - xhat)) <= 2 * dx
-            worst_dirac = max(worst_dirac, abs(got - abs(y - xhat)))
+        # Floor-variance spike: CRPS collapses to the absolute error, up to
+        # sd / sqrt(pi) at the floor sd (2dx of a 2001-point grid on [-4, 4]
+        # was the bound of the grid CRPS).
+        xhat, y = rng.uniform(-2, 2, (50, 2)).T
+        spikes = MixtureBatch(np.ones((50, 1)), xhat[:, None], np.zeros((50, 1)))
+        dirac_err = np.abs(metrics.crps_mixture_batch(spikes, y) - np.abs(y - xhat))
+        bound = math.sqrt(gmm.VAR_FLOOR / math.pi) + 1e-12
+        assert np.all(dirac_err <= bound)
+        worst_dirac = float(dirac_err.max())
         elapsed = time.time() - started
         assert elapsed < 5.0
-        ok(2, f"gaussian rel err {worst:.2e}, dirac err {worst_dirac:.2e} <= 2dx, {elapsed:.1f}s")
+        ok(2, f"gaussian rel err {worst:.2e}, dirac err {worst_dirac:.2e} <= {bound:.2e}, "
+              f"{elapsed:.1f}s")
 
 
 class TestCriterion3Intervals:
@@ -299,7 +296,7 @@ class TestCriterion7TwoPoint:
         ys = np.array([-2.0, 2.0] * 500)
         k1 = np.ones((ys.size, 1))
         dirac0 = MixtureBatch(k1, np.zeros((ys.size, 1)), np.zeros((ys.size, 1)))
-        scores0 = metrics.crps_mixture_batch(dirac0, ys, points=2001)
+        scores0 = metrics.crps_mixture_batch(dirac0, ys)
         assert scores0.mean() == pytest.approx(2.0, rel=0.02)
 
         two = MixtureBatch(
@@ -307,7 +304,7 @@ class TestCriterion7TwoPoint:
             np.tile([-2.0, 2.0], (ys.size, 1)),
             np.zeros((ys.size, 2)),
         )
-        scores2 = metrics.crps_mixture_batch(two, ys, points=2001)
+        scores2 = metrics.crps_mixture_batch(two, ys)
         assert np.all(np.abs(scores2 - 1.0) < 0.02)  # per trial
         assert scores2.mean() == pytest.approx(1.0, rel=0.02)
         ok(

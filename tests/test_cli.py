@@ -135,6 +135,8 @@ class TestEvaluate:
         assert (tmp_path / "g.density.tsv").exists()
         assert (tmp_path / "g.horizon.tsv").exists()
         assert (tmp_path / "g.calibration.tsv").exists()
+        run_manifest = json.loads((tmp_path / "g.run.json").read_text())
+        assert 0 <= run_manifest["clipped_interval_elements"] <= int(rep.meta["elements"])
 
     def test_det_crps_equals_mae(self, workspace, tmp_path):
         res = run(
@@ -178,6 +180,26 @@ class TestEvaluate:
              "--data", str(tmp_path / "other"), "--out", str(tmp_path)],
         )
         assert res.exit_code == 3
+
+    def test_blank_test_cell_rejected(self, workspace, tmp_path):
+        # Same dataset with one blank cell in the last row, which lies in
+        # the test split: it must not be scored as a speed of 0.
+        (tmp_path / "gappy.manifest.json").write_text(
+            (workspace / "tiny.manifest.json").read_text()
+        )
+        lines = (workspace / "tiny.csv").read_text().splitlines()
+        cells = lines[-1].split(",")
+        cells[1] = ""
+        lines[-1] = ",".join(cells)
+        (tmp_path / "gappy.csv").write_text("\n".join(lines) + "\n")
+        node = lines[0].split(",")[1]
+        res = CliRunner().invoke(
+            cli.main,
+            ["evaluate", "--checkpoint", str(workspace / "gmm.ckpt.npz"),
+             "--data", str(tmp_path / "gappy"), "--out", str(tmp_path)],
+        )
+        assert res.exit_code == 3
+        assert f"1 blank cells, first at row {len(lines)}/node {node}" in res.output
 
     def test_bad_levels_rejected(self, workspace, tmp_path):
         res = CliRunner().invoke(

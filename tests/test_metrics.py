@@ -5,6 +5,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from crps_trapezoid import crps_range, crps_trapezoid, jump_cell_correction
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from mixcast import gmm, metrics
@@ -29,44 +32,48 @@ def mixture_batch_of(ms):
     )
 
 
+def crps_one(mb, y):
+    """crps_mixture_batch on a one-element batch and one label."""
+    return float(metrics.crps_mixture_batch(mb, np.array([y]))[0])
+
+
+def crps_of(m, y):
+    return crps_one(mixture_batch_of([m]), y)
+
+
+# Largest gap between the CRPS of a floor-variance component and |y - mu|,
+# plus rounding: CRPS(N(mu, s^2), y) - |y - mu| lies in [-s / sqrt(pi), 0.24 s]
+# and tends to the lower end far from mu.
+FLOOR_GAP = math.sqrt(gmm.VAR_FLOOR / math.pi) + 1e-12
+
+
 class TestCRPSMixture:
     def test_gaussian_at_mean(self):
         m = GaussianMixture([1.0], [0.0], [1.0])
-        got = metrics.crps_mixture(m, 0.0, -8, 8, 2001)
+        got = crps_of(m, 0.0)
         assert got == pytest.approx(0.23369, abs=2e-4)
-        assert got == pytest.approx(crps_gauss_closed(0, 1, 0), rel=1e-3)
+        assert got == pytest.approx(crps_gauss_closed(0, 1, 0), rel=1e-12)
 
     def test_gaussian_two_sigma_off(self):
         m = GaussianMixture([1.0], [0.0], [1.0])
-        got = metrics.crps_mixture(m, 2.0, -10, 10, 2001)
-        assert got == pytest.approx(1.45279, abs=2e-4)
+        assert crps_of(m, 2.0) == pytest.approx(1.45279, abs=2e-4)
 
     def test_randomized_against_closed_form(self):
         rng = np.random.default_rng(8)
-        for _ in range(200):
-            mu = rng.uniform(-5, 5)
-            sigma = rng.uniform(0.2, 3.0)
-            y = mu + sigma * rng.uniform(-3, 3)
-            m = GaussianMixture([1.0], [mu], [sigma**2])
-            lo, hi = metrics.crps_range(m, y)
-            got = metrics.crps_mixture(m, y, lo, hi, 2001)
-            assert got == pytest.approx(crps_gauss_closed(mu, sigma, y), rel=1e-3)
+        mu = rng.uniform(-5, 5, 200)
+        sigma = rng.uniform(0.2, 3.0, 200)
+        y = mu + sigma * rng.uniform(-3, 3, 200)
+        mb = MixtureBatch(np.ones((200, 1)), mu[:, None], (sigma**2)[:, None])
+        got = metrics.crps_mixture_batch(mb, y)
+        np.testing.assert_allclose(got, crps_gauss_closed(mu, sigma, y), rtol=1e-12)
 
     def test_near_dirac_is_absolute_error(self):
         m = GaussianMixture([1.0], [0.7], [0.0])  # floor-clamped
         y = -1.3
-        lo, hi = -4.0, 4.0
-        points = 2001
-        dx = (hi - lo) / (points - 1)
-        got = metrics.crps_mixture(m, y, lo, hi, points)
-        assert abs(got - abs(y - 0.7)) <= 2 * dx
-
-    def test_label_outside_grid_rejected(self):
-        m = GaussianMixture([1.0], [0.0], [1.0])
-        with pytest.raises(ValueError):
-            metrics.crps_mixture(m, 9.0, -8, 8, 1001)
+        assert abs(crps_of(m, y) - abs(y - 0.7)) <= FLOOR_GAP
 
     def test_batch_matches_scalar(self):
+        # Closed form against the test-side trapezoid on a fine grid.
         rng = np.random.default_rng(13)
         ms, ys = [], []
         for _ in range(50):
@@ -74,11 +81,98 @@ class TestCRPSMixture:
             w /= w.sum()
             ms.append(GaussianMixture(w, rng.uniform(-3, 3, 3), rng.uniform(0.1, 2.0, 3)))
             ys.append(rng.uniform(-4, 4))
-        mb = mixture_batch_of(ms)
-        got = metrics.crps_mixture_batch(mb, np.array(ys), points=1501)
+        got = metrics.crps_mixture_batch(mixture_batch_of(ms), np.array(ys))
         for i, (m, y) in enumerate(zip(ms, ys)):
-            lo, hi = metrics.crps_range(m, y)
-            assert got[i] == pytest.approx(metrics.crps_mixture(m, y, lo, hi, 1501), abs=1e-12)
+            want = crps_trapezoid(m, y, *crps_range(m, y), 20001)
+            assert got[i] == pytest.approx(want, rel=1e-5)
+
+    def test_broad_low_weight_component(self):
+        # A trained-model case: a dominant narrow component plus a tiny,
+        # very broad one on a 0-14 range. An 8-sigma grid of 2001 points
+        # has dx ~ 0.84, wider than the narrow component, and misscores it.
+        m = GaussianMixture([0.999, 0.001], [6.0, 7.5], [0.24**2, 105.0**2])
+        worst_coarse = 0.0
+        for y in (0.0, 3.5, 6.0, 6.3, 9.0, 14.0):
+            got = crps_of(m, y)
+            lo, hi = crps_range(m, y)
+            assert got == pytest.approx(crps_trapezoid(m, y, lo, hi, 1_000_001), rel=1e-4)
+            coarse = crps_trapezoid(m, y, lo, hi, 2001)
+            worst_coarse = max(worst_coarse, abs(coarse - got) / got)
+        assert worst_coarse > 0.1
+
+
+def crps_components(mean_span=10.0, sd_lo=0.05, sd_hi=5.0):
+    """Hypothesis strategy: (weights, means, sds) of a mixture, K <= 5."""
+    return st.integers(1, 5).flatmap(
+        lambda k: st.tuples(
+            st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k),
+            st.lists(st.floats(-mean_span, mean_span), min_size=k, max_size=k),
+            st.lists(st.floats(sd_lo, sd_hi), min_size=k, max_size=k),
+        )
+    )
+
+
+def batch_of(components):
+    """One-element MixtureBatch from (weights, means, sds)."""
+    w, mu, sd = (np.asarray(v, dtype=float) for v in components)
+    return MixtureBatch((w / w.sum())[None], mu[None], (sd**2)[None])
+
+
+class TestCRPSProperties:
+    @given(crps_components(), st.floats(-30.0, 30.0))
+    def test_nonnegative(self, comps, y):
+        assert crps_one(batch_of(comps), y) >= 0.0
+
+    @given(
+        crps_components(),
+        st.floats(-20.0, 20.0),
+        st.floats(0.5, 5.0),
+        st.booleans(),
+        st.floats(-10.0, 10.0),
+    )
+    def test_affine_equivariance(self, comps, y, scale, flip, shift):
+        # |a| >= 0.5 keeps every scaled variance above the floor.
+        a = -scale if flip else scale
+        mb = batch_of(comps)
+        moved = crps_one(mb.scale_shift(a, shift), a * y + shift)
+        assert moved == pytest.approx(abs(a) * crps_one(mb, y), rel=1e-9, abs=1e-12)
+
+    @given(crps_components(), st.floats(-20.0, 20.0), st.randoms(use_true_random=False))
+    def test_component_permutation_invariance(self, comps, y, rnd):
+        order = list(range(len(comps[0])))
+        rnd.shuffle(order)
+        permuted = tuple([part[i] for i in order] for part in comps)
+        assert crps_one(batch_of(permuted), y) == pytest.approx(
+            crps_one(batch_of(comps), y), rel=1e-12, abs=1e-14
+        )
+
+    @given(st.floats(-10.0, 10.0), st.floats(0.01, 10.0), st.floats(-30.0, 30.0))
+    def test_single_component_gaussian_closed_form(self, mu, sigma, y):
+        got = crps_of(GaussianMixture([1.0], [mu], [sigma**2]), y)
+        assert got == pytest.approx(crps_gauss_closed(mu, sigma, y), abs=1e-12)
+
+    @given(st.floats(-10.0, 10.0), st.floats(0.0, 1e-2), st.floats(-10.0, 10.0))
+    def test_vanishing_variance_tends_to_absolute_error(self, mu, var, y):
+        m = GaussianMixture([1.0], [mu], [var])  # 0 is clamped to the floor
+        bound = math.sqrt(max(var, gmm.VAR_FLOOR) / math.pi)
+        assert abs(crps_of(m, y) - abs(y - mu)) <= bound + 1e-12
+
+    @given(crps_components(mean_span=3.0, sd_lo=0.5, sd_hi=2.0), st.floats(-5.0, 5.0))
+    @settings(max_examples=50)
+    def test_matches_fine_trapezoid(self, comps, y):
+        # sigma >= 0.5 on a range under 40 wide keeps dx / sigma below 4e-3,
+        # where the trapezoid's own O(dx^2) error stays under 1e-5.
+        mb = batch_of(comps)
+        m = mb.at(0)
+        want = crps_trapezoid(m, y, *crps_range(m, y), 20001)
+        assert crps_one(mb, y) == pytest.approx(want, rel=1e-5)
+
+
+class TestTrapezoidOracle:
+    def test_label_outside_grid_rejected(self):
+        m = GaussianMixture([1.0], [0.0], [1.0])
+        with pytest.raises(ValueError):
+            crps_trapezoid(m, 9.0, -8, 8, 1001)
 
     def test_dirac_reduction_richardson(self):
         # Error vs the absolute-error limit shrinks ~linearly in dx.
@@ -89,10 +183,32 @@ class TestCRPSMixture:
             y = rng.uniform(-2, 2)
             m = GaussianMixture([1.0], [xhat], [0.0])
             target = abs(y - xhat)
-            coarse.append(abs(metrics.crps_mixture(m, y, -8, 8, 26) - target))
-            fine.append(abs(metrics.crps_mixture(m, y, -8, 8, 51) - target))
+            coarse.append(abs(crps_trapezoid(m, y, -8, 8, 26) - target))
+            fine.append(abs(crps_trapezoid(m, y, -8, 8, 51) - target))
         ratio = np.mean(coarse) / np.mean(fine)
         assert ratio > 1.9
+
+    def test_factored_path_matches_scalar(self):
+        # The trapezoid factored for a fixed predicted CDF and many labels:
+        # (F-H)^2 = F^2 - 2 F H + H at the nodes, plus the split of the
+        # cell containing each label.
+        rng = np.random.default_rng(19)
+        m = GaussianMixture([0.3, 0.7], [-1.0, 1.5], [0.5, 1.2])
+        ys = gmm.sample(m, rng, 25)
+        lo, hi, points = ys.min() - 12, ys.max() + 12, 4001
+        x = np.linspace(lo, hi, points)
+        f = gmm.cdf_values(m.weights, m.means, m.variances, x)
+        w = np.full(points, x[1] - x[0])
+        w[0] *= 0.5
+        w[-1] *= 0.5
+        suf_f = np.concatenate((np.cumsum((w * f)[::-1])[::-1], [0.0]))
+        suf_w = np.concatenate((np.cumsum(w[::-1])[::-1], [0.0]))
+        j = np.searchsorted(x, ys, side="left")
+        fy = gmm.cdf_values(m.weights, m.means, m.variances, ys)
+        factored = np.sum(w * f * f) - 2 * suf_f[j] + suf_w[j]
+        factored += jump_cell_correction(x[j - 1], x[j], ys, f[j - 1], f[j], fy)
+        for y, got in zip(ys, factored):
+            assert got == pytest.approx(crps_trapezoid(m, y, lo, hi, points), abs=1e-10)
 
 
 class TestCRPSPoint:
@@ -108,7 +224,7 @@ class TestCRPSPoint:
         point_scores = [metrics.crps_point(0.0, y) for y in ys]
         assert np.mean(point_scores) == pytest.approx(2.0)
         m = GaussianMixture([0.5, 0.5], [-2.0, 2.0], [0.0, 0.0])
-        mix_scores = [metrics.crps_mixture(m, y, -6, 6, 4001) for y in ys]
+        mix_scores = [crps_of(m, y) for y in ys]
         assert np.mean(mix_scores) == pytest.approx(1.0, rel=0.02)
 
 
@@ -124,41 +240,13 @@ class TestPropriety:
                 w /= w.sum()
                 return GaussianMixture(w, rng.uniform(-3, 3, k), rng.uniform(0.2, 2.0, k))
 
+            def crps_many(m, ys):
+                params = [np.broadcast_to(p, (ys.size, m.k)) for p in
+                          (m.weights, m.means, m.variances)]
+                return metrics.crps_mixture_batch(MixtureBatch(*params), ys)
+
             true_m, alt_m = rand_mix(), rand_mix()
             draws = gmm.sample(true_m, rng, n)
-            lo = min(true_m.means.min(), alt_m.means.min(), draws.min()) - 12
-            hi = max(true_m.means.max(), alt_m.means.max(), draws.max()) + 12
-            points = 4001
-            x = np.linspace(lo, hi, points)
-
-            def crps_many(m, ys):
-                # Same trapezoid as crps_mixture, factored for a fixed
-                # predicted CDF: (F-H)^2 = F^2 - 2 F H + H at the nodes,
-                # plus the split of the cell containing each label.
-                f = gmm.cdf_values(m.weights, m.means, m.variances, x)
-                step = x[1] - x[0]
-                w = np.full(points, step)
-                w[0] *= 0.5
-                w[-1] *= 0.5
-                t_f2 = np.sum(w * f * f)
-                suf_f = np.concatenate((np.cumsum((w * f)[::-1])[::-1], [0.0]))
-                suf_w = np.concatenate((np.cumsum(w[::-1])[::-1], [0.0]))
-                j = np.searchsorted(x, ys, side="left")
-                base = t_f2 - 2 * suf_f[j] + suf_w[j]
-                fy = gmm.cdf_values(m.weights, m.means, m.variances, ys)
-                f_l, f_r = f[j - 1], f[j]
-                old = step * (f_l**2 + (f_r - 1) ** 2) / 2
-                split = (ys - x[j - 1]) * (f_l**2 + fy**2) / 2 + (x[j] - ys) * (
-                    (fy - 1) ** 2 + (f_r - 1) ** 2
-                ) / 2
-                return base + split - old
-
-            # The factored path must agree exactly with crps_mixture.
-            for y in draws[:25]:
-                assert crps_many(true_m, np.array([y]))[0] == pytest.approx(
-                    metrics.crps_mixture(true_m, y, lo, hi, points), abs=1e-10
-                )
-
             diff = crps_many(alt_m, draws) - crps_many(true_m, draws)
             se = diff.std(ddof=1) / math.sqrt(n)
             assert diff.mean() > 3 * se
@@ -233,6 +321,17 @@ class TestEvaluate:
             ScoringConfig(levels=(0.95,), interval_range=(-6.0, 6.0), interval_points=2001),
         )
         assert rep.avg_width == pytest.approx(2 * 1.959964, abs=0.02)
+
+    def test_clipped_interval_grid_counted(self):
+        # sd 0.5 fits the -3..3 grid; sd 5 keeps only about 45% of its mass
+        # there, which the HPD normalization alone would hide.
+        mb = MixtureBatch(np.ones((2, 1)), np.zeros((2, 1)), np.array([[0.25], [25.0]]))
+        batch = SimpleNamespace(targets=np.zeros((1, 1, 2)), mixtures=mb.reshape(1, 1, 2))
+        rep = metrics.evaluate(
+            batch, ScoringConfig(interval_range=(-3.0, 3.0), interval_points=601)
+        )
+        assert rep.clipped_interval_elements == 1
+        assert "clipped" not in metrics.report_to_text(rep)
 
     def test_point_prediction_batch(self):
         targets = np.array([[[1.0, 2.0]], [[3.0, 4.0]]])
