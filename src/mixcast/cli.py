@@ -98,11 +98,34 @@ def _positive(ctx, param, value):
     return value
 
 
+# The keys each --config section may carry; anything else is a typo.
+CONFIG_KEYS = {
+    "train": {"k", "epochs", "batch_size", "lr", "weight_decay", "betas", "warmup_epochs",
+              "clip_norm", "seed"},
+    "model": {"hidden", "features", "activation", "proj_width"},
+}
+
+
 def _load_config_file(path):
-    if path is None:
-        return {}
-    with open(path) as fh:
-        return json.load(fh)
+    """The --config JSON with both sections present; DataError names a
+    malformed file, section or key."""
+    config = {}
+    if path is not None:
+        try:
+            with open(path) as fh:
+                config = json.load(fh)
+        except json.JSONDecodeError as err:
+            raise data.DataError(f"config {path}: malformed JSON: {err}") from err
+    if not isinstance(config, dict) or not set(config) <= set(CONFIG_KEYS):
+        raise data.DataError(f"config {path}: expected an object with {sorted(CONFIG_KEYS)}")
+    for section, keys in CONFIG_KEYS.items():
+        values = config.setdefault(section, {})
+        if not isinstance(values, dict):
+            raise data.DataError(f"config {path}: section {section!r} must be an object")
+        unknown = sorted(set(values) - keys)
+        if unknown:
+            raise data.DataError(f"config {path}: unknown {section} key(s) {unknown}")
+    return config
 
 
 def _pick(flag_value, config: dict, key: str, default):
@@ -130,7 +153,6 @@ def build_model_config(variant, k, input_steps, horizon, channels, mcfg: dict) -
         hidden=int(mcfg.get("hidden", 64)),
         features=int(mcfg.get("features", 64)),
         activation=mcfg.get("activation", "tanh"),
-        graph_alpha=float(mcfg.get("graph_alpha", 0.3)),
     )
     head = None
     if variant != "det":
@@ -147,7 +169,11 @@ def train_run(dataset, manifest, variant, k, train_cfg: training.TrainConfig,
     worked = apply_quality(dataset, coverage_fraction, coverage_seed, resolution_factor)
     splits = data.prepare_splits(worked, input_steps, horizon, manifest.split_fractions)
     channels = splits.train.channels
-    mcfg = build_model_config(variant, k, input_steps, horizon, channels, model_overrides or {})
+    try:
+        mcfg = build_model_config(variant, k, input_steps, horizon, channels,
+                                  model_overrides or {})
+    except (TypeError, ValueError) as err:
+        raise data.DataError(f"model config: {err}") from err
     result = training.fit(splits, mcfg, train_cfg)
     extra = {
         "dataset_id": dataset_id(manifest),
@@ -382,21 +408,24 @@ def cmd_train(data_path, variant, k, epochs, batch_size, lr, seed, input_steps, 
     started = time.time()
     try:
         config = _load_config_file(config_path)
-        tsec = config.get("train", {})
+        tsec = config["train"]
         if variant == "norm":
             k = 1
         elif variant == "gmm":
             k = _pick(k, tsec, "k", 5)
-        train_cfg = training.TrainConfig(
-            epochs=_pick(epochs, tsec, "epochs", 50),
-            batch_size=_pick(batch_size, tsec, "batch_size", 32),
-            lr=_pick(lr, tsec, "lr", 5e-4),
-            weight_decay=float(tsec.get("weight_decay", 1e-4)),
-            betas=tuple(tsec.get("betas", (0.9, 0.999))),
-            warmup_epochs=float(tsec.get("warmup_epochs", 2.0)),
-            clip_norm=float(tsec.get("clip_norm", 5.0)),
-            seed=_pick(seed, tsec, "seed", 0),
-        )
+        try:
+            train_cfg = training.TrainConfig(
+                epochs=_pick(epochs, tsec, "epochs", 50),
+                batch_size=_pick(batch_size, tsec, "batch_size", 32),
+                lr=_pick(lr, tsec, "lr", 5e-4),
+                weight_decay=float(tsec.get("weight_decay", 1e-4)),
+                betas=tuple(tsec.get("betas", (0.9, 0.999))),
+                warmup_epochs=float(tsec.get("warmup_epochs", 2.0)),
+                clip_norm=float(tsec.get("clip_norm", 5.0)),
+                seed=_pick(seed, tsec, "seed", 0),
+            )
+        except (TypeError, ValueError) as err:
+            raise data.DataError(f"train config: {err}") from err
         dataset, manifest = load_dataset(data_path)
         result, mcfg, splits, extra = train_run(
             dataset,
@@ -406,7 +435,7 @@ def cmd_train(data_path, variant, k, epochs, batch_size, lr, seed, input_steps, 
             train_cfg,
             input_steps,
             horizon,
-            model_overrides=config.get("model", {}),
+            model_overrides=config["model"],
             coverage_fraction=coverage_fraction,
             coverage_seed=coverage_seed,
             resolution_factor=resolution_factor,
@@ -448,7 +477,7 @@ def cmd_train(data_path, variant, k, epochs, batch_size, lr, seed, input_steps, 
 @click.option("--checkpoint", required=True, type=click.Path(exists=True))
 @click.option("--data", "data_path", required=True, type=click.Path())
 @click.option("--levels", default="0.5:0.95:0.05", show_default=True)
-@click.option("--grid-points", type=int, default=500, show_default=True,
+@click.option("--grid-points", type=click.IntRange(min=2), default=500, show_default=True,
               help="Interval-derivation grid points.")
 @click.option("--normalized-space", is_flag=True, default=False,
               help="Score in normalized space instead of raw units.")

@@ -20,8 +20,6 @@ from datetime import datetime, timedelta
 
 import numpy as np
 
-from .model import ForecastBatch
-
 
 class DataError(ValueError):
     """Malformed or inconsistent dataset input."""
@@ -208,18 +206,6 @@ class WindowSet:
     @property
     def count(self) -> int:
         return self.inputs.shape[0]
-
-    def full_batch(self, graph=None) -> ForecastBatch:
-        return ForecastBatch(inputs=self.inputs, targets=self.targets, graph=graph)
-
-    def batches(self, batch_size: int, rng: np.random.Generator | None = None, graph=None):
-        """Stream of ForecastBatch, optionally in shuffled order."""
-        order = np.arange(self.count) if rng is None else rng.permutation(self.count)
-        for start in range(0, self.count, batch_size):
-            idx = order[start : start + batch_size]
-            yield ForecastBatch(
-                inputs=self.inputs[idx], targets=self.targets[idx], graph=graph
-            )
 
 
 def window(d: SeriesDataset, t_h: int, t_f: int, normalizer, sessions=None) -> WindowSet:

@@ -1,6 +1,10 @@
 """Univariate Gaussian mixture kernel: log-density, NLL and its gradients,
 CDF, point estimates and sampling.
 
+Log-densities have one vectorised implementation (`_component_log_terms`
+plus `_logsumexp_last`); so do the NLL and its gradients
+(`nll_and_gradients`), shared by training and the scalar helpers.
+
 Everything here is a pure function of its inputs. Mixtures are immutable
 after construction, so concurrent callers may share them freely.
 """
@@ -18,8 +22,6 @@ LOG_VAR_MIN = -10.0
 LOG_VAR_MAX = 10.0
 VAR_FLOOR = float(np.exp(LOG_VAR_MIN))
 VAR_CAP = float(np.exp(LOG_VAR_MAX))
-
-_LOG_2PI = float(np.log(2.0 * np.pi))
 
 # Weight sums within this tolerance are renormalized silently; anything
 # further off is a contract violation.
@@ -97,7 +99,7 @@ def _component_log_terms(weights, means, variances, x):
     with np.errstate(divide="ignore"):
         log_w = np.log(weights)
     d = x[..., None] - means
-    return log_w - 0.5 * d * d / variances - 0.5 * (_LOG_2PI + np.log(variances))
+    return log_w - 0.5 * d * d / variances - 0.5 * np.log(2.0 * np.pi * variances)
 
 
 def _logsumexp_last(terms):
@@ -111,6 +113,28 @@ def _logsumexp_last(terms):
 def log_density_values(weights, means, variances, x):
     """Vectorized mixture log-density; parameter arrays end in a K axis."""
     return _logsumexp_last(_component_log_terms(weights, means, variances, x))
+
+
+def nll_and_gradients(weights, means, variances, y):
+    """Per-element NLL -log p(y) and its gradients with respect to the
+    head's trainable quantities, vectorised like `log_density_values`.
+
+    Returns (nll, (d_logits, d_means, d_logvars)); nll has the shape of
+    y and each gradient the shape (..., K). Logits are pre-softmax
+    weights and logvars log-variances; with responsibilities
+    gamma_k = pi_k N(y|k) / p(y):
+
+        d/d logit_k   = -(gamma_k - pi_k)
+        d/d mu_k      = -gamma_k (y - mu_k) / var_k
+        d/d logvar_k  = -gamma_k ((y - mu_k)^2 / (2 var_k) - 1/2)
+    """
+    terms = _component_log_terms(weights, means, variances, y)
+    lse = _logsumexp_last(terms)
+    gamma = np.exp(terms - lse[..., None])
+    d = np.asarray(y, dtype=float)[..., None] - means
+    d_means = -gamma * d / variances
+    d_logvars = -gamma * (d * d / (2.0 * variances) - 0.5)
+    return -lse, (weights - gamma, d_means, d_logvars)
 
 
 def cdf_values(weights, means, variances, x):
@@ -136,30 +160,11 @@ def nll(m: GaussianMixture, y: float) -> float:
     return -log_density(m, y)
 
 
-def responsibilities(m: GaussianMixture, y: float) -> np.ndarray:
-    """Posterior component probabilities gamma_k = pi_k N(y|k) / p(y)."""
-    terms = _component_log_terms(m.weights, m.means, m.variances, np.asarray(y, float))
-    return np.exp(terms - _logsumexp_last(terms))
-
-
 def nll_gradients(m: GaussianMixture, y: float):
-    """Gradients of nll(m, y) w.r.t. the head's trainable quantities.
-
-    Returns (d_logits, d_means, d_logvars), each of shape (K,), where
-    logits are pre-softmax weights and logvars are log-variances:
-
-        d/d mu_k      = -gamma_k (y - mu_k) / var_k
-        d/d logvar_k  = -gamma_k ((y - mu_k)^2 / (2 var_k) - 1/2)
-        d/d logit_k   = -(gamma_k - pi_k)
-    """
+    """Gradients of nll(m, y): (d_logits, d_means, d_logvars), each (K,)."""
     if not np.isfinite(y):
         raise ValueError(f"y must be finite, got {y!r}")
-    g = responsibilities(m, y)
-    d = y - m.means
-    d_means = -g * d / m.variances
-    d_logvars = -g * (d * d / (2.0 * m.variances) - 0.5)
-    d_logits = m.weights - g
-    return d_logits, d_means, d_logvars
+    return nll_and_gradients(m.weights, m.means, m.variances, y)[1]
 
 
 def cdf(m: GaussianMixture, x: float) -> float:

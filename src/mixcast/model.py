@@ -10,6 +10,10 @@ are zero with biases chosen so every output is the same weakly
 informative mixture: uniform weights, means at the anchors, unit
 variances.
 
+One forward pass (`_forward`) serves `predict`, `forward_loss` and
+`backward`; one loss (`_loss`, on the NLL kernel `gmm.nll_and_gradients`
+for mixtures) serves both loss entry points, so their losses agree bitwise.
+
 All gradients are hand-derived reverse mode; `backward` matches central
 finite differences (see tests). Forward/backward are pure functions of
 (params, batch), so concurrent evaluation on parameter snapshots is safe.
@@ -17,11 +21,11 @@ finite differences (see tests). Forward/backward are pure functions of
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .gmm import LOG_VAR_MAX, LOG_VAR_MIN, GaussianMixture, MixtureBatch
+from .gmm import LOG_VAR_MAX, LOG_VAR_MIN, GaussianMixture, MixtureBatch, nll_and_gradients
 
 VARIANTS = ("det", "norm", "gmm")
 
@@ -65,7 +69,6 @@ class BackboneConfig:
     hidden: int = 64
     features: int = 64
     activation: str = "tanh"  # "tanh" | "identity"
-    graph_alpha: float = 0.3
 
     def __post_init__(self):
         if self.activation not in ("tanh", "identity"):
@@ -129,7 +132,6 @@ class ForecastBatch:
 
     inputs: np.ndarray  # (B, N, input_dim), normalized
     targets: np.ndarray  # (B, N, horizon), normalized
-    graph: np.ndarray | None = None
     mixtures: MixtureBatch | None = None
     point_preds: np.ndarray | None = None
 
@@ -182,34 +184,17 @@ def reference_mixture(hc: HeadConfig) -> GaussianMixture:
     return GaussianMixture(np.full(k, 1.0 / k), hc.anchors.copy(), np.ones(k))
 
 
-def _normalize_adjacency(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    rows = a.sum(axis=1, keepdims=True)
-    safe = np.where(rows > 0, rows, 1.0)
-    return a / safe
+def backbone_forward(x, params, cfg: BackboneConfig):
+    """Per-node MLP (input window -> hidden -> features).
 
-
-def _backbone_pass(x, params, cfg: BackboneConfig, graph):
+    Returns (z, h1): the features and the hidden activations that
+    `backward` reuses."""
     if x.ndim != 3 or x.shape[-1] != cfg.input_dim:
         raise ValueError(f"expected inputs (B, N, {cfg.input_dim}), got {x.shape}")
     a1 = x @ params["backbone.w1"].T + params["backbone.b1"]
     h1 = np.tanh(a1) if cfg.activation == "tanh" else a1
-    z_pre = h1 @ params["backbone.w2"].T + params["backbone.b2"]
-    if graph is not None and cfg.graph_alpha > 0.0:
-        a_hat = _normalize_adjacency(graph)
-        z = (1.0 - cfg.graph_alpha) * z_pre + cfg.graph_alpha * np.einsum(
-            "ij,bjd->bid", a_hat, z_pre
-        )
-    else:
-        a_hat = None
-        z = z_pre
-    return {"x": x, "h1": h1, "z_pre": z_pre, "z": z, "a_hat": a_hat}
-
-
-def backbone_forward(x, params, cfg: BackboneConfig, graph=None) -> np.ndarray:
-    """Per-node MLP (input window -> hidden -> features) with an optional
-    single neighborhood-averaging step over a row-normalized adjacency."""
-    return _backbone_pass(x, params, cfg, graph)["z"]
+    z = h1 @ params["backbone.w2"].T + params["backbone.b2"]
+    return z, h1
 
 
 def _softmax_last(logits):
@@ -217,10 +202,14 @@ def _softmax_last(logits):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _head_pass(z, hc: HeadConfig, params):
-    lead = z.shape[:-1]
+def head_forward(z, hc: HeadConfig, params):
+    """(mixtures, cache): one mixture per (leading index, horizon step).
+
+    z has shape (..., features); the mixtures' element shape is
+    (..., horizon) with K components each, means in normalized space.
+    The cache holds the projection and unclamped log-variances."""
     zp = z @ params["proj.w"].T + params["proj.b"]
-    shape = lead + (hc.horizon, hc.components)
+    shape = z.shape[:-1] + (hc.horizon, hc.components)
     logits = (zp @ params["mix.w"].T + params["mix.b"]).reshape(shape)
     offsets = (zp @ params["mean.w"].T + params["mean.b"]).reshape(shape)
     logvar_raw = (zp @ params["logvar.w"].T + params["logvar.b"]).reshape(shape)
@@ -229,129 +218,102 @@ def _head_pass(z, hc: HeadConfig, params):
     means = offsets * hc.anchor_scale + hc.anchors
     variances = np.exp(logvar)
     mb = MixtureBatch(weights, means, variances)
-    return {"zp": zp, "logvar_raw": logvar_raw, "mixtures": mb}
+    return mb, {"zp": zp, "logvar_raw": logvar_raw}
 
 
-def head_forward(z, hc: HeadConfig, params) -> MixtureBatch:
-    """Mixture parameters for every (leading index, horizon step).
+def _forward(inputs, params: ModelParams, cfg: ModelConfig):
+    """(predictions, cache): mixtures for norm/gmm, point values for det,
+    plus every intermediate `backward` needs."""
+    z, h1 = backbone_forward(inputs, params, cfg.backbone)
+    cache = {"h1": h1, "z": z}
+    if cfg.variant == "det":
+        return z @ params["out.w"].T + params["out.b"], cache
+    mb, head_cache = head_forward(z, cfg.head, params)
+    cache.update(head_cache)
+    return mb, cache
 
-    z has shape (..., features); the result's element shape is
-    (..., horizon) with K components each. Means are in normalized space.
-    """
-    return _head_pass(z, hc, params)["mixtures"]
 
-
-def _check_finite_loss(loss, per_elem, what):
-    if np.isfinite(loss):
-        return
-    bad = np.argwhere(~np.isfinite(per_elem))
-    first = tuple(int(i) for i in bad[0]) if bad.size else "?"
-    raise ValueError(f"non-finite {what} at element {first}")
+def _loss(preds, y, cfg: ModelConfig, with_grad: bool):
+    """(mean loss, per-element gradient or None) over all (window,
+    location, step) elements: absolute error and its sign for det, NLL and
+    the kernel's (d_logits, d_means, d_logvars) for the mixture variants.
+    Without the gradient the NLL is the kernel's, bit for bit."""
+    grad = None
+    if cfg.variant == "det":
+        per = np.abs(preds - y)
+        if with_grad:
+            grad = np.sign(preds - y)
+        what = "absolute error"
+    else:
+        # Non-finite intermediates surface through the loss guard below,
+        # so numpy's own warnings are redundant here.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            if with_grad:
+                per, grad = nll_and_gradients(preds.weights, preds.means, preds.variances, y)
+            else:
+                per = -preds.log_density(y)
+        what = "negative log-likelihood"
+    loss = float(per.mean())
+    if not np.isfinite(loss):
+        bad = np.argwhere(~np.isfinite(per))
+        first = tuple(int(i) for i in bad[0]) if bad.size else "?"
+        raise ValueError(f"non-finite {what} at element {first}")
+    return loss, grad
 
 
 def forward_loss(batch: ForecastBatch, params: ModelParams, cfg: ModelConfig):
     """(training loss, predictions). The loss is the plain mean over all
     (window, location, step) elements: NLL for mixture variants, absolute
     error for the det variant."""
-    ctx = _backbone_pass(batch.inputs, params, cfg.backbone, batch.graph)
-    y = batch.targets
-    if cfg.variant == "det":
-        out = ctx["z"] @ params["out.w"].T + params["out.b"]
-        per = np.abs(out - y)
-        loss = float(per.mean())
-        _check_finite_loss(loss, per, "absolute error")
-        return loss, out
-    head = _head_pass(ctx["z"], cfg.head, params)
-    mb = head["mixtures"]
-    per = -mb.log_density(y)
-    loss = float(per.mean())
-    _check_finite_loss(loss, per, "negative log-likelihood")
-    return loss, mb
+    preds, _ = _forward(batch.inputs, params, cfg)
+    return _loss(preds, batch.targets, cfg, with_grad=False)[0], preds
 
 
-def predict(params: ModelParams, cfg: ModelConfig, inputs, graph=None):
+def predict(params: ModelParams, cfg: ModelConfig, inputs):
     """Inference: mixtures for norm/gmm, point values for det."""
-    z = backbone_forward(inputs, params, cfg.backbone, graph)
-    if cfg.variant == "det":
-        return z @ params["out.w"].T + params["out.b"]
-    return head_forward(z, cfg.head, params)
+    return _forward(inputs, params, cfg)[0]
+
+
+def _linear_backward(grads, params, w, b, d, a):
+    """Store the gradients of the layer `a @ params[w].T + params[b]`
+    (rows flattened) for upstream gradient d; return d @ params[w]."""
+    grads[w] = d.T @ a
+    grads[b] = d.sum(axis=0)
+    return d @ params[w]
 
 
 def backward(batch: ForecastBatch, params: ModelParams, cfg: ModelConfig):
     """(loss, gradients) with gradients shaped exactly like the params."""
-    bb = cfg.backbone
-    ctx = _backbone_pass(batch.inputs, params, bb, batch.graph)
-    y = batch.targets
-    b, n = y.shape[:2]
-    m_count = y.size
+    preds, cache = _forward(batch.inputs, params, cfg)
+    loss, g_out = _loss(preds, batch.targets, cfg, with_grad=True)
+    rows = batch.targets.shape[0] * batch.targets.shape[1]
+    m_count = batch.targets.size
     grads = {}
+    z = cache["z"].reshape(rows, -1)
 
     if cfg.variant == "det":
-        out = ctx["z"] @ params["out.w"].T + params["out.b"]
-        per = np.abs(out - y)
-        loss = float(per.mean())
-        _check_finite_loss(loss, per, "absolute error")
-        d_out = np.sign(out - y) / m_count
-        flat = d_out.reshape(b * n, -1)
-        z_flat = ctx["z"].reshape(b * n, -1)
-        grads["out.w"] = flat.T @ z_flat
-        grads["out.b"] = flat.sum(axis=0)
-        g_z = (flat @ params["out.w"]).reshape(b, n, -1)
+        d_out = (g_out / m_count).reshape(rows, -1)
+        g_z = _linear_backward(grads, params, "out.w", "out.b", d_out, z)
     else:
-        hc = cfg.head
-        head = _head_pass(ctx["z"], hc, params)
-        mb = head["mixtures"]
-        # Non-finite intermediates surface through the loss guard below,
-        # so numpy's own warnings are redundant here.
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            log_terms = (
-                np.log(mb.weights)
-                - 0.5 * (y[..., None] - mb.means) ** 2 / mb.variances
-                - 0.5 * np.log(2.0 * np.pi * mb.variances)
-            )
-            lse_max = log_terms.max(axis=-1, keepdims=True)
-            lse = lse_max[..., 0] + np.log(np.exp(log_terms - lse_max).sum(axis=-1))
-        per = -lse
-        loss = float(per.mean())
-        _check_finite_loss(loss, per, "negative log-likelihood")
-        gamma = np.exp(log_terms - lse[..., None])
+        d_logits, d_means, d_logvar = g_out
+        raw = cache["logvar_raw"]
+        branches = {
+            "mix": d_logits / m_count,
+            "mean": d_means * cfg.head.anchor_scale / m_count,
+            # Hard-clamped log-variances contribute no gradient.
+            "logvar": d_logvar / m_count * ((raw > LOG_VAR_MIN) & (raw < LOG_VAR_MAX)),
+        }
+        zp = cache["zp"].reshape(rows, -1)
+        g_zp = np.zeros_like(zp)
+        for name, d in branches.items():
+            d = d.reshape(rows, -1)
+            g_zp += _linear_backward(grads, params, f"{name}.w", f"{name}.b", d, zp)
+        g_z = _linear_backward(grads, params, "proj.w", "proj.b", g_zp, z)
 
-        diff = y[..., None] - mb.means
-        d_logits = (mb.weights - gamma) / m_count
-        d_offsets = (-gamma * diff / mb.variances) * hc.anchor_scale / m_count
-        d_logvar = -gamma * (diff * diff / (2.0 * mb.variances) - 0.5) / m_count
-        # Hard-clamped log-variances contribute no gradient.
-        inside = (head["logvar_raw"] > LOG_VAR_MIN) & (head["logvar_raw"] < LOG_VAR_MAX)
-        d_logvar = d_logvar * inside
-
-        wide = hc.horizon * hc.components
-        zp_flat = head["zp"].reshape(b * n, -1)
-        g_zp = np.zeros_like(zp_flat)
-        for name, d in (("mix", d_logits), ("mean", d_offsets), ("logvar", d_logvar)):
-            flat = d.reshape(b * n, wide)
-            grads[f"{name}.w"] = flat.T @ zp_flat
-            grads[f"{name}.b"] = flat.sum(axis=0)
-            g_zp += flat @ params[f"{name}.w"]
-        z_flat = ctx["z"].reshape(b * n, -1)
-        grads["proj.w"] = g_zp.T @ z_flat
-        grads["proj.b"] = g_zp.sum(axis=0)
-        g_z = (g_zp @ params["proj.w"]).reshape(b, n, -1)
-
-    if ctx["a_hat"] is not None:
-        g_z = (1.0 - bb.graph_alpha) * g_z + bb.graph_alpha * np.einsum(
-            "ji,bjd->bid", ctx["a_hat"], g_z
-        )
-    g_z_flat = g_z.reshape(b * n, -1)
-    h1_flat = ctx["h1"].reshape(b * n, -1)
-    grads["backbone.w2"] = g_z_flat.T @ h1_flat
-    grads["backbone.b2"] = g_z_flat.sum(axis=0)
-    g_h1 = g_z_flat @ params["backbone.w2"]
-    if bb.activation == "tanh":
-        g_a1 = g_h1 * (1.0 - h1_flat**2)
-    else:
-        g_a1 = g_h1
-    x_flat = ctx["x"].reshape(b * n, -1)
-    grads["backbone.w1"] = g_a1.T @ x_flat
+    h1 = cache["h1"].reshape(rows, -1)
+    g_h1 = _linear_backward(grads, params, "backbone.w2", "backbone.b2", g_z, h1)
+    g_a1 = g_h1 * (1.0 - h1**2) if cfg.backbone.activation == "tanh" else g_h1
+    grads["backbone.w1"] = g_a1.T @ batch.inputs.reshape(rows, -1)
     grads["backbone.b1"] = g_a1.sum(axis=0)
     return loss, grads
 
@@ -364,45 +326,20 @@ CHECKPOINT_VERSION = 1
 
 
 def _cfg_to_meta(cfg: ModelConfig) -> dict:
-    meta = {
-        "variant": cfg.variant,
-        "horizon": cfg.horizon,
-        "backbone": {
-            "input_steps": cfg.backbone.input_steps,
-            "channels": cfg.backbone.channels,
-            "hidden": cfg.backbone.hidden,
-            "features": cfg.backbone.features,
-            "activation": cfg.backbone.activation,
-            "graph_alpha": cfg.backbone.graph_alpha,
-        },
-    }
+    meta = {"variant": cfg.variant, "horizon": cfg.horizon, "backbone": asdict(cfg.backbone)}
     if cfg.head is not None:
-        meta["head"] = {
-            "components": cfg.head.components,
-            "horizon": cfg.head.horizon,
-            "proj_width": cfg.head.proj_width,
-            "anchor_scale": cfg.head.anchor_scale,
-            "anchors": list(cfg.head.anchors),
-        }
+        meta["head"] = asdict(cfg.head) | {"anchors": list(cfg.head.anchors)}
     return meta
 
 
 def _cfg_from_meta(meta: dict) -> ModelConfig:
-    head = None
-    if "head" in meta:
-        h = meta["head"]
-        head = HeadConfig(
-            components=h["components"],
-            horizon=h["horizon"],
-            proj_width=h["proj_width"],
-            anchor_scale=h["anchor_scale"],
-            anchors=np.asarray(h["anchors"], dtype=float),
-        )
+    # Older v1 files carry one backbone field that no longer exists.
+    backbone = {k: v for k, v in meta["backbone"].items() if k != "graph_alpha"}
     return ModelConfig(
         variant=meta["variant"],
-        backbone=BackboneConfig(**meta["backbone"]),
+        backbone=BackboneConfig(**backbone),
         horizon=meta["horizon"],
-        head=head,
+        head=HeadConfig(**meta["head"]) if "head" in meta else None,
     )
 
 

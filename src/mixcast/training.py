@@ -32,6 +32,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
         if self.lr <= 0:
             raise ValueError(f"lr must be positive, got {self.lr!r}")
         pts = tuple(self.decay_points)
@@ -167,7 +170,7 @@ def _epoch_digest(inputs: np.ndarray, perm: np.ndarray) -> str:
     return h.hexdigest()[:16]
 
 
-def fit(splits, model_cfg: mdl.ModelConfig, train_cfg: TrainConfig, graph=None) -> TrainResult:
+def fit(splits, model_cfg: mdl.ModelConfig, train_cfg: TrainConfig) -> TrainResult:
     """Train on splits.train, keep the checkpoint with the best
     validation loss (NLL or MAE, per variant).
 
@@ -187,7 +190,7 @@ def fit(splits, model_cfg: mdl.ModelConfig, train_cfg: TrainConfig, graph=None) 
     bs = train_cfg.batch_size
     n_batches = (w + bs - 1) // bs
     total_steps = train_cfg.epochs * n_batches
-    val_batch = mdl.ForecastBatch(inputs=val.inputs, targets=val.targets, graph=graph)
+    val_batch = mdl.ForecastBatch(inputs=val.inputs, targets=val.targets)
 
     result = TrainResult(
         params=params.copy(), model_cfg=model_cfg, best_val_loss=math.inf, best_epoch=-1
@@ -201,9 +204,7 @@ def fit(splits, model_cfg: mdl.ModelConfig, train_cfg: TrainConfig, graph=None) 
         try:
             for i in range(n_batches):
                 idx = perm[i * bs : (i + 1) * bs]
-                batch = mdl.ForecastBatch(
-                    inputs=train.inputs[idx], targets=train.targets[idx], graph=graph
-                )
+                batch = mdl.ForecastBatch(inputs=train.inputs[idx], targets=train.targets[idx])
                 lr = lr_at(step, total_steps, train_cfg)
                 loss, grads = mdl.backward(batch, params, model_cfg)
                 grads = clip_gradients(grads, train_cfg.clip_norm)

@@ -119,6 +119,29 @@ class TestTrain:
         assert run_manifest["config"]["train"]["epochs"] == 2  # flag wins
         assert run_manifest["config"]["train"]["lr"] == 0.01  # config used
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"model": {"hiden": 8}}', "unknown model key(s) ['hiden']"),
+            ('{"train": {"lr": 0.01', "malformed JSON"),
+            ('{"train": {"lr": -1}}', "lr must be positive, got -1"),
+            ('{"train": {"batch_size": 0}}', "batch_size must be >= 1, got 0"),
+            ('{"model": {"activation": "relu"}}', "unknown activation 'relu'"),
+        ],
+        ids=["unknown-key", "malformed-json", "bad-value", "zero-batch", "bad-model-value"],
+    )
+    def test_bad_config_is_data_error(self, tmp_path, workspace, text, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        res = CliRunner().invoke(
+            cli.main,
+            ["train", "--variant", "det", "--config", str(cfg), "--data", str(workspace / "tiny"),
+             "--epochs", "1", "--input-steps", "6", "--horizon", "6", "--out", str(tmp_path)],
+        )
+        assert res.exit_code == 3
+        assert message in res.output
+        assert not list(tmp_path.glob("*.ckpt.npz"))
+
 
 class TestEvaluate:
     def test_gmm_report_schema(self, workspace, tmp_path):
@@ -209,6 +232,17 @@ class TestEvaluate:
              "--out", str(tmp_path)],
         )
         assert res.exit_code == 3
+
+    @pytest.mark.parametrize("points", ["0", "1"])
+    def test_grid_points_below_two_is_usage_error(self, workspace, tmp_path, points):
+        res = CliRunner().invoke(
+            cli.main,
+            ["evaluate", "--checkpoint", str(workspace / "gmm.ckpt.npz"),
+             "--data", str(workspace / "tiny"), "--grid-points", points,
+             "--out", str(tmp_path)],
+        )
+        assert res.exit_code == 2
+        assert "--grid-points" in res.output
 
 
 class TestCompare:

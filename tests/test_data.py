@@ -234,15 +234,6 @@ class TestWindowing:
         b = data.prepare_splits(tampered, t_h=5, t_f=5).normalizer
         assert (a.mean, a.std) == (b.mean, b.std)
 
-    def test_batches_stream(self):
-        d = data.generate(small_spec(sessions=4, session_steps=25))
-        splits = data.prepare_splits(d, t_h=5, t_f=5, fractions=(0.5, 0.25, 0.25))
-        seen = 0
-        for batch in splits.train.batches(4):
-            assert batch.inputs.shape[0] <= 4
-            seen += batch.inputs.shape[0]
-        assert seen == splits.train.count
-
 
 class TestCSVRoundTrip:
     def test_export_ingest_bit_identical(self, tmp_path):

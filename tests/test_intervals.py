@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from mixcast import intervals as iv
@@ -249,3 +251,17 @@ class TestBatchAgreesWithScalar:
                 assert width[i, li] == pytest.approx(iv.interval_width(s), abs=1e-9)
                 assert bool(contained[i, li]) == iv.contains(s, y[i])
                 assert mass[i, li] == pytest.approx(iv.selection_mass(g, c), abs=1e-12)
+
+
+class TestHPDMonotonicity:
+    @given(
+        st.lists(st.floats(0.0, 10.0), min_size=1, max_size=60).filter(lambda d: sum(d) > 0),
+        st.lists(st.floats(0.01, 0.99), min_size=2, max_size=10),
+    )
+    def test_masks_nested_as_level_rises(self, density, levels):
+        density = np.array([density])
+        levels = np.sort(levels)
+        masks = iv.hpd_select_batch(density, levels)[0]
+        assert np.all(masks[:-1] <= masks[1:])
+        mass = (masks * density).sum(axis=1) / density.sum()
+        assert np.all(mass >= levels - 1e-12)
