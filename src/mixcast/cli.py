@@ -20,6 +20,7 @@ import click
 import numpy as np
 
 from . import __version__, data, metrics, model, training
+from .gmm import MixtureBatch, grid_densities
 
 
 def _out_dir(out) -> Path:
@@ -82,12 +83,14 @@ def parse_levels(text: str) -> tuple:
     try:
         if ":" in text:
             lo, hi, step = (float(p) for p in text.split(":"))
+            if not step > 0:
+                raise ValueError(f"step must be positive, got {step!r}")
             levels = np.round(np.arange(lo, hi + step / 2, step), 10)
         else:
             levels = np.asarray([float(p) for p in text.split(",")])
     except ValueError as err:
         raise data.DataError(f"bad levels spec {text!r}: {err}") from err
-    if levels.size == 0 or np.any((levels <= 0) | (levels >= 1)):
+    if levels.size == 0 or not np.all((levels > 0) & (levels < 1)):
         raise data.DataError(f"levels must lie in (0, 1), got {text!r}")
     return tuple(float(v) for v in levels)
 
@@ -139,9 +142,9 @@ def _pick(flag_value, config: dict, key: str, default):
 
 def apply_quality(dataset, coverage_fraction, coverage_seed, resolution_factor):
     """Resolution first (block means), then sensor coverage masking."""
-    if resolution_factor and resolution_factor > 1:
+    if resolution_factor != 1:
         dataset = data.degrade_resolution(dataset, resolution_factor)
-    if coverage_fraction is not None and coverage_fraction < 1.0:
+    if coverage_fraction != 1.0:
         dataset, _ = data.degrade_coverage(dataset, coverage_fraction, coverage_seed)
     return dataset
 
@@ -197,8 +200,6 @@ def _predict_in_chunks(params, mcfg, windows, chunk=512):
         outs.append(model.predict(params, mcfg, windows.inputs[sl]))
     if mcfg.variant == "det":
         return np.concatenate(outs, axis=0)
-    from .gmm import MixtureBatch
-
     return MixtureBatch(
         np.concatenate([o.weights for o in outs], axis=0),
         np.concatenate([o.means for o in outs], axis=0),
@@ -263,7 +264,10 @@ def evaluate_run(checkpoint_path, dataset, manifest, levels=metrics.DEFAULT_LEVE
         "levels": ",".join(repr(v) for v in scoring.levels),
         "seed": str(extra.get("seed", "")),
     }
-    report = metrics.evaluate(batch, scoring, meta=meta)
+    try:
+        report = metrics.evaluate(batch, scoring, meta=meta)
+    except ValueError as err:
+        raise data.DataError(str(err)) from err
     return report, splits, preds, mcfg, scoring
 
 
@@ -277,12 +281,12 @@ def density_ridge_table(preds, window_idx, node_idx, interval_range, points):
             f"ridge index (window {window_idx}, node {node_idx}) outside "
             f"({n_windows}, {n_nodes})"
         )
-    w = preds.weights[window_idx, node_idx]
-    mu = preds.means[window_idx, node_idx]
-    var = preds.variances[window_idx, node_idx]
-    from .gmm import log_density_values
-
-    dens = np.exp(log_density_values(w[:, None, :], mu[:, None, :], var[:, None, :], x[None, :]))
+    dens = grid_densities(
+        preds.weights[window_idx, node_idx],
+        preds.means[window_idx, node_idx],
+        preds.variances[window_idx, node_idx],
+        x,
+    )
     lines = ["x\t" + "\t".join(f"step{t + 1}" for t in range(dens.shape[0]))]
     for i, xv in enumerate(x):
         lines.append(repr(float(xv)) + "\t" + "\t".join(repr(float(v)) for v in dens[:, i]))
@@ -393,8 +397,8 @@ def cmd_generate(nodes, sessions, session_steps, step_minutes, max_value, noise,
 @click.option("--batch-size", type=int, default=None, callback=_positive)
 @click.option("--lr", type=float, default=None, callback=_positive)
 @click.option("--seed", type=int, default=None)
-@click.option("--input-steps", type=int, default=10, show_default=True)
-@click.option("--horizon", type=int, default=10, show_default=True)
+@click.option("--input-steps", type=int, default=10, callback=_positive, show_default=True)
+@click.option("--horizon", type=int, default=10, callback=_positive, show_default=True)
 @click.option("--coverage-fraction", type=float, default=1.0, show_default=True)
 @click.option("--coverage-seed", type=int, default=0, show_default=True)
 @click.option("--resolution-factor", type=int, default=1, show_default=True)
@@ -543,9 +547,14 @@ def cmd_compare(reports, out):
     if len(reports) < 2:
         raise click.UsageError("need at least two reports to compare")
     try:
-        loaded = [metrics.report_from_text(Path(p).read_text()) for p in reports]
+        loaded = []
+        for path in reports:
+            try:
+                loaded.append(metrics.report_from_text(Path(path).read_text()))
+            except (KeyError, ValueError) as err:
+                raise data.DataError(f"{path}: malformed report: {err!r}") from err
         table = comparison_table(loaded)
-    except (data.DataError, KeyError) as err:
+    except data.DataError as err:
         raise _fail(err)
     click.echo(table, nl=False)
     if out:

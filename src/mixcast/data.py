@@ -441,89 +441,3 @@ def ingest_csv(path, manifest: DatasetManifest) -> SeriesDataset:
         seed=manifest.seed,
         missing=missing.reshape(shape) if missing.any() else None,
     )
-
-
-# ----------------------------------------------------------------------
-# Unimodality departure (dip) statistic.
-# ----------------------------------------------------------------------
-
-
-def _prefix_fit_error(v, lo, hi):
-    """Minimal sup-norm inflation D admitting a convex function inside
-    the tube [lo - D, hi + D] on each prefix.
-
-    A convex selection exists iff the greatest convex minorant of the
-    upper bound clears the lower bound, and the minorant at any point is
-    the minimum over chords of upper-bound points straddling it, so the
-    required D is the largest (lo_p - chord_hi(i, j)(v_p)) / 2 over
-    triples i <= p <= j in the prefix.
-
-    Returns (incl, mode): incl[j] covers the full prefix through j;
-    mode[j] drops the lower-bound constraint at j itself (the mode point,
-    where the CDF may jump), keeping chord constraints that end there.
-    """
-    t_count = v.size
-    incl = np.empty(t_count)
-    mode = np.empty(t_count)
-    run = -np.inf
-    for j in range(t_count):
-        own = (lo[j] - hi[j]) / 2.0  # single-point tube half-width
-        interior = -np.inf
-        if j > 0:
-            i = np.arange(j)
-            p = np.arange(j)  # strictly before j
-            slope = (hi[j] - hi[i]) / (v[j] - v[i])
-            chord = hi[i][:, None] + slope[:, None] * (v[p][None, :] - v[i][:, None])
-            viol = (lo[p][None, :] - chord) / 2.0
-            ok = i[:, None] <= p[None, :]
-            interior = float(np.max(np.where(ok, viol, -np.inf)))
-        mode[j] = max(run, interior, 0.0)
-        run = max(run, interior, own)
-        incl[j] = run
-    return incl, mode
-
-
-def dip_statistic(samples, max_points: int = 160) -> float:
-    """Distance from the empirical CDF to the nearest unimodal CDF
-    (sup norm): ~1/(2n) for unimodal data, up to 0.25 for a 50/50
-    two-point distribution.
-
-    Computed from the definition: with the mode at sample point t, the
-    prefix through t must admit a convex CDF selection in the +-D tube
-    and the suffix from t a concave one, where the distribution may carry
-    an atom (jump) at the mode itself; the dip is the smallest feasible D
-    over all t. (A mode strictly between samples converts to a mode at
-    the gap's left point with the same error by replacing the gap segment
-    with its chord, so point modes lose nothing.) Samples beyond
-    `max_points` are thinned to evenly spaced order statistics first
-    (the dip is then that subsample's).
-    """
-    x = np.sort(np.asarray(samples, dtype=float).ravel())
-    n = x.size
-    if n < 4 or x[0] == x[-1]:
-        return 0.0
-    if n > max_points:
-        x = x[np.linspace(0, n - 1, max_points).astype(int)]
-        n = x.size
-    vals, counts = np.unique(x, return_counts=True)
-    if vals.size < 2:
-        return 0.0
-    cum = np.cumsum(counts)
-    lo = cum / n  # F at each distinct value
-    hi = (cum - counts) / n  # left limit
-    _, left_mode = _prefix_fit_error(vals, lo, hi)
-    # The concave side is the convex side of the mirrored sample; the
-    # mirror of "prefix through index t" is "suffix from t" here.
-    _, mirrored_mode = _prefix_fit_error(-vals[::-1], 1.0 - hi[::-1], 1.0 - lo[::-1])
-    right_mode = mirrored_mode[::-1]
-    best = float(np.min(np.maximum(left_mode, right_mode)))
-    # The tube needs D >= 1/(2n) just to admit any function.
-    return float(max(best, 1.0 / (2 * n)))
-
-
-def unimodal_dip_threshold(n: int, rng: np.random.Generator, sims: int = 99,
-                           quantile: float = 0.95) -> float:
-    """Monte Carlo null threshold: the `quantile` of the dip over uniform
-    samples of size n (the standard reference unimodal null)."""
-    dips = [dip_statistic(rng.random(n)) for _ in range(sims)]
-    return float(np.quantile(dips, quantile))

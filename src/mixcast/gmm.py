@@ -1,9 +1,11 @@
-"""Univariate Gaussian mixture kernel: log-density, NLL and its gradients,
-CDF, point estimates and sampling.
+"""Univariate Gaussian mixture kernel: log-density, grid densities, NLL
+and its gradients, CDF and point estimates.
 
 Log-densities have one vectorised implementation (`_component_log_terms`
 plus `_logsumexp_last`); so do the NLL and its gradients
 (`nll_and_gradients`), shared by training and the scalar helpers.
+Densities on a shared grid, which interval derivation and the density
+tables read, have one plain-space implementation (`grid_densities`).
 
 Everything here is a pure function of its inputs. Mixtures are immutable
 after construction, so concurrent callers may share them freely.
@@ -115,6 +117,28 @@ def log_density_values(weights, means, variances, x):
     return _logsumexp_last(_component_log_terms(weights, means, variances, x))
 
 
+def grid_densities(weights, means, variances, x):
+    """Mixture densities of M mixtures on one shared grid.
+
+    `weights/means/variances` have shape (M, K) and `x` shape (P,); the
+    result has shape (M, P). Plain component sums (no log space): grid
+    densities may underflow to zero in far tails, which the interval
+    selection handles. One scratch buffer keeps the memory traffic flat
+    in K.
+    """
+    dens = np.zeros((weights.shape[0], x.size))
+    buf = np.empty_like(dens)
+    for k in range(weights.shape[1]):
+        var = variances[:, k]
+        np.subtract(x[None, :], means[:, k][:, None], out=buf)
+        np.multiply(buf, buf, out=buf)
+        buf *= (-0.5 / var)[:, None]
+        np.exp(buf, out=buf)
+        buf *= (weights[:, k] / np.sqrt(2.0 * np.pi * var))[:, None]
+        dens += buf
+    return dens
+
+
 def nll_and_gradients(weights, means, variances, y):
     """Per-element NLL -log p(y) and its gradients with respect to the
     head's trainable quantities, vectorised like `log_density_values`.
@@ -177,23 +201,6 @@ def cdf(m: GaussianMixture, x: float) -> float:
 def point_estimate(m: GaussianMixture) -> PointPrediction:
     """Probability-weighted mean of the component means."""
     return PointPrediction(float(np.dot(m.weights, m.means)))
-
-
-def mixture_moments(m: GaussianMixture):
-    """(mean, variance) of the mixture itself."""
-    mean = float(np.dot(m.weights, m.means))
-    second = float(np.dot(m.weights, m.variances + m.means**2))
-    return mean, second - mean * mean
-
-
-def sample(m: GaussianMixture, rng: np.random.Generator, n: int) -> np.ndarray:
-    """n i.i.d. draws: component index by weight, then a normal draw."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    cum = np.cumsum(m.weights)
-    idx = np.searchsorted(cum, rng.random(n), side="right")
-    idx = np.minimum(idx, m.k - 1)
-    return m.means[idx] + rng.standard_normal(n) * np.sqrt(m.variances[idx])
 
 
 @dataclass(frozen=True)
@@ -265,13 +272,3 @@ class MixtureBatch:
             self.means * scale + shift,
             self.variances * (scale * scale),
         )
-
-    def sample_one_each(self, rng: np.random.Generator) -> np.ndarray:
-        """One draw from every mixture in the batch."""
-        cum = np.cumsum(self.weights, axis=-1)
-        u = rng.random(self.shape)
-        idx = np.sum(u[..., None] > cum, axis=-1)
-        idx = np.minimum(idx, self.k - 1)
-        mu = np.take_along_axis(self.means, idx[..., None], axis=-1)[..., 0]
-        var = np.take_along_axis(self.variances, idx[..., None], axis=-1)[..., 0]
-        return mu + rng.standard_normal(self.shape) * np.sqrt(var)

@@ -2,9 +2,15 @@
 
 The derivation ranks grid cells by density, accumulates their normalized
 mass until the requested confidence level is reached, and reads the
-selected cells back as one or more sub-intervals. Multi-modal densities
-therefore produce several disjoint sub-intervals where a quantile-based
-interval would produce one wide band.
+selected cells back as one or more sub-intervals (Hyndman's 1996
+highest-density regions). Multi-modal densities therefore produce several
+disjoint sub-intervals where a quantile-based interval would produce one
+wide band.
+
+Selection has one implementation, `hpd_select_batch`, for many grids and
+levels at once; `derive_intervals` reads one grid's selection back as an
+IntervalSet, and `interval_stats_batch` reduces batch selections to
+widths and containment with the same run geometry.
 
 Grids are immutable after construction and every function here is pure,
 so evaluation across (location, time) elements can run concurrently.
@@ -16,12 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gmm import GaussianMixture, log_density_values
+from .gmm import GaussianMixture, grid_densities
 
 # Below this pre-normalization mass the grid clips real probability mass
 # and the normalized coverage semantics become distorted.
 MASS_COMPLETE_MIN = 0.98
-MASS_COMPLETE_MAX = 1.02
 
 
 @dataclass(frozen=True)
@@ -54,9 +59,6 @@ class DensityGrid:
     def total_mass(self) -> float:
         """Cell-sum mass (density * dx), the mass notion used throughout."""
         return float(self.density.sum() * self.dx)
-
-    def is_mass_complete(self) -> bool:
-        return MASS_COMPLETE_MIN <= self.total_mass() <= MASS_COMPLETE_MAX
 
 
 @dataclass(frozen=True)
@@ -95,29 +97,8 @@ def grid_from_mixture(
     if points < 2:
         raise ValueError(f"need at least 2 grid points, got {points}")
     x = np.linspace(range_lo, range_hi, points)
-    dens = np.exp(log_density_values(m.weights, m.means, m.variances, x))
+    dens = grid_densities(m.weights[None], m.means[None], m.variances[None], x)[0]
     return DensityGrid(x0=float(range_lo), dx=float(x[1] - x[0]), density=dens)
-
-
-def hpd_select(density: np.ndarray, c: float) -> np.ndarray:
-    """Boolean mask of the highest-density cells whose normalized cumulative
-    mass first reaches c.
-
-    Cells are ranked by descending density with ascending index as the
-    stable tiebreaker. A cell is selected iff the normalized mass strictly
-    before it in that order is < c, which is the same set as "insertion
-    index of c in the cumulative sum; everything left of it".
-    """
-    order = np.argsort(-density, kind="stable")
-    ranked = density[order]
-    cum = np.cumsum(ranked)
-    total = cum[-1]
-    if total <= 0.0:
-        raise ValueError("density grid has no mass to cover")
-    before = (cum - ranked) / total
-    mask = np.empty(density.size, dtype=bool)
-    mask[order] = before < c
-    return mask
 
 
 def _runs(mask: np.ndarray):
@@ -152,7 +133,7 @@ def derive_intervals(g: DensityGrid, c: float) -> IntervalSet:
             "clipped and normalized coverage may be distorted",
             stacklevel=2,
         )
-    mask = hpd_select(g.density, c)
+    mask = hpd_select_batch(g.density[None], [c])[0, 0]
     x = g.points()
     x_end = float(x[-1])
     half = 0.5 * g.dx
@@ -165,33 +146,16 @@ def derive_intervals(g: DensityGrid, c: float) -> IntervalSet:
     return IntervalSet(level=float(c), intervals=tuple(out))
 
 
-def selection_mass(g: DensityGrid, c: float) -> float:
-    """Normalized mass of the selected cells; lies in [c, c + max cell mass]."""
-    mask = hpd_select(g.density, c)
-    return float(g.density[mask].sum() / g.density.sum())
-
-
-def interval_width(s: IntervalSet) -> float:
-    """Total width: sum of (upper - lower) across sub-intervals."""
-    return float(sum(hi - lo for lo, hi in s.intervals))
-
-
-def contains(s: IntervalSet, y: float) -> bool:
-    """True iff y lies inside any sub-interval (closed bounds)."""
-    return any(lo <= y <= hi for lo, hi in s.intervals)
-
-
-# ----------------------------------------------------------------------
-# Vectorized path used by batch scoring. Must agree exactly with the
-# per-element operations above (asserted by tests).
-# ----------------------------------------------------------------------
-
-
 def hpd_select_batch(density: np.ndarray, levels: np.ndarray) -> np.ndarray:
     """Selection masks for many grids and levels at once.
 
     density: (M, P) nonnegative rows; levels: (L,).
     Returns a boolean array of shape (M, L, P).
+
+    Cells are ranked by descending density with ascending index as the
+    stable tiebreaker. A cell is selected at level c iff the normalized
+    mass strictly before it in that order is < c, so each selection is the
+    fewest cells whose normalized mass reaches c.
     """
     density = np.asarray(density, dtype=float)
     levels = np.asarray(levels, dtype=float)
@@ -209,13 +173,12 @@ def hpd_select_batch(density: np.ndarray, levels: np.ndarray) -> np.ndarray:
     return before_grid[:, None, :] < levels[None, :, None]
 
 
-def interval_stats_batch(mask, x0, dx, y, density, want_mass=True):
-    """Per-element width / containment / selected mass for batch masks.
+def interval_stats_batch(mask, x0, dx, y):
+    """Per-element width and containment for batch masks.
 
     mask: (M, L, P) selections; x0, dx: shared grid geometry; y: (M,)
-    query values; density: (M, P). Returns (width (M, L), contained
-    (M, L) bool, mass (M, L) or None when want_mass is off) with the same
-    geometry as derive_intervals: multi-cell runs span their endpoint
+    query values. Returns (width (M, L), contained (M, L) bool) with the
+    same geometry as derive_intervals: multi-cell runs span their endpoint
     coordinates, single-cell runs the half-cell footprint clipped to the
     grid range.
     """
@@ -258,11 +221,4 @@ def interval_stats_batch(mask, x0, dx, y, density, want_mass=True):
     )
     contained &= inside[:, None]
 
-    if not want_mass:
-        return width, contained, None
-    total = density.sum(axis=1)
-    sel_mass = np.empty(mask.shape[:2])
-    for li in range(mask.shape[1]):  # per level: avoids an (M, L, P) float blob
-        sel_mass[:, li] = (density * mask[:, li, :]).sum(axis=1)
-    sel_mass /= total[:, None]
-    return width, contained, sel_mass
+    return width, contained

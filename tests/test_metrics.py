@@ -4,6 +4,7 @@ import math
 from types import SimpleNamespace
 
 import numpy as np
+import oracles
 import pytest
 from crps_trapezoid import crps_range, crps_trapezoid, jump_cell_correction
 from hypothesis import given, settings
@@ -194,7 +195,7 @@ class TestTrapezoidOracle:
         # cell containing each label.
         rng = np.random.default_rng(19)
         m = GaussianMixture([0.3, 0.7], [-1.0, 1.5], [0.5, 1.2])
-        ys = gmm.sample(m, rng, 25)
+        ys = oracles.sample(m, rng, 25)
         lo, hi, points = ys.min() - 12, ys.max() + 12, 4001
         x = np.linspace(lo, hi, points)
         f = gmm.cdf_values(m.weights, m.means, m.variances, x)
@@ -246,7 +247,7 @@ class TestPropriety:
                 return metrics.crps_mixture_batch(MixtureBatch(*params), ys)
 
             true_m, alt_m = rand_mix(), rand_mix()
-            draws = gmm.sample(true_m, rng, n)
+            draws = oracles.sample(true_m, rng, n)
             diff = crps_many(alt_m, draws) - crps_many(true_m, draws)
             se = diff.std(ddof=1) / math.sqrt(n)
             assert diff.mean() > 3 * se
@@ -304,7 +305,7 @@ class TestEvaluate:
         w = rng.random((n, k)) + 0.2
         w /= w.sum(-1, keepdims=True)
         mb = MixtureBatch(w, rng.uniform(-2, 2, (n, k)), rng.uniform(0.25, 2.0, (n, k)))
-        targets = mb.sample_one_each(rng)
+        targets = oracles.sample_one_each(mb, rng)
         batch = SimpleNamespace(targets=targets.reshape(n // 4, 1, 4), mixtures=mb.reshape(n // 4, 1, 4))
         rep = metrics.evaluate(
             batch, ScoringConfig(interval_range=(-8.0, 8.0), interval_points=3001)
@@ -377,7 +378,7 @@ class TestEvaluate:
         for i in range(n):
             g = iv.grid_from_mixture(mb.at(i), -9.0, 9.0, 901)
             for li, c in enumerate(cfg.levels):
-                widths[i, li] = iv.interval_width(iv.derive_intervals(g, c))
+                widths[i, li] = oracles.interval_width(iv.derive_intervals(g, c))
         per_level_then_levels = widths.mean(axis=0).mean()
         per_element_then_mean = widths.mean(axis=1).mean()
         assert per_level_then_levels == pytest.approx(per_element_then_mean, abs=1e-9)
