@@ -8,7 +8,7 @@ hand-derived gradients, `training` the AdamW loop, `data` synthetic
 generation and windowing, and `cli` the command-line pipeline.
 """
 
-from .gmm import GaussianMixture, MixtureBatch, PointPrediction
+from .gmm import MixtureBatch
 from .intervals import DensityGrid, IntervalSet, derive_intervals, grid_from_mixture
 from .metrics import EvaluationReport, ScoringConfig, evaluate
 from .model import BackboneConfig, ForecastBatch, HeadConfig, ModelConfig
@@ -17,9 +17,7 @@ from .training import Normalizer, TrainConfig, fit
 __version__ = "0.1.0"
 
 __all__ = [
-    "GaussianMixture",
     "MixtureBatch",
-    "PointPrediction",
     "DensityGrid",
     "IntervalSet",
     "derive_intervals",

@@ -214,7 +214,10 @@ def evaluate_run(checkpoint_path, dataset, manifest, levels=metrics.DEFAULT_LEVE
     The data-quality settings and normalizer stored at training time are
     reapplied so inputs match what the model saw. Metrics are reported in
     raw units unless normalized_space is set."""
-    params, mcfg, norm_stats, extra = model.load_checkpoint(checkpoint_path)
+    try:
+        params, mcfg, norm_stats, extra = model.load_checkpoint(checkpoint_path)
+    except (EOFError, KeyError, ValueError) as err:
+        raise data.DataError(f"cannot read checkpoint {checkpoint_path}: {err}") from err
     if extra.get("dataset_id") not in (None, dataset_id(manifest)):
         raise data.DataError(
             f"checkpoint was trained on dataset {extra.get('dataset_id')}, "

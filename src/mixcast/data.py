@@ -53,6 +53,8 @@ class SyntheticSpec:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise DataError(f"{name}={v!r} outside [0, 1]")
+        if not 0.0 <= self.noise_sigma < np.inf:
+            raise DataError(f"noise_sigma={self.noise_sigma!r} must be finite and >= 0")
 
 
 def demand_profile(spec: SyntheticSpec) -> np.ndarray:
@@ -81,6 +83,9 @@ class SeriesDataset:
     missing: np.ndarray | None = None  # (sessions, steps, nodes) bool
 
     def __post_init__(self):
+        for name in ("step_minutes", "max_value"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise DataError(f"{name}={getattr(self, name)!r} must be finite and positive")
         v = self.values
         if v.ndim != 3:
             raise DataError(f"values must be (sessions, steps, nodes), got {v.shape}")

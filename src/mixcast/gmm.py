@@ -1,14 +1,16 @@
-"""Univariate Gaussian mixture kernel: log-density, grid densities, NLL
-and its gradients, CDF and point estimates.
+"""Univariate Gaussian mixture kernel: one mixture type, `MixtureBatch`
+((..., K) parameter arrays; a single mixture has element shape ()), with
+log-density, grid densities, NLL and its gradients, CDF and point estimates.
 
 Log-densities have one vectorised implementation (`_component_log_terms`
 plus `_logsumexp_last`); so do the NLL and its gradients
-(`nll_and_gradients`), shared by training and the scalar helpers.
-Densities on a shared grid, which interval derivation and the density
-tables read, have one plain-space implementation (`grid_densities`).
+(`nll_and_gradients`), which training consumes. Densities on a shared
+grid, which interval derivation and the density tables read, have one
+plain-space implementation (`grid_densities`).
 
-Everything here is a pure function of its inputs. Mixtures are immutable
-after construction, so concurrent callers may share them freely.
+Everything here is a pure function of its inputs. A `MixtureBatch`
+neither copies nor freezes its arrays (its constructor runs on every
+training step), so callers that share one must not mutate them.
 """
 from __future__ import annotations
 
@@ -23,7 +25,6 @@ from scipy.special import ndtr
 LOG_VAR_MIN = -10.0
 LOG_VAR_MAX = 10.0
 VAR_FLOOR = float(np.exp(LOG_VAR_MIN))
-VAR_CAP = float(np.exp(LOG_VAR_MAX))
 
 # Weight sums within this tolerance are renormalized silently; anything
 # further off is a contract violation.
@@ -32,62 +33,6 @@ _WEIGHT_SUM_REJECT = 1e-6
 
 class InvalidMixtureError(ValueError):
     """Mixture parameters violate their contract (weights/variances)."""
-
-
-@dataclass(frozen=True)
-class GaussianMixture:
-    """One univariate mixture: K weights, means, variances.
-
-    Weights must be nonnegative and sum to 1 (renormalized when the
-    deviation is below 1e-6, rejected beyond). Negative variances are
-    rejected; variances below the floor are clamped up to it.
-    """
-
-    weights: np.ndarray
-    means: np.ndarray
-    variances: np.ndarray
-
-    def __post_init__(self):
-        w = np.atleast_1d(np.asarray(self.weights, dtype=float)).copy()
-        mu = np.atleast_1d(np.asarray(self.means, dtype=float)).copy()
-        var = np.atleast_1d(np.asarray(self.variances, dtype=float)).copy()
-        if w.ndim != 1 or w.shape != mu.shape or w.shape != var.shape:
-            raise InvalidMixtureError(
-                f"component shape mismatch: weights {w.shape}, "
-                f"means {mu.shape}, variances {var.shape}"
-            )
-        if w.size < 1:
-            raise InvalidMixtureError("mixture needs at least one component")
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(mu)) and np.all(np.isfinite(var))):
-            raise InvalidMixtureError("non-finite mixture parameter")
-        if np.any(w < 0.0):
-            raise InvalidMixtureError(f"negative weight: {w.min()!r}")
-        s = float(w.sum())
-        if abs(s - 1.0) > _WEIGHT_SUM_REJECT:
-            raise InvalidMixtureError(f"weights sum to {s!r}, expected 1")
-        if abs(s - 1.0) > 1e-9:
-            w = w / s
-        if np.any(var < 0.0):
-            raise InvalidMixtureError(f"negative variance: {var.min()!r}")
-        var = np.maximum(var, VAR_FLOOR)
-        for name, arr in (("weights", w), ("means", mu), ("variances", var)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    @property
-    def k(self) -> int:
-        return self.weights.size
-
-
-@dataclass(frozen=True)
-class PointPrediction:
-    """A deterministic prediction, scored as a unit step CDF at its value."""
-
-    value: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.value):
-            raise ValueError(f"point prediction must be finite, got {self.value!r}")
 
 
 def _component_log_terms(weights, means, variances, x):
@@ -168,47 +113,16 @@ def cdf_values(weights, means, variances, x):
     return np.sum(weights * ndtr(z), axis=-1)
 
 
-def log_density(m: GaussianMixture, x: float) -> float:
-    """log p(x) under the mixture, via log-sum-exp over component terms.
-
-    Stays finite (a large negative value) even when x sits up to about
-    1e6 standard deviations from every component.
-    """
-    if not np.isfinite(x):
-        raise ValueError(f"x must be finite, got {x!r}")
-    return float(log_density_values(m.weights, m.means, m.variances, x))
-
-
-def nll(m: GaussianMixture, y: float) -> float:
-    """Negative log-likelihood of one observation: -log p(y)."""
-    return -log_density(m, y)
-
-
-def nll_gradients(m: GaussianMixture, y: float):
-    """Gradients of nll(m, y): (d_logits, d_means, d_logvars), each (K,)."""
-    if not np.isfinite(y):
-        raise ValueError(f"y must be finite, got {y!r}")
-    return nll_and_gradients(m.weights, m.means, m.variances, y)[1]
-
-
-def cdf(m: GaussianMixture, x: float) -> float:
-    """Mixture CDF at x; monotone in x with limits 0 and 1."""
-    if not np.isfinite(x):
-        raise ValueError(f"x must be finite, got {x!r}")
-    return float(cdf_values(m.weights, m.means, m.variances, x))
-
-
-def point_estimate(m: GaussianMixture) -> PointPrediction:
-    """Probability-weighted mean of the component means."""
-    return PointPrediction(float(np.dot(m.weights, m.means)))
-
-
 @dataclass(frozen=True)
 class MixtureBatch:
     """A dense array of mixtures: parameter arrays of shape (..., K).
 
     Used wherever one mixture per (window, location, horizon step) is
-    carried around; `at()` recovers a single GaussianMixture.
+    carried around; a single mixture has element shape (). Shapes must
+    match; weights must be nonnegative and are renormalized within 1e-6
+    of summing to 1, rejected beyond; negative variances are rejected,
+    small ones floored at VAR_FLOOR. No finiteness check: non-finite
+    parameters reach the training loss, which reports the element.
     """
 
     weights: np.ndarray
@@ -251,9 +165,6 @@ class MixtureBatch:
         return MixtureBatch(
             self.weights.reshape(new), self.means.reshape(new), self.variances.reshape(new)
         )
-
-    def at(self, idx) -> GaussianMixture:
-        return GaussianMixture(self.weights[idx], self.means[idx], self.variances[idx])
 
     def log_density(self, x: np.ndarray) -> np.ndarray:
         return log_density_values(self.weights, self.means, self.variances, x)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gmm import GaussianMixture, grid_densities
+from .gmm import MixtureBatch, grid_densities
 
 # Below this pre-normalization mass the grid clips real probability mass
 # and the normalized coverage semantics become distorted.
@@ -89,9 +89,11 @@ class IntervalSet:
 
 
 def grid_from_mixture(
-    m: GaussianMixture, range_lo: float, range_hi: float, points: int
+    m: MixtureBatch, range_lo: float, range_hi: float, points: int
 ) -> DensityGrid:
-    """Evaluate the mixture density at `points` evenly spaced locations."""
+    """One mixture's density (element shape ()) at `points` evenly spaced locations."""
+    if m.shape != ():
+        raise ValueError(f"expected one mixture (element shape ()), got shape {m.shape}")
     if not range_lo < range_hi:
         raise ValueError(f"degenerate range [{range_lo!r}, {range_hi!r}]")
     if points < 2:

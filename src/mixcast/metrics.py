@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import intervals as iv
-from .gmm import MixtureBatch, PointPrediction, grid_densities
+from .gmm import MixtureBatch, grid_densities
 
 DEFAULT_LEVELS = tuple(np.round(np.arange(0.50, 0.951, 0.05), 10))
 MAPE_EPSILON = 1e-3
@@ -55,14 +55,6 @@ class EvaluationReport:
     # Elements whose interval grid held less than intervals.MASS_COMPLETE_MIN
     # of their mass before normalization; kept out of the text report.
     clipped_interval_elements: int = 0
-
-
-def crps_point(p: PointPrediction | float, y: float) -> float:
-    """CRPS of a point prediction: exactly |value - y|."""
-    value = p.value if isinstance(p, PointPrediction) else float(p)
-    if not (np.isfinite(value) and np.isfinite(y)):
-        raise ValueError("crps_point needs finite inputs")
-    return abs(value - y)
 
 
 def _abs_gap_mean(m: np.ndarray, s: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .gmm import LOG_VAR_MAX, LOG_VAR_MIN, GaussianMixture, MixtureBatch, nll_and_gradients
+from .gmm import LOG_VAR_MAX, LOG_VAR_MIN, MixtureBatch, nll_and_gradients
 
 VARIANTS = ("det", "norm", "gmm")
 
@@ -177,11 +177,11 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator) -> ModelParams:
     return ModelParams(t)
 
 
-def reference_mixture(hc: HeadConfig) -> GaussianMixture:
-    """The mixture every freshly initialized head emits: uniform weights,
-    means at the anchors, unit variances."""
+def reference_mixture(hc: HeadConfig) -> MixtureBatch:
+    """The mixture every freshly initialized head emits (element shape ()):
+    uniform weights, means at the anchors, unit variances."""
     k = hc.components
-    return GaussianMixture(np.full(k, 1.0 / k), hc.anchors.copy(), np.ones(k))
+    return MixtureBatch(np.full(k, 1.0 / k), hc.anchors.copy(), np.ones(k))
 
 
 def backbone_forward(x, params, cfg: BackboneConfig):

@@ -1,5 +1,5 @@
-"""Optimization loop: decoupled-weight-decay Adam, warmup + step-decay
-schedule, z-score bookkeeping and epoch orchestration.
+"""Optimization loop: decoupled-weight-decay Adam, warmup + fixed step
+decay (`DECAY`), z-score bookkeeping and epoch orchestration.
 
 The batch order stream is seeded separately from parameter
 initialization, so runs of different model variants under one seed
@@ -16,6 +16,11 @@ import numpy as np
 
 from . import model as mdl
 
+# Adam's denominator guard; the step decay as (progress point, lr factor)
+# pairs, points increasing and factors decreasing.
+ADAM_EPS = 1e-8
+DECAY = ((0.75, 0.10), (0.85, 0.01))
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -24,10 +29,7 @@ class TrainConfig:
     lr: float = 5e-4
     weight_decay: float = 1e-4
     betas: tuple = (0.9, 0.999)
-    eps: float = 1e-8
     warmup_epochs: float = 2.0
-    decay_points: tuple = (0.75, 0.85)
-    decay_factors: tuple = (0.10, 0.01)
     clip_norm: float = 5.0
     seed: int = 0
 
@@ -37,14 +39,6 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
         if self.lr <= 0:
             raise ValueError(f"lr must be positive, got {self.lr!r}")
-        pts = tuple(self.decay_points)
-        if not all(0 < p < 1 for p in pts) or list(pts) != sorted(pts):
-            raise ValueError(f"decay points must be increasing in (0, 1), got {pts}")
-        fac = tuple(self.decay_factors)
-        if not all(0 < f <= 1 for f in fac) or list(fac) != sorted(fac, reverse=True):
-            raise ValueError(f"decay factors must be decreasing in (0, 1], got {fac}")
-        if len(pts) != len(fac):
-            raise ValueError("decay points and factors must pair up")
 
 
 @dataclass(frozen=True)
@@ -85,7 +79,7 @@ def lr_at(step: int, total_steps: int, cfg: TrainConfig) -> float:
         raise ValueError(f"step {step} outside [0, {total_steps})")
     epoch = step * cfg.epochs // total_steps
     factor = 1.0
-    for point, fac in zip(cfg.decay_points, cfg.decay_factors):
+    for point, fac in DECAY:
         boundary = math.ceil(point * cfg.epochs - 1e-9)
         if epoch >= boundary:
             factor = fac
@@ -147,7 +141,7 @@ def optimizer_step(params, grads, state: AdamWState, lr: float, cfg: TrainConfig
         v += (1.0 - b2) * g * g
         p = params[name]
         p -= lr * cfg.weight_decay * p
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
     return params, state
 
 

@@ -8,7 +8,7 @@ library path, so they live beside the tests.
 """
 import numpy as np
 
-from mixcast.gmm import GaussianMixture, MixtureBatch
+from mixcast.gmm import MixtureBatch
 from mixcast.intervals import MASS_COMPLETE_MIN, DensityGrid, IntervalSet, hpd_select_batch
 
 # Above this pre-normalization cell-sum mass a grid over-counts its
@@ -107,15 +107,16 @@ def unimodal_dip_threshold(n: int, rng: np.random.Generator, sims: int = 99,
 # ----------------------------------------------------------------------
 
 
-def mixture_moments(m: GaussianMixture):
-    """(mean, variance) of the mixture itself."""
+def mixture_moments(m: MixtureBatch):
+    """(mean, variance) of one mixture (element shape ())."""
     mean = float(np.dot(m.weights, m.means))
     second = float(np.dot(m.weights, m.variances + m.means**2))
     return mean, second - mean * mean
 
 
-def sample(m: GaussianMixture, rng: np.random.Generator, n: int) -> np.ndarray:
-    """n i.i.d. draws: component index by weight, then a normal draw."""
+def sample(m: MixtureBatch, rng: np.random.Generator, n: int) -> np.ndarray:
+    """n i.i.d. draws from one mixture (element shape ()): component index
+    by weight, then a normal draw."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     cum = np.cumsum(m.weights)

@@ -18,7 +18,7 @@ from scipy.stats import norm
 
 from mixcast import cli, data, gmm, metrics, model, training
 from mixcast import intervals as iv
-from mixcast.gmm import GaussianMixture, MixtureBatch
+from mixcast.gmm import MixtureBatch
 from mixcast.metrics import ScoringConfig
 
 LEVELS = metrics.DEFAULT_LEVELS
@@ -108,10 +108,10 @@ class TestCriterion1Gradients:
 
             def nll_of(lg, mn, lv):
                 w = np.exp(lg - lg.max())
-                return gmm.nll(GaussianMixture(w / w.sum(), mn, np.exp(lv)), y)
+                return gmm.nll_and_gradients(w / w.sum(), mn, np.exp(lv), y)[0]
 
-            m = GaussianMixture(np.exp(logits) / np.exp(logits).sum(), mu, np.exp(logvar))
-            grads = gmm.nll_gradients(m, y)
+            m = MixtureBatch(np.exp(logits) / np.exp(logits).sum(), mu, np.exp(logvar))
+            grads = gmm.nll_and_gradients(m.weights, m.means, m.variances, y)[1]
             vecs = (logits, mu, logvar)
             for which in range(3):
                 for i in range(k):
@@ -191,7 +191,7 @@ class TestCriterion2CRPS:
 class TestCriterion3Intervals:
     def test_interval_derivation_fidelity(self):
         started = time.time()
-        m = GaussianMixture([1.0], [0.0], [1.0])
+        m = MixtureBatch([1.0], [0.0], [1.0])
         g = iv.grid_from_mixture(m, -6.0, 6.0, 2001)
         s = iv.derive_intervals(g, 0.95)
         assert s.count == 1
@@ -199,7 +199,7 @@ class TestCriterion3Intervals:
         assert abs(lo - (-1.959964)) <= g.dx
         assert abs(hi - 1.959964) <= g.dx
 
-        bimodal = GaussianMixture([0.5, 0.5], [-3.0, 3.0], [0.25, 0.25])
+        bimodal = MixtureBatch([0.5, 0.5], [-3.0, 3.0], [0.25, 0.25])
         gb = iv.grid_from_mixture(bimodal, -6.0, 6.0, 2001)
         for c in LEVELS:
             assert iv.derive_intervals(gb, c).count == 2
@@ -209,7 +209,7 @@ class TestCriterion3Intervals:
             k = int(rng.integers(1, 5))
             w = rng.random(k) + 0.2
             w /= w.sum()
-            mm = GaussianMixture(w, rng.uniform(-3, 3, k), rng.uniform(0.2, 1.5, k))
+            mm = MixtureBatch(w, rng.uniform(-3, 3, k), rng.uniform(0.2, 1.5, k))
             gg = iv.grid_from_mixture(mm, -12, 12, 1001)
             assert oracles.is_mass_complete(gg)
             max_cell = float((gg.density * gg.dx).max() / (gg.density.sum() * gg.dx))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from mixcast import cli, data, gmm, metrics, model
+from mixcast import cli, data, metrics, model
 from mixcast.metrics import report_from_text
 
 
@@ -70,6 +70,24 @@ class TestGenerate:
         )
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--step-minutes", "-3"], "step_minutes=-3.0"),
+            (["--step-minutes", "0"], "step_minutes=0.0"),
+            (["--step-minutes", "nan"], "step_minutes=nan"),
+            (["--max-value", "inf"], "max_value=inf"),
+            (["--noise", "inf"], "noise_sigma=inf"),
+            (["--noise", "-0.1"], "noise_sigma=-0.1"),
+        ],
+        ids=["negative-step", "zero-step", "nan-step", "inf-max", "inf-noise", "negative-noise"],
+    )
+    def test_bad_numbers_rejected(self, tmp_path, flags, message):
+        res = CliRunner().invoke(cli.main, GEN + ["--out", str(tmp_path)] + flags)
+        assert res.exit_code == 3, res.output
+        assert message in res.output
+        assert not (tmp_path / "tiny.csv").exists()
+
     def test_env_var_sets_output_dir(self, tmp_path):
         res = CliRunner().invoke(
             cli.main, GEN, env={"MIXCAST_OUT": str(tmp_path)}, catch_exceptions=False
@@ -85,7 +103,7 @@ class TestTrain:
         prior = model.reference_mixture(mcfg.head)
         dataset, manifest = cli.load_dataset(workspace / "tiny")
         splits = data.prepare_splits(dataset, 6, 6, manifest.split_fractions)
-        prior_nll = float(np.mean([gmm.nll(prior, y) for y in splits.val.targets.ravel()]))
+        prior_nll = float(np.mean(-prior.log_density(splits.val.targets.ravel())))
         assert extra["best_val_loss"] < prior_nll
 
     def test_norm_checkpoint_has_k1(self, workspace):
@@ -247,6 +265,20 @@ class TestEvaluate:
         )
         assert res.exit_code == 3
         assert f"1 blank cells, first at row {len(lines)}/node {node}" in res.output
+
+    @pytest.mark.parametrize("name", ["tiny.csv", "tiny.run.json", "no_meta.npz"])
+    def test_non_checkpoint_is_data_error(self, workspace, tmp_path, name):
+        path = workspace / name
+        if name == "no_meta.npz":
+            path = tmp_path / name
+            np.savez(path, w=np.zeros(3))
+        res = CliRunner().invoke(
+            cli.main,
+            ["evaluate", "--checkpoint", str(path), "--data", str(workspace / "tiny"),
+             "--out", str(tmp_path)],
+        )
+        assert res.exit_code == 3, res.output
+        assert f"cannot read checkpoint {path}" in res.output
 
     def test_bad_levels_rejected(self, workspace, tmp_path):
         for levels in ("0:2:1", "nan", "0.5:0.9:0"):

@@ -1,6 +1,7 @@
 """Tests for synthetic generation, degradation, windowing and CSV I/O."""
 
 import hashlib
+import math
 
 import numpy as np
 import oracles
@@ -324,6 +325,19 @@ class TestCSVRoundTrip:
         assert d.missing is not None
         assert d.missing[0, 0, 1] and d.missing[0, 1, 0]
         assert not np.any(np.isnan(d.values))
+
+    def test_infinite_manifest_max_value_rejected(self, tmp_path):
+        path = tmp_path / "inf.csv"
+        path.write_text("timestamp,a\n2024-01-01T06:00:00,1.0\n2024-01-01T06:03:00,2.0\n")
+        man_path = tmp_path / "inf.manifest.json"
+        data.write_manifest(DatasetManifest(
+            node_ids=("a",), sessions=1, session_steps=2, step_minutes=3.0, max_value=14.0
+        ), man_path)
+        man_path.write_text(man_path.read_text().replace("14.0", "Infinity"))
+        m = data.read_manifest(man_path)
+        assert m.max_value == math.inf
+        with pytest.raises(DataError, match="max_value=inf must be finite and positive"):
+            data.ingest_csv(path, m)
 
     def test_row_count_mismatch_rejected(self, tmp_path):
         path = tmp_path / "short.csv"

@@ -9,11 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixcast import gmm
-from mixcast.gmm import GaussianMixture, InvalidMixtureError, MixtureBatch
+from mixcast.gmm import InvalidMixtureError, MixtureBatch
 
 
 def norm_pdf(x, mu=0.0, var=1.0):
     return math.exp(-((x - mu) ** 2) / (2 * var)) / math.sqrt(2 * math.pi * var)
+
+
+def nll(m, y):
+    return gmm.nll_and_gradients(m.weights, m.means, m.variances, y)[0]
+
+
+def nll_gradients(m, y):
+    return gmm.nll_and_gradients(m.weights, m.means, m.variances, y)[1]
 
 
 def random_mixture(rng, k=None, mu_span=10.0, var_lo=1e-2, var_hi=10.0):
@@ -22,66 +30,70 @@ def random_mixture(rng, k=None, mu_span=10.0, var_lo=1e-2, var_hi=10.0):
     w /= w.sum()
     mu = rng.uniform(-mu_span, mu_span, k)
     var = rng.uniform(var_lo, var_hi, k)
-    return GaussianMixture(w, mu, var)
+    return MixtureBatch(w, mu, var)
 
 
 class TestConstruction:
     def test_weight_sum_off_rejected(self):
         with pytest.raises(InvalidMixtureError):
-            GaussianMixture([0.6, 0.6], [0.0, 1.0], [1.0, 1.0])
+            MixtureBatch([0.6, 0.6], [0.0, 1.0], [1.0, 1.0])
+        # K = 0, alone or in a batch, leaves nothing to sum to 1.
+        for shape in ((0,), (3, 0)):
+            with pytest.raises(InvalidMixtureError):
+                MixtureBatch(np.zeros(shape), np.zeros(shape), np.ones(shape))
 
     def test_small_weight_deviation_renormalized(self):
-        m = GaussianMixture([0.5, 0.5 + 5e-7], [0.0, 1.0], [1.0, 1.0])
+        m = MixtureBatch([0.5, 0.5 + 5e-7], [0.0, 1.0], [1.0, 1.0])
         assert abs(m.weights.sum() - 1.0) < 1e-12
 
     def test_negative_weight_rejected(self):
         with pytest.raises(InvalidMixtureError):
-            GaussianMixture([1.2, -0.2], [0.0, 1.0], [1.0, 1.0])
+            MixtureBatch([1.2, -0.2], [0.0, 1.0], [1.0, 1.0])
 
     def test_negative_variance_rejected(self):
         with pytest.raises(InvalidMixtureError):
-            GaussianMixture([1.0], [0.0], [-1.0])
+            MixtureBatch([1.0], [0.0], [-1.0])
 
     def test_zero_variance_floor_clamped(self):
-        m = GaussianMixture([1.0], [5.0], [0.0])
+        m = MixtureBatch([1.0], [5.0], [0.0])
         assert m.variances[0] == pytest.approx(gmm.VAR_FLOOR)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(InvalidMixtureError):
-            GaussianMixture([1.0], [0.0, 1.0], [1.0])
+            MixtureBatch([1.0], [0.0, 1.0], [1.0])
 
     def test_k_one_allowed(self):
-        assert GaussianMixture([1.0], [0.0], [1.0]).k == 1
+        assert MixtureBatch([1.0], [0.0], [1.0]).k == 1
 
 
 class TestLogDensity:
     def test_standard_normal_peak(self):
-        m = GaussianMixture([1.0], [0.0], [1.0])
-        assert gmm.log_density(m, 0.0) == pytest.approx(-0.5 * math.log(2 * math.pi), abs=1e-12)
+        m = MixtureBatch([1.0], [0.0], [1.0])
+        assert m.log_density(0.0) == pytest.approx(-0.5 * math.log(2 * math.pi), abs=1e-12)
 
     def test_bimodal_direct_sum_oracle(self):
         # Two-term sum evaluated with a scalar normal pdf.
-        m = GaussianMixture([0.5, 0.5], [-2.0, 2.0], [1.0, 1.0])
+        m = MixtureBatch([0.5, 0.5], [-2.0, 2.0], [1.0, 1.0])
         expected = math.log(0.5 * norm_pdf(0.0, -2.0) + 0.5 * norm_pdf(0.0, 2.0))
-        got = gmm.log_density(m, 0.0)
+        got = m.log_density(0.0)
         assert got == pytest.approx(expected, abs=1e-12)
         assert got == pytest.approx(-2.9189385, abs=1e-6)
 
     def test_far_tail_is_finite(self):
-        m = GaussianMixture([0.2] * 5, [-2.0, -1.0, 0.0, 1.0, 2.0], [1.0] * 5)
-        v = gmm.log_density(m, 50.0)
+        m = MixtureBatch([0.2] * 5, [-2.0, -1.0, 0.0, 1.0, 2.0], [1.0] * 5)
+        v = m.log_density(50.0)
         assert np.isfinite(v) and v < -100
 
     @given(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
     @settings(max_examples=200, deadline=None)
     def test_extreme_offsets_never_nan(self, x):
-        m = GaussianMixture([0.3, 0.7], [-1.0, 1.0], [1.0, 0.5])
-        assert np.isfinite(gmm.log_density(m, x))
+        m = MixtureBatch([0.3, 0.7], [-1.0, 1.0], [1.0, 0.5])
+        assert np.isfinite(m.log_density(x))
 
     def test_zero_weight_component_ignored(self):
-        m = GaussianMixture([1.0, 0.0], [0.0, 100.0], [1.0, 1.0])
-        ref = GaussianMixture([1.0], [0.0], [1.0])
-        assert gmm.log_density(m, 0.3) == pytest.approx(gmm.log_density(ref, 0.3), abs=1e-12)
+        m = MixtureBatch([1.0, 0.0], [0.0, 100.0], [1.0, 1.0])
+        ref = MixtureBatch([1.0], [0.0], [1.0])
+        assert m.log_density(0.3) == pytest.approx(ref.log_density(0.3), abs=1e-12)
 
     def test_normalization_randomized(self):
         # Riemann mass of exp(log_density) over an 8-sigma window.
@@ -129,30 +141,30 @@ class TestGridDensities:
 
 class TestNLL:
     def test_standard_normal_values(self):
-        m = GaussianMixture([1.0], [0.0], [1.0])
-        assert gmm.nll(m, 0.0) == pytest.approx(0.9189385, abs=1e-6)
-        assert gmm.nll(m, 1.0) == pytest.approx(0.9189385 + 0.5, abs=1e-6)
+        m = MixtureBatch([1.0], [0.0], [1.0])
+        assert nll(m, 0.0) == pytest.approx(0.9189385, abs=1e-6)
+        assert nll(m, 1.0) == pytest.approx(0.9189385 + 0.5, abs=1e-6)
 
     def test_bimodal_negates_log_density(self):
-        m = GaussianMixture([0.5, 0.5], [-2.0, 2.0], [1.0, 1.0])
-        assert gmm.nll(m, 0.0) == pytest.approx(2.9189385, abs=1e-6)
+        m = MixtureBatch([0.5, 0.5], [-2.0, 2.0], [1.0, 1.0])
+        assert nll(m, 0.0) == pytest.approx(2.9189385, abs=1e-6)
 
     def test_finite_at_huge_standardized_distance(self):
-        m = GaussianMixture([1.0], [0.0], [1.0])
-        assert np.isfinite(gmm.nll(m, 1e6))
+        m = MixtureBatch([1.0], [0.0], [1.0])
+        assert np.isfinite(nll(m, 1e6))
 
 
 class TestGradients:
     def test_single_component_closed_form(self):
-        m = GaussianMixture([1.0], [0.0], [1.0])
-        d_logit, d_mean, d_logvar = gmm.nll_gradients(m, 1.0)
+        m = MixtureBatch([1.0], [0.0], [1.0])
+        d_logit, d_mean, d_logvar = nll_gradients(m, 1.0)
         assert d_mean[0] == pytest.approx(-1.0, abs=1e-12)
         assert d_logvar[0] == pytest.approx(0.0, abs=1e-12)
         assert d_logit[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_symmetric_mixture_logit_gradient_vanishes(self):
-        m = GaussianMixture([0.5, 0.5], [-2.0, 2.0], [1.0, 1.0])
-        d_logit, _, _ = gmm.nll_gradients(m, 0.0)
+        m = MixtureBatch([0.5, 0.5], [-2.0, 2.0], [1.0, 1.0])
+        d_logit, _, _ = nll_gradients(m, 0.0)
         np.testing.assert_allclose(d_logit, 0.0, atol=1e-12)
 
     def test_matches_finite_differences(self):
@@ -169,10 +181,10 @@ class TestGradients:
             def loss(lg, mn, lv):
                 w = np.exp(lg - lg.max())
                 w /= w.sum()
-                return gmm.nll(GaussianMixture(w, mn, np.exp(lv)), y)
+                return nll(MixtureBatch(w, mn, np.exp(lv)), y)
 
-            m = GaussianMixture(np.exp(logits) / np.exp(logits).sum(), mu, np.exp(logvar))
-            d_logit, d_mean, d_logvar = gmm.nll_gradients(m, y)
+            m = MixtureBatch(np.exp(logits) / np.exp(logits).sum(), mu, np.exp(logvar))
+            d_logit, d_mean, d_logvar = nll_gradients(m, y)
             for i in range(k):
                 for vec, grad in ((logits, d_logit), (mu, d_mean), (logvar, d_logvar)):
                     up, dn = vec.copy(), vec.copy()
@@ -192,22 +204,22 @@ class TestGradients:
 
 class TestCDF:
     def test_standard_normal_median(self):
-        m = GaussianMixture([1.0], [0.0], [1.0])
-        assert gmm.cdf(m, 0.0) == pytest.approx(0.5, abs=1e-12)
+        m = MixtureBatch([1.0], [0.0], [1.0])
+        assert m.cdf(0.0) == pytest.approx(0.5, abs=1e-12)
 
     def test_975_quantile(self):
-        m = GaussianMixture([1.0], [0.0], [1.0])
-        assert gmm.cdf(m, 1.959964) == pytest.approx(0.975, abs=1e-6)
+        m = MixtureBatch([1.0], [0.0], [1.0])
+        assert m.cdf(1.959964) == pytest.approx(0.975, abs=1e-6)
 
     def test_bimodal_midpoint_half_mass(self):
-        m = GaussianMixture([0.5, 0.5], [-2.0, 2.0], [1e-6, 1e-6])
-        assert gmm.cdf(m, 0.0) == pytest.approx(0.5, abs=1e-12)
+        m = MixtureBatch([0.5, 0.5], [-2.0, 2.0], [1e-6, 1e-6])
+        assert m.cdf(0.0) == pytest.approx(0.5, abs=1e-12)
 
     @given(st.floats(min_value=-50, max_value=49, allow_nan=False))
     @settings(max_examples=100, deadline=None)
     def test_monotone(self, x):
-        m = GaussianMixture([0.4, 0.6], [-1.0, 3.0], [0.5, 2.0])
-        assert gmm.cdf(m, x) <= gmm.cdf(m, x + 1.0) + 1e-15
+        m = MixtureBatch([0.4, 0.6], [-1.0, 3.0], [0.5, 2.0])
+        assert m.cdf(x) <= m.cdf(x + 1.0) + 1e-15
 
     def test_consistent_with_density(self):
         # Numerical derivative of the CDF matches the density.
@@ -224,39 +236,39 @@ class TestCDF:
 
 class TestPointEstimate:
     def test_symmetric_bimodal_is_zero(self):
-        m = GaussianMixture([0.5, 0.5], [-2.0, 2.0], [1.0, 1.0])
-        assert gmm.point_estimate(m).value == pytest.approx(0.0, abs=1e-15)
+        m = MixtureBatch([0.5, 0.5], [-2.0, 2.0], [1.0, 1.0])
+        assert m.point_estimates() == pytest.approx(0.0, abs=1e-15)
 
     def test_weighted_sum(self):
-        m = GaussianMixture([0.3, 0.7], [0.0, 10.0], [1.0, 1.0])
-        assert gmm.point_estimate(m).value == pytest.approx(7.0, abs=1e-12)
+        m = MixtureBatch([0.3, 0.7], [0.0, 10.0], [1.0, 1.0])
+        assert m.point_estimates() == pytest.approx(7.0, abs=1e-12)
 
     def test_uniform_anchor_mixture_is_zero(self):
         # Equal weights over symmetric anchors [-2..2] cancel exactly.
-        m = GaussianMixture([0.2] * 5, [-2.0, -1.0, 0.0, 1.0, 2.0], [1.0] * 5)
-        assert gmm.point_estimate(m).value == pytest.approx(0.0, abs=1e-15)
+        m = MixtureBatch([0.2] * 5, [-2.0, -1.0, 0.0, 1.0, 2.0], [1.0] * 5)
+        assert m.point_estimates() == pytest.approx(0.0, abs=1e-15)
 
 
 class TestSampling:
     def test_floor_clamped_delta(self):
-        m = GaussianMixture([1.0], [5.0], [0.0])
+        m = MixtureBatch([1.0], [5.0], [0.0])
         draws = oracles.sample(m, np.random.default_rng(0), 1000)
         assert np.max(np.abs(draws - 5.0)) < 6 * math.sqrt(gmm.VAR_FLOOR)
 
     def test_bimodal_mean_within_clt_bound(self):
-        m = GaussianMixture([0.5, 0.5], [-2.0, 2.0], [1.0, 1.0])
+        m = MixtureBatch([0.5, 0.5], [-2.0, 2.0], [1.0, 1.0])
         n = 1_000_000
         draws = oracles.sample(m, np.random.default_rng(1), n)
         _, var = oracles.mixture_moments(m)
         assert abs(draws.mean()) < 4 * math.sqrt(var / n)
 
     def test_standard_normal_variance_within_one_percent(self):
-        m = GaussianMixture([1.0], [0.0], [1.0])
+        m = MixtureBatch([1.0], [0.0], [1.0])
         draws = oracles.sample(m, np.random.default_rng(2), 1_000_000)
         assert draws.var() == pytest.approx(1.0, rel=0.01)
 
     def test_n_zero_rejected(self):
-        m = GaussianMixture([1.0], [0.0], [1.0])
+        m = MixtureBatch([1.0], [0.0], [1.0])
         with pytest.raises(ValueError):
             oracles.sample(m, np.random.default_rng(0), 0)
 
@@ -270,35 +282,40 @@ class TestSingleGaussianEquivalence:
             mu = rng.uniform(-5, 5)
             var = rng.uniform(0.05, 9.0)
             x = rng.uniform(-8, 8)
-            m = GaussianMixture([1.0], [mu], [var])
+            m = MixtureBatch([1.0], [mu], [var])
             ref_logpdf = -0.5 * ((x - mu) ** 2 / var + math.log(2 * math.pi * var))
-            assert gmm.log_density(m, x) == pytest.approx(ref_logpdf, abs=1e-12)
-            assert gmm.nll(m, x) == pytest.approx(-ref_logpdf, abs=1e-12)
+            assert m.log_density(x) == pytest.approx(ref_logpdf, abs=1e-12)
+            assert nll(m, x) == pytest.approx(-ref_logpdf, abs=1e-12)
             z = (x - mu) / math.sqrt(var)
-            assert gmm.cdf(m, x) == pytest.approx(0.5 * math.erfc(-z / math.sqrt(2)), abs=1e-12)
-            assert gmm.point_estimate(m).value == pytest.approx(mu, abs=1e-12)
-            d_logit, d_mean, d_logvar = gmm.nll_gradients(m, x)
+            assert m.cdf(x) == pytest.approx(0.5 * math.erfc(-z / math.sqrt(2)), abs=1e-12)
+            assert m.point_estimates() == pytest.approx(mu, abs=1e-12)
+            d_logit, d_mean, d_logvar = nll_gradients(m, x)
             assert d_mean[0] == pytest.approx(-(x - mu) / var, abs=1e-12)
             assert d_logvar[0] == pytest.approx(-((x - mu) ** 2 / (2 * var) - 0.5), abs=1e-12)
             assert d_logit[0] == pytest.approx(0.0, abs=1e-12)
 
 
 class TestMixtureBatch:
-    def test_at_matches_scalar_ops(self):
-        rng = np.random.default_rng(5)
-        w = rng.random((4, 3, 2)) + 0.1
-        w /= w.sum(-1, keepdims=True)
-        mu = rng.normal(0, 2, (4, 3, 2))
-        var = rng.uniform(0.1, 2.0, (4, 3, 2))
-        mb = MixtureBatch(w, mu, var)
-        x = rng.normal(0, 1, (4, 3))
-        ld = mb.log_density(x)
-        for i in range(4):
-            for j in range(3):
-                assert ld[i, j] == pytest.approx(gmm.log_density(mb.at((i, j)), x[i, j]), abs=1e-12)
+    @given(mixture_rows(rows_max=1), st.floats(-100.0, 100.0))
+    def test_single_mixture_matches_direct_sums(self, rows, x):
+        w, mu, logvar = (np.array([c[i] for c in rows[0]]) for i in range(3))
+        m = MixtureBatch(w / w.sum(), mu, np.exp(logvar))
+        assert m.shape == ()
+        parts = list(zip(m.weights.tolist(), m.means.tolist(), m.variances.tolist()))
+        dens = sum(wk * norm_pdf(x, mk, vk) for wk, mk, vk in parts)
+        if dens > 1e-300:
+            ref = math.log(dens)
+            assert abs(m.log_density(x) - ref) <= 1e-12 * max(1.0, abs(ref))
+        ref_cdf = sum(wk * 0.5 * math.erfc(-((x - mk) / math.sqrt(vk)) / math.sqrt(2))
+                      for wk, mk, vk in parts)
+        # Subnormal tail masses carry no relative precision.
+        assert m.cdf(x) == pytest.approx(ref_cdf, rel=1e-12, abs=1e-300)
+        # Relative to the size of the terms, which may cancel.
+        terms = [wk * mk for wk, mk, _ in parts]
+        assert abs(m.point_estimates() - sum(terms)) <= 1e-12 * sum(abs(t) for t in terms)
 
     def test_scale_shift_matches_change_of_variable(self):
-        m = GaussianMixture([0.5, 0.5], [-1.0, 1.0], [0.5, 2.0])
+        m = MixtureBatch([0.5, 0.5], [-1.0, 1.0], [0.5, 2.0])
         mb = MixtureBatch(m.weights[None], m.means[None], m.variances[None])
         raw = mb.scale_shift(3.0, 10.0)
         # Density transforms with the Jacobian 1/scale.

@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from mixcast import intervals as iv
-from mixcast.gmm import GaussianMixture
+from mixcast.gmm import MixtureBatch
 
 LEVELS = np.round(np.arange(0.50, 0.951, 0.05), 10)
 
 
 def std_normal_grid(points=2001, lo=-6.0, hi=6.0):
-    m = GaussianMixture([1.0], [0.0], [1.0])
+    m = MixtureBatch([1.0], [0.0], [1.0])
     return iv.grid_from_mixture(m, lo, hi, points)
 
 
@@ -29,22 +29,25 @@ class TestDensityGrid:
         assert peak == pytest.approx(0.3989, abs=1e-3)
 
     def test_densities_nonnegative(self):
-        m = GaussianMixture([0.25] * 4, [-6.0, -2.0, 2.0, 6.0], [4.0] * 4)
+        m = MixtureBatch([0.25] * 4, [-6.0, -2.0, 2.0, 6.0], [4.0] * 4)
         g = iv.grid_from_mixture(m, -20, 20, 300)
         assert np.all(g.density >= 0)
 
     def test_speed_grid_spacing(self):
         # 500 points across a 0..70 range.
-        m = GaussianMixture([1.0], [35.0], [25.0])
+        m = MixtureBatch([1.0], [35.0], [25.0])
         g = iv.grid_from_mixture(m, 0.0, 70.0, 500)
         assert g.dx == pytest.approx(70.0 / 499, abs=1e-12)
 
     def test_degenerate_range_rejected(self):
-        m = GaussianMixture([1.0], [0.0], [1.0])
+        m = MixtureBatch([1.0], [0.0], [1.0])
         with pytest.raises(ValueError):
             iv.grid_from_mixture(m, 2.0, 2.0, 100)
         with pytest.raises(ValueError):
             iv.grid_from_mixture(m, -1.0, 1.0, 1)
+        # A batch of element shape (1,) is not a single mixture.
+        with pytest.raises(ValueError, match="element shape"):
+            iv.grid_from_mixture(m.reshape(1), -1.0, 1.0, 100)
 
     def test_mass_complete_flag(self):
         assert oracles.is_mass_complete(std_normal_grid())
@@ -62,7 +65,7 @@ class TestDeriveIntervals:
         assert hi == pytest.approx(1.959964, abs=g.dx)
 
     def test_separated_bimodal_two_subintervals(self):
-        m = GaussianMixture([0.5, 0.5], [-3.0, 3.0], [0.25, 0.25])
+        m = MixtureBatch([0.5, 0.5], [-3.0, 3.0], [0.25, 0.25])
         g = iv.grid_from_mixture(m, -6.0, 6.0, 2001)
         s = iv.derive_intervals(g, 0.9)
         assert s.count == 2
@@ -121,7 +124,7 @@ class TestMassCoverage:
             k = int(rng.integers(1, 5))
             w = rng.random(k) + 0.1
             w /= w.sum()
-            m = GaussianMixture(w, rng.uniform(-4, 4, k), rng.uniform(0.1, 1.5, k))
+            m = MixtureBatch(w, rng.uniform(-4, 4, k), rng.uniform(0.1, 1.5, k))
             g = iv.grid_from_mixture(m, -12, 12, 1001)
             assert oracles.is_mass_complete(g)
             cell = (g.density * g.dx / g.total_mass()).max()
@@ -130,7 +133,7 @@ class TestMassCoverage:
                 assert c <= mass <= c + cell + 1e-12
 
     def test_nesting_and_width_monotone(self):
-        m = GaussianMixture([0.4, 0.6], [-2.5, 2.0], [0.3, 0.8])
+        m = MixtureBatch([0.4, 0.6], [-2.5, 2.0], [0.3, 0.8])
         g = iv.grid_from_mixture(m, -10, 10, 1501)
         prev_mask = None
         prev_width = 0.0
@@ -152,7 +155,7 @@ class TestMassCoverage:
             mu = np.cumsum(rng.uniform(6.5, 9.0, k) * smax)
             w = rng.random(k) + 0.2
             w /= w.sum()
-            m = GaussianMixture(w, mu, sig**2)
+            m = MixtureBatch(w, mu, sig**2)
             g = iv.grid_from_mixture(m, mu.min() - 8 * smax, mu.max() + 8 * smax, 3001)
             for c in LEVELS:
                 assert iv.derive_intervals(g, c).count <= k
@@ -234,7 +237,7 @@ class TestBatchAgreesWithScalar:
             k = int(rng.integers(1, 4))
             w = rng.random(k) + 0.1
             w /= w.sum()
-            m = GaussianMixture(w, rng.uniform(-4, 4, k), rng.uniform(0.05, 1.0, k))
+            m = MixtureBatch(w, rng.uniform(-4, 4, k), rng.uniform(0.05, 1.0, k))
             mixtures.append(m)
             g = iv.grid_from_mixture(m, lo, hi, points)
             dens_rows.append(g.density)

@@ -13,7 +13,7 @@ from scipy.stats import norm
 
 from mixcast import gmm, metrics
 from mixcast import intervals as iv
-from mixcast.gmm import GaussianMixture, MixtureBatch, PointPrediction
+from mixcast.gmm import MixtureBatch
 from mixcast.metrics import ScoringConfig
 
 
@@ -50,13 +50,13 @@ FLOOR_GAP = math.sqrt(gmm.VAR_FLOOR / math.pi) + 1e-12
 
 class TestCRPSMixture:
     def test_gaussian_at_mean(self):
-        m = GaussianMixture([1.0], [0.0], [1.0])
+        m = MixtureBatch([1.0], [0.0], [1.0])
         got = crps_of(m, 0.0)
         assert got == pytest.approx(0.23369, abs=2e-4)
         assert got == pytest.approx(crps_gauss_closed(0, 1, 0), rel=1e-12)
 
     def test_gaussian_two_sigma_off(self):
-        m = GaussianMixture([1.0], [0.0], [1.0])
+        m = MixtureBatch([1.0], [0.0], [1.0])
         assert crps_of(m, 2.0) == pytest.approx(1.45279, abs=2e-4)
 
     def test_randomized_against_closed_form(self):
@@ -69,7 +69,7 @@ class TestCRPSMixture:
         np.testing.assert_allclose(got, crps_gauss_closed(mu, sigma, y), rtol=1e-12)
 
     def test_near_dirac_is_absolute_error(self):
-        m = GaussianMixture([1.0], [0.7], [0.0])  # floor-clamped
+        m = MixtureBatch([1.0], [0.7], [0.0])  # floor-clamped
         y = -1.3
         assert abs(crps_of(m, y) - abs(y - 0.7)) <= FLOOR_GAP
 
@@ -80,7 +80,7 @@ class TestCRPSMixture:
         for _ in range(50):
             w = rng.random(3) + 0.1
             w /= w.sum()
-            ms.append(GaussianMixture(w, rng.uniform(-3, 3, 3), rng.uniform(0.1, 2.0, 3)))
+            ms.append(MixtureBatch(w, rng.uniform(-3, 3, 3), rng.uniform(0.1, 2.0, 3)))
             ys.append(rng.uniform(-4, 4))
         got = metrics.crps_mixture_batch(mixture_batch_of(ms), np.array(ys))
         for i, (m, y) in enumerate(zip(ms, ys)):
@@ -91,7 +91,7 @@ class TestCRPSMixture:
         # A trained-model case: a dominant narrow component plus a tiny,
         # very broad one on a 0-14 range. An 8-sigma grid of 2001 points
         # has dx ~ 0.84, wider than the narrow component, and misscores it.
-        m = GaussianMixture([0.999, 0.001], [6.0, 7.5], [0.24**2, 105.0**2])
+        m = MixtureBatch([0.999, 0.001], [6.0, 7.5], [0.24**2, 105.0**2])
         worst_coarse = 0.0
         for y in (0.0, 3.5, 6.0, 6.3, 9.0, 14.0):
             got = crps_of(m, y)
@@ -149,12 +149,12 @@ class TestCRPSProperties:
 
     @given(st.floats(-10.0, 10.0), st.floats(0.01, 10.0), st.floats(-30.0, 30.0))
     def test_single_component_gaussian_closed_form(self, mu, sigma, y):
-        got = crps_of(GaussianMixture([1.0], [mu], [sigma**2]), y)
+        got = crps_of(MixtureBatch([1.0], [mu], [sigma**2]), y)
         assert got == pytest.approx(crps_gauss_closed(mu, sigma, y), abs=1e-12)
 
     @given(st.floats(-10.0, 10.0), st.floats(0.0, 1e-2), st.floats(-10.0, 10.0))
     def test_vanishing_variance_tends_to_absolute_error(self, mu, var, y):
-        m = GaussianMixture([1.0], [mu], [var])  # 0 is clamped to the floor
+        m = MixtureBatch([1.0], [mu], [var])  # 0 is clamped to the floor
         bound = math.sqrt(max(var, gmm.VAR_FLOOR) / math.pi)
         assert abs(crps_of(m, y) - abs(y - mu)) <= bound + 1e-12
 
@@ -164,14 +164,14 @@ class TestCRPSProperties:
         # sigma >= 0.5 on a range under 40 wide keeps dx / sigma below 4e-3,
         # where the trapezoid's own O(dx^2) error stays under 1e-5.
         mb = batch_of(comps)
-        m = mb.at(0)
+        m = MixtureBatch(mb.weights[0], mb.means[0], mb.variances[0])
         want = crps_trapezoid(m, y, *crps_range(m, y), 20001)
         assert crps_one(mb, y) == pytest.approx(want, rel=1e-5)
 
 
 class TestTrapezoidOracle:
     def test_label_outside_grid_rejected(self):
-        m = GaussianMixture([1.0], [0.0], [1.0])
+        m = MixtureBatch([1.0], [0.0], [1.0])
         with pytest.raises(ValueError):
             crps_trapezoid(m, 9.0, -8, 8, 1001)
 
@@ -182,7 +182,7 @@ class TestTrapezoidOracle:
         for _ in range(60):
             xhat = rng.uniform(-2, 2)
             y = rng.uniform(-2, 2)
-            m = GaussianMixture([1.0], [xhat], [0.0])
+            m = MixtureBatch([1.0], [xhat], [0.0])
             target = abs(y - xhat)
             coarse.append(abs(crps_trapezoid(m, y, -8, 8, 26) - target))
             fine.append(abs(crps_trapezoid(m, y, -8, 8, 51) - target))
@@ -194,7 +194,7 @@ class TestTrapezoidOracle:
         # (F-H)^2 = F^2 - 2 F H + H at the nodes, plus the split of the
         # cell containing each label.
         rng = np.random.default_rng(19)
-        m = GaussianMixture([0.3, 0.7], [-1.0, 1.5], [0.5, 1.2])
+        m = MixtureBatch([0.3, 0.7], [-1.0, 1.5], [0.5, 1.2])
         ys = oracles.sample(m, rng, 25)
         lo, hi, points = ys.min() - 12, ys.max() + 12, 4001
         x = np.linspace(lo, hi, points)
@@ -213,18 +213,14 @@ class TestTrapezoidOracle:
 
 
 class TestCRPSPoint:
-    def test_basic(self):
-        assert metrics.crps_point(PointPrediction(0.0), 2.0) == 2.0
-        assert metrics.crps_point(1.5, 1.5) == 0.0
-
     def test_two_point_scenario_arithmetic(self):
         # Targets at +-2 with equal probability: a fixed point prediction
         # at 0 scores 2 per trial; the ideal two-spike mixture scores the
         # hand-integrated 1 per trial (0.25 over a width-4 gap).
         ys = np.array([-2.0, 2.0])
-        point_scores = [metrics.crps_point(0.0, y) for y in ys]
-        assert np.mean(point_scores) == pytest.approx(2.0)
-        m = GaussianMixture([0.5, 0.5], [-2.0, 2.0], [0.0, 0.0])
+        det = SimpleNamespace(targets=ys.reshape(2, 1, 1), point_preds=np.zeros((2, 1, 1)))
+        assert metrics.evaluate(det).crps_mean == pytest.approx(2.0)
+        m = MixtureBatch([0.5, 0.5], [-2.0, 2.0], [0.0, 0.0])
         mix_scores = [crps_of(m, y) for y in ys]
         assert np.mean(mix_scores) == pytest.approx(1.0, rel=0.02)
 
@@ -239,7 +235,7 @@ class TestPropriety:
                 k = int(rng.integers(1, 4))
                 w = rng.random(k) + 0.2
                 w /= w.sum()
-                return GaussianMixture(w, rng.uniform(-3, 3, k), rng.uniform(0.2, 2.0, k))
+                return MixtureBatch(w, rng.uniform(-3, 3, k), rng.uniform(0.2, 2.0, k))
 
             def crps_many(m, ys):
                 params = [np.broadcast_to(p, (ys.size, m.k)) for p in
@@ -376,7 +372,8 @@ class TestEvaluate:
         rep = metrics.evaluate(batch, cfg)
         widths = np.empty((n, len(cfg.levels)))
         for i in range(n):
-            g = iv.grid_from_mixture(mb.at(i), -9.0, 9.0, 901)
+            m = MixtureBatch(mb.weights[i], mb.means[i], mb.variances[i])
+            g = iv.grid_from_mixture(m, -9.0, 9.0, 901)
             for li, c in enumerate(cfg.levels):
                 widths[i, li] = oracles.interval_width(iv.derive_intervals(g, c))
         per_level_then_levels = widths.mean(axis=0).mean()

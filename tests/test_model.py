@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from mixcast import gmm, model
+from mixcast import model
 from mixcast.model import (
     BackboneConfig,
     ForecastBatch,
@@ -107,10 +107,10 @@ class TestInitialization:
         ref = model.reference_mixture(cfg.head)
         params = model.init_params(cfg, np.random.default_rng(0))
         mb = model.predict(params, cfg, np.zeros((1, 1, cfg.backbone.input_dim)))
-        one = mb.at((0, 0, 0))
-        np.testing.assert_allclose(one.weights, ref.weights, atol=1e-15)
-        np.testing.assert_allclose(one.means, ref.means, atol=1e-15)
-        np.testing.assert_allclose(one.variances, ref.variances, atol=1e-15)
+        assert ref.shape == ()
+        np.testing.assert_allclose(mb.weights[0, 0, 0], ref.weights, atol=1e-15)
+        np.testing.assert_allclose(mb.means[0, 0, 0], ref.means, atol=1e-15)
+        np.testing.assert_allclose(mb.variances[0, 0, 0], ref.variances, atol=1e-15)
 
 
 class TestHeadForward:
@@ -220,7 +220,7 @@ class TestForwardLoss:
     def test_init_loss_is_prior_nll_constant(self):
         cfg = gmm_config()
         params = model.init_params(cfg, np.random.default_rng(0))
-        ref_nll = gmm.nll(model.reference_mixture(cfg.head), 0.0)
+        ref_nll = -model.reference_mixture(cfg.head).log_density(0.0)
         rng = np.random.default_rng(1)
         losses = []
         for _ in range(3):

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from mixcast import gmm, model, training
+from mixcast import model, training
 from mixcast.model import BackboneConfig, HeadConfig, ModelConfig, ModelParams
 from mixcast.training import AdamWState, Normalizer, TrainConfig
 
@@ -25,12 +25,13 @@ class TestTrainConfig:
         assert cfg.betas == (0.9, 0.999)
 
     def test_invalid_decay_points(self):
-        with pytest.raises(ValueError):
-            TrainConfig(decay_points=(0.85, 0.75))
-        with pytest.raises(ValueError):
-            TrainConfig(decay_points=(0.0, 0.5))
-        with pytest.raises(ValueError):
-            TrainConfig(decay_factors=(0.01, 0.10))
+        # The decay schedule is fixed: points increasing in (0, 1), factors
+        # decreasing in (0, 1], and no config field can change it.
+        points, factors = zip(*training.DECAY)
+        assert all(0 < p < 1 for p in points) and list(points) == sorted(points)
+        assert all(0 < f <= 1 for f in factors) and list(factors) == sorted(factors, reverse=True)
+        with pytest.raises(TypeError):
+            TrainConfig(decay_points=(0.75, 0.85))
         with pytest.raises(ValueError):
             TrainConfig(lr=0.0)
 
@@ -180,9 +181,7 @@ class TestFit:
         tcfg = TrainConfig(epochs=15, batch_size=16, lr=5e-3, warmup_epochs=1, seed=2)
         res = training.fit(splits, mcfg, tcfg)
         prior = model.reference_mixture(mcfg.head)
-        prior_nll = float(
-            np.mean([gmm.nll(prior, y) for y in splits.val.targets.ravel()])
-        )
+        prior_nll = float(np.mean(-prior.log_density(splits.val.targets.ravel())))
         assert not res.diverged
         assert res.best_val_loss < prior_nll
 
