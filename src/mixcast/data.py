@@ -111,10 +111,15 @@ class SeriesDataset:
         return self.values.shape[2]
 
     def split_sessions(self, fractions=(0.7, 0.1, 0.2)) -> dict:
-        """Contiguous session blocks: train, then val, then test."""
+        """Contiguous session blocks: train, then val, then test; each
+        block holds at least one session."""
         if len(fractions) != 3 or abs(sum(fractions) - 1.0) > 1e-9:
             raise DataError(f"split fractions must sum to 1, got {fractions}")
         n = self.sessions
+        if n < 3:
+            raise DataError(
+                f"need at least 3 sessions (one each for train, val and test), got {n}"
+            )
         n_train = int(round(fractions[0] * n))
         n_val = int(round(fractions[1] * n))
         n_train = max(1, min(n_train, n - 2))

@@ -11,13 +11,18 @@ plain-space implementation (`grid_densities`).
 Everything here is a pure function of its inputs. A `MixtureBatch`
 neither copies nor freezes its arrays (its constructor runs on every
 training step), so callers that share one must not mutate them.
+
+Reductions over the short component axis go through `_sum_k` and
+`_max_k`, which add (or compare) one (...,) slab per component instead
+of calling a numpy reduction over a length-K last axis, which is several
+times slower at these shapes. scipy is imported only inside
+`cdf_values`, so importing this module (and training) never loads it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 # Predicted log-variances are clamped to this range before exponentiation;
 # the same floor is applied to directly-constructed mixtures so a component
@@ -49,12 +54,36 @@ def _component_log_terms(weights, means, variances, x):
     return log_w - 0.5 * d * d / variances - 0.5 * np.log(2.0 * np.pi * variances)
 
 
+def _sum_k(a):
+    """Sum over the last (component) axis, one slab at a time.
+
+    Equal to `np.sum(a, axis=-1)` bit for bit for K <= 7: numpy's pairwise
+    sum adds fewer than eight terms in order onto +0.0, as this loop does
+    (so an all -0.0 row sums to +0.0 here too). For K >= 8 numpy unrolls
+    into eight partial sums, so the two differ by rounding only (below
+    1e-15 of the sum of |a| in the tests, K = 8..12). Needs K >= 1.
+    """
+    out = a[..., 0] + 0.0
+    for k in range(1, a.shape[-1]):
+        out += a[..., k]
+    return out
+
+
+def _max_k(a):
+    """Maximum over the last (component) axis, one slab at a time; equal to
+    `np.max(a, axis=-1)` for every K >= 1 (NaN propagates the same way)."""
+    out = a[..., 0].copy()
+    for k in range(1, a.shape[-1]):
+        np.maximum(out, a[..., k], out=out)
+    return out
+
+
 def _logsumexp_last(terms):
     """log(sum(exp(terms))) over the last axis with max subtraction."""
-    m = np.max(terms, axis=-1)
+    m = _max_k(terms)
     # m is finite whenever some weight is positive, which the mixture
     # contract guarantees.
-    return m + np.log(np.sum(np.exp(terms - m[..., None]), axis=-1))
+    return m + np.log(_sum_k(np.exp(terms - m[..., None])))
 
 
 def log_density_values(weights, means, variances, x):
@@ -108,9 +137,11 @@ def nll_and_gradients(weights, means, variances, y):
 
 def cdf_values(weights, means, variances, x):
     """Vectorized mixture CDF: weighted standard-normal CDFs."""
+    from scipy.special import ndtr  # deferred: keeps scipy out of start-up
+
     x = np.asarray(x, dtype=float)
     z = (x[..., None] - means) / np.sqrt(variances)
-    return np.sum(weights * ndtr(z), axis=-1)
+    return _sum_k(weights * ndtr(z))
 
 
 @dataclass(frozen=True)
@@ -119,9 +150,9 @@ class MixtureBatch:
 
     Used wherever one mixture per (window, location, horizon step) is
     carried around; a single mixture has element shape (). Shapes must
-    match; weights must be nonnegative and are renormalized within 1e-6
-    of summing to 1, rejected beyond; negative variances are rejected,
-    small ones floored at VAR_FLOOR. No finiteness check: non-finite
+    match and K >= 1; weights must be nonnegative and are renormalized
+    within 1e-6 of summing to 1, rejected beyond; negative variances are
+    rejected, small ones floored at VAR_FLOOR. No finiteness check: non-finite
     parameters reach the training loss, which reports the element.
     """
 
@@ -137,9 +168,11 @@ class MixtureBatch:
             raise InvalidMixtureError(
                 f"batch shape mismatch: {w.shape}, {mu.shape}, {var.shape}"
             )
+        if w.shape[-1] == 0:
+            raise InvalidMixtureError("mixture has no components (K = 0)")
         if np.any(w < 0.0):
             raise InvalidMixtureError("negative weight in batch")
-        sums = w.sum(axis=-1)
+        sums = _sum_k(w)
         if np.any(np.abs(sums - 1.0) > _WEIGHT_SUM_REJECT):
             worst = float(sums.ravel()[np.argmax(np.abs(sums - 1.0))])
             raise InvalidMixtureError(f"weights sum to {worst!r}, expected 1")
@@ -173,7 +206,7 @@ class MixtureBatch:
         return cdf_values(self.weights, self.means, self.variances, x)
 
     def point_estimates(self) -> np.ndarray:
-        return np.sum(self.weights * self.means, axis=-1)
+        return _sum_k(self.weights * self.means)
 
     def scale_shift(self, scale: float, shift: float) -> "MixtureBatch":
         """Affine change of variable y = scale * x + shift (e.g. undoing a

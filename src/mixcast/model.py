@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .gmm import LOG_VAR_MAX, LOG_VAR_MIN, MixtureBatch, nll_and_gradients
+from .gmm import LOG_VAR_MAX, LOG_VAR_MIN, MixtureBatch, _max_k, _sum_k, nll_and_gradients
 
 VARIANTS = ("det", "norm", "gmm")
 
@@ -198,8 +198,8 @@ def backbone_forward(x, params, cfg: BackboneConfig):
 
 
 def _softmax_last(logits):
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(logits - _max_k(logits)[..., None])
+    return e / _sum_k(e)[..., None]
 
 
 def head_forward(z, hc: HeadConfig, params):

@@ -3,7 +3,10 @@
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -124,6 +127,22 @@ class TestTrain:
             ["train", "--data", str(tmp_path / "nope"), "--out", str(tmp_path)],
         )
         assert res.exit_code == 3
+
+    @pytest.mark.parametrize("sessions", [1, 2])
+    def test_too_few_sessions_is_data_error(self, tmp_path, sessions):
+        gen = ["generate", "--nodes", "3", "--sessions", str(sessions), "--session-steps", "24",
+               "--seed", "7", "--name", "few", "--out", str(tmp_path)]
+        assert run(gen).exit_code == 0
+        res = CliRunner().invoke(
+            cli.main,
+            ["train", "--data", str(tmp_path / "few"), "--epochs", "1",
+             "--input-steps", "6", "--horizon", "6", "--out", str(tmp_path)],
+        )
+        assert res.exit_code == 3, res.output
+        assert f"need at least 3 sessions (one each for train, val and test), got {sessions}" in (
+            res.output
+        )
+        assert not list(tmp_path.glob("*.ckpt.npz"))
 
     @pytest.mark.parametrize(
         "flags, message",
@@ -376,6 +395,50 @@ class TestCompare:
         a = self.fake_report(tmp_path / "a.txt", "det", 2.0)
         res = CliRunner().invoke(cli.main, ["compare", str(a)])
         assert res.exit_code == 2
+
+
+# Runs each command through `cli.main` in one fresh interpreter and prints,
+# after each, the scipy modules loaded so far.
+_COLD_START = """
+import json, sys
+from click.testing import CliRunner
+from mixcast import cli
+
+out = sys.argv[1]
+data = ["--data", out + "/cold"]
+commands = {
+    "--version": ["--version"],
+    "generate": ["generate", "--nodes", "3", "--sessions", "4", "--session-steps", "24",
+                 "--seed", "7", "--name", "cold", "--out", out],
+    "train": ["train", "--epochs", "1", "--batch-size", "16", "--input-steps", "6",
+              "--horizon", "6", "--name", "m", "--out", out] + data,
+    "evaluate": ["evaluate", "--checkpoint", out + "/m.ckpt.npz", "--name", "e",
+                 "--out", out] + data,
+}
+loaded = {}
+for name, args in commands.items():
+    res = CliRunner().invoke(cli.main, args, catch_exceptions=False)
+    assert res.exit_code == 0, (name, res.output)
+    loaded[name] = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps(loaded))
+"""
+
+
+class TestColdStart:
+    def test_scipy_loaded_only_by_scoring(self, tmp_path):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+        ))
+        proc = subprocess.run(
+            [sys.executable, "-c", _COLD_START, str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert loaded["--version"] == loaded["generate"] == loaded["train"] == []
+        # evaluate's CRPS imports scipy, which shows the check can see it.
+        assert "scipy.special" in loaded["evaluate"]
 
 
 class TestReproducibility:

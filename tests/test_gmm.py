@@ -39,7 +39,7 @@ class TestConstruction:
             MixtureBatch([0.6, 0.6], [0.0, 1.0], [1.0, 1.0])
         # K = 0, alone or in a batch, leaves nothing to sum to 1.
         for shape in ((0,), (3, 0)):
-            with pytest.raises(InvalidMixtureError):
+            with pytest.raises(InvalidMixtureError, match=r"no components \(K = 0\)"):
                 MixtureBatch(np.zeros(shape), np.zeros(shape), np.ones(shape))
 
     def test_small_weight_deviation_renormalized(self):
@@ -105,6 +105,43 @@ class TestLogDensity:
             x = np.linspace(lo, hi, 10_000)
             dens = np.exp(gmm.log_density_values(m.weights, m.means, m.variances, x))
             assert np.trapezoid(dens, x) == pytest.approx(1.0, abs=1e-3)
+
+
+def slab_rows(k_lo, k_hi, elements):
+    """(M, K) arrays with K in [k_lo, k_hi], entries drawn from `elements`."""
+    return st.integers(k_lo, k_hi).flatmap(
+        lambda k: st.lists(
+            st.lists(elements, min_size=k, max_size=k), min_size=1, max_size=4
+        ).map(lambda rows: np.array(rows, dtype=float))
+    )
+
+
+def assert_same_bits(got, ref):
+    """Equal bit patterns (so +0.0 and -0.0 differ), any NaN equal to any NaN."""
+    nan = np.isnan(ref)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    np.testing.assert_array_equal(got[~nan].view(np.uint64), ref[~nan].view(np.uint64))
+
+
+class TestSlabReductions:
+    """`_sum_k` / `_max_k` against numpy's reductions over the last axis."""
+
+    # Any double, plus the -inf log-weight terms that zero weights produce.
+    @given(slab_rows(1, 7, st.one_of(st.floats(), st.just(-math.inf))))
+    def test_bitwise_equal_up_to_seven_components(self, a):
+        with np.errstate(all="ignore"):
+            assert_same_bits(gmm._sum_k(a), np.sum(a, axis=-1))
+            assert_same_bits(gmm._max_k(a), np.max(a, axis=-1))
+
+    @given(slab_rows(8, 12, st.floats(-1e300, 1e300)))
+    def test_sum_within_rounding_from_eight_components(self, a):
+        # numpy's pairwise sum unrolls by eight from here on, so only the
+        # rounding of the two addition orders differs.
+        np.testing.assert_array_less(
+            np.abs(gmm._sum_k(a) - np.sum(a, axis=-1)),
+            1e-15 * np.sum(np.abs(a), axis=-1) + np.finfo(float).tiny,
+        )
+        assert_same_bits(gmm._max_k(a), np.max(a, axis=-1))
 
 
 def mixture_rows(k_max=5, rows_max=4):
