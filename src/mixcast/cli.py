@@ -92,6 +92,8 @@ def parse_levels(text: str) -> tuple:
         raise data.DataError(f"bad levels spec {text!r}: {err}") from err
     if levels.size == 0 or not np.all((levels > 0) & (levels < 1)):
         raise data.DataError(f"levels must lie in (0, 1), got {text!r}")
+    if np.any(np.diff(levels) <= 0):
+        raise data.DataError(f"levels must be strictly increasing, got {text!r}")
     return tuple(float(v) for v in levels)
 
 
@@ -535,7 +537,8 @@ def cmd_evaluate(checkpoint, data_path, levels, grid_points, normalized_space,
             },
             artifacts,
             started,
-            results={"clipped_interval_elements": report.clipped_interval_elements},
+            results={"clipped_interval_elements": report.clipped_interval_elements,
+                     "hpd_pit_counts": report.hpd_pit_counts},
         )
     except (data.DataError, IndexError) as err:
         raise _fail(err)

@@ -5,8 +5,8 @@ log-density, grid densities, NLL and its gradients, CDF and point estimates.
 Log-densities have one vectorised implementation (`_component_log_terms`
 plus `_logsumexp_last`); so do the NLL and its gradients
 (`nll_and_gradients`), which training consumes. Densities on a shared
-grid, which interval derivation and the density tables read, have one
-plain-space implementation (`grid_densities`).
+grid and at interval targets have one plain-space implementation
+(`grid_densities`).
 
 Everything here is a pure function of its inputs. A `MixtureBatch`
 neither copies nor freezes its arrays (its constructor runs on every
@@ -94,17 +94,18 @@ def log_density_values(weights, means, variances, x):
 def grid_densities(weights, means, variances, x):
     """Mixture densities of M mixtures on one shared grid.
 
-    `weights/means/variances` have shape (M, K) and `x` shape (P,); the
-    result has shape (M, P). Plain component sums (no log space): grid
-    densities may underflow to zero in far tails, which the interval
-    selection handles. One scratch buffer keeps the memory traffic flat
-    in K.
+    `weights/means/variances` have shape (M, K) and `x` shape (P,), or
+    (M, 1) for one point per mixture (with the grid's arithmetic, bit for
+    bit); the result has shape (M, P) or (M, 1). Plain component sums (no
+    log space): grid densities may underflow to zero in far tails, which
+    the interval selection handles. One scratch buffer keeps the memory
+    traffic flat in K.
     """
-    dens = np.zeros((weights.shape[0], x.size))
+    dens = np.zeros(np.broadcast_shapes((weights.shape[0], 1), x.shape))
     buf = np.empty_like(dens)
     for k in range(weights.shape[1]):
         var = variances[:, k]
-        np.subtract(x[None, :], means[:, k][:, None], out=buf)
+        np.subtract(x, means[:, k][:, None], out=buf)
         np.multiply(buf, buf, out=buf)
         buf *= (-0.5 / var)[:, None]
         np.exp(buf, out=buf)

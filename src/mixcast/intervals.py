@@ -1,16 +1,14 @@
 """High-density confidence intervals from a numerical density grid.
 
-The derivation ranks grid cells by density, accumulates their normalized
-mass until the requested confidence level is reached, and reads the
-selected cells back as one or more sub-intervals (Hyndman's 1996
-highest-density regions). Multi-modal densities therefore produce several
-disjoint sub-intervals where a quantile-based interval would produce one
-wide band.
-
-Selection has one implementation, `hpd_select_batch`, for many grids and
-levels at once; `derive_intervals` reads one grid's selection back as an
-IntervalSet, and `interval_stats_batch` reduces batch selections to
-widths and containment with the same run geometry.
+Cells are ranked by density and their normalized mass is accumulated
+until the requested confidence level is reached (Hyndman's 1996
+highest-density regions), so multi-modal densities select several
+disjoint sub-intervals. The ranking has one implementation,
+`_mass_before`. `hpd_select_batch` turns it into (M, L, P) masks, which
+`derive_intervals` reads back as one grid's sub-intervals; `hpd_scores`
+reduces it to each target's HPD value u(y), the smallest level whose
+selection covers y, and each level's selected-cell count. Evaluation
+reads coverage at level c as mean(u < c) and builds no mask.
 
 Grids are immutable after construction and every function here is pure,
 so evaluation across (location, time) elements can run concurrently.
@@ -148,6 +146,18 @@ def derive_intervals(g: DensityGrid, c: float) -> IntervalSet:
     return IntervalSet(level=float(c), intervals=tuple(out))
 
 
+def _mass_before(ranked: np.ndarray) -> np.ndarray:
+    """Normalized mass strictly before each rank of (M, P) rows sorted by
+    descending density; a ValueError if some row has no mass."""
+    before = np.cumsum(ranked, axis=1)
+    total = before[:, -1].copy()
+    if np.any(total <= 0.0):
+        raise ValueError("a density grid has no mass to cover")
+    before -= ranked
+    before /= total[:, None]
+    return before
+
+
 def hpd_select_batch(density: np.ndarray, levels: np.ndarray) -> np.ndarray:
     """Selection masks for many grids and levels at once.
 
@@ -162,12 +172,7 @@ def hpd_select_batch(density: np.ndarray, levels: np.ndarray) -> np.ndarray:
     density = np.asarray(density, dtype=float)
     levels = np.asarray(levels, dtype=float)
     order = np.argsort(-density, axis=1, kind="stable")
-    ranked = np.take_along_axis(density, order, axis=1)
-    cum = np.cumsum(ranked, axis=1)
-    total = cum[:, -1]
-    if np.any(total <= 0.0):
-        raise ValueError("a density grid has no mass to cover")
-    before = (cum - ranked) / total[:, None]  # (M, P), sorted order
+    before = _mass_before(np.take_along_axis(density, order, axis=1))
     # Scatter the before-mass back to grid order once, then compare per
     # level; this keeps the big (M, L, P) array to a single allocation.
     before_grid = np.empty_like(before)
@@ -175,52 +180,29 @@ def hpd_select_batch(density: np.ndarray, levels: np.ndarray) -> np.ndarray:
     return before_grid[:, None, :] < levels[None, :, None]
 
 
-def interval_stats_batch(mask, x0, dx, y):
-    """Per-element width and containment for batch masks.
+def hpd_scores(density, dx, p_y, on_grid, levels):
+    """Each target's HPD value u and each level's HPD width, mask-free.
 
-    mask: (M, L, P) selections; x0, dx: shared grid geometry; y: (M,)
-    query values. Returns (width (M, L), contained (M, L) bool) with the
-    same geometry as derive_intervals: multi-cell runs span their endpoint
-    coordinates, single-cell runs the half-cell footprint clipped to the
-    grid range.
+    density: (M, P) rows with positive mass; p_y: (M,) target densities,
+    computed like the grid's so that a target on a grid point ties its
+    cell; on_grid: (M,) bool; levels: (L,). Returns (u (M,), width (M, L)).
+    u is the normalized mass of the cells denser than the target, so the
+    target lies in the level-c selection of `hpd_select_batch` iff u < c;
+    off the grid u = 1. The width is the selected-cell count times dx,
+    which exceeds derive_intervals' run geometry by at most dx per run.
     """
-    p = mask.shape[2]
-    y = np.asarray(y, dtype=float)
-
-    starts = mask.copy()
-    starts[:, :, 1:] &= ~mask[:, :, :-1]
-    singles = starts.copy()
-    singles[:, :, :-1] &= ~mask[:, :, 1:]  # start with an unselected right neighbor
-
-    n_sel = np.count_nonzero(mask, axis=2)
-    n_runs = np.count_nonzero(starts, axis=2)
-    n_single = np.count_nonzero(singles, axis=2)
-    # A run of m cells spans (m-1)*dx; each singleton contributes its
-    # footprint instead, clipped at the grid edges.
-    width = dx * (n_sel - n_runs + n_single).astype(float)
-    edge_clip = 0.5 * dx * (singles[:, :, 0].astype(float) + singles[:, :, -1].astype(float))
-    width -= edge_clip
-
-    t = (y - x0) / dx
-    inside = (t >= 0.0) & (t <= p - 1)
-    # Queries landing (up to float noise) on a grid point are resolved at
-    # that point; interior queries need both bracketing cells selected or
-    # a singleton footprint reaching them.
-    nearest = np.round(t)
-    on_point = np.abs(t - nearest) < 1e-9
-    jp = np.clip(nearest.astype(int), 0, p - 1)
-    j = np.clip(np.floor(t).astype(int), 0, p - 2)
-    frac = t - j
-    sel_p = np.take_along_axis(mask, jp[:, None, None], axis=2)[:, :, 0]
-    sel_j = np.take_along_axis(mask, j[:, None, None], axis=2)[:, :, 0]
-    sel_j1 = np.take_along_axis(mask, (j + 1)[:, None, None], axis=2)[:, :, 0]
-    sg_j = np.take_along_axis(singles, j[:, None, None], axis=2)[:, :, 0]
-    sg_j1 = np.take_along_axis(singles, (j + 1)[:, None, None], axis=2)[:, :, 0]
-    contained = np.where(
-        on_point[:, None],
-        sel_p,
-        (sel_j & sel_j1) | (sg_j & (frac[:, None] <= 0.5)) | (sg_j1 & (frac[:, None] >= 0.5)),
-    )
-    contained &= inside[:, None]
-
-    return width, contained
+    before = _mass_before(np.sort(density, axis=1)[:, ::-1])
+    m, p = before.shape
+    above = np.count_nonzero(density > p_y[:, None], axis=1)
+    u = np.where(on_grid & (above < p), before[np.arange(m), np.minimum(above, p - 1)], 1.0)
+    # Row-wise searchsorted of the levels in `before` (ascending along
+    # each row): a bisection over all (M, L) pairs at once.
+    rows = np.arange(m)[:, None]
+    lo = np.zeros((m, len(levels)), dtype=np.intp)
+    hi = np.full_like(lo, p)
+    for _ in range(p.bit_length()):
+        mid = (lo + hi) // 2
+        below = (before[rows, np.minimum(mid, p - 1)] < levels) & (lo < hi)
+        lo = np.where(below, mid + 1, lo)
+        hi = np.where(below, hi, mid)
+    return u, dx * lo

@@ -6,8 +6,9 @@ a point prediction is treated as a step CDF, for which CRPS reduces to
 the absolute error. Interval quality is summarized by the mean total
 width (avg_width) and the mean absolute gap between nominal confidence
 and empirical coverage (calib_error), both averaged over a set of
-confidence levels; intervals come from mixture densities on a shared
-grid.
+confidence levels. Intervals are highest-density regions on a shared
+grid: an element is covered at level c iff its HPD value u
+(`intervals.hpd_scores`) is below c.
 """
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ from .gmm import MixtureBatch, _sum_k, grid_densities
 DEFAULT_LEVELS = tuple(np.round(np.arange(0.50, 0.951, 0.05), 10))
 MAPE_EPSILON = 1e-3
 _TAIL_SIGMAS = 8.0
+PIT_BINS = 10
 _CHUNK = 2048
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -32,7 +34,10 @@ class ScoringConfig:
 
     interval_range is the shared interval grid range, e.g. (0, max speed)
     in raw units, and is derived from the mixtures' 8-sigma support when
-    omitted.
+    omitted. Coverage and width are conditional on that range: u
+    normalizes by the on-grid mass, and a target outside it is covered at
+    no level. The CLI keeps the fixed physical range (0, max_value), as
+    ingest rejects any value outside it: mass there is unobservable.
     """
 
     levels: tuple = DEFAULT_LEVELS
@@ -54,6 +59,9 @@ class EvaluationReport:
     # Elements whose interval grid held less than intervals.MASS_COMPLETE_MIN
     # of their mass before normalization; kept out of the text report.
     clipped_interval_elements: int = 0
+    # HPD-PIT: counts of u in PIT_BINS equal bins over [0, 1]; empty for
+    # point predictions; kept out of the text report.
+    hpd_pit_counts: list = field(default_factory=list)
 
 
 def _abs_gap_mean(m: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -147,7 +155,7 @@ def evaluate(batch, scoring: ScoringConfig | None = None, meta: dict | None = No
     if points is not None:
         pts = np.asarray(points, dtype=float).reshape(-1, t_f)
         crps_elem = np.abs(pts.ravel() - y)
-        width_elem = contained_elem = None
+        width_elem = u = None
         point_est = pts.ravel()
     else:
         mb_flat = mixtures.reshape(n_elem)
@@ -161,19 +169,21 @@ def evaluate(batch, scoring: ScoringConfig | None = None, meta: dict | None = No
             hi = float(mb_flat.means.max()) + _TAIL_SIGMAS * smax
         x = np.linspace(lo, hi, cfg.interval_points)
         dx = float(x[1] - x[0])
+        on_grid = (y >= lo) & (y <= hi)
+        u = np.empty(n_elem)
         width_elem = np.empty((n_elem, levels.size))
-        contained_elem = np.empty((n_elem, levels.size), dtype=bool)
         empty = 0
         for start in range(0, n_elem, _CHUNK):
             sl = slice(start, min(start + _CHUNK, n_elem))
-            dens = grid_densities(mb_flat.weights[sl], mb_flat.means[sl], mb_flat.variances[sl], x)
+            w, mu, var = mb_flat.weights[sl], mb_flat.means[sl], mb_flat.variances[sl]
+            dens = grid_densities(w, mu, var, x)
             mass = dens.sum(axis=1) * dx
             clipped += int(np.count_nonzero(mass < iv.MASS_COMPLETE_MIN))
             empty += int(np.count_nonzero(mass <= 0.0))
             if empty:
                 continue  # nothing to select; the error below counts every miss
-            masks = iv.hpd_select_batch(dens, levels)
-            width_elem[sl], contained_elem[sl] = iv.interval_stats_batch(masks, lo, dx, y[sl])
+            p_y = grid_densities(w, mu, var, y[sl, None])[:, 0]
+            u[sl], width_elem[sl] = iv.hpd_scores(dens, dx, p_y, on_grid[sl], levels)
         if empty:
             raise ValueError(
                 f"{empty} of {n_elem} elements put no mass on the interval grid "
@@ -189,6 +199,7 @@ def evaluate(batch, scoring: ScoringConfig | None = None, meta: dict | None = No
         curve = []
         per_horizon = [(s + 1, float(crps_by_step[s]), float("nan"), float("nan")) for s in range(t_f)]
     else:
+        contained_elem = u[:, None] < levels
         coverage = contained_elem.mean(axis=0)
         curve = [(float(c), float(v)) for c, v in zip(levels, coverage)]
         avg_width = float(width_elem.mean())
@@ -212,6 +223,7 @@ def evaluate(batch, scoring: ScoringConfig | None = None, meta: dict | None = No
         calibration_curve=curve,
         meta=dict(meta or {}),
         clipped_interval_elements=clipped,
+        hpd_pit_counts=[] if u is None else np.histogram(u, PIT_BINS, (0.0, 1.0))[0].tolist(),
     )
 
 

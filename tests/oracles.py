@@ -2,14 +2,21 @@
 
 The dip statistic checks the generator's bimodality; the sampling helpers
 draw targets from predicted mixtures; the interval helpers read widths,
-containment and selected mass off one grid's selection, to check the
-batch statistics the package computes. None of them is on a CLI or
+containment and selected mass off one grid's selection, and run the
+batch HPD kernel on the grid evaluation uses, to check the batch
+statistics the package computes. None of them is on a CLI or
 library path, so they live beside the tests.
 """
 import numpy as np
 
-from mixcast.gmm import MixtureBatch
-from mixcast.intervals import MASS_COMPLETE_MIN, DensityGrid, IntervalSet, hpd_select_batch
+from mixcast.gmm import MixtureBatch, grid_densities
+from mixcast.intervals import (
+    MASS_COMPLETE_MIN,
+    DensityGrid,
+    IntervalSet,
+    hpd_scores,
+    hpd_select_batch,
+)
 
 # Above this pre-normalization cell-sum mass a grid over-counts its
 # mixture, the mirror of intervals.MASS_COMPLETE_MIN.
@@ -159,3 +166,13 @@ def interval_width(s: IntervalSet) -> float:
 def contains(s: IntervalSet, y: float) -> bool:
     """True iff y lies inside any sub-interval (closed bounds)."""
     return any(lo <= y <= hi for lo, hi in s.intervals)
+
+
+def hpd_scores_on_grid(mb: MixtureBatch, y, lo: float, hi: float, points: int, levels):
+    """intervals.hpd_scores for an (M,) batch on the grid metrics.evaluate
+    builds: (u, width, dx)."""
+    x = np.linspace(lo, hi, points)
+    dens = grid_densities(mb.weights, mb.means, mb.variances, x)
+    p_y = grid_densities(mb.weights, mb.means, mb.variances, y[:, None])[:, 0]
+    u, width = hpd_scores(dens, x[1] - x[0], p_y, (y >= lo) & (y <= hi), levels)
+    return u, width, x[1] - x[0]

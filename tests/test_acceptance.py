@@ -243,7 +243,12 @@ class TestCriterion4Init:
 
 
 class TestCriterion5Calibration:
-    def test_self_consistency_calibration(self):
+    """Targets drawn from their own mixtures: coverage must track every
+    level within 0.01 at the 2001-point grid and at the coarser,
+    harder 500-point grid."""
+
+    @staticmethod
+    def check(points):
         rng = np.random.default_rng(2024)
         n = 100_000
         k = 3
@@ -257,12 +262,19 @@ class TestCriterion5Calibration:
             mixtures=mb.reshape(n // 10, 1, 10),
         )
         rep = metrics.evaluate(
-            batch, ScoringConfig(interval_range=(-8.0, 8.0), interval_points=2001)
+            batch, ScoringConfig(interval_range=(-8.0, 8.0), interval_points=points)
         )
         worst = max(abs(cov - lvl) for lvl, cov in rep.calibration_curve)
         assert worst < 0.01
         assert rep.calib_error < 0.01
-        ok(5, f"worst |coverage-level| {worst:.4f}, mean calib error {rep.calib_error:.4f}")
+        ok(5, f"{points} points: worst |coverage-level| {worst:.4f}, "
+              f"mean calib error {rep.calib_error:.4f}")
+
+    def test_self_consistency_calibration(self):
+        self.check(2001)
+
+    def test_self_consistency_calibration_500_points(self):
+        self.check(500)
 
 
 class TestCriterion6Hierarchy:

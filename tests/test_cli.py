@@ -221,6 +221,9 @@ class TestEvaluate:
         assert (tmp_path / "g.calibration.tsv").exists()
         run_manifest = json.loads((tmp_path / "g.run.json").read_text())
         assert 0 <= run_manifest["clipped_interval_elements"] <= int(rep.meta["elements"])
+        pit = run_manifest["hpd_pit_counts"]
+        assert len(pit) == metrics.PIT_BINS and sum(pit) == int(rep.meta["elements"])
+        assert "pit" not in (tmp_path / "g.report.txt").read_text()
 
     def test_det_crps_equals_mae(self, workspace, tmp_path):
         res = run(
@@ -300,7 +303,12 @@ class TestEvaluate:
         assert f"cannot read checkpoint {path}" in res.output
 
     def test_bad_levels_rejected(self, workspace, tmp_path):
-        for levels in ("0:2:1", "nan", "0.5:0.9:0"):
+        # A repeated level would count twice in calib_error.
+        cases = [("0:2:1", "levels"), ("nan", "levels"), ("0.5:0.9:0", "levels"),
+                 ("0.9,0.5", "levels must be strictly increasing"),
+                 ("0.5,0.5", "levels must be strictly increasing"),
+                 ("0.5,0.8,0.7", "levels must be strictly increasing")]
+        for levels, message in cases:
             res = CliRunner().invoke(
                 cli.main,
                 ["evaluate", "--checkpoint", str(workspace / "gmm.ckpt.npz"),
@@ -308,7 +316,7 @@ class TestEvaluate:
                  "--out", str(tmp_path)],
             )
             assert res.exit_code == 3, levels
-            assert "levels" in res.output
+            assert message in res.output, levels
 
     def test_mixtures_off_the_grid_rejected(self, workspace, tmp_path):
         # Shifting every component mean far past the raw grid (0, max_value)

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import oracles
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.stats import norm
 
@@ -226,35 +226,85 @@ class TestIntervalSetOps:
             iv.IntervalSet(0.9, ((1.0, 2.0), (-2.0, -1.0)))
 
 
-class TestBatchAgreesWithScalar:
-    def test_masks_widths_containment_match(self):
+class TestHPDScores:
+    def test_single_gaussian_against_closed_form(self):
+        """For N(mu, s^2) the HPD value is U = 2 Phi(|y - mu| / s) - 1 and
+        the HPD width W = 2 s Phi^-1((1 + c) / 2). With r = dx / s <= 0.5:
+
+        - |u - U| <= phi(0) r + r^2: each end of the run of denser cells
+          sits within dx/2 of mu +- |y - mu|, so u misses at most one cell
+          of mass p(y) dx <= phi(0) r in all; the cell sums' midpoint error
+          is of order r^2.
+        - -r dx <= width - W <= dx + r dx: the selection overshoots c by
+          less than its last (boundary) cell, which adds at most dx of
+          width; the run's asymmetry of up to one cell and the midpoint
+          error add terms of order r dx.
+        """
+        rng = np.random.default_rng(5)
+        for points, sd_lo in ((2001, 0.05), (501, 0.1)):
+            n = 2000
+            mu = rng.uniform(-2.0, 2.0, n)
+            sd = rng.uniform(sd_lo, 1.5, n)
+            y = mu + sd * rng.uniform(-3.0, 3.0, n)
+            x = np.linspace(-10.0, 10.0, points)
+            y[: n // 4] = x[rng.integers(0, points, n // 4)]  # exactly on grid points
+            mb = MixtureBatch(np.ones((n, 1)), mu[:, None], (sd**2)[:, None])
+            u, width, dx = oracles.hpd_scores_on_grid(mb, y, -10.0, 10.0, points, LEVELS)
+            r = dx / sd
+            assert r.max() <= 0.5
+            exact_u = 2.0 * norm.cdf(np.abs(y - mu) / sd) - 1.0
+            assert np.all(np.abs(u - exact_u) <= norm.pdf(0.0) * r + r**2)
+            gap = width - 2.0 * sd[:, None] * norm.ppf((1.0 + LEVELS) / 2.0)
+            assert np.all(gap >= -(r * dx)[:, None])
+            assert np.all(gap <= (dx + r * dx)[:, None])
+
+    def test_width_within_one_cell_per_run_of_derive_intervals(self):
+        # Cell counts give each run its full footprint; derive_intervals
+        # spans a multi-cell run between its end points (one dx less) and
+        # gives a singleton its footprint (half of it at a grid edge).
         rng = np.random.default_rng(41)
         lo, hi, points = -9.0, 9.0, 601
-        x = np.linspace(lo, hi, points)
-        dx = x[1] - x[0]
-        dens_rows, ys, mixtures = [], [], []
-        for _ in range(40):
-            k = int(rng.integers(1, 4))
-            w = rng.random(k) + 0.1
-            w /= w.sum()
-            m = MixtureBatch(w, rng.uniform(-4, 4, k), rng.uniform(0.05, 1.0, k))
-            mixtures.append(m)
-            g = iv.grid_from_mixture(m, lo, hi, points)
-            dens_rows.append(g.density)
-            # Half the queries exactly on grid points, half off.
-            ys.append(float(x[rng.integers(points)]) if rng.random() < 0.5 else rng.uniform(-5, 5))
-        density = np.stack(dens_rows)
-        y = np.array(ys)
-        masks = iv.hpd_select_batch(density, LEVELS)
-        width, contained = iv.interval_stats_batch(masks, lo, dx, y)
-        mass = (density[:, None, :] * masks).sum(axis=2) / density.sum(axis=1)[:, None]
-        for i, m in enumerate(mixtures):
-            g = iv.DensityGrid(lo, dx, density[i])
+        n = 40
+        k = 3
+        w = rng.random((n, k)) + 0.1
+        w[: n // 2, 2] = 0.0  # some two-component mixtures
+        w /= w.sum(-1, keepdims=True)
+        mb = MixtureBatch(w, rng.uniform(-4, 4, (n, k)), rng.uniform(0.05, 1.0, (n, k)))
+        _, width, dx = oracles.hpd_scores_on_grid(mb, rng.uniform(-5, 5, n), lo, hi, points, LEVELS)
+        for i in range(n):
+            g = iv.grid_from_mixture(
+                MixtureBatch(mb.weights[i], mb.means[i], mb.variances[i]), lo, hi, points
+            )
+            masks = iv.hpd_select_batch(g.density[None], LEVELS)[0]
+            # One ranking: the kernel's counts are the selection's.
+            assert np.array_equal(width[i], dx * masks.sum(axis=1))
             for li, c in enumerate(LEVELS):
                 s = iv.derive_intervals(g, c)
-                assert width[i, li] == pytest.approx(oracles.interval_width(s), abs=1e-9)
-                assert bool(contained[i, li]) == oracles.contains(s, y[i])
-                assert mass[i, li] == pytest.approx(oracles.selection_mass(g, c), abs=1e-12)
+                gap = width[i, li] - oracles.interval_width(s)
+                assert -1e-9 <= gap <= s.count * dx + 1e-9
+
+    @given(
+        st.lists(st.floats(0.0, 10.0), min_size=1, max_size=60).filter(lambda d: sum(d) > 0),
+        st.lists(st.floats(0.01, 0.99), min_size=1, max_size=10, unique=True),
+        st.one_of(st.floats(0.0, 12.0), st.integers(0, 59)),
+        st.booleans(),
+    )
+    @example([1.0, 1.0], [0.5], 0, True)  # mass before a cell equal to c: not selected
+    def test_u_matches_definition_and_monotone_in_level(self, density, levels, query, on_grid):
+        density = np.array([density])
+        levels = np.sort(levels)
+        # An integer query picks a grid cell's own density (a tie).
+        p_y = density[0, query % density.size] if isinstance(query, int) else query
+        u, width = iv.hpd_scores(density, 0.5, np.array([p_y]), np.array([on_grid]), levels)
+        dens = density[0]
+        want = dens[dens > p_y].sum() / dens.sum() if on_grid else 1.0
+        assert u[0] == pytest.approx(want, abs=1e-12)
+        assert 0.0 <= u[0] <= 1.0
+        covered = u[0] < levels
+        assert np.all(covered[:-1] <= covered[1:])
+        assert np.all(np.diff(width[0]) >= 0.0)
+        masks = iv.hpd_select_batch(density, levels)[0]
+        assert np.array_equal(width[0], 0.5 * masks.sum(axis=1))
 
 
 class TestHPDMonotonicity:

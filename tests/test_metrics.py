@@ -1,5 +1,6 @@
 """Tests for CRPS, interval metrics, calibration curves and report files."""
 
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -12,7 +13,6 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from mixcast import gmm, metrics
-from mixcast import intervals as iv
 from mixcast.gmm import MixtureBatch
 from mixcast.metrics import ScoringConfig
 
@@ -360,26 +360,42 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             metrics.evaluate(batch)
 
-    def test_width_additivity_both_reduction_orders(self):
+    def test_interval_metrics_aggregate_hpd_scores(self):
+        # avg_width is the mean over elements and levels of the kernel's
+        # widths, coverage the share of u below each level, and the HPD-PIT
+        # the histogram of u; per-horizon figures reduce the same arrays.
         rng = np.random.default_rng(21)
-        n = 12
+        n, t_f = 24, 3
         w = rng.random((n, 2)) + 0.3
         w /= w.sum(-1, keepdims=True)
         mb = MixtureBatch(w, rng.uniform(-2, 2, (n, 2)), rng.uniform(0.2, 1.0, (n, 2)))
         targets = rng.uniform(-2, 2, n)
         cfg = ScoringConfig(interval_range=(-9.0, 9.0), interval_points=901)
-        batch = SimpleNamespace(targets=targets.reshape(n, 1, 1), mixtures=mb.reshape(n, 1, 1))
+        batch = SimpleNamespace(
+            targets=targets.reshape(-1, 1, t_f), mixtures=mb.reshape(-1, 1, t_f)
+        )
         rep = metrics.evaluate(batch, cfg)
-        widths = np.empty((n, len(cfg.levels)))
-        for i in range(n):
-            m = MixtureBatch(mb.weights[i], mb.means[i], mb.variances[i])
-            g = iv.grid_from_mixture(m, -9.0, 9.0, 901)
-            for li, c in enumerate(cfg.levels):
-                widths[i, li] = oracles.interval_width(iv.derive_intervals(g, c))
-        per_level_then_levels = widths.mean(axis=0).mean()
-        per_element_then_mean = widths.mean(axis=1).mean()
-        assert per_level_then_levels == pytest.approx(per_element_then_mean, abs=1e-9)
-        assert rep.avg_width == pytest.approx(per_level_then_levels, abs=1e-9)
+        levels = np.asarray(cfg.levels)
+        u, width, _ = oracles.hpd_scores_on_grid(mb, targets, -9.0, 9.0, 901, levels)
+        assert rep.avg_width == pytest.approx(width.mean(), abs=1e-12)
+        coverage = (u[:, None] < levels).mean(axis=0)
+        assert [cov for _, cov in rep.calibration_curve] == pytest.approx(coverage, abs=1e-12)
+        w_step = width.reshape(-1, t_f, levels.size).mean(axis=(0, 2))
+        assert [row[2] for row in rep.per_horizon] == pytest.approx(w_step, abs=1e-12)
+        assert rep.hpd_pit_counts == np.histogram(u, bins=10, range=(0, 1))[0].tolist()
+        assert sum(rep.hpd_pit_counts) == n
+
+    def test_target_off_grid_uncovered_at_every_level(self):
+        # Coverage is conditional on the grid range: a target outside it is
+        # covered at no level, even at its own mixture's peak; a target on
+        # an end point of the grid is inside.
+        cfg = ScoringConfig(interval_range=(-3.0, 3.0), interval_points=601)
+        for y, want in (([3.5, -3.2], 0.0), ([3.0, -3.0], 1.0)):
+            y = np.array(y)
+            mb = MixtureBatch(np.ones((2, 1)), y[:, None].copy(), np.full((2, 1), 0.5))
+            batch = SimpleNamespace(targets=y.reshape(1, 1, 2), mixtures=mb.reshape(1, 1, 2))
+            rep = metrics.evaluate(batch, cfg)
+            assert all(cov == want for _, cov in rep.calibration_curve), y
 
 
 class TestReportFiles:
@@ -412,6 +428,13 @@ class TestReportFiles:
         assert back.calibration_curve == rep.calibration_curve
         assert back.meta == rep.meta
         assert metrics.report_to_text(rep) == text  # byte-deterministic
+
+    def test_pit_counts_kept_out_of_text(self):
+        rep = self.make_report()
+        assert sum(rep.hpd_pit_counts) == 40
+        assert metrics.report_to_text(rep) == metrics.report_to_text(
+            dataclasses.replace(rep, hpd_pit_counts=[])
+        )
 
     def test_nan_serialized_as_na(self):
         batch = SimpleNamespace(targets=np.ones((1, 1, 1)), point_preds=np.ones((1, 1, 1)))
