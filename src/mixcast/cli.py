@@ -90,10 +90,10 @@ def parse_levels(text: str) -> tuple:
             levels = np.asarray([float(p) for p in text.split(",")])
     except ValueError as err:
         raise data.DataError(f"bad levels spec {text!r}: {err}") from err
-    if levels.size == 0 or not np.all((levels > 0) & (levels < 1)):
-        raise data.DataError(f"levels must lie in (0, 1), got {text!r}")
-    if np.any(np.diff(levels) <= 0):
-        raise data.DataError(f"levels must be strictly increasing, got {text!r}")
+    try:
+        metrics.check_levels(levels)
+    except ValueError as err:
+        raise data.DataError(f"{err}, got {text!r}") from err
     return tuple(float(v) for v in levels)
 
 
@@ -538,7 +538,8 @@ def cmd_evaluate(checkpoint, data_path, levels, grid_points, normalized_space,
             artifacts,
             started,
             results={"clipped_interval_elements": report.clipped_interval_elements,
-                     "hpd_pit_counts": report.hpd_pit_counts},
+                     "hpd_pit_counts": report.hpd_pit_counts,
+                     "hpd_pit_counts_by_step": report.hpd_pit_counts_by_step},
         )
     except (data.DataError, IndexError) as err:
         raise _fail(err)

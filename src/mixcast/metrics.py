@@ -18,13 +18,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import intervals as iv
-from .gmm import MixtureBatch, _sum_k, grid_densities
+from .gmm import _SQRT_HALF, MixtureBatch, _sum_k, erf, grid_densities
 
 DEFAULT_LEVELS = tuple(np.round(np.arange(0.50, 0.951, 0.05), 10))
 MAPE_EPSILON = 1e-3
 _TAIL_SIGMAS = 8.0
 PIT_BINS = 10
-_CHUNK = 2048
+# Elements x grid points scored per chunk: 2**17 doubles, 1 MiB per
+# (chunk, grid) array, whatever the grid size. Smaller chunks pay more
+# per-call overhead; larger ones fall out of cache and raise peak RSS.
+_CHUNK_CELLS = 2**17
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
@@ -32,17 +35,36 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 class ScoringConfig:
     """Interval grid and level choices for batch evaluation.
 
-    interval_range is the shared interval grid range, e.g. (0, max speed)
-    in raw units, and is derived from the mixtures' 8-sigma support when
-    omitted. Coverage and width are conditional on that range: u
-    normalizes by the on-grid mass, and a target outside it is covered at
-    no level. The CLI keeps the fixed physical range (0, max_value), as
-    ingest rejects any value outside it: mass there is unobservable.
+    levels must be strictly increasing and lie strictly inside (0, 1);
+    anything else is a ValueError. interval_range is the shared interval
+    grid range, e.g. (0, max speed) in raw units, and is derived from the
+    mixtures' 8-sigma support when omitted. Coverage and width are
+    conditional on that range: u normalizes by the on-grid mass, and a
+    target outside it is covered at no level. The CLI keeps the fixed
+    physical range (0, max_value), as ingest rejects any value outside
+    it: mass there is unobservable. `evaluate` scores mixtures in chunks
+    of 2**17 // interval_points elements (at least one), so its working
+    memory beyond the per-element results is a few 1 MiB (chunk,
+    interval_points) arrays, whatever the element count.
     """
 
     levels: tuple = DEFAULT_LEVELS
     interval_points: int = 500
     interval_range: tuple | None = None
+
+    def __post_init__(self):
+        check_levels(self.levels)
+
+
+def check_levels(levels) -> None:
+    """ValueError unless levels is a non-empty, strictly increasing
+    sequence strictly inside (0, 1), so no level is counted twice in
+    calib_error."""
+    levels = np.asarray(levels, dtype=float)
+    if levels.ndim != 1 or levels.size == 0 or not np.all((levels > 0) & (levels < 1)):
+        raise ValueError("levels must lie in (0, 1)")
+    if np.any(np.diff(levels) <= 0):
+        raise ValueError("levels must be strictly increasing")
 
 
 @dataclass
@@ -59,17 +81,18 @@ class EvaluationReport:
     # Elements whose interval grid held less than intervals.MASS_COMPLETE_MIN
     # of their mass before normalization; kept out of the text report.
     clipped_interval_elements: int = 0
-    # HPD-PIT: counts of u in PIT_BINS equal bins over [0, 1]; empty for
-    # point predictions; kept out of the text report.
+    # HPD-PIT: counts of u in PIT_BINS equal bins over [0, 1], overall and
+    # per horizon step (t_f rows); empty for point predictions; kept out of
+    # the text report.
     hpd_pit_counts: list = field(default_factory=list)
+    hpd_pit_counts_by_step: list = field(default_factory=list)
 
 
 def _abs_gap_mean(m: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """E|m + s Z| for standard normal Z: 2 s phi(m/s) + m (2 Phi(m/s) - 1)."""
-    from scipy.special import ndtr  # deferred: keeps scipy out of start-up
-
+    """E|m + s Z| for standard normal Z: 2 s phi(m/s) + m (2 Phi(m/s) - 1),
+    with 2 Phi(z) - 1 taken as erf(z / sqrt 2), free of cancellation near 0."""
     z = m / s
-    return 2.0 * s * _INV_SQRT_2PI * np.exp(-0.5 * z * z) + m * (2.0 * ndtr(z) - 1.0)
+    return 2.0 * s * _INV_SQRT_2PI * np.exp(-0.5 * z * z) + m * erf(z * _SQRT_HALF)
 
 
 def crps_mixture_batch(mb: MixtureBatch, y: np.ndarray) -> np.ndarray:
@@ -88,12 +111,15 @@ def crps_mixture_batch(mb: MixtureBatch, y: np.ndarray) -> np.ndarray:
     w, mu, var = mb.weights, mb.means, mb.variances
     sd = np.sqrt(var)
     spread = _sum_k(w * _abs_gap_mean(y[..., None] - mu, sd))
-    k, l = np.triu_indices(mb.k, 1)
-    gap = _abs_gap_mean(mu[..., k] - mu[..., l], np.sqrt(var[..., k] + var[..., l]))
     pairs = _sum_k(w * w * sd) / math.sqrt(math.pi)
-    # The pair axis has K(K-1)/2 terms (10 at K=5), past the length at
-    # which slab sums stop matching np.sum bitwise, so it keeps np.sum.
-    pairs += np.sum(w[..., k] * w[..., l] * gap, axis=-1)
+    k, l = np.triu_indices(mb.k, 1)
+    if k.size:  # K = 1 has no pairs
+        gap = _abs_gap_mean(mu[..., k] - mu[..., l], np.sqrt(var[..., k] + var[..., l]))
+        # In-order slab sums over the pair axis too: a row's sum then does
+        # not depend on how many rows come with it (np.sum adds one row
+        # pairwise but the columns of a many-row, column-major pair array
+        # in order).
+        pairs += _sum_k(w[..., k] * w[..., l] * gap)
     return spread - pairs
 
 
@@ -136,6 +162,49 @@ def _flatten_batch(batch):
     return flat_targets, t_f, mixtures, points
 
 
+def _score_mixtures(mb: MixtureBatch, y: np.ndarray, cfg: ScoringConfig, levels: np.ndarray):
+    """Per-element CRPS, point estimate, HPD value u and HPD widths
+    (n, L) of a flat batch, plus the clipped-mass count.
+
+    Each chunk of rows is scored completely (CRPS, grid densities, p(y),
+    HPD scores) into preallocated per-element arrays, so no temporary
+    grows with the element count.
+    """
+    if cfg.interval_range is not None:
+        lo, hi = cfg.interval_range
+    else:
+        smax = float(np.sqrt(mb.variances.max()))
+        lo = float(mb.means.min()) - _TAIL_SIGMAS * smax
+        hi = float(mb.means.max()) + _TAIL_SIGMAS * smax
+    x = np.linspace(lo, hi, cfg.interval_points)
+    dx = float(x[1] - x[0])
+    n = y.size
+    crps, point_est, u = np.empty(n), np.empty(n), np.empty(n)
+    width = np.empty((n, levels.size))
+    clipped = empty = 0
+    rows = max(1, _CHUNK_CELLS // x.size)
+    for start in range(0, n, rows):
+        sl = slice(start, start + rows)
+        part, y_part = mb[sl], y[sl]
+        crps[sl] = crps_mixture_batch(part, y_part)
+        point_est[sl] = part.point_estimates()
+        w, mu, var = part.weights, part.means, part.variances
+        dens = grid_densities(w, mu, var, x)
+        mass = dens.sum(axis=1) * dx
+        clipped += int(np.count_nonzero(mass < iv.MASS_COMPLETE_MIN))
+        empty += int(np.count_nonzero(mass <= 0.0))
+        if empty:
+            continue  # nothing to select; the error below counts every miss
+        p_y = grid_densities(w, mu, var, y_part[:, None])[:, 0]
+        on_grid = (y_part >= lo) & (y_part <= hi)
+        u[sl], width[sl] = iv.hpd_scores(dens, dx, p_y, on_grid, levels)
+    if empty:
+        raise ValueError(
+            f"{empty} of {n} elements put no mass on the interval grid [{lo!r}, {hi!r}]"
+        )
+    return crps, point_est, u, width, clipped
+
+
 def evaluate(batch, scoring: ScoringConfig | None = None, meta: dict | None = None) -> EvaluationReport:
     """Score a batch of predictions against its targets.
 
@@ -144,51 +213,25 @@ def evaluate(batch, scoring: ScoringConfig | None = None, meta: dict | None = No
     estimates. Point-prediction batches get CRPS == absolute error and
     NaN ("not applicable") interval metrics. A ValueError names the
     elements whose mixture puts no mass on the interval grid.
+
+    Mixtures are scored chunk by chunk (see ScoringConfig): beyond the
+    per-element results, a few doubles per element and level, memory is
+    bounded by one chunk's 1 MiB (chunk, grid) arrays.
     """
     cfg = scoring or ScoringConfig()
     levels = np.asarray(cfg.levels, dtype=float)
     flat_targets, t_f, mixtures, points = _flatten_batch(batch)
-    n_elem = flat_targets.size
     y = flat_targets.ravel()
 
-    clipped = 0
     if points is not None:
-        pts = np.asarray(points, dtype=float).reshape(-1, t_f)
-        crps_elem = np.abs(pts.ravel() - y)
+        point_est = np.asarray(points, dtype=float).ravel()
+        crps_elem = np.abs(point_est - y)
+        clipped = 0
         width_elem = u = None
-        point_est = pts.ravel()
     else:
-        mb_flat = mixtures.reshape(n_elem)
-        crps_elem = crps_mixture_batch(mb_flat, y)
-        point_est = mb_flat.point_estimates()
-        if cfg.interval_range is not None:
-            lo, hi = cfg.interval_range
-        else:
-            smax = float(np.sqrt(mb_flat.variances.max()))
-            lo = float(mb_flat.means.min()) - _TAIL_SIGMAS * smax
-            hi = float(mb_flat.means.max()) + _TAIL_SIGMAS * smax
-        x = np.linspace(lo, hi, cfg.interval_points)
-        dx = float(x[1] - x[0])
-        on_grid = (y >= lo) & (y <= hi)
-        u = np.empty(n_elem)
-        width_elem = np.empty((n_elem, levels.size))
-        empty = 0
-        for start in range(0, n_elem, _CHUNK):
-            sl = slice(start, min(start + _CHUNK, n_elem))
-            w, mu, var = mb_flat.weights[sl], mb_flat.means[sl], mb_flat.variances[sl]
-            dens = grid_densities(w, mu, var, x)
-            mass = dens.sum(axis=1) * dx
-            clipped += int(np.count_nonzero(mass < iv.MASS_COMPLETE_MIN))
-            empty += int(np.count_nonzero(mass <= 0.0))
-            if empty:
-                continue  # nothing to select; the error below counts every miss
-            p_y = grid_densities(w, mu, var, y[sl, None])[:, 0]
-            u[sl], width_elem[sl] = iv.hpd_scores(dens, dx, p_y, on_grid[sl], levels)
-        if empty:
-            raise ValueError(
-                f"{empty} of {n_elem} elements put no mass on the interval grid "
-                f"[{lo!r}, {hi!r}]"
-            )
+        crps_elem, point_est, u, width_elem, clipped = _score_mixtures(
+            mixtures.reshape(y.size), y, cfg, levels
+        )
 
     crps_mean = float(crps_elem.mean())
     mae, mape, rmse = deterministic_scores(point_est, y)
@@ -196,7 +239,7 @@ def evaluate(batch, scoring: ScoringConfig | None = None, meta: dict | None = No
     crps_by_step = crps_elem.reshape(-1, t_f).mean(axis=0)
     if width_elem is None:
         avg_width = calib_error = float("nan")
-        curve = []
+        curve, pit, pit_by_step = [], [], []
         per_horizon = [(s + 1, float(crps_by_step[s]), float("nan"), float("nan")) for s in range(t_f)]
     else:
         contained_elem = u[:, None] < levels
@@ -211,6 +254,12 @@ def evaluate(batch, scoring: ScoringConfig | None = None, meta: dict | None = No
             (s + 1, float(crps_by_step[s]), float(w_step[s]), float(ce_step[s]))
             for s in range(t_f)
         ]
+        # A value's bin does not depend on the other values, so the
+        # per-step rows add up to the histogram of all of u.
+        pit_rows = np.array(
+            [np.histogram(u_step, PIT_BINS, (0.0, 1.0))[0] for u_step in u.reshape(-1, t_f).T]
+        )
+        pit, pit_by_step = pit_rows.sum(axis=0).tolist(), pit_rows.tolist()
 
     return EvaluationReport(
         crps_mean=crps_mean,
@@ -223,7 +272,8 @@ def evaluate(batch, scoring: ScoringConfig | None = None, meta: dict | None = No
         calibration_curve=curve,
         meta=dict(meta or {}),
         clipped_interval_elements=clipped,
-        hpd_pit_counts=[] if u is None else np.histogram(u, PIT_BINS, (0.0, 1.0))[0].tolist(),
+        hpd_pit_counts=pit,
+        hpd_pit_counts_by_step=pit_by_step,
     )
 
 

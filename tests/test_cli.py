@@ -223,6 +223,12 @@ class TestEvaluate:
         assert 0 <= run_manifest["clipped_interval_elements"] <= int(rep.meta["elements"])
         pit = run_manifest["hpd_pit_counts"]
         assert len(pit) == metrics.PIT_BINS and sum(pit) == int(rep.meta["elements"])
+        by_step = run_manifest["hpd_pit_counts_by_step"]
+        assert len(by_step) == len(rep.per_horizon)
+        for row in by_step:
+            assert len(row) == metrics.PIT_BINS
+            assert sum(row) == int(rep.meta["elements"]) // len(rep.per_horizon)
+        assert [sum(col) for col in zip(*by_step)] == pit
         assert "pit" not in (tmp_path / "g.report.txt").read_text()
 
     def test_det_crps_equals_mae(self, workspace, tmp_path):
@@ -406,7 +412,8 @@ class TestCompare:
 
 
 # Runs each command through `cli.main` in one fresh interpreter and prints,
-# after each, the scipy modules loaded so far.
+# after each, the scipy modules loaded so far; then imports scipy.special
+# itself as a probe that the listing can see scipy.
 _COLD_START = """
 import json, sys
 from click.testing import CliRunner
@@ -428,6 +435,8 @@ for name, args in commands.items():
     res = CliRunner().invoke(cli.main, args, catch_exceptions=False)
     assert res.exit_code == 0, (name, res.output)
     loaded[name] = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+import scipy.special
+loaded["probe"] = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 print(json.dumps(loaded))
 """
 
@@ -444,9 +453,10 @@ class TestColdStart:
         )
         assert proc.returncode == 0, proc.stderr
         loaded = json.loads(proc.stdout.splitlines()[-1])
-        assert loaded["--version"] == loaded["generate"] == loaded["train"] == []
-        # evaluate's CRPS imports scipy, which shows the check can see it.
-        assert "scipy.special" in loaded["evaluate"]
+        # No command loads scipy, evaluate (CRPS, intervals) included.
+        for name in ("--version", "generate", "train", "evaluate"):
+            assert loaded[name] == [], name
+        assert "scipy.special" in loaded["probe"]
 
 
 class TestReproducibility:

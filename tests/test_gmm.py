@@ -7,6 +7,7 @@ import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from mixcast import gmm
 from mixcast.gmm import InvalidMixtureError, MixtureBatch
@@ -271,6 +272,24 @@ class TestCDF:
             assert np.max(np.abs(deriv - dens[1:-1])) < 1e-4
 
 
+class TestErfHelpers:
+    # scipy.special is the oracle here only; the package computes both
+    # from math.erf / math.erfc.
+    Z = np.linspace(-10.0, 10.0, 200_001)
+
+    def test_norm_cdf_matches_ndtr(self):
+        ref = special.ndtr(self.Z)
+        assert np.all(np.abs(gmm.norm_cdf(self.Z) - ref) <= 1e-14 * ref)
+
+    def test_erf_matches_scipy(self):
+        ref = special.erf(self.Z)
+        assert np.all(np.abs(gmm.erf(self.Z) - ref) <= 1e-14 * np.abs(ref))
+
+    def test_scalar_and_shape(self):
+        assert gmm.norm_cdf(0.0) == 0.5 and gmm.erf(0.0) == 0.0
+        assert gmm.erf(np.zeros((2, 3))).shape == (2, 3)
+
+
 class TestPointEstimate:
     def test_symmetric_bimodal_is_zero(self):
         m = MixtureBatch([0.5, 0.5], [-2.0, 2.0], [1.0, 1.0])
@@ -350,6 +369,19 @@ class TestMixtureBatch:
         # Relative to the size of the terms, which may cancel.
         terms = [wk * mk for wk, mk, _ in parts]
         assert abs(m.point_estimates() - sum(terms)) <= 1e-12 * sum(abs(t) for t in terms)
+
+    def test_index_selects_elements_without_revalidation(self):
+        rng = np.random.default_rng(4)
+        w = rng.random((6, 3)) + 0.1
+        mb = MixtureBatch(w / w.sum(-1, keepdims=True), rng.normal(size=(6, 3)),
+                          rng.uniform(0.5, 2.0, (6, 3)))
+        part = mb[2:5]
+        assert part.shape == (3,) and part.k == 3
+        for name in ("weights", "means", "variances"):
+            # The same bits as the parent's rows, not renormalized copies.
+            assert np.shares_memory(getattr(part, name), getattr(mb, name))
+            assert np.array_equal(getattr(part, name), getattr(mb, name)[2:5])
+        assert mb[4].shape == ()
 
     def test_scale_shift_matches_change_of_variable(self):
         m = MixtureBatch([0.5, 0.5], [-1.0, 1.0], [0.5, 2.0])

@@ -1,6 +1,7 @@
 """Tests for CRPS, interval metrics, calibration curves and report files."""
 
 import dataclasses
+import json
 import math
 from types import SimpleNamespace
 
@@ -384,6 +385,10 @@ class TestEvaluate:
         assert [row[2] for row in rep.per_horizon] == pytest.approx(w_step, abs=1e-12)
         assert rep.hpd_pit_counts == np.histogram(u, bins=10, range=(0, 1))[0].tolist()
         assert sum(rep.hpd_pit_counts) == n
+        assert rep.hpd_pit_counts_by_step == [
+            np.histogram(u.reshape(-1, t_f)[:, s], bins=10, range=(0, 1))[0].tolist()
+            for s in range(t_f)
+        ]
 
     def test_target_off_grid_uncovered_at_every_level(self):
         # Coverage is conditional on the grid range: a target outside it is
@@ -396,6 +401,46 @@ class TestEvaluate:
             batch = SimpleNamespace(targets=y.reshape(1, 1, 2), mixtures=mb.reshape(1, 1, 2))
             rep = metrics.evaluate(batch, cfg)
             assert all(cov == want for _, cov in rep.calibration_curve), y
+
+
+    def test_chunk_size_changes_no_result(self, monkeypatch):
+        # Every score is per element, so one element per chunk, seven, and
+        # the default single chunk give the same report text and run.json
+        # figures; the batch has clipped-mass elements and an off-grid target.
+        rng = np.random.default_rng(8)
+        n, t_f, pts = 60, 4, 301
+        w = rng.random((n, 5)) + 0.2
+        w /= w.sum(-1, keepdims=True)
+        var = rng.uniform(0.05, 1.0, (n, 5))
+        var[:6] *= 40.0
+        mb = MixtureBatch(w, rng.uniform(-2, 2, (n, 5)), var)
+        targets = rng.uniform(-2, 2, n)
+        targets[9] = 4.5
+        batch = SimpleNamespace(targets=targets.reshape(-1, 1, t_f), mixtures=mb.reshape(-1, 1, t_f))
+        cfg = ScoringConfig(interval_range=(-4.0, 4.0), interval_points=pts)
+        outputs = []
+        for cells in (1, 7 * pts, metrics._CHUNK_CELLS):
+            monkeypatch.setattr(metrics, "_CHUNK_CELLS", cells)
+            rep = metrics.evaluate(batch, cfg, meta={"variant": "gmm"})
+            results = [rep.clipped_interval_elements, rep.hpd_pit_counts,
+                       rep.hpd_pit_counts_by_step]
+            outputs.append((metrics.report_to_text(rep), json.dumps(results)))
+        assert rep.clipped_interval_elements > 0
+        assert rep.hpd_pit_counts[-1] > 0  # the off-grid target has u = 1
+        assert outputs[0] == outputs[1] == outputs[2]
+
+
+class TestScoringConfig:
+    @pytest.mark.parametrize("levels", [
+        (0.9, 0.5, 0.5), (0.5, 0.5), (0.9, 0.5), (0.0, 0.5), (0.5, 1.0),
+        (float("nan"),), (0.5, float("inf")), (),
+    ])
+    def test_bad_levels_rejected(self, levels):
+        with pytest.raises(ValueError, match="levels must"):
+            ScoringConfig(levels=levels)
+
+    def test_increasing_levels_accepted(self):
+        assert ScoringConfig(levels=(0.1, 0.5, 0.99)).levels == (0.1, 0.5, 0.99)
 
 
 class TestReportFiles:
