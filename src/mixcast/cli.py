@@ -194,6 +194,17 @@ def train_run(dataset, manifest, variant, k, train_cfg: training.TrainConfig,
     return result, mcfg, splits, extra
 
 
+def training_health(result: training.TrainResult) -> dict:
+    """The `train` run.json's health fields: the pre-clip gradient norm
+    over the completed steps (min, median, max; null without steps) and
+    how many of those steps clipping rescaled."""
+    norms = result.grad_norms
+    stats = None
+    if norms:
+        stats = {"min": min(norms), "median": float(np.median(norms)), "max": max(norms)}
+    return {"grad_norm": stats, "clipped_steps": sum(result.clip_fired)}
+
+
 def _predict_in_chunks(params, mcfg, windows, chunk=512):
     """Forward the whole window set without one giant activation blob."""
     outs = []
@@ -428,7 +439,7 @@ def cmd_train(data_path, variant, k, epochs, batch_size, lr, seed, input_steps, 
                 batch_size=_pick(batch_size, tsec, "batch_size", 32),
                 lr=_pick(lr, tsec, "lr", 5e-4),
                 weight_decay=float(tsec.get("weight_decay", 1e-4)),
-                betas=tuple(tsec.get("betas", (0.9, 0.999))),
+                betas=tsec.get("betas", (0.9, 0.999)),
                 warmup_epochs=float(tsec.get("warmup_epochs", 2.0)),
                 clip_norm=float(tsec.get("clip_norm", 5.0)),
                 seed=_pick(seed, tsec, "seed", 0),
@@ -470,6 +481,7 @@ def cmd_train(data_path, variant, k, epochs, batch_size, lr, seed, input_steps, 
             },
             {"checkpoint": ckpt_path, "log": log_path},
             started,
+            results=training_health(result),
         )
         if result.diverged:
             click.echo(f"training diverged; best checkpoint so far at {ckpt_path}", err=True)

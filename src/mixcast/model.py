@@ -17,6 +17,10 @@ for mixtures) serves both loss entry points, so their losses agree bitwise.
 All gradients are hand-derived reverse mode; `backward` matches central
 finite differences (see tests). Forward/backward are pure functions of
 (params, batch), so concurrent evaluation on parameter snapshots is safe.
+
+Forward and backward compute in the dtype of the params and inputs:
+`training.fit` passes float32 copies, while checkpoints, `predict` and
+evaluation stay float64.
 """
 from __future__ import annotations
 
@@ -121,6 +125,10 @@ class ModelParams:
     def copy(self) -> "ModelParams":
         return ModelParams({k: v.copy() for k, v in self.tensors.items()})
 
+    def astype(self, dtype) -> "ModelParams":
+        """A copy with every tensor in `dtype`."""
+        return ModelParams({k: v.astype(dtype) for k, v in self.tensors.items()})
+
     def all_finite(self) -> bool:
         return all(np.all(np.isfinite(v)) for v in self.tensors.values())
 
@@ -206,7 +214,8 @@ def head_forward(z, hc: HeadConfig, params):
     """(mixtures, cache): one mixture per (leading index, horizon step).
 
     z has shape (..., features); the mixtures' element shape is
-    (..., horizon) with K components each, means in normalized space.
+    (..., horizon) with K components each, means in normalized space, in
+    the dtype of the branch outputs (the float64 anchors are cast to it).
     The cache holds the projection and unclamped log-variances."""
     zp = z @ params["proj.w"].T + params["proj.b"]
     shape = z.shape[:-1] + (hc.horizon, hc.components)
@@ -215,7 +224,7 @@ def head_forward(z, hc: HeadConfig, params):
     logvar_raw = (zp @ params["logvar.w"].T + params["logvar.b"]).reshape(shape)
     logvar = np.clip(logvar_raw, LOG_VAR_MIN, LOG_VAR_MAX)
     weights = _softmax_last(logits)
-    means = offsets * hc.anchor_scale + hc.anchors
+    means = offsets * hc.anchor_scale + hc.anchors.astype(offsets.dtype, copy=False)
     variances = np.exp(logvar)
     mb = MixtureBatch(weights, means, variances)
     return mb, {"zp": zp, "logvar_raw": logvar_raw}

@@ -5,11 +5,18 @@ The batch order stream is seeded separately from parameter
 initialization, so runs of different model variants under one seed
 consume identical batch sequences (verified via per-epoch content
 digests in the training log).
+
+`fit` computes in float32, the usual precision of a deep-learning loop:
+it casts the initialized params (so the Adam moments are float32 too)
+and the train and validation windows once at entry, and returns float64
+params, so checkpoints and everything downstream stay float64. The
+batch digests and the gradient norm are taken in float64.
 """
 from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +27,8 @@ from . import model as mdl
 # pairs, points increasing and factors decreasing.
 ADAM_EPS = 1e-8
 DECAY = ((0.75, 0.10), (0.85, 0.01))
+# The dtype `fit` computes in.
+COMPUTE_DTYPE = np.float32
 
 
 @dataclass(frozen=True)
@@ -37,8 +46,20 @@ class TrainConfig:
         for name in ("epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
-        if self.lr <= 0:
+        if not self.lr > 0:
             raise ValueError(f"lr must be positive, got {self.lr!r}")
+        for name in ("weight_decay", "warmup_epochs", "clip_norm"):
+            value = getattr(self, name)
+            if not (_is_real(value) and 0 <= value < math.inf):
+                raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+        betas = tuple(self.betas) if isinstance(self.betas, (list, tuple)) else None
+        if betas is None or len(betas) != 2 or not all(_is_real(b) and 0 <= b < 1 for b in betas):
+            raise ValueError(f"betas must be two numbers in [0, 1), got {self.betas!r}")
+        object.__setattr__(self, "betas", tuple(float(b) for b in betas))
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -103,12 +124,20 @@ class AdamWState:
 
 
 def global_norm(grads: dict) -> float:
+    """sqrt of the sum of squares of every gradient, squared and summed in
+    float64 whatever the gradients' dtype (float32 squares overflow from
+    about 1.8e19)."""
     with np.errstate(over="ignore"):
-        return math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+        return math.sqrt(sum(float(np.sum(np.square(g, dtype=np.float64)))
+                             for g in grads.values()))
 
 
-def clip_gradients(grads: dict, max_norm: float) -> dict:
-    norm = global_norm(grads)
+def clip_gradients(grads: dict, max_norm: float, norm: float | None = None) -> dict:
+    """`grads` rescaled to global norm `max_norm` when their norm (computed
+    unless given) exceeds it; otherwise the same dict object, unchanged.
+    `max_norm` 0 disables clipping."""
+    if norm is None:
+        norm = global_norm(grads)
     if not math.isfinite(norm):
         # Leave them alone; the optimizer's finiteness check rejects the step.
         return grads
@@ -147,6 +176,10 @@ def optimizer_step(params, grads, state: AdamWState, lr: float, cfg: TrainConfig
 
 @dataclass
 class TrainResult:
+    """What `fit` returns: the best params (float64), the per-epoch history
+    and log lines, and per completed step the pre-clip gradient norm and
+    whether clipping fired."""
+
     params: mdl.ModelParams
     model_cfg: mdl.ModelConfig
     best_val_loss: float
@@ -154,6 +187,8 @@ class TrainResult:
     history: list = field(default_factory=list)
     log_lines: list = field(default_factory=list)
     batch_digests: list = field(default_factory=list)
+    grad_norms: list = field(default_factory=list)
+    clip_fired: list = field(default_factory=list)
     diverged: bool = False
 
 
@@ -169,13 +204,17 @@ def fit(splits, model_cfg: mdl.ModelConfig, train_cfg: TrainConfig) -> TrainResu
     validation loss (NLL or MAE, per variant).
 
     `splits` carries train/val window sets with aligned normalized
-    inputs/targets. On divergence (non-finite loss or gradient) training
-    stops and the last good checkpoint is returned with diverged=True.
+    inputs/targets. Steps and validation run in COMPUTE_DTYPE on copies
+    made once here (params rounded from `init_params`' float64 draws);
+    the returned params are float64, and the batch digests hash the
+    float64 windows given. On divergence (non-finite loss or gradient)
+    training stops and the last good checkpoint is returned with
+    diverged=True.
     """
     train, val = splits.train, splits.val
     rng_data = np.random.default_rng([train_cfg.seed, 0])
     rng_model = np.random.default_rng([train_cfg.seed, 1])
-    params = mdl.init_params(model_cfg, rng_model)
+    params = mdl.init_params(model_cfg, rng_model).astype(COMPUTE_DTYPE)
     state = AdamWState.init(params)
 
     w = train.inputs.shape[0]
@@ -184,10 +223,14 @@ def fit(splits, model_cfg: mdl.ModelConfig, train_cfg: TrainConfig) -> TrainResu
     bs = train_cfg.batch_size
     n_batches = (w + bs - 1) // bs
     total_steps = train_cfg.epochs * n_batches
-    val_batch = mdl.ForecastBatch(inputs=val.inputs, targets=val.targets)
+    train_x = train.inputs.astype(COMPUTE_DTYPE)
+    train_y = train.targets.astype(COMPUTE_DTYPE)
+    val_batch = mdl.ForecastBatch(inputs=val.inputs.astype(COMPUTE_DTYPE),
+                                  targets=val.targets.astype(COMPUTE_DTYPE))
 
     result = TrainResult(
-        params=params.copy(), model_cfg=model_cfg, best_val_loss=math.inf, best_epoch=-1
+        params=params.astype(np.float64), model_cfg=model_cfg, best_val_loss=math.inf,
+        best_epoch=-1,
     )
     step = 0
     for epoch in range(train_cfg.epochs):
@@ -198,11 +241,14 @@ def fit(splits, model_cfg: mdl.ModelConfig, train_cfg: TrainConfig) -> TrainResu
         try:
             for i in range(n_batches):
                 idx = perm[i * bs : (i + 1) * bs]
-                batch = mdl.ForecastBatch(inputs=train.inputs[idx], targets=train.targets[idx])
+                batch = mdl.ForecastBatch(inputs=train_x[idx], targets=train_y[idx])
                 lr = lr_at(step, total_steps, train_cfg)
                 loss, grads = mdl.backward(batch, params, model_cfg)
-                grads = clip_gradients(grads, train_cfg.clip_norm)
-                optimizer_step(params, grads, state, lr, train_cfg)
+                norm = global_norm(grads)
+                clipped = clip_gradients(grads, train_cfg.clip_norm, norm)
+                optimizer_step(params, clipped, state, lr, train_cfg)
+                result.grad_norms.append(norm)
+                result.clip_fired.append(clipped is not grads)
                 result.log_lines.append(
                     f"epoch={epoch} step={step} lr={lr!r} loss={loss!r}"
                 )
@@ -224,5 +270,5 @@ def fit(splits, model_cfg: mdl.ModelConfig, train_cfg: TrainConfig) -> TrainResu
         if val_loss < result.best_val_loss:
             result.best_val_loss = val_loss
             result.best_epoch = epoch
-            result.params = params.copy()
+            result.params = params.astype(np.float64)
     return result

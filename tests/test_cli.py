@@ -188,8 +188,19 @@ class TestTrain:
             ('{"train": {"lr": -1}}', "lr must be positive, got -1"),
             ('{"train": {"batch_size": 0}}', "batch_size must be >= 1, got 0"),
             ('{"model": {"activation": "relu"}}', "unknown activation 'relu'"),
+            ('{"train": {"betas": [0.9]}}',
+             "train config: betas must be two numbers in [0, 1), got [0.9]"),
+            ('{"train": {"betas": [0.9, 1.0]}}', "train config: betas must be two numbers"),
+            ('{"train": {"weight_decay": -5}}',
+             "train config: weight_decay must be a finite number >= 0, got -5.0"),
+            ('{"train": {"warmup_epochs": -1}}',
+             "train config: warmup_epochs must be a finite number >= 0, got -1.0"),
+            ('{"train": {"clip_norm": -1}}',
+             "train config: clip_norm must be a finite number >= 0, got -1.0"),
         ],
-        ids=["unknown-key", "malformed-json", "bad-value", "zero-batch", "bad-model-value"],
+        ids=["unknown-key", "malformed-json", "bad-value", "zero-batch", "bad-model-value",
+             "one-beta", "beta-one", "negative-weight-decay", "negative-warmup",
+             "negative-clip-norm"],
     )
     def test_bad_config_is_data_error(self, tmp_path, workspace, text, message):
         cfg = tmp_path / "cfg.json"
@@ -201,7 +212,33 @@ class TestTrain:
         )
         assert res.exit_code == 3
         assert message in res.output
+        assert "diverged" not in res.output
         assert not list(tmp_path.glob("*.ckpt.npz"))
+
+    def test_run_manifest_records_training_health(self, tmp_path, workspace):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"train": {"clip_norm": 0.2}}))
+        args = ["--variant", "gmm", "--epochs", "2", "--batch-size", "16", "--lr", "0.002",
+                "--seed", "3", "--input-steps", "6", "--horizon", "6"]
+        res = run(["train", "--name", "health", "--config", str(cfg),
+                   "--data", str(workspace / "tiny"), "--out", str(tmp_path)] + args)
+        assert res.exit_code == 0, res.output
+        manifest = json.loads((tmp_path / "health.run.json").read_text())
+        stats = manifest["grad_norm"]
+        assert set(stats) == {"min", "median", "max"}
+        assert 0 < stats["min"] <= stats["median"] <= stats["max"]
+        # The same run in process gives every step's norm.
+        dataset, dman = cli.load_dataset(workspace / "tiny")
+        tcfg = cli.training.TrainConfig(epochs=2, batch_size=16, lr=0.002, clip_norm=0.2, seed=3)
+        result = cli.train_run(dataset, dman, "gmm", 5, tcfg, 6, 6)[0]
+        norms = result.grad_norms
+        steps = len(re.findall(r"^epoch=\d+ step=\d+ ", (tmp_path / "health.log").read_text(),
+                               flags=re.M))
+        assert len(norms) == steps
+        assert stats == {"min": min(norms), "median": float(np.median(norms)), "max": max(norms)}
+        assert result.clip_fired == [n > 0.2 for n in norms]
+        assert manifest["clipped_steps"] == sum(result.clip_fired)
+        assert 0 < manifest["clipped_steps"] < steps
 
 
 class TestEvaluate:
@@ -476,7 +513,20 @@ class TestReproducibility:
                  "--data", str(d / "tiny"), "--name", "e"] + out
             ).exit_code == 0
             reports.append(d / "e.report.txt")
-        assert file_hash(reports[0]) == file_hash(reports[1])
-        h1 = file_hash(reports[0].parent / "e.horizon.tsv")
-        h2 = file_hash(reports[1].parent / "e.horizon.tsv")
-        assert h1 == h2
+        for artifact in ("e.report.txt", "e.horizon.tsv", "m.ckpt.npz", "m.log"):
+            assert file_hash(tmp_path / "r1" / artifact) == file_hash(tmp_path / "r2" / artifact)
+
+    def test_batch_digests_hash_float64_windows(self, workspace):
+        # Training computes in float32; the digests still hash the float64
+        # windows, in the order the seeded batch stream consumes them.
+        dataset, manifest = cli.load_dataset(workspace / "tiny")
+        windows = data.prepare_splits(dataset, 6, 6, manifest.split_fractions).train.inputs
+        assert windows.dtype == np.float64
+        rng = np.random.default_rng([3, 0])
+        logged = re.findall(r"batch_digest=(\w+)", (workspace / "gmm.log").read_text())
+        expected = [
+            hashlib.sha256(np.ascontiguousarray(windows[rng.permutation(len(windows))])
+                           .tobytes()).hexdigest()[:16]
+            for _ in logged
+        ]
+        assert len(logged) == 2 and logged == expected

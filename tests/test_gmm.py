@@ -66,6 +66,51 @@ class TestConstruction:
     def test_k_one_allowed(self):
         assert MixtureBatch([1.0], [0.0], [1.0]).k == 1
 
+    def test_float64_weight_sum_bound_stays_1e6(self):
+        MixtureBatch([0.5, 0.5 + 9e-7], [0.0, 1.0], [1.0, 1.0])
+        with pytest.raises(InvalidMixtureError):
+            MixtureBatch([0.5, 0.5 + 2e-6], [0.0, 1.0], [1.0, 1.0])
+        # The float64 bound stays 1e-6 at any practical K.
+        assert gmm._weight_sum_tolerance(np.float64, 10**6) == 1e-6
+
+    def test_float32_softmax_accepted_at_k128(self):
+        # A float32 softmax is off from summing to 1 by up to 1.4e-6 at
+        # K = 128, past the float64 bound of 1e-6.
+        from mixcast.model import _softmax_last
+
+        rng = np.random.default_rng(0)
+        logits = rng.normal(0.0, 3.0, (50_000, 128)).astype(np.float32)
+        w = _softmax_last(logits)
+        assert float(np.max(np.abs(gmm._sum_k(w).astype(float) - 1.0))) > 1e-6
+        ones = np.ones_like(w)
+        m = MixtureBatch(w, np.zeros_like(w), ones)
+        assert m.weights.dtype == m.means.dtype == m.variances.dtype == np.float32
+
+    def test_float32_weights_off_by_1e3_rejected(self):
+        for k in (2, 5, 128):
+            w = np.full((4, k), 1.0 / k, dtype=np.float32)
+            w[2, 0] += np.float32(1e-3)
+            with pytest.raises(InvalidMixtureError, match="weights sum to"):
+                MixtureBatch(w, np.zeros_like(w), np.ones_like(w))
+
+    def test_kernels_keep_float32(self):
+        rng = np.random.default_rng(1)
+        w = np.full((6, 3), 1.0 / 3, dtype=np.float32)
+        mu = rng.normal(0, 1, (6, 3)).astype(np.float32)
+        var = rng.uniform(0.5, 2.0, (6, 3)).astype(np.float32)
+        y = rng.normal(0, 1, 6).astype(np.float32)
+        m = MixtureBatch(w, mu, var)
+        assert m.log_density(y).dtype == np.float32
+        nll32, grads = gmm.nll_and_gradients(m.weights, m.means, m.variances, y)
+        assert nll32.dtype == np.float32
+        assert all(g.dtype == np.float32 for g in grads)
+        # The float64 kernel on the same values agrees to float32 rounding.
+        nll64, _ = gmm.nll_and_gradients(
+            m.weights.astype(float), m.means.astype(float), m.variances.astype(float),
+            y.astype(float),
+        )
+        np.testing.assert_allclose(nll32, nll64, rtol=1e-5, atol=1e-6)
+
 
 class TestLogDensity:
     def test_standard_normal_peak(self):

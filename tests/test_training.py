@@ -1,6 +1,7 @@
 """Tests for the optimizer, schedule, normalizer and fit loop."""
 
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -34,6 +35,31 @@ class TestTrainConfig:
             TrainConfig(decay_points=(0.75, 0.85))
         with pytest.raises(ValueError):
             TrainConfig(lr=0.0)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"betas": (0.9,)}, "betas must be two numbers in [0, 1)"),
+            ({"betas": (0.9, 1.0)}, "betas must be two numbers in [0, 1)"),
+            ({"betas": (-0.1, 0.999)}, "betas must be two numbers in [0, 1)"),
+            ({"betas": ("0.9", 0.999)}, "betas must be two numbers in [0, 1)"),
+            ({"betas": 0.9}, "betas must be two numbers in [0, 1)"),
+            ({"weight_decay": -5.0}, "weight_decay must be a finite number >= 0"),
+            ({"weight_decay": math.nan}, "weight_decay must be a finite number >= 0"),
+            ({"warmup_epochs": -1.0}, "warmup_epochs must be a finite number >= 0"),
+            ({"clip_norm": -0.5}, "clip_norm must be a finite number >= 0"),
+            ({"clip_norm": math.inf}, "clip_norm must be a finite number >= 0"),
+            ({"lr": math.nan}, "lr must be positive"),
+        ],
+    )
+    def test_invalid_values_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TrainConfig(**kwargs)
+
+    def test_betas_normalized_to_float_tuple(self):
+        cfg = TrainConfig(betas=[0, 0.5], weight_decay=0, warmup_epochs=0, clip_norm=0)
+        assert cfg.betas == (0.0, 0.5)
+        assert all(type(b) is float for b in cfg.betas)
 
 
 class TestSchedule:
@@ -137,6 +163,31 @@ class TestOptimizer:
         untouched = training.clip_gradients({"a": np.array([0.1])}, 1.0)
         assert untouched["a"][0] == pytest.approx(0.1)
 
+    def test_clip_returns_input_unless_it_rescales(self):
+        grads = {"a": np.array([0.3, 0.4], dtype=np.float32)}
+        assert training.clip_gradients(grads, 1.0) is grads
+        assert training.clip_gradients(grads, 0.0) is grads
+        assert training.clip_gradients(grads, 0.1) is not grads
+        # A given norm is used as is.
+        assert training.clip_gradients(grads, 1.0, norm=2.0) is not grads
+
+    def test_global_norm_float64_unchanged(self):
+        rng = np.random.default_rng(0)
+        grads = {"a": rng.normal(0, 3, (7, 5)), "b": rng.normal(0, 1e-3, 11)}
+        ref = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+        assert training.global_norm(grads) == ref
+
+    def test_global_norm_of_float32_squares_in_float64(self):
+        # float32 squares overflow from about 1.8e19.
+        grads = {"a": np.full(4, 1e19, dtype=np.float32), "b": np.zeros(3, dtype=np.float32)}
+        norm = training.global_norm(grads)
+        assert norm == pytest.approx(2e19, rel=1e-7)
+        clipped = training.clip_gradients(grads, 5.0)
+        assert clipped["a"].dtype == np.float32
+        assert training.global_norm(clipped) == pytest.approx(5.0, rel=1e-6)
+        # Below the clip norm the same float32 gradients pass untouched.
+        assert training.clip_gradients(grads, 1e20) is grads
+
 
 def tiny_splits(rng, n_windows=64, nodes=2, t_h=4, t_f=2, bimodal=True):
     inputs = rng.normal(0, 1, (n_windows, nodes, t_h))
@@ -213,6 +264,26 @@ class TestFit:
         res = training.fit(splits, mcfg, tcfg)
         assert res.best_val_loss == min(h["val_loss"] for h in res.history)
         assert res.history[res.best_epoch]["val_loss"] == res.best_val_loss
+
+    def test_computes_in_float32_returns_float64(self, monkeypatch):
+        splits = tiny_splits(np.random.default_rng(7))
+        mcfg = small_model_cfg("gmm")
+        tcfg = TrainConfig(epochs=2, batch_size=16, seed=8)
+        seen = []
+        real_backward = model.backward
+
+        def spy(batch, params, cfg):
+            seen.append((batch.inputs.dtype, batch.targets.dtype,
+                         {v.dtype for v in params.tensors.values()}))
+            return real_backward(batch, params, cfg)
+
+        monkeypatch.setattr(model, "backward", spy)
+        res = training.fit(splits, mcfg, tcfg)
+        assert seen and all(s == (np.float32, np.float32, {np.dtype(np.float32)}) for s in seen)
+        assert {v.dtype for v in res.params.tensors.values()} == {np.dtype(np.float64)}
+        # The returned params are float32 values, widened.
+        for v in res.params.tensors.values():
+            np.testing.assert_array_equal(v, v.astype(np.float32))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_returns_last_good_checkpoint(self):
