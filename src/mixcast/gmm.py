@@ -13,8 +13,8 @@ neither copies nor freezes its arrays (its constructor runs on every
 training step), so callers that share one must not mutate them.
 
 The kernels follow the dtype of their inputs: float32 arrays (training
-computes in float32) stay float32, and anything else is computed in
-float64.
+and the interval grid of evaluation compute in float32) stay float32,
+and anything else is computed in float64.
 
 Reductions over the short component axis go through `_sum_k` and
 `_max_k`, which add (or compare) one (...,) slab per component instead
@@ -123,12 +123,15 @@ def grid_densities(weights, means, variances, x):
 
     `weights/means/variances` have shape (M, K) and `x` shape (P,), or
     (M, 1) for one point per mixture (with the grid's arithmetic, bit for
-    bit); the result has shape (M, P) or (M, 1). Plain component sums (no
-    log space): grid densities may underflow to zero in far tails, which
-    the interval selection handles. One scratch buffer keeps the memory
-    traffic flat in K.
+    bit); the result has shape (M, P) or (M, 1), in float32 when all four
+    inputs are float32 and in float64 otherwise. Plain component sums (no
+    log space): grid densities may underflow to zero in far tails (below
+    about 1e-45 in float32, 1e-323 in float64), which the interval
+    selection handles. One scratch buffer keeps the memory traffic flat
+    in K.
     """
-    dens = np.zeros(np.broadcast_shapes((weights.shape[0], 1), x.shape))
+    dtype = np.result_type(weights, means, variances, x, np.float32)
+    dens = np.zeros(np.broadcast_shapes((weights.shape[0], 1), x.shape), dtype=dtype)
     buf = np.empty_like(dens)
     for k in range(weights.shape[1]):
         var = variances[:, k]

@@ -146,16 +146,23 @@ def derive_intervals(g: DensityGrid, c: float) -> IntervalSet:
     return IntervalSet(level=float(c), intervals=tuple(out))
 
 
-def _mass_before(ranked: np.ndarray) -> np.ndarray:
-    """Normalized mass strictly before each rank of (M, P) rows sorted by
-    descending density; a ValueError if some row has no mass."""
-    before = np.cumsum(ranked, axis=1)
-    total = before[:, -1].copy()
+def _mass_before(density: np.ndarray):
+    """Rank (M, P) density rows by descending density and accumulate their
+    mass: (incl, total). incl[:, j] is the float64 mass of ranks 0..j, so
+    the mass strictly before rank j is incl[:, j - 1] (0 for j = 0), and
+    total = incl[:, -1]; a ValueError if some row has no mass.
+
+    Rows are sorted in their own dtype (tied values are interchangeable,
+    so the sort need not be stable); one float64 copy of the ranked rows
+    then takes the cumulative sum in place, so a float32 grid loses
+    nothing to accumulation.
+    """
+    incl = np.array(np.sort(density, axis=1)[:, ::-1], dtype=np.float64)
+    np.cumsum(incl, axis=1, out=incl)
+    total = incl[:, -1]
     if np.any(total <= 0.0):
         raise ValueError("a density grid has no mass to cover")
-    before -= ranked
-    before /= total[:, None]
-    return before
+    return incl, total
 
 
 def hpd_select_batch(density: np.ndarray, levels: np.ndarray) -> np.ndarray:
@@ -170,39 +177,58 @@ def hpd_select_batch(density: np.ndarray, levels: np.ndarray) -> np.ndarray:
     fewest cells whose normalized mass reaches c.
     """
     density = np.asarray(density, dtype=float)
-    levels = np.asarray(levels, dtype=float)
     order = np.argsort(-density, axis=1, kind="stable")
-    before = _mass_before(np.take_along_axis(density, order, axis=1))
+    incl, total = _mass_before(density)
+    before = np.zeros_like(incl)
+    np.divide(incl[:, :-1], total[:, None], out=before[:, 1:])
     # Scatter the before-mass back to grid order once, then compare per
     # level; this keeps the big (M, L, P) array to a single allocation.
     before_grid = np.empty_like(before)
     np.put_along_axis(before_grid, order, before, axis=1)
-    return before_grid[:, None, :] < levels[None, :, None]
+    return before_grid[:, None, :] < np.asarray(levels, dtype=float)[None, :, None]
 
 
 def hpd_scores(density, dx, p_y, on_grid, levels):
     """Each target's HPD value u and each level's HPD width, mask-free.
 
-    density: (M, P) rows with positive mass; p_y: (M,) target densities,
-    computed like the grid's so that a target on a grid point ties its
-    cell; on_grid: (M,) bool; levels: (L,). Returns (u (M,), width (M, L)).
-    u is the normalized mass of the cells denser than the target, so the
-    target lies in the level-c selection of `hpd_select_batch` iff u < c;
-    off the grid u = 1. The width is the selected-cell count times dx,
-    which exceeds derive_intervals' run geometry by at most dx per run.
+    density: (M, P) rows with positive mass, float32 or float64; p_y: (M,)
+    target densities, computed like the grid's so that a target on a grid
+    point ties its cell; on_grid: (M,) bool; levels: (L,). Returns
+    (u (M,), width (M, L)), both float64. u is the normalized mass of the
+    cells denser than the target, so the target lies in the level-c
+    selection of `hpd_select_batch` iff u < c; off the grid u = 1. The
+    width is the selected-cell count times dx, the same count as
+    `hpd_select_batch`'s, which exceeds derive_intervals' run geometry by
+    at most dx per run. Beyond `_mass_before` and one comparison with p_y,
+    neither takes a full pass over the grid: u reads one accumulated mass
+    per row, and each count is a search in its row.
     """
-    before = _mass_before(np.sort(density, axis=1)[:, ::-1])
-    m, p = before.shape
+    incl, total = _mass_before(density)
+    m, p = incl.shape
+    flat = incl.ravel()
+    base = np.arange(m) * p
     above = np.count_nonzero(density > p_y[:, None], axis=1)
-    u = np.where(on_grid & (above < p), before[np.arange(m), np.minimum(above, p - 1)], 1.0)
-    # Row-wise searchsorted of the levels in `before` (ascending along
-    # each row): a bisection over all (M, L) pairs at once.
-    rows = np.arange(m)[:, None]
-    lo = np.zeros((m, len(levels)), dtype=np.intp)
-    hi = np.full_like(lo, p)
-    for _ in range(p.bit_length()):
-        mid = (lo + hi) // 2
-        below = (before[rows, np.minimum(mid, p - 1)] < levels) & (lo < hi)
-        lo = np.where(below, mid + 1, lo)
-        hi = np.where(below, hi, mid)
-    return u, dx * lo
+    u = np.take(flat, base + np.maximum(above - 1, 0)) / total
+    u[above == 0] = 0.0
+    u[~on_grid | (above == p)] = 1.0
+    # Rank 0 is always selected, and each further rank j iff the mass
+    # before it, incl[:, j - 1], is below c of the total. incl is
+    # nondecreasing along a row and its last entry, the total itself, is
+    # never below, so the count of such j is found for all (M, L) pairs at
+    # once by binary lifting over flat indices, clamped to the row's last
+    # entry. Every operand is a full (M, L) array: broadcasting an (M, 1)
+    # column makes numpy loop row by row.
+    shape = (m, np.size(levels))
+    levels = np.broadcast_to(np.asarray(levels, dtype=float), shape).copy()
+    total = np.broadcast_to(total[:, None], shape).copy()
+    pos = np.broadcast_to(base[:, None], shape).copy()
+    last = pos + (p - 1)
+    step = 1 << (p - 1).bit_length()
+    reach = 0  # the largest offset pos can have reached
+    while step := step >> 1:
+        idx = pos + (step - 1)
+        if reach + step > p:
+            np.minimum(idx, last, out=idx)
+        pos += step * (np.take(flat, idx) / total < levels)
+        reach += step
+    return u, dx * (pos - (last - p))

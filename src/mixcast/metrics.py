@@ -13,6 +13,7 @@ grid: an element is covered at level c iff its HPD value u
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,28 +25,39 @@ DEFAULT_LEVELS = tuple(np.round(np.arange(0.50, 0.951, 0.05), 10))
 MAPE_EPSILON = 1e-3
 _TAIL_SIGMAS = 8.0
 PIT_BINS = 10
-# Elements x grid points scored per chunk: 2**17 doubles, 1 MiB per
-# (chunk, grid) array, whatever the grid size. Smaller chunks pay more
-# per-call overhead; larger ones fall out of cache and raise peak RSS.
+# Elements x grid points scored per chunk: 512 KiB per float32 (chunk,
+# grid) array and 1 MiB for its float64 cumulative mass, whatever the grid
+# size. Smaller chunks pay more per-call overhead; larger ones fall out of
+# cache and raise peak RSS.
 _CHUNK_CELLS = 2**17
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+# The interval grid is float32 where that is safe: with every mean and the
+# grid within _F32_REACH of the grid's low end and every variance at most
+# its square, a float32 exponent stays below (2 R)^2 / (2 VAR_FLOOR),
+# about 4e36, and never overflows. A row whose float32 grid mass is below
+# _F32_MASS_MIN is a far tail that float32 has flushed toward zero.
+_F32_REACH = 1e16
+_F32_MASS_MIN = 1e-20
 
 
 @dataclass
 class ScoringConfig:
     """Interval grid and level choices for batch evaluation.
 
-    levels must be strictly increasing and lie strictly inside (0, 1);
-    anything else is a ValueError. interval_range is the shared interval
-    grid range, e.g. (0, max speed) in raw units, and is derived from the
-    mixtures' 8-sigma support when omitted. Coverage and width are
-    conditional on that range: u normalizes by the on-grid mass, and a
-    target outside it is covered at no level. The CLI keeps the fixed
+    levels must be strictly increasing and lie strictly inside (0, 1),
+    interval_points an integer >= 2, and interval_range, when given, two
+    finite numbers lo < hi; anything else is a ValueError naming the
+    field. interval_range is the shared interval grid range, e.g.
+    (0, max speed) in raw units, and is derived from the mixtures' 8-sigma
+    support when omitted. The grid is computed in float32 (see
+    `_interval_densities` for its error bound and float64 fallback).
+    Coverage and width are conditional on that range: u normalizes by the
+    on-grid mass, and a target outside it is covered at no level. The CLI keeps the fixed
     physical range (0, max_value), as ingest rejects any value outside
     it: mass there is unobservable. `evaluate` scores mixtures in chunks
     of 2**17 // interval_points elements (at least one), so its working
-    memory beyond the per-element results is a few 1 MiB (chunk,
-    interval_points) arrays, whatever the element count.
+    memory beyond the per-element results is a few (chunk,
+    interval_points) arrays of at most 1 MiB, whatever the element count.
     """
 
     levels: tuple = DEFAULT_LEVELS
@@ -54,6 +66,19 @@ class ScoringConfig:
 
     def __post_init__(self):
         check_levels(self.levels)
+        points = self.interval_points
+        if isinstance(points, bool) or not isinstance(points, numbers.Integral) or points < 2:
+            raise ValueError(f"interval_points must be an integer >= 2, got {points!r}")
+        if self.interval_range is not None:
+            bounds = np.asarray(self.interval_range, dtype=float)
+            if bounds.shape != (2,) or not np.all(np.isfinite(bounds)):
+                raise ValueError(
+                    f"interval_range must be two finite numbers, got {self.interval_range!r}"
+                )
+            if not bounds[0] < bounds[1]:
+                raise ValueError(
+                    f"interval_range must have lo < hi, got {self.interval_range!r}"
+                )
 
 
 def check_levels(levels) -> None:
@@ -162,13 +187,54 @@ def _flatten_batch(batch):
     return flat_targets, t_f, mixtures, points
 
 
+def _interval_densities(part: MixtureBatch, y: np.ndarray, lo: float, x: np.ndarray):
+    """Grid and target densities of one chunk, in row groups, and each
+    row's grid mass: ([(rows, dens (r, P), p_y (r,)), ...], mass (n,)).
+
+    The grid is computed in float32: means, grid and targets are shifted
+    by lo in float64 before the cast, so rounding scales with the grid
+    span, not with lo, and a target on a grid point goes through the
+    grid's own arithmetic and ties its cell. Masses are summed in float64.
+    Over the CLI's domain float32 moves a row's normalized grid mass (L1)
+    by less than 1% of phi(0) * sum_k w_k dx / sd_k, the first-order term
+    of the grid's discretization budget (tests/test_metrics.py).
+    Rows float32 cannot score are recomputed in float64 as a second group:
+    a mean, sd or the grid end beyond _F32_REACH of lo (clipped there
+    first, so no float32 term overflows), or a float32 grid mass below
+    _F32_MASS_MIN (a far tail that float32 flushes toward zero).
+    """
+    dx = float(x[1] - x[0])
+    w, mu, var = part.weights, part.means, part.variances
+    mu_lo = mu - lo
+    far = ~(np.abs(mu_lo) <= _F32_REACH) | ~(var <= _F32_REACH**2)  # NaN is far too
+    wide = far.any(axis=1) | (x[-1] - lo > _F32_REACH)
+    w32, mu32, var32 = (
+        a.astype(np.float32)
+        for a in (w, np.clip(mu_lo, -_F32_REACH, _F32_REACH), np.minimum(var, _F32_REACH**2))
+    )
+    x32 = np.minimum(x - lo, _F32_REACH).astype(np.float32)
+    y32 = np.clip(y - lo, -_F32_REACH, _F32_REACH).astype(np.float32)
+    dens = grid_densities(w32, mu32, var32, x32)
+    p_y = grid_densities(w32, mu32, var32, y32[:, None])[:, 0]
+    mass = dens.sum(axis=1, dtype=np.float64) * dx
+    wide |= ~(mass >= _F32_MASS_MIN)
+    if not wide.any():
+        return [(slice(None), dens, p_y)], mass
+    w, mu, var = w[wide], mu[wide], var[wide]
+    dens64 = grid_densities(w, mu, var, x)
+    mass[wide] = dens64.sum(axis=1) * dx
+    p_y64 = grid_densities(w, mu, var, y[wide, None])[:, 0]
+    return [(~wide, dens[~wide], p_y[~wide]), (wide, dens64, p_y64)], mass
+
+
 def _score_mixtures(mb: MixtureBatch, y: np.ndarray, cfg: ScoringConfig, levels: np.ndarray):
     """Per-element CRPS, point estimate, HPD value u and HPD widths
     (n, L) of a flat batch, plus the clipped-mass count.
 
     Each chunk of rows is scored completely (CRPS, grid densities, p(y),
     HPD scores) into preallocated per-element arrays, so no temporary
-    grows with the element count.
+    grows with the element count. CRPS and point estimates are float64;
+    the interval grid is float32 where that is safe (`_interval_densities`).
     """
     if cfg.interval_range is not None:
         lo, hi = cfg.interval_range
@@ -188,16 +254,15 @@ def _score_mixtures(mb: MixtureBatch, y: np.ndarray, cfg: ScoringConfig, levels:
         part, y_part = mb[sl], y[sl]
         crps[sl] = crps_mixture_batch(part, y_part)
         point_est[sl] = part.point_estimates()
-        w, mu, var = part.weights, part.means, part.variances
-        dens = grid_densities(w, mu, var, x)
-        mass = dens.sum(axis=1) * dx
+        groups, mass = _interval_densities(part, y_part, lo, x)
         clipped += int(np.count_nonzero(mass < iv.MASS_COMPLETE_MIN))
         empty += int(np.count_nonzero(mass <= 0.0))
         if empty:
             continue  # nothing to select; the error below counts every miss
-        p_y = grid_densities(w, mu, var, y_part[:, None])[:, 0]
         on_grid = (y_part >= lo) & (y_part <= hi)
-        u[sl], width[sl] = iv.hpd_scores(dens, dx, p_y, on_grid, levels)
+        u_part, width_part = u[sl], width[sl]
+        for at, dens, p_y in groups:
+            u_part[at], width_part[at] = iv.hpd_scores(dens, dx, p_y, on_grid[at], levels)
     if empty:
         raise ValueError(
             f"{empty} of {n} elements put no mass on the interval grid [{lo!r}, {hi!r}]"
@@ -216,7 +281,7 @@ def evaluate(batch, scoring: ScoringConfig | None = None, meta: dict | None = No
 
     Mixtures are scored chunk by chunk (see ScoringConfig): beyond the
     per-element results, a few doubles per element and level, memory is
-    bounded by one chunk's 1 MiB (chunk, grid) arrays.
+    bounded by one chunk's (chunk, grid) arrays of at most 1 MiB each.
     """
     cfg = scoring or ScoringConfig()
     levels = np.asarray(cfg.levels, dtype=float)

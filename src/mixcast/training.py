@@ -153,10 +153,23 @@ def optimizer_step(params, grads, state: AdamWState, lr: float, cfg: TrainConfig
     Moments are bias-corrected; the decay term -lr * wd * theta is applied
     separately from the adaptive step, so with zero gradients parameters
     decay geometrically by exactly (1 - lr * wd).
+
+    A ValueError naming the tensor rejects the step, before any parameter
+    or moment changes, when a gradient entry is non-finite or so large
+    that its square overflows the gradient's dtype (|g| > sqrt(max / 2),
+    about 1.3e19 in float32): the second moment would turn infinite and
+    the update silently 0. The bias-corrected second moment is a weighted
+    mean of squared gradients, so below that bound it stays finite.
     """
     for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise ValueError(f"non-finite gradient for {name}: step rejected")
+        peak = float(np.abs(g).max(initial=0.0))  # NaN propagates
+        if not peak <= math.sqrt(float(np.finfo(g.dtype).max) / 2):
+            if not math.isfinite(peak):
+                raise ValueError(f"non-finite gradient for {name}: step rejected")
+            raise ValueError(
+                f"gradient for {name} reaches {peak:.3g}, whose square overflows "
+                f"{g.dtype}: step rejected"
+            )
     b1, b2 = cfg.betas
     state.t += 1
     bc1 = 1.0 - b1**state.t

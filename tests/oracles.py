@@ -170,7 +170,8 @@ def contains(s: IntervalSet, y: float) -> bool:
 
 def hpd_scores_on_grid(mb: MixtureBatch, y, lo: float, hi: float, points: int, levels):
     """intervals.hpd_scores for an (M,) batch on the grid metrics.evaluate
-    builds: (u, width, dx)."""
+    builds, computed in float64 (evaluate's grid is float32 unless a
+    mixture falls back to float64): (u, width, dx)."""
     x = np.linspace(lo, hi, points)
     dens = grid_densities(mb.weights, mb.means, mb.variances, x)
     p_y = grid_densities(mb.weights, mb.means, mb.variances, y[:, None])[:, 0]

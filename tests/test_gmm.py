@@ -222,6 +222,22 @@ class TestGridDensities:
         np.testing.assert_allclose(got[keep], ref[keep], rtol=1e-12, atol=0.0)
 
 
+    def test_follows_input_dtype(self):
+        # float32 in, float32 out (the interval grid of evaluate); anything
+        # else float64, as the ridge table and the oracles use it.
+        rng = np.random.default_rng(4)
+        w = np.full((3, 2), 0.5)
+        mu, var = rng.normal(0, 1, (3, 2)), rng.uniform(0.5, 2.0, (3, 2))
+        x = np.linspace(-3.0, 3.0, 7)
+        f32 = [a.astype(np.float32) for a in (w, mu, var, x)]
+        assert gmm.grid_densities(*f32).dtype == np.float32
+        assert gmm.grid_densities(*f32[:3], f32[3][:3, None]).dtype == np.float32
+        assert gmm.grid_densities(w, mu, var, x).dtype == np.float64
+        assert gmm.grid_densities(*f32[:3], x).dtype == np.float64
+        np.testing.assert_allclose(gmm.grid_densities(*f32), gmm.grid_densities(w, mu, var, x),
+                                   rtol=1e-5)
+
+
 class TestNLL:
     def test_standard_normal_values(self):
         m = MixtureBatch([1.0], [0.0], [1.0])

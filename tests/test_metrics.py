@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -430,6 +431,114 @@ class TestEvaluate:
         assert outputs[0] == outputs[1] == outputs[2]
 
 
+class TestFloat32IntervalGrid:
+    """The interval grid of `evaluate` is float32, shifted by the grid's
+    low end; rows float32 cannot hold are scored on the float64 grid."""
+
+    @staticmethod
+    def grid_rows(mb, y, lo, x):
+        """(dens, p_y) of `_interval_densities`, groups put back in row order."""
+        groups, _ = metrics._interval_densities(mb, y, lo, x)
+        dens, p_y = np.empty((y.size, x.size)), np.empty(y.size)
+        for at, g_dens, g_p_y in groups:
+            dens[at], p_y[at] = g_dens, g_p_y
+        return groups, dens, p_y
+
+    @given(
+        st.floats(1.0, 200.0),
+        st.one_of(st.just(0.0), st.just(-6.0), st.floats(-1e6, 1e6)),
+        st.sampled_from([500, 2001]),
+        st.integers(1, 5).flatmap(lambda k: st.lists(
+            st.lists(st.tuples(st.floats(0.01, 1.0), st.floats(0.0, 1.0), st.floats(-3.5, 0.0)),
+                     min_size=k, max_size=k),
+            min_size=1, max_size=8,
+        )),
+    )
+    def test_within_bound_of_float64_kernel(self, span, lo, points, rows):
+        # The CLI's domain: a grid of 500 (or 2001) points over a range of
+        # width up to 200 (0..max_value raw, -6..6 normalized), components
+        # centred on it with sd from 3e-4 of the width to the width. The
+        # float32 grid's normalized L1 error stays below 1% of phi(0) r,
+        # r = sum_k w_k dx / sd_k, the first-order term of the
+        # discretization budget phi(0) r + r^2 (TestHPDScores); measured
+        # worst 0.013% at 500 points and 0.058% at 2001. The offset lo does
+        # not enter: means and grid are shifted by lo before the cast.
+        w, pos, log_sd = (np.array([[c[i] for c in row] for row in rows]) for i in range(3))
+        sd = span * 10.0**log_sd
+        mb = MixtureBatch(w / w.sum(axis=1, keepdims=True), lo + span * pos, sd**2)
+        x = np.linspace(lo, lo + span, points)
+        dx = x[1] - x[0]
+        groups, dens, _ = self.grid_rows(mb, np.full(len(rows), lo), lo, x)
+        assert len(groups) == 1 and groups[0][1].dtype == np.float32
+        ref = gmm.grid_densities(mb.weights, mb.means, mb.variances, x)
+        err = np.abs(dens - ref).sum(axis=1) / ref.sum(axis=1)
+        r = np.sum(mb.weights * dx / np.sqrt(mb.variances), axis=1)
+        assert np.all(err <= 0.01 * norm.pdf(0.0) * r)
+
+    @pytest.mark.parametrize("lo", [0.0, -6.0, 1000.0])
+    def test_on_grid_targets_tie_their_cell_bitwise(self, lo):
+        # p(y) comes from the (M, 1) path of the same float32 kernel, so a
+        # target on a grid point reads its cell's density bit for bit.
+        rng = np.random.default_rng(12)
+        n, k, points = 3000, 5, 500
+        x = np.linspace(lo, lo + 14.0, points)
+        w = rng.random((n, k)) + 0.05
+        mb = MixtureBatch(w / w.sum(axis=1, keepdims=True), rng.uniform(lo, lo + 14.0, (n, k)),
+                          rng.uniform(0.005, 4.0, (n, k)) ** 2)
+        cell = rng.integers(0, points, n)
+        groups, dens, p_y = self.grid_rows(mb, x[cell], lo, x)
+        assert len(groups) == 1 and groups[0][1].dtype == np.float32
+        assert np.array_equal(p_y, dens[np.arange(n), cell])
+        w32, mu32, var32 = (a.astype(np.float32) for a in (mb.weights, mb.means - lo, mb.variances))
+        x32 = (x - lo).astype(np.float32)
+        grid = gmm.grid_densities(w32, mu32, var32, x32)
+        at_y = gmm.grid_densities(w32, mu32, var32, x32[cell][:, None])[:, 0]
+        assert grid.dtype == at_y.dtype == np.float32
+        assert np.array_equal(at_y, grid[np.arange(n), cell])
+
+    def test_rows_float32_cannot_hold_scored_in_float64_without_warnings(self):
+        # Each row is one the float64 path scores without a numpy warning,
+        # but whose float32 terms would overflow (a mean 1e30 from the grid,
+        # a variance 1e300, a mean 1e100 with sd 1e150) or whose float32
+        # grid mass would flush to zero (a component 30 sd off the grid,
+        # mass about 1e-196). Clipped before the cast, they raise no
+        # RuntimeWarning and are scored on the float64 grid, bit for bit;
+        # so are far-off targets, and a normal row stays float32.
+        lo, hi, points = 0.0, 10.0, 301
+        means = np.array([[5.0, 1e30], [5.0, 3.0], [1e100, 4.0], [-30.0, -40.0], [5.0, 6.0]])
+        variances = np.array([[1.0, 1.0], [1e300, 2.0], [1e300, 1.0], [1.0, 1.0], [0.5, 2.0]])
+        mb = MixtureBatch(np.full((5, 2), 0.5), means, variances)
+        y = np.array([4.0, 1e30, 2.0, 1.0, -1e30])
+        x = np.linspace(lo, hi, points)
+        cfg = ScoringConfig(interval_range=(lo, hi), interval_points=points)
+        levels = np.asarray(cfg.levels)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            groups, _ = metrics._interval_densities(mb, y, lo, x)
+            _, _, u, width, clipped = metrics._score_mixtures(mb, y, cfg, levels)
+            wide = groups[1][0]
+            ref_u, ref_width, _ = oracles.hpd_scores_on_grid(mb[wide], y[wide], lo, hi, points, levels)
+        assert wide.tolist() == [True, True, True, True, False]
+        assert groups[1][1].dtype == np.float64 and groups[0][1].dtype == np.float32
+        assert np.array_equal(u[wide], ref_u) and np.array_equal(width[wide], ref_width)
+        assert u[1] == u[4] == 1.0  # targets off the grid
+        assert clipped == 4  # all but the last row keep at most half their mass
+
+    def test_grid_beyond_float32_reach_scored_in_float64(self):
+        # A grid spanning more than _F32_REACH is scored in float64 outright.
+        lo, hi, points = 0.0, 1e20, 201
+        mb = MixtureBatch(np.ones((3, 1)), np.array([[1e19], [5e19], [2e19]]),
+                          np.array([[1e38], [4e38], [1e39]]))
+        y = np.array([1e19, 6e19, 3e19])
+        cfg = ScoringConfig(interval_range=(lo, hi), interval_points=points)
+        levels = np.asarray(cfg.levels)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, _, u, width, _ = metrics._score_mixtures(mb, y, cfg, levels)
+        ref_u, ref_width, _ = oracles.hpd_scores_on_grid(mb, y, lo, hi, points, levels)
+        assert np.array_equal(u, ref_u) and np.array_equal(width, ref_width)
+
+
 class TestScoringConfig:
     @pytest.mark.parametrize("levels", [
         (0.9, 0.5, 0.5), (0.5, 0.5), (0.9, 0.5), (0.0, 0.5), (0.5, 1.0),
@@ -441,6 +550,30 @@ class TestScoringConfig:
 
     def test_increasing_levels_accepted(self):
         assert ScoringConfig(levels=(0.1, 0.5, 0.99)).levels == (0.1, 0.5, 0.99)
+
+    @pytest.mark.parametrize("points", [1, 0, -4, 2.5, True])
+    def test_interval_points_below_two_rejected(self, points):
+        # One point used to fail with an IndexError (no grid spacing).
+        with pytest.raises(ValueError, match="interval_points must be an integer >= 2"):
+            ScoringConfig(interval_points=points)
+
+    @pytest.mark.parametrize("bounds", [
+        (0.0, float("nan")), (float("-inf"), 14.0), (0.0, float("inf")), (0.0,), (0.0, 1.0, 2.0),
+    ])
+    def test_non_finite_interval_range_rejected(self, bounds):
+        # (0, nan) used to give a NaN width and calib_error 0.725 silently.
+        with pytest.raises(ValueError, match="interval_range must be two finite numbers"):
+            ScoringConfig(interval_range=bounds)
+
+    @pytest.mark.parametrize("bounds", [(3.0, 3.0), (14.0, 0.0)])
+    def test_empty_interval_range_rejected(self, bounds):
+        # lo >= hi used to surface as a misleading "no mass" error.
+        with pytest.raises(ValueError, match="interval_range must have lo < hi"):
+            ScoringConfig(interval_range=bounds)
+
+    def test_smallest_grid_accepted(self):
+        cfg = ScoringConfig(interval_points=np.int64(2), interval_range=[-1, 1])
+        assert cfg.interval_points == 2
 
 
 class TestReportFiles:

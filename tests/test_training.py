@@ -156,6 +156,30 @@ class TestOptimizer:
         with pytest.raises(ValueError, match="rejected"):
             training.optimizer_step(params, {"theta": np.array([np.nan])}, state, 1e-3, cfg)
 
+    def test_overflowing_float32_gradient_rejected_before_any_change(self):
+        # Unclipped, a float32 gradient of 1e20 would square to inf in the
+        # second moment and make the update 0, a step that silently does
+        # nothing.
+        cfg = TrainConfig(clip_norm=0.0)
+        params = ModelParams({"a": np.full(3, 0.5, dtype=np.float32),
+                              "theta": np.ones(2, dtype=np.float32)})
+        state = AdamWState.init(params)
+        training.optimizer_step(params, {"a": np.full(3, 0.1, np.float32),
+                                         "theta": np.full(2, 0.2, np.float32)}, state, 1e-3, cfg)
+        before = [params["a"].copy(), params["theta"].copy(), state.m["theta"].copy(),
+                  state.v["theta"].copy(), state.m["a"].copy(), state.v["a"].copy()]
+        grads = {"a": np.full(3, 0.1, np.float32), "theta": np.array([1e20, 1.0], np.float32)}
+        with pytest.raises(ValueError, match=r"gradient for theta reaches 1e\+20.*rejected"):
+            training.optimizer_step(params, grads, state, 1e-3, cfg)
+        after = [params["a"], params["theta"], state.m["theta"], state.v["theta"],
+                 state.m["a"], state.v["a"]]
+        assert all(np.array_equal(x, y) for x, y in zip(before, after))
+        assert state.t == 1
+        # Just below the bound the step goes through and stays finite.
+        grads["theta"][0] = 1e19
+        training.optimizer_step(params, grads, state, 1e-3, cfg)
+        assert np.all(np.isfinite(state.v["theta"])) and params["theta"][0] < before[1][0]
+
     def test_clip_caps_global_norm(self):
         grads = {"a": np.array([3.0, 4.0]), "b": np.array([0.0])}
         clipped = training.clip_gradients(grads, 1.0)
