@@ -196,13 +196,20 @@ def train_run(dataset, manifest, variant, k, train_cfg: training.TrainConfig,
 
 def training_health(result: training.TrainResult) -> dict:
     """The `train` run.json's health fields: the pre-clip gradient norm
-    over the completed steps (min, median, max; null without steps) and
-    how many of those steps clipping rescaled."""
+    over the completed steps (min, median, max; null without steps), how
+    many of those steps clipping rescaled, and the count and fraction of
+    (element, component) log-variances held at a clamp bound over those
+    steps, whose gradient was zero (null without log-variances)."""
     norms = result.grad_norms
     stats = None
     if norms:
         stats = {"min": min(norms), "median": float(np.median(norms)), "max": max(norms)}
-    return {"grad_norm": stats, "clipped_steps": sum(result.clip_fired)}
+    clamped = None
+    if result.logvars:
+        clamped = {"count": result.logvar_clamped,
+                   "fraction": result.logvar_clamped / result.logvars}
+    return {"grad_norm": stats, "clipped_steps": sum(result.clip_fired),
+            "logvar_clamped": clamped}
 
 
 def _predict_in_chunks(params, mcfg, windows, chunk=512):

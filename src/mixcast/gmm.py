@@ -1,16 +1,18 @@
 """Univariate Gaussian mixture kernel: one mixture type, `MixtureBatch`
 ((..., K) parameter arrays; a single mixture has element shape ()), with
-log-density, grid densities, NLL and its gradients, CDF and point estimates.
+grid densities, CDF and point estimates, and the training NLL.
 
-Log-densities have one vectorised implementation (`_component_log_terms`
-plus `_logsumexp_last`); so do the NLL and its gradients
-(`nll_and_gradients`), which training consumes. Densities on a shared
-grid and at interval targets have one plain-space implementation
-(`grid_densities`).
+The NLL and its gradients (`nll_and_gradients`) work in log space from
+the head's raw outputs, as mixture density networks do (Bishop 1994):
+log-weights by a log-softmax of the logits, variances only as
+exp(-logvar) and logvar / 2, so training forms no weights, variances or
+`MixtureBatch`. The component log terms have one implementation
+(`_component_log_terms`). Densities on a shared grid and at interval
+targets have one plain-space implementation (`grid_densities`).
 
 Everything here is a pure function of its inputs. A `MixtureBatch`
-neither copies nor freezes its arrays (its constructor runs on every
-training step), so callers that share one must not mutate them.
+neither copies nor freezes its arrays, so callers that share one must
+not mutate them.
 
 The kernels follow the dtype of their inputs: float32 arrays (training
 and the interval grid of evaluation compute in float32) stay float32,
@@ -19,8 +21,10 @@ and anything else is computed in float64.
 Reductions over the short component axis go through `_sum_k` and
 `_max_k`, which add (or compare) one (...,) slab per component instead
 of calling a numpy reduction over a length-K last axis, which is several
-times slower at these shapes. The normal CDF terms come from `math.erf`
-and `math.erfc` applied elementwise (`erf`, `norm_cdf`), so the package
+times slower at these shapes; `_slabs` applies a per-element value
+across the components the same way, and the NLL sums with one gemv
+(`_gemv_sum_k`). The normal CDF terms come from `math.erf` and
+`math.erfc` applied elementwise (`erf`, `norm_cdf`), so the package
 needs no scipy.
 """
 from __future__ import annotations
@@ -44,6 +48,7 @@ _WEIGHT_SUM_REJECT = 1e-6
 
 
 _SQRT_HALF = math.sqrt(0.5)
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 _ERF = np.frompyfunc(math.erf, 1, 1)
 _ERFC = np.frompyfunc(math.erfc, 1, 1)
 
@@ -67,18 +72,47 @@ def _weight_sum_tolerance(dtype, k: int) -> float:
     return max(_WEIGHT_SUM_REJECT, 2 * k * float(np.finfo(dtype).eps))
 
 
-def _component_log_terms(weights, means, variances, x):
-    """Per-component log(pi_k) + log N(x; mu_k, var_k), broadcast over x.
+def _component_log_terms(log_weights, means, logvars, x):
+    """Per-component log(pi_k) + log N(x; mu_k, exp(logvar_k)), broadcast
+    over x, with the residual pieces the NLL gradients reuse.
 
-    `weights/means/variances` have shape (..., K) and `x` shape (...);
-    the result has shape (..., K). Zero weights contribute -inf terms,
-    which the log-sum-exp reduction handles.
+    Parameter arrays have shape (..., K) and `x` shape (...). Returns
+    (terms, r, q), each (..., K), with r = (mu_k - x) / var_k and
+    q = (x - mu_k)^2 / (2 var_k). Log-weights off by a per-element
+    constant shift that element's terms alike; -inf ones give -inf terms.
     """
-    x = _float_array(x)
-    with np.errstate(divide="ignore"):
-        log_w = np.log(weights)
-    d = x[..., None] - means
-    return log_w - 0.5 * d * d / variances - 0.5 * np.log(2.0 * np.pi * variances)
+    d = _slabs(np.subtract, means, x)
+    scratch = np.negative(logvars)
+    inv_var = np.exp(scratch, out=scratch)
+    r = d * inv_var
+    d *= 0.5
+    q = np.multiply(d, r, out=d)
+    terms = log_weights - q
+    half_log_var = np.multiply(logvars, 0.5, out=scratch)
+    half_log_var += _HALF_LOG_2PI
+    terms -= half_log_var
+    return terms, r, q
+
+
+def _slabs(op, a, col, out=None):
+    """op(a[..., k], col) into out[..., k] for each component k: a value
+    per element applied across the component axis one slab at a time.
+    Broadcasting col[..., None] instead makes numpy loop over rows of
+    length K, several times slower at K = 5. `out` may be `a`."""
+    if out is None:
+        shape = np.broadcast_shapes(a.shape, np.shape(col) + a.shape[-1:])
+        out = np.empty(shape, np.result_type(a, col))
+    for k in range(a.shape[-1]):
+        op(a[..., k], col, out=out[..., k])
+    return out
+
+
+def _gemv_sum_k(a):
+    """Sum over the last (component) axis as one gemv against ones, several
+    times faster than `_sum_k` at these shapes but free to round
+    differently (BLAS picks the order)."""
+    k = a.shape[-1]
+    return (a.reshape(-1, k) @ np.ones(k, a.dtype)).reshape(a.shape[:-1])
 
 
 def _sum_k(a):
@@ -103,19 +137,6 @@ def _max_k(a):
     for k in range(1, a.shape[-1]):
         np.maximum(out, a[..., k], out=out)
     return out
-
-
-def _logsumexp_last(terms):
-    """log(sum(exp(terms))) over the last axis with max subtraction."""
-    m = _max_k(terms)
-    # m is finite whenever some weight is positive, which the mixture
-    # contract guarantees.
-    return m + np.log(_sum_k(np.exp(terms - m[..., None])))
-
-
-def log_density_values(weights, means, variances, x):
-    """Vectorized mixture log-density; parameter arrays end in a K axis."""
-    return _logsumexp_last(_component_log_terms(weights, means, variances, x))
 
 
 def grid_densities(weights, means, variances, x):
@@ -144,26 +165,44 @@ def grid_densities(weights, means, variances, x):
     return dens
 
 
-def nll_and_gradients(weights, means, variances, y):
-    """Per-element NLL -log p(y) and its gradients with respect to the
-    head's trainable quantities, vectorised like `log_density_values`.
+def nll_and_gradients(logits, means, logvars, y, gradients=True):
+    """Per-element NLL -log p(y) of the mixtures with weights
+    softmax(logits), and its gradients, all in log space.
 
-    Returns (nll, (d_logits, d_means, d_logvars)); nll has the shape of
-    y and each gradient the shape (..., K). Logits are pre-softmax
-    weights and logvars log-variances; with responsibilities
+    Parameter arrays have shape (..., K) and y shape (...). Returns
+    (nll, (d_logits, d_means, d_logvars)), with nll shaped like y and
+    each gradient (..., K), or (nll, None) when `gradients` is false (the
+    nll is the same, bit for bit). With responsibilities
     gamma_k = pi_k N(y|k) / p(y):
 
         d/d logit_k   = -(gamma_k - pi_k)
         d/d mu_k      = -gamma_k (y - mu_k) / var_k
         d/d logvar_k  = -gamma_k ((y - mu_k)^2 / (2 var_k) - 1/2)
+
+    The log-weights come from a log-softmax and the variances only as
+    exp(-logvar) and logvar / 2, so no weight or variance is formed.
     """
-    terms = _component_log_terms(weights, means, variances, y)
-    lse = _logsumexp_last(terms)
-    gamma = np.exp(terms - lse[..., None])
-    d = _float_array(y)[..., None] - means
-    d_means = -gamma * d / variances
-    d_logvars = -gamma * (d * d / (2.0 * variances) - 0.5)
-    return -lse, (weights - gamma, d_means, d_logvars)
+    y = _float_array(y)
+    # Max-shifted logits: log pi_k = shifted_k - log(e_sum).
+    e = _slabs(np.subtract, logits, _max_k(logits))
+    terms, r, q = _component_log_terms(e, means, logvars, y)
+    e_sum = _gemv_sum_k(np.exp(e, out=e))
+    # -log p(y) by log-sum-exp over the components, with log(e_sum) added
+    # back; m is finite whenever some component's term is.
+    m = _max_k(terms)
+    gamma = np.exp(_slabs(np.subtract, terms, m, out=terms), out=terms)
+    g_sum = _gemv_sum_k(gamma)
+    nll = np.log(e_sum / g_sum)
+    nll -= m
+    if not gradients:
+        return nll, None
+    _slabs(np.divide, gamma, g_sum, out=gamma)
+    pi = _slabs(np.divide, e, e_sum, out=e)
+    d_means = np.multiply(gamma, r, out=r)
+    np.subtract(0.5, q, out=q)
+    d_logvars = np.multiply(gamma, q, out=q)
+    d_logits = np.subtract(pi, gamma, out=gamma)
+    return nll, (d_logits, d_means, d_logvars)
 
 
 def erf(x):
@@ -197,8 +236,8 @@ class MixtureBatch:
     when they sum to 1 within `_weight_sum_tolerance` (1e-6 in float64),
     rejected beyond; negative variances are rejected, small ones floored
     at VAR_FLOOR. float32 arrays stay float32, anything else becomes
-    float64. No finiteness check: non-finite parameters reach the training
-    loss, which reports the element.
+    float64. No finiteness check: the training loss reports non-finite
+    head outputs by element, and `fit` keeps only finite checkpoints.
     """
 
     weights: np.ndarray
@@ -252,9 +291,6 @@ class MixtureBatch:
         return MixtureBatch(
             self.weights.reshape(new), self.means.reshape(new), self.variances.reshape(new)
         )
-
-    def log_density(self, x: np.ndarray) -> np.ndarray:
-        return log_density_values(self.weights, self.means, self.variances, x)
 
     def cdf(self, x: np.ndarray) -> np.ndarray:
         return cdf_values(self.weights, self.means, self.variances, x)

@@ -11,12 +11,19 @@ informative mixture: uniform weights, means at the anchors, unit
 variances.
 
 One forward pass (`_forward`) serves `predict`, `forward_loss` and
-`backward`; one loss (`_loss`, on the NLL kernel `gmm.nll_and_gradients`
-for mixtures) serves both loss entry points, so their losses agree bitwise.
+`backward`. For mixtures it returns the head outputs (logits, means,
+clamped log-variances); only `predict` turns them into a `MixtureBatch`.
+One loss (`_loss`, on the log-space NLL kernel `gmm.nll_and_gradients`)
+serves both loss entry points, so their losses agree bitwise.
 
 All gradients are hand-derived reverse mode; `backward` matches central
 finite differences (see tests). Forward/backward are pure functions of
 (params, batch), so concurrent evaluation on parameter snapshots is safe.
+
+`ModelParams` packs every tensor into one contiguous buffer, with the
+named tensors as views of it. `backward` writes each gradient into a
+buffer of the same layout (weights by gemm, biases by a ones-vector
+gemv), so the optimizer updates all of them in one pass.
 
 Forward and backward compute in the dtype of the params and inputs:
 `training.fit` passes float32 copies, while checkpoints, `predict` and
@@ -25,6 +32,7 @@ evaluation stay float64.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -107,30 +115,70 @@ class ModelConfig:
                 raise ValueError("norm variant is the single-component head")
 
 
-@dataclass
-class ModelParams:
-    """Named parameter tensors, ordered; shared by optimizer and checkpoints."""
+def _views(flat, layout):
+    """Named views of consecutive runs of `flat`, per (name, shape) pair."""
+    views, start = {}, 0
+    for name, shape in layout:
+        size = math.prod(shape)
+        views[name] = flat[start : start + size].reshape(shape)
+        start += size
+    return views
 
-    tensors: dict
+
+class ModelParams:
+    """Named parameter tensors, ordered, packed into one contiguous buffer.
+
+    `flat` holds every tensor back to back in name order, and `tensors`
+    maps each name to its view of `flat`, so one pass over `flat` touches
+    every tensor (the optimizer's update, the gradient norm). Params,
+    gradients and Adam moments share one `layout`, the (name, shape)
+    pairs, through `with_flat`.
+    The buffer is float32 when every given tensor is float32, float64
+    otherwise."""
+
+    def __init__(self, tensors: dict):
+        arrays = {k: np.asarray(v) for k, v in tensors.items()}
+        f32 = all(a.dtype == np.float32 for a in arrays.values())
+        self.layout = tuple((k, a.shape) for k, a in arrays.items())
+        self.flat = np.empty(sum(a.size for a in arrays.values()),
+                             np.float32 if f32 else np.float64)
+        self.tensors = _views(self.flat, self.layout)
+        for name, a in arrays.items():
+            self.tensors[name][...] = a
+
+    def with_flat(self, flat) -> "ModelParams":
+        """The params of this layout over the buffer `flat` (not copied)."""
+        new = object.__new__(ModelParams)
+        new.layout = self.layout
+        new.flat = flat
+        new.tensors = _views(flat, self.layout)
+        return new
 
     def __getitem__(self, name):
         return self.tensors[name]
 
     def __setitem__(self, name, value):
-        self.tensors[name] = value
+        """Write `value` into the tensor's view. A new shape is a
+        ValueError: rebinding the name would detach the tensor from
+        `flat`, which the optimizer updates."""
+        view = self.tensors[name]
+        value = np.asarray(value)
+        if value.shape != view.shape:
+            raise ValueError(f"{name}: shape {value.shape} differs from {view.shape}")
+        view[...] = value
 
     def names(self):
         return list(self.tensors)
 
     def copy(self) -> "ModelParams":
-        return ModelParams({k: v.copy() for k, v in self.tensors.items()})
+        return self.with_flat(self.flat.copy())
 
     def astype(self, dtype) -> "ModelParams":
         """A copy with every tensor in `dtype`."""
-        return ModelParams({k: v.astype(dtype) for k, v in self.tensors.items()})
+        return self.with_flat(self.flat.astype(dtype))
 
-    def all_finite(self) -> bool:
-        return all(np.all(np.isfinite(v)) for v in self.tensors.values())
+    def zeros_like(self) -> "ModelParams":
+        return self.with_flat(np.zeros_like(self.flat))
 
 
 @dataclass
@@ -199,10 +247,17 @@ def backbone_forward(x, params, cfg: BackboneConfig):
     `backward` reuses."""
     if x.ndim != 3 or x.shape[-1] != cfg.input_dim:
         raise ValueError(f"expected inputs (B, N, {cfg.input_dim}), got {x.shape}")
-    a1 = x @ params["backbone.w1"].T + params["backbone.b1"]
-    h1 = np.tanh(a1) if cfg.activation == "tanh" else a1
-    z = h1 @ params["backbone.w2"].T + params["backbone.b2"]
-    return z, h1
+    a1 = _affine(x, params, "backbone.w1", "backbone.b1")
+    h1 = np.tanh(a1, out=a1) if cfg.activation == "tanh" else a1
+    return _affine(h1, params, "backbone.w2", "backbone.b2"), h1
+
+
+def _affine(a, params, w, b):
+    """a @ params[w].T + params[b], adding the bias in place: each fresh
+    temporary costs page faults as well as a pass."""
+    out = a @ params[w].T
+    out += params[b]
+    return out
 
 
 def _softmax_last(logits):
@@ -211,42 +266,51 @@ def _softmax_last(logits):
 
 
 def head_forward(z, hc: HeadConfig, params):
-    """(mixtures, cache): one mixture per (leading index, horizon step).
+    """((logits, means, logvars), cache): the head's raw outputs, one
+    K-vector each per (leading index, horizon step).
 
-    z has shape (..., features); the mixtures' element shape is
-    (..., horizon) with K components each, means in normalized space, in
-    the dtype of the branch outputs (the float64 anchors are cast to it).
-    The cache holds the projection and unclamped log-variances."""
-    zp = z @ params["proj.w"].T + params["proj.b"]
+    z has shape (..., features); each output has shape (..., horizon, K)
+    in the dtype of the branch outputs (the float64 anchors are cast to
+    it). Means are in normalized space and log-variances are clamped to
+    [LOG_VAR_MIN, LOG_VAR_MAX]. The cache holds the projection."""
+    zp = _affine(z, params, "proj.w", "proj.b")
     shape = z.shape[:-1] + (hc.horizon, hc.components)
-    logits = (zp @ params["mix.w"].T + params["mix.b"]).reshape(shape)
-    offsets = (zp @ params["mean.w"].T + params["mean.b"]).reshape(shape)
-    logvar_raw = (zp @ params["logvar.w"].T + params["logvar.b"]).reshape(shape)
-    logvar = np.clip(logvar_raw, LOG_VAR_MIN, LOG_VAR_MAX)
-    weights = _softmax_last(logits)
-    means = offsets * hc.anchor_scale + hc.anchors.astype(offsets.dtype, copy=False)
-    variances = np.exp(logvar)
-    mb = MixtureBatch(weights, means, variances)
-    return mb, {"zp": zp, "logvar_raw": logvar_raw}
+    logits = _affine(zp, params, "mix.w", "mix.b").reshape(shape)
+    means = _affine(zp, params, "mean.w", "mean.b").reshape(shape)
+    logvars = _affine(zp, params, "logvar.w", "logvar.b").reshape(shape)
+    np.clip(logvars, LOG_VAR_MIN, LOG_VAR_MAX, out=logvars)
+    # From offsets, in place; slab by slab, since broadcasting the (K,)
+    # anchors would loop over rows of K.
+    means *= hc.anchor_scale
+    for k, anchor in enumerate(hc.anchors.astype(means.dtype, copy=False)):
+        means[..., k] += anchor
+    return (logits, means, logvars), {"zp": zp}
+
+
+def head_mixtures(outputs) -> MixtureBatch:
+    """The mixtures of `head_forward`'s (logits, means, logvars)."""
+    logits, means, logvars = outputs
+    return MixtureBatch(_softmax_last(logits), means, np.exp(logvars))
 
 
 def _forward(inputs, params: ModelParams, cfg: ModelConfig):
-    """(predictions, cache): mixtures for norm/gmm, point values for det,
-    plus every intermediate `backward` needs."""
+    """(predictions, cache): the head's (logits, means, logvars) for
+    norm/gmm, point values for det, plus every intermediate `backward`
+    needs."""
     z, h1 = backbone_forward(inputs, params, cfg.backbone)
     cache = {"h1": h1, "z": z}
     if cfg.variant == "det":
-        return z @ params["out.w"].T + params["out.b"], cache
-    mb, head_cache = head_forward(z, cfg.head, params)
+        return _affine(z, params, "out.w", "out.b"), cache
+    outputs, head_cache = head_forward(z, cfg.head, params)
     cache.update(head_cache)
-    return mb, cache
+    return outputs, cache
 
 
 def _loss(preds, y, cfg: ModelConfig, with_grad: bool):
     """(mean loss, per-element gradient or None) over all (window,
     location, step) elements: absolute error and its sign for det, NLL and
     the kernel's (d_logits, d_means, d_logvars) for the mixture variants.
-    Without the gradient the NLL is the kernel's, bit for bit."""
+    The loss does not depend on with_grad, bit for bit."""
     grad = None
     if cfg.variant == "det":
         per = np.abs(preds - y)
@@ -257,10 +321,7 @@ def _loss(preds, y, cfg: ModelConfig, with_grad: bool):
         # Non-finite intermediates surface through the loss guard below,
         # so numpy's own warnings are redundant here.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if with_grad:
-                per, grad = nll_and_gradients(preds.weights, preds.means, preds.variances, y)
-            else:
-                per = -preds.log_density(y)
+            per, grad = nll_and_gradients(*preds, y, gradients=with_grad)
         what = "negative log-likelihood"
     loss = float(per.mean())
     if not np.isfinite(loss):
@@ -273,58 +334,73 @@ def _loss(preds, y, cfg: ModelConfig, with_grad: bool):
 def forward_loss(batch: ForecastBatch, params: ModelParams, cfg: ModelConfig):
     """(training loss, predictions). The loss is the plain mean over all
     (window, location, step) elements: NLL for mixture variants, absolute
-    error for the det variant."""
+    error for the det variant. The predictions are `_forward`'s: the
+    head's (logits, means, logvars), or point values for det."""
     preds, _ = _forward(batch.inputs, params, cfg)
     return _loss(preds, batch.targets, cfg, with_grad=False)[0], preds
 
 
 def predict(params: ModelParams, cfg: ModelConfig, inputs):
     """Inference: mixtures for norm/gmm, point values for det."""
-    return _forward(inputs, params, cfg)[0]
+    preds = _forward(inputs, params, cfg)[0]
+    return preds if cfg.variant == "det" else head_mixtures(preds)
 
 
-def _linear_backward(grads, params, w, b, d, a):
-    """Store the gradients of the layer `a @ params[w].T + params[b]`
-    (rows flattened) for upstream gradient d; return d @ params[w]."""
-    grads[w] = d.T @ a
-    grads[b] = d.sum(axis=0)
+def _linear_backward(grads, params, w, b, d, a, ones):
+    """Write the gradients of the layer `a @ params[w].T + params[b]`
+    (rows flattened) for upstream gradient d into their views of `grads`
+    (the bias one as the gemv ones @ d); return d @ params[w]."""
+    np.matmul(d.T, a, out=grads[w])
+    np.matmul(ones, d, out=grads[b])
     return d @ params[w]
 
 
 def backward(batch: ForecastBatch, params: ModelParams, cfg: ModelConfig):
-    """(loss, gradients) with gradients shaped exactly like the params."""
+    """(loss, gradients, clamped): the gradients packed like the params,
+    and how many (element, component) log-variances sit at a clamp bound,
+    where their gradient is zero (0 for det)."""
     preds, cache = _forward(batch.inputs, params, cfg)
     loss, g_out = _loss(preds, batch.targets, cfg, with_grad=True)
     rows = batch.targets.shape[0] * batch.targets.shape[1]
-    m_count = batch.targets.size
-    grads = {}
+    inv_count = 1.0 / batch.targets.size
+    grads = params.zeros_like()
     z = cache["z"].reshape(rows, -1)
+    ones = np.ones(rows, dtype=z.dtype)
+    clamped = 0
 
     if cfg.variant == "det":
-        d_out = (g_out / m_count).reshape(rows, -1)
-        g_z = _linear_backward(grads, params, "out.w", "out.b", d_out, z)
+        d_out = (g_out * inv_count).reshape(rows, -1)
+        g_z = _linear_backward(grads, params, "out.w", "out.b", d_out, z, ones)
     else:
-        d_logits, d_means, d_logvar = g_out
-        raw = cache["logvar_raw"]
-        branches = {
-            "mix": d_logits / m_count,
-            "mean": d_means * cfg.head.anchor_scale / m_count,
-            # Hard-clamped log-variances contribute no gradient.
-            "logvar": d_logvar / m_count * ((raw > LOG_VAR_MIN) & (raw < LOG_VAR_MAX)),
-        }
+        d_logits, d_means, d_logvars = g_out
+        # A clamped log-variance sits at a bound exactly when the raw one
+        # reached or passed it.
+        logvars = preds[2]
+        inside = (logvars > LOG_VAR_MIN) & (logvars < LOG_VAR_MAX)
+        clamped = inside.size - int(np.count_nonzero(inside))
+        d_logits *= inv_count
+        d_means *= cfg.head.anchor_scale * inv_count
+        # Hard-clamped log-variances contribute no gradient.
+        d_logvars *= inside
+        d_logvars *= inv_count
         zp = cache["zp"].reshape(rows, -1)
-        g_zp = np.zeros_like(zp)
-        for name, d in branches.items():
-            d = d.reshape(rows, -1)
-            g_zp += _linear_backward(grads, params, f"{name}.w", f"{name}.b", d, zp)
-        g_z = _linear_backward(grads, params, "proj.w", "proj.b", g_zp, z)
+        g_zp = None
+        for name, d in (("mix", d_logits), ("mean", d_means), ("logvar", d_logvars)):
+            g = _linear_backward(grads, params, f"{name}.w", f"{name}.b",
+                                 d.reshape(rows, -1), zp, ones)
+            g_zp = g if g_zp is None else np.add(g_zp, g, out=g_zp)
+        g_z = _linear_backward(grads, params, "proj.w", "proj.b", g_zp, z, ones)
 
     h1 = cache["h1"].reshape(rows, -1)
-    g_h1 = _linear_backward(grads, params, "backbone.w2", "backbone.b2", g_z, h1)
-    g_a1 = g_h1 * (1.0 - h1**2) if cfg.backbone.activation == "tanh" else g_h1
-    grads["backbone.w1"] = g_a1.T @ batch.inputs.reshape(rows, -1)
-    grads["backbone.b1"] = g_a1.sum(axis=0)
-    return loss, grads
+    g_h1 = _linear_backward(grads, params, "backbone.w2", "backbone.b2", g_z, h1, ones)
+    g_a1 = g_h1
+    if cfg.backbone.activation == "tanh":
+        g_a1 = np.multiply(h1, h1)
+        np.subtract(1.0, g_a1, out=g_a1)
+        g_a1 *= g_h1
+    np.matmul(g_a1.T, batch.inputs.reshape(rows, -1), out=grads["backbone.w1"])
+    np.matmul(ones, g_a1, out=grads["backbone.b1"])
+    return loss, grads, clamped
 
 
 # ----------------------------------------------------------------------

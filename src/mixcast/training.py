@@ -111,44 +111,44 @@ def lr_at(step: int, total_steps: int, cfg: TrainConfig) -> float:
 
 @dataclass
 class AdamWState:
-    m: dict
-    v: dict
+    """Adam's first and second moments, packed like the params."""
+
+    m: mdl.ModelParams
+    v: mdl.ModelParams
     t: int = 0
 
     @classmethod
     def init(cls, params: mdl.ModelParams) -> "AdamWState":
-        return cls(
-            m={k: np.zeros_like(v) for k, v in params.tensors.items()},
-            v={k: np.zeros_like(v) for k, v in params.tensors.items()},
-        )
+        return cls(m=params.zeros_like(), v=params.zeros_like())
 
 
-def global_norm(grads: dict) -> float:
-    """sqrt of the sum of squares of every gradient, squared and summed in
-    float64 whatever the gradients' dtype (float32 squares overflow from
-    about 1.8e19)."""
+def global_norm(grads: mdl.ModelParams) -> float:
+    """sqrt of the sum of squares of every gradient entry, in one pass over
+    the packed buffer, squared and summed in float64 whatever its dtype
+    (float32 squares overflow from about 1.8e19)."""
     with np.errstate(over="ignore"):
-        return math.sqrt(sum(float(np.sum(np.square(g, dtype=np.float64)))
-                             for g in grads.values()))
+        return math.sqrt(float(np.sum(np.square(grads.flat, dtype=np.float64))))
 
 
-def clip_gradients(grads: dict, max_norm: float, norm: float | None = None) -> dict:
+def clip_gradients(grads: mdl.ModelParams, max_norm: float,
+                   norm: float | None = None) -> mdl.ModelParams:
     """`grads` rescaled to global norm `max_norm` when their norm (computed
-    unless given) exceeds it; otherwise the same dict object, unchanged.
-    `max_norm` 0 disables clipping."""
+    unless given) exceeds it, as new params; otherwise the same object,
+    unchanged. `max_norm` 0 disables clipping."""
     if norm is None:
         norm = global_norm(grads)
     if not math.isfinite(norm):
         # Leave them alone; the optimizer's finiteness check rejects the step.
         return grads
     if max_norm > 0 and norm > max_norm:
-        scale = max_norm / norm
-        return {k: g * scale for k, g in grads.items()}
+        return grads.with_flat(grads.flat * (max_norm / norm))
     return grads
 
 
 def optimizer_step(params, grads, state: AdamWState, lr: float, cfg: TrainConfig):
-    """One decoupled-weight-decay Adam update (in place; single writer).
+    """One decoupled-weight-decay Adam update (in place; single writer),
+    one pass per operation over the packed buffers of params, grads and
+    moments, which share one layout.
 
     Moments are bias-corrected; the decay term -lr * wd * theta is applied
     separately from the adaptive step, so with zero gradients parameters
@@ -161,37 +161,42 @@ def optimizer_step(params, grads, state: AdamWState, lr: float, cfg: TrainConfig
     the update silently 0. The bias-corrected second moment is a weighted
     mean of squared gradients, so below that bound it stays finite.
     """
-    for name, g in grads.items():
-        peak = float(np.abs(g).max(initial=0.0))  # NaN propagates
-        if not peak <= math.sqrt(float(np.finfo(g.dtype).max) / 2):
+    if grads.layout != params.layout:
+        raise ValueError("gradients are not laid out like the params")
+    g = grads.flat
+    limit = math.sqrt(float(np.finfo(g.dtype).max) / 2)
+    # NaN fails both comparisons; on failure, name the first bad tensor.
+    if g.size and not (float(g.max()) <= limit and float(g.min()) >= -limit):
+        for name, t in grads.tensors.items():
+            peak = float(np.abs(t).max(initial=0.0))  # NaN propagates
             if not math.isfinite(peak):
                 raise ValueError(f"non-finite gradient for {name}: step rejected")
-            raise ValueError(
-                f"gradient for {name} reaches {peak:.3g}, whose square overflows "
-                f"{g.dtype}: step rejected"
-            )
+            if peak > limit:
+                raise ValueError(
+                    f"gradient for {name} reaches {peak:.3g}, whose square overflows "
+                    f"{t.dtype}: step rejected"
+                )
     b1, b2 = cfg.betas
     state.t += 1
     bc1 = 1.0 - b1**state.t
     bc2 = 1.0 - b2**state.t
-    for name, g in grads.items():
-        m = state.m[name]
-        v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        p = params[name]
-        p -= lr * cfg.weight_decay * p
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+    m, v, p = state.m.flat, state.v.flat, params.flat
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * g * g
+    p -= lr * cfg.weight_decay * p
+    p -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
     return params, state
 
 
 @dataclass
 class TrainResult:
     """What `fit` returns: the best params (float64), the per-epoch history
-    and log lines, and per completed step the pre-clip gradient norm and
-    whether clipping fired."""
+    and log lines, per completed step the pre-clip gradient norm and
+    whether clipping fired, and over the completed steps how many of the
+    (element, component) log-variances sat at a clamp bound, out of
+    `logvars` (both 0 for det)."""
 
     params: mdl.ModelParams
     model_cfg: mdl.ModelConfig
@@ -202,6 +207,8 @@ class TrainResult:
     batch_digests: list = field(default_factory=list)
     grad_norms: list = field(default_factory=list)
     clip_fired: list = field(default_factory=list)
+    logvar_clamped: int = 0
+    logvars: int = 0
     diverged: bool = False
 
 
@@ -245,6 +252,7 @@ def fit(splits, model_cfg: mdl.ModelConfig, train_cfg: TrainConfig) -> TrainResu
         params=params.astype(np.float64), model_cfg=model_cfg, best_val_loss=math.inf,
         best_epoch=-1,
     )
+    components = 0 if model_cfg.head is None else model_cfg.head.components
     step = 0
     for epoch in range(train_cfg.epochs):
         perm = rng_data.permutation(w)
@@ -256,12 +264,14 @@ def fit(splits, model_cfg: mdl.ModelConfig, train_cfg: TrainConfig) -> TrainResu
                 idx = perm[i * bs : (i + 1) * bs]
                 batch = mdl.ForecastBatch(inputs=train_x[idx], targets=train_y[idx])
                 lr = lr_at(step, total_steps, train_cfg)
-                loss, grads = mdl.backward(batch, params, model_cfg)
+                loss, grads, clamped = mdl.backward(batch, params, model_cfg)
                 norm = global_norm(grads)
                 clipped = clip_gradients(grads, train_cfg.clip_norm, norm)
                 optimizer_step(params, clipped, state, lr, train_cfg)
                 result.grad_norms.append(norm)
                 result.clip_fired.append(clipped is not grads)
+                result.logvar_clamped += clamped
+                result.logvars += batch.targets.size * components
                 result.log_lines.append(
                     f"epoch={epoch} step={step} lr={lr!r} loss={loss!r}"
                 )

@@ -1,6 +1,9 @@
 """Test-side oracles: reference helpers that only tests call.
 
-The dip statistic checks the generator's bimodality; the sampling helpers
+The log-density is the mixture formula in weight and variance space,
+the reference for the package's log-space NLL kernel; the per-tensor
+AdamW step is the reference for the packed optimizer. The dip statistic
+checks the generator's bimodality; the sampling helpers
 draw targets from predicted mixtures; the interval helpers read widths,
 containment and selected mass off one grid's selection, and run the
 batch HPD kernel on the grid evaluation uses, to check the batch
@@ -10,6 +13,7 @@ library path, so they live beside the tests.
 import numpy as np
 
 from mixcast.gmm import MixtureBatch, grid_densities
+from mixcast.training import ADAM_EPS
 from mixcast.intervals import (
     MASS_COMPLETE_MIN,
     DensityGrid,
@@ -107,6 +111,46 @@ def unimodal_dip_threshold(n: int, rng: np.random.Generator, sims: int = 99,
     samples of size n (the standard reference unimodal null)."""
     dips = [dip_statistic(rng.random(n)) for _ in range(sims)]
     return float(np.quantile(dips, quantile))
+
+
+# ----------------------------------------------------------------------
+# Mixture log-density, finiteness and a per-tensor AdamW step.
+# ----------------------------------------------------------------------
+
+
+def log_density(m: MixtureBatch, x) -> np.ndarray:
+    """log p(x) of every mixture in the batch, in float64, from the weights
+    and variances (log(pi_k) + log N(x; mu_k, var_k), then a max-subtracted
+    log-sum-exp). x broadcasts against the element shape."""
+    w, mu, var = (np.asarray(a, dtype=float) for a in (m.weights, m.means, m.variances))
+    with np.errstate(divide="ignore"):
+        log_w = np.log(w)
+    d = np.asarray(x, dtype=float)[..., None] - mu
+    terms = log_w - 0.5 * d * d / var - 0.5 * np.log(2.0 * np.pi * var)
+    top = np.max(terms, axis=-1)
+    return top + np.log(np.sum(np.exp(terms - top[..., None]), axis=-1))
+
+
+def all_finite(params) -> bool:
+    """Whether every entry of every named tensor is finite."""
+    return all(np.all(np.isfinite(v)) for v in params.tensors.values())
+
+
+def adamw_step(params: dict, grads: dict, m: dict, v: dict, t: int, lr: float, cfg):
+    """One decoupled-weight-decay Adam update of dicts of arrays, tensor by
+    tensor, in place; `t` is the step number after this update. The same
+    elementwise arithmetic as `training.optimizer_step`."""
+    b1, b2 = cfg.betas
+    bc1 = 1.0 - b1**t
+    bc2 = 1.0 - b2**t
+    for name, g in grads.items():
+        m[name] *= b1
+        m[name] += (1.0 - b1) * g
+        v[name] *= b2
+        v[name] += (1.0 - b2) * g * g
+        p = params[name]
+        p -= lr * cfg.weight_decay * p
+        p -= lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + ADAM_EPS)
 
 
 # ----------------------------------------------------------------------

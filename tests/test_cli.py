@@ -11,6 +11,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
+import oracles
 import pytest
 from click.testing import CliRunner
 
@@ -106,7 +107,7 @@ class TestTrain:
         prior = model.reference_mixture(mcfg.head)
         dataset, manifest = cli.load_dataset(workspace / "tiny")
         splits = data.prepare_splits(dataset, 6, 6, manifest.split_fractions)
-        prior_nll = float(np.mean(-prior.log_density(splits.val.targets.ravel())))
+        prior_nll = float(np.mean(-oracles.log_density(prior, splits.val.targets.ravel())))
         assert extra["best_val_loss"] < prior_nll
 
     def test_norm_checkpoint_has_k1(self, workspace):
@@ -230,7 +231,7 @@ class TestTrain:
         # The same run in process gives every step's norm.
         dataset, dman = cli.load_dataset(workspace / "tiny")
         tcfg = cli.training.TrainConfig(epochs=2, batch_size=16, lr=0.002, clip_norm=0.2, seed=3)
-        result = cli.train_run(dataset, dman, "gmm", 5, tcfg, 6, 6)[0]
+        result, _, splits, _ = cli.train_run(dataset, dman, "gmm", 5, tcfg, 6, 6)
         norms = result.grad_norms
         steps = len(re.findall(r"^epoch=\d+ step=\d+ ", (tmp_path / "health.log").read_text(),
                                flags=re.M))
@@ -239,6 +240,11 @@ class TestTrain:
         assert result.clip_fired == [n > 0.2 for n in norms]
         assert manifest["clipped_steps"] == sum(result.clip_fired)
         assert 0 < manifest["clipped_steps"] < steps
+        # Every completed step's (element, component) log-variances, K = 5.
+        assert result.logvars == 2 * splits.train.targets.size * 5
+        clamped = manifest["logvar_clamped"]
+        assert clamped == {"count": result.logvar_clamped,
+                           "fraction": result.logvar_clamped / result.logvars}
 
 
 class TestEvaluate:

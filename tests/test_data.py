@@ -326,6 +326,31 @@ class TestCSVRoundTrip:
         assert d.missing[0, 0, 1] and d.missing[0, 1, 0]
         assert not np.any(np.isnan(d.values))
 
+    def test_rows_with_blank_or_bad_cells_parsed_cell_by_cell(self, tmp_path):
+        # Whole rows parse at once; a row holding a blank or bad cell goes
+        # through the cell loop, which masks blanks and names the bad cell.
+        m = DatasetManifest(
+            node_ids=("a", "b", "c"), sessions=1, session_steps=3, step_minutes=3.0,
+            max_value=14.0,
+        )
+        path = tmp_path / "mixed.csv"
+        path.write_text(
+            "timestamp,a,b,c\n"
+            "2024-01-01T06:00:00,1.25,,3.5\n"
+            "2024-01-01T06:03:00,1e1, 2.5 ,0\n"
+            "2024-01-01T06:06:00,,,7\n"
+        )
+        d = data.ingest_csv(path, m)
+        np.testing.assert_array_equal(d.values[0], [[1.25, 0.0, 3.5], [10.0, 2.5, 0.0],
+                                                    [0.0, 0.0, 7.0]])
+        np.testing.assert_array_equal(d.missing[0], [[False, True, False],
+                                                     [False, False, False],
+                                                     [True, True, False]])
+        path.write_text(path.read_text().replace(",,,7", ",,x,7"))
+        with pytest.raises(DataError) as err:
+            data.ingest_csv(path, m)
+        assert str(err.value) == f"{path}:4: node b: bad cell 'x'"
+
     def test_infinite_manifest_max_value_rejected(self, tmp_path):
         path = tmp_path / "inf.csv"
         path.write_text("timestamp,a\n2024-01-01T06:00:00,1.0\n2024-01-01T06:03:00,2.0\n")

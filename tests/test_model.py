@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import oracles
 import pytest
 
 from mixcast import model
@@ -41,11 +42,51 @@ def random_batch(rng, cfg, b=3, n=2):
     return ForecastBatch(inputs=inputs, targets=targets)
 
 
+def head_mixtures(z, cfg, params):
+    return model.head_mixtures(model.head_forward(z, cfg.head, params)[0])
+
+
 def randomize(params, rng, scale=0.3):
     out = params.copy()
     for name in out.names():
         out[name] = rng.normal(0, scale, out[name].shape)
     return out
+
+
+class TestModelParams:
+    def test_tensors_are_views_of_one_buffer_in_name_order(self):
+        params = ModelParams({"w": np.arange(6.0).reshape(2, 3), "b": np.array([7.0, 8.0])})
+        assert params.names() == ["w", "b"]
+        np.testing.assert_array_equal(params.flat, [0, 1, 2, 3, 4, 5, 7, 8])
+        assert all(np.shares_memory(v, params.flat) for v in params.tensors.values())
+        params.flat[-1] = 9.0
+        assert params["b"][1] == 9.0
+
+    def test_float32_only_when_every_tensor_is(self):
+        f32 = np.ones(2, dtype=np.float32)
+        assert ModelParams({"a": f32, "b": f32}).flat.dtype == np.float32
+        assert ModelParams({"a": f32, "b": np.ones(2)}).flat.dtype == np.float64
+        assert ModelParams({"a": np.arange(3)}).flat.dtype == np.float64
+
+    def test_setitem_writes_into_the_buffer(self):
+        params = ModelParams({"w": np.zeros((2, 3)), "b": np.zeros(2)})
+        view = params["w"]
+        params["w"] = np.ones((2, 3))
+        assert params["w"] is view and params.flat[:6].sum() == 6.0
+        with pytest.raises(ValueError, match=r"w: shape \(3, 2\) differs from \(2, 3\)"):
+            params["w"] = np.ones((3, 2))
+        with pytest.raises(KeyError):
+            params["new"] = np.ones(2)
+        assert params["w"] is view and params.names() == ["w", "b"]
+
+    def test_copies_own_their_buffer(self):
+        params = ModelParams({"w": np.ones((2, 2)), "b": np.ones(2)})
+        for other in (params.copy(), params.astype(np.float32), params.zeros_like()):
+            assert other.layout == params.layout
+            assert not np.shares_memory(other.flat, params.flat)
+            other["b"] = np.full(2, 5.0)
+        np.testing.assert_array_equal(params["b"], [1.0, 1.0])
+        assert params.astype(np.float32).flat.dtype == np.float32
 
 
 class TestHeadConfig:
@@ -119,7 +160,7 @@ class TestHeadForward:
         rng = np.random.default_rng(3)
         params = randomize(model.init_params(cfg, rng), rng)
         z = rng.normal(0, 1, (10, cfg.backbone.features))
-        mb, _ = model.head_forward(z, cfg.head, params)
+        mb = head_mixtures(z, cfg, params)
         np.testing.assert_allclose(mb.weights.sum(-1), 1.0, atol=1e-9)
         assert mb.shape == (10, cfg.horizon)
 
@@ -128,10 +169,10 @@ class TestHeadForward:
         rng = np.random.default_rng(4)
         params = randomize(model.init_params(cfg, rng), rng)
         z = rng.normal(0, 1, (4, cfg.backbone.features))
-        mb, _ = model.head_forward(z, cfg.head, params)
+        mb = head_mixtures(z, cfg, params)
         shifted = params.copy()
         shifted["mix.b"] = shifted["mix.b"] + 3.7  # same shift on all K logits
-        mb2, _ = model.head_forward(z, cfg.head, shifted)
+        mb2 = head_mixtures(z, cfg, shifted)
         np.testing.assert_allclose(mb.weights, mb2.weights, atol=1e-12)
 
     def test_k1_head_reparameterization(self):
@@ -139,7 +180,7 @@ class TestHeadForward:
         rng = np.random.default_rng(5)
         params = randomize(model.init_params(cfg, rng), rng)
         z = rng.normal(0, 1, (6, cfg.backbone.features))
-        mb, _ = model.head_forward(z, cfg.head, params)
+        mb = head_mixtures(z, cfg, params)
         zp = z @ params["proj.w"].T + params["proj.b"]
         offs = (zp @ params["mean.w"].T + params["mean.b"]).reshape(6, cfg.horizon, 1)
         np.testing.assert_allclose(
@@ -154,7 +195,7 @@ class TestHeadForward:
         rng = np.random.default_rng(6)
         params = randomize(model.init_params(cfg, rng), rng)
         z = rng.normal(0, 1, (3, 2, 8))
-        direct, _ = model.head_forward(z, cfg.head, params)
+        direct = head_mixtures(z, cfg, params)
         identity = BackboneConfig(input_steps=8, hidden=8, features=8, activation="identity")
         stub = ModelParams(
             {
@@ -172,9 +213,7 @@ class TestHeadForward:
                 "logvar.b": params["logvar.b"],
             }
         )
-        via_stub, _ = model.head_forward(
-            model.backbone_forward(z, stub, identity)[0], cfg.head, stub
-        )
+        via_stub = head_mixtures(model.backbone_forward(z, stub, identity)[0], cfg, stub)
         np.testing.assert_array_equal(direct.weights, via_stub.weights)
         np.testing.assert_array_equal(direct.means, via_stub.means)
 
@@ -220,7 +259,7 @@ class TestForwardLoss:
     def test_init_loss_is_prior_nll_constant(self):
         cfg = gmm_config()
         params = model.init_params(cfg, np.random.default_rng(0))
-        ref_nll = -model.reference_mixture(cfg.head).log_density(0.0)
+        ref_nll = -oracles.log_density(model.reference_mixture(cfg.head), 0.0)
         rng = np.random.default_rng(1)
         losses = []
         for _ in range(3):
@@ -250,7 +289,7 @@ class TestForwardLoss:
         lr = 0.05
         losses = [first]
         for _ in range(50):
-            _, grads = model.backward(batch, params, cfg)
+            grads = model.backward(batch, params, cfg)[1]
             for name in params.names():
                 params[name] = params[name] - lr * grads[name]
             losses.append(model.forward_loss(batch, params, cfg)[0])
@@ -276,7 +315,7 @@ class TestBackward:
         rng = np.random.default_rng(seed)
         params = randomize(model.init_params(cfg, rng), rng)
         batch = random_batch(rng, cfg)
-        _, grads = model.backward(batch, params, cfg)
+        _, grads, _ = model.backward(batch, params, cfg)
         h = 1e-4
         worst = 0.0
         for _ in range(probes):
@@ -325,7 +364,7 @@ class TestBackward:
         batch = ForecastBatch(
             inputs=np.zeros((2, 1, 4)), targets=np.array([[[t]], [[-t]]])
         )
-        _, grads = model.backward(batch, params, cfg)
+        _, grads, _ = model.backward(batch, params, cfg)
         g = grads["mean.b"].reshape(cfg.horizon, 5)[0]
         np.testing.assert_allclose(g, -g[::-1], atol=1e-14)
         assert g.sum() == pytest.approx(0.0, abs=1e-14)
@@ -339,7 +378,7 @@ class TestBackward:
         j = 3
         target = cfg.head.anchors[j]
         batch = ForecastBatch(inputs=np.zeros((1, 1, 4)), targets=np.full((1, 1, 1), target))
-        _, grads = model.backward(batch, params, cfg)
+        _, grads, _ = model.backward(batch, params, cfg)
         g = grads["mix.b"].reshape(cfg.horizon, 5)[0]
         assert g[j] < 0
         assert g[j] == g.min()
@@ -361,15 +400,32 @@ class TestBackward:
             loss = model.backward(batch, params, cfg)[0]
             assert loss == model.forward_loss(batch, params, cfg)[0]
 
+    def test_clamped_logvars_counted_and_given_no_gradient(self):
+        cfg = gmm_config(k=3, horizon=2, t_h=4)
+        rng = np.random.default_rng(32)
+        params = randomize(model.init_params(cfg, rng), rng)
+        bias = params["logvar.b"].copy()
+        bias[[0, 4]] = [40.0, -40.0]  # step 0 component 0 high, step 1 component 1 low
+        params["logvar.b"] = bias
+        batch = random_batch(rng, cfg, b=5, n=3)
+        _, grads, clamped = model.backward(batch, params, cfg)
+        assert clamped == 2 * 5 * 3
+        assert grads["logvar.b"][0] == 0.0 and grads["logvar.b"][4] == 0.0
+        assert np.all(grads["logvar.w"][[0, 4]] == 0.0)
+        assert np.all(np.delete(grads["logvar.b"], [0, 4]) != 0.0)
+        assert model.backward(batch, randomize(params, rng), cfg)[2] == 0
+        assert model.backward(random_batch(rng, det_config()),
+                              model.init_params(det_config(), rng), det_config())[2] == 0
+
     def test_backward_deterministic(self):
         cfg = gmm_config(k=3, horizon=2, t_h=4)
         rng = np.random.default_rng(31)
         params = randomize(model.init_params(cfg, rng), rng)
         batch = random_batch(rng, cfg)
-        l1, g1 = model.backward(batch, params, cfg)
-        l2, g2 = model.backward(batch, params, cfg)
+        l1, g1, _ = model.backward(batch, params, cfg)
+        l2, g2, _ = model.backward(batch, params, cfg)
         assert l1 == l2
-        for name in g1:
+        for name in g1.names():
             np.testing.assert_array_equal(g1[name], g2[name])
 
 
@@ -401,11 +457,11 @@ class TestComputeDtype:
             rng = np.random.default_rng(seed)
             params = randomize(model.init_params(cfg, rng), rng, scale=0.1)
             batch = random_batch(rng, cfg, b=16, n=8)
-            loss64, g64 = model.backward(batch, params, cfg)
+            loss64, g64, _ = model.backward(batch, params, cfg)
             params32, batch32 = as_dtype(params, batch, np.float32)
-            loss32, g32 = model.backward(batch32, params32, cfg)
+            loss32, g32, _ = model.backward(batch32, params32, cfg)
             assert abs(loss32 - loss64) <= self.LOSS_RTOL * abs(loss64)
-            for name, ref in g64.items():
+            for name, ref in g64.tensors.items():
                 assert g32[name].dtype == np.float32
                 scale = float(np.max(np.abs(ref)))
                 # K = 1 mixing gradients are exactly zero in both dtypes.
@@ -416,8 +472,8 @@ class TestComputeDtype:
         rng = np.random.default_rng(7)
         params = randomize(model.init_params(cfg, rng), rng)
         batch = random_batch(rng, cfg)
-        _, grads = model.backward(batch, params, cfg)
-        assert all(g.dtype == np.float64 for g in grads.values())
+        _, grads, _ = model.backward(batch, params, cfg)
+        assert grads.flat.dtype == np.float64
         mb = model.predict(params, cfg, batch.inputs)
         assert mb.weights.dtype == mb.means.dtype == mb.variances.dtype == np.float64
 
