@@ -421,11 +421,6 @@ def ingest_csv(path, manifest: DatasetManifest) -> SeriesDataset:
             raise DataError(f"{path}:{r}: non-monotone timestamp {cells[0]}")
         prev = stamp
         stamps.append(stamp)
-        try:
-            values[r - 2] = list(map(float, cells[1:]))
-            continue
-        except ValueError:
-            pass  # a blank or bad cell: the cell loop records or names it
         for i, cell in enumerate(cells[1:]):
             if cell == "":
                 missing[r - 2, i] = True

@@ -326,9 +326,9 @@ class TestCSVRoundTrip:
         assert d.missing[0, 0, 1] and d.missing[0, 1, 0]
         assert not np.any(np.isnan(d.values))
 
-    def test_rows_with_blank_or_bad_cells_parsed_cell_by_cell(self, tmp_path):
-        # Whole rows parse at once; a row holding a blank or bad cell goes
-        # through the cell loop, which masks blanks and names the bad cell.
+    def test_blank_cells_masked_and_bad_cell_named(self, tmp_path):
+        # Blank cells are masked wherever they sit in a row, a padded number
+        # parses, and a bad cell is named by row and node.
         m = DatasetManifest(
             node_ids=("a", "b", "c"), sessions=1, session_steps=3, step_minutes=3.0,
             max_value=14.0,

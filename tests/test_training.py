@@ -231,9 +231,15 @@ class TestOptimizer:
     def test_global_norm_float64_unchanged(self):
         rng = np.random.default_rng(0)
         grads = ModelParams({"a": rng.normal(0, 3, (7, 5)), "b": rng.normal(0, 1e-3, 11)})
-        # The plain float64 sum of squares over the packed buffer.
-        ref = math.sqrt(float(np.sum(grads.flat * grads.flat)))
-        assert training.global_norm(grads) == ref
+        norm = training.global_norm(grads)
+        # One float64 sum of squares over the packed buffer ...
+        assert norm == math.sqrt(float(np.sum(grads.flat * grads.flat)))
+        # ... within rounding of the correctly rounded sum and of the
+        # per-tensor sums it replaced.
+        exact = math.sqrt(math.fsum(float(v) ** 2 for v in grads.flat))
+        per_tensor = math.sqrt(sum(float(np.sum(g * g)) for g in (grads["a"], grads["b"])))
+        assert norm == pytest.approx(exact, rel=1e-15)
+        assert norm == pytest.approx(per_tensor, rel=1e-15)
 
     def test_global_norm_of_float32_squares_in_float64(self):
         # float32 squares overflow from about 1.8e19.
