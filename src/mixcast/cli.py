@@ -197,9 +197,11 @@ def train_run(dataset, manifest, variant, k, train_cfg: training.TrainConfig,
 def training_health(result: training.TrainResult) -> dict:
     """The `train` run.json's health fields: the pre-clip gradient norm
     over the completed steps (min, median, max; null without steps), how
-    many of those steps clipping rescaled, and the count and fraction of
+    many of those steps clipping rescaled, the count and fraction of
     (element, component) log-variances held at a clamp bound over those
-    steps, whose gradient was zero (null without log-variances)."""
+    steps, whose gradient was zero (null without log-variances), and per
+    epoch the validation weight entropy and effective K of each horizon
+    step (null for det)."""
     norms = result.grad_norms
     stats = None
     if norms:
@@ -208,8 +210,10 @@ def training_health(result: training.TrainResult) -> dict:
     if result.logvars:
         clamped = {"count": result.logvar_clamped,
                    "fraction": result.logvar_clamped / result.logvars}
+    tables = {key: [h[key] for h in result.history if key in h] or None
+              for key in ("weight_entropy", "effective_k")}
     return {"grad_norm": stats, "clipped_steps": sum(result.clip_fired),
-            "logvar_clamped": clamped}
+            "logvar_clamped": clamped, **tables}
 
 
 def _predict_in_chunks(params, mcfg, windows, chunk=512):

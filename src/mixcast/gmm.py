@@ -6,9 +6,12 @@ The NLL and its gradients (`nll_and_gradients`) work in log space from
 the head's raw outputs, as mixture density networks do (Bishop 1994):
 log-weights by a log-softmax of the logits, variances only as
 exp(-logvar) and logvar / 2, so training forms no weights, variances or
-`MixtureBatch`. The component log terms have one implementation
-(`_component_log_terms`). Densities on a shared grid and at interval
-targets have one plain-space implementation (`grid_densities`).
+`MixtureBatch`. The kernel takes its arrays rows last, (..., K, M), as
+the head computes them, so every step, the sums over the K components
+included, runs over contiguous rows; responsibilities below e**-60 of
+their element's largest are set to 0, which keeps float32 subnormals out
+of the gradients. Densities on a shared grid and at interval targets
+have one plain-space implementation (`grid_densities`).
 
 Everything here is a pure function of its inputs. A `MixtureBatch`
 neither copies nor freezes its arrays, so callers that share one must
@@ -18,14 +21,12 @@ The kernels follow the dtype of their inputs: float32 arrays (training
 and the interval grid of evaluation compute in float32) stay float32,
 and anything else is computed in float64.
 
-Reductions over the short component axis go through `_sum_k` and
-`_max_k`, which add (or compare) one (...,) slab per component instead
-of calling a numpy reduction over a length-K last axis, which is several
-times slower at these shapes; `_slabs` applies a per-element value
-across the components the same way, and the NLL sums with one gemv
-(`_gemv_sum_k`). The normal CDF terms come from `math.erf` and
-`math.erfc` applied elementwise (`erf`, `norm_cdf`), so the package
-needs no scipy.
+`MixtureBatch` keeps the components last, (..., K), and sums (`_sum_k`)
+and renormalizes over them one component at a time: a numpy operation
+along, or broadcast over, a length-K last axis loops over rows of K and
+is several times slower at these shapes. The normal CDF terms come from
+`math.erf` and `math.erfc` applied elementwise (`erf`, `norm_cdf`), so
+the package needs no scipy.
 """
 from __future__ import annotations
 
@@ -45,6 +46,9 @@ VAR_FLOOR = float(np.exp(LOG_VAR_MIN))
 # further off is a contract violation. `_weight_sum_tolerance` widens it
 # for float32 at larger K.
 _WEIGHT_SUM_REJECT = 1e-6
+
+# `nll_and_gradients` zeroes responsibilities below e**this of the largest.
+LOG_RESP_CUTOFF = -60.0
 
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -72,49 +76,6 @@ def _weight_sum_tolerance(dtype, k: int) -> float:
     return max(_WEIGHT_SUM_REJECT, 2 * k * float(np.finfo(dtype).eps))
 
 
-def _component_log_terms(log_weights, means, logvars, x):
-    """Per-component log(pi_k) + log N(x; mu_k, exp(logvar_k)), broadcast
-    over x, with the residual pieces the NLL gradients reuse.
-
-    Parameter arrays have shape (..., K) and `x` shape (...). Returns
-    (terms, r, q), each (..., K), with r = (mu_k - x) / var_k and
-    q = (x - mu_k)^2 / (2 var_k). Log-weights off by a per-element
-    constant shift that element's terms alike; -inf ones give -inf terms.
-    """
-    d = _slabs(np.subtract, means, x)
-    scratch = np.negative(logvars)
-    inv_var = np.exp(scratch, out=scratch)
-    r = d * inv_var
-    d *= 0.5
-    q = np.multiply(d, r, out=d)
-    terms = log_weights - q
-    half_log_var = np.multiply(logvars, 0.5, out=scratch)
-    half_log_var += _HALF_LOG_2PI
-    terms -= half_log_var
-    return terms, r, q
-
-
-def _slabs(op, a, col, out=None):
-    """op(a[..., k], col) into out[..., k] for each component k: a value
-    per element applied across the component axis one slab at a time.
-    Broadcasting col[..., None] instead makes numpy loop over rows of
-    length K, several times slower at K = 5. `out` may be `a`."""
-    if out is None:
-        shape = np.broadcast_shapes(a.shape, np.shape(col) + a.shape[-1:])
-        out = np.empty(shape, np.result_type(a, col))
-    for k in range(a.shape[-1]):
-        op(a[..., k], col, out=out[..., k])
-    return out
-
-
-def _gemv_sum_k(a):
-    """Sum over the last (component) axis as one gemv against ones, several
-    times faster than `_sum_k` at these shapes but free to round
-    differently (BLAS picks the order)."""
-    k = a.shape[-1]
-    return (a.reshape(-1, k) @ np.ones(k, a.dtype)).reshape(a.shape[:-1])
-
-
 def _sum_k(a):
     """Sum over the last (component) axis, one slab at a time.
 
@@ -127,15 +88,6 @@ def _sum_k(a):
     out = a[..., 0] + 0.0
     for k in range(1, a.shape[-1]):
         out += a[..., k]
-    return out
-
-
-def _max_k(a):
-    """Maximum over the last (component) axis, one slab at a time; equal to
-    `np.max(a, axis=-1)` for every K >= 1 (NaN propagates the same way)."""
-    out = a[..., 0].copy()
-    for k in range(1, a.shape[-1]):
-        np.maximum(out, a[..., k], out=out)
     return out
 
 
@@ -169,11 +121,11 @@ def nll_and_gradients(logits, means, logvars, y, gradients=True):
     """Per-element NLL -log p(y) of the mixtures with weights
     softmax(logits), and its gradients, all in log space.
 
-    Parameter arrays have shape (..., K) and y shape (...). Returns
-    (nll, (d_logits, d_means, d_logvars)), with nll shaped like y and
-    each gradient (..., K), or (nll, None) when `gradients` is false (the
-    nll is the same, bit for bit). With responsibilities
-    gamma_k = pi_k N(y|k) / p(y):
+    Rows last: parameter arrays have shape (..., K, M), the M elements
+    along the last axis, and y shape (..., 1, M). Returns (nll, (d_logits,
+    d_means, d_logvars)), with nll shaped (..., 1, M) and each gradient
+    (..., K, M), or (nll, None) when `gradients` is false (the nll is the
+    same, bit for bit). With responsibilities gamma_k = pi_k N(y|k) / p(y):
 
         d/d logit_k   = -(gamma_k - pi_k)
         d/d mu_k      = -gamma_k (y - mu_k) / var_k
@@ -181,23 +133,42 @@ def nll_and_gradients(logits, means, logvars, y, gradients=True):
 
     The log-weights come from a log-softmax and the variances only as
     exp(-logvar) and logvar / 2, so no weight or variance is formed.
+    A responsibility below e**LOG_RESP_CUTOFF of its element's largest is
+    exactly 0.
     """
-    y = _float_array(y)
-    # Max-shifted logits: log pi_k = shifted_k - log(e_sum).
-    e = _slabs(np.subtract, logits, _max_k(logits))
-    terms, r, q = _component_log_terms(e, means, logvars, y)
-    e_sum = _gemv_sum_k(np.exp(e, out=e))
+    # Max-shifted logits: log pi_k = e_k - log(e_sum).
+    e = logits - logits.max(axis=-2, keepdims=True)
+    # log pi_k + log N(y; mu_k, var_k), with r = (mu_k - y) / var_k and
+    # q = (y - mu_k)^2 / (2 var_k), which the gradients reuse.
+    d = means - y
+    scratch = np.negative(logvars)
+    inv_var = np.exp(scratch, out=scratch)
+    r = d * inv_var
+    d *= 0.5
+    q = np.multiply(d, r, out=d)
+    terms = e - q
+    half_log_var = np.multiply(logvars, 0.5, out=scratch)
+    half_log_var += _HALF_LOG_2PI
+    terms -= half_log_var
     # -log p(y) by log-sum-exp over the components, with log(e_sum) added
-    # back; m is finite whenever some component's term is.
-    m = _max_k(terms)
-    gamma = np.exp(_slabs(np.subtract, terms, m, out=terms), out=terms)
-    g_sum = _gemv_sum_k(gamma)
+    # back; m is finite whenever some component's term is. The cutoff keeps
+    # float32 subnormals (from about e**-87 down) out of the gradients and
+    # the gemms that consume them; the largest term contributes 1 to
+    # g_sum, so what it drops (under K e**-60) lies far below g_sum's ulp.
+    m = terms.max(axis=-2, keepdims=True)
+    terms -= m
+    kept = np.greater_equal(terms, LOG_RESP_CUTOFF, out=scratch)  # 1.0 or 0.0
+    gamma = np.exp(terms, out=terms)
+    gamma *= kept
+    del scratch, inv_var, half_log_var, kept  # one buffer, freed before the sums
+    e_sum = np.exp(e, out=e).sum(axis=-2, keepdims=True)
+    g_sum = gamma.sum(axis=-2, keepdims=True)
     nll = np.log(e_sum / g_sum)
     nll -= m
     if not gradients:
         return nll, None
-    _slabs(np.divide, gamma, g_sum, out=gamma)
-    pi = _slabs(np.divide, e, e_sum, out=e)
+    gamma /= g_sum
+    pi = np.divide(e, e_sum, out=e)
     d_means = np.multiply(gamma, r, out=r)
     np.subtract(0.5, q, out=q)
     d_logvars = np.multiply(gamma, q, out=q)
@@ -260,7 +231,10 @@ class MixtureBatch:
         if np.any(np.abs(sums - 1.0) > _weight_sum_tolerance(w.dtype, w.shape[-1])):
             worst = float(sums.ravel()[np.argmax(np.abs(sums - 1.0))])
             raise InvalidMixtureError(f"weights sum to {worst!r}, expected 1")
-        w = w / sums[..., None]
+        normed = np.empty_like(w)
+        for k in range(w.shape[-1]):
+            np.divide(w[..., k], sums, out=normed[..., k])
+        w = normed
         if np.any(var < 0.0):
             raise InvalidMixtureError("negative variance in batch")
         var = np.maximum(var, VAR_FLOOR)

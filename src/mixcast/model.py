@@ -12,9 +12,12 @@ variances.
 
 One forward pass (`_forward`) serves `predict`, `forward_loss` and
 `backward`. For mixtures it returns the head outputs (logits, means,
-clamped log-variances); only `predict` turns them into a `MixtureBatch`.
-One loss (`_loss`, on the log-space NLL kernel `gmm.nll_and_gradients`)
-serves both loss entry points, so their losses agree bitwise.
+clamped log-variances) rows last, each branch as W @ zp.T shaped
+(horizon, K, rows) in the row order of the stored weights, so the NLL
+kernel and the branch gradients run over contiguous rows; only `predict`
+builds a `MixtureBatch`, of shape (..., horizon, K). One loss (`_loss`,
+on the log-space NLL kernel `gmm.nll_and_gradients`) serves both loss
+entry points, so their losses agree bitwise.
 
 All gradients are hand-derived reverse mode; `backward` matches central
 finite differences (see tests). Forward/backward are pure functions of
@@ -22,8 +25,8 @@ finite differences (see tests). Forward/backward are pure functions of
 
 `ModelParams` packs every tensor into one contiguous buffer, with the
 named tensors as views of it. `backward` writes each gradient into a
-buffer of the same layout (weights by gemm, biases by a ones-vector
-gemv), so the optimizer updates all of them in one pass.
+buffer of the same layout (weights by gemm, biases by a gemv against
+ones), so the optimizer updates all of them in one pass.
 
 Forward and backward compute in the dtype of the params and inputs:
 `training.fit` passes float32 copies, while checkpoints, `predict` and
@@ -37,7 +40,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .gmm import LOG_VAR_MAX, LOG_VAR_MIN, MixtureBatch, _max_k, _sum_k, nll_and_gradients
+from .gmm import LOG_VAR_MAX, LOG_VAR_MIN, MixtureBatch, nll_and_gradients
 
 VARIANTS = ("det", "norm", "gmm")
 
@@ -233,13 +236,6 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator) -> ModelParams:
     return ModelParams(t)
 
 
-def reference_mixture(hc: HeadConfig) -> MixtureBatch:
-    """The mixture every freshly initialized head emits (element shape ()):
-    uniform weights, means at the anchors, unit variances."""
-    k = hc.components
-    return MixtureBatch(np.full(k, 1.0 / k), hc.anchors.copy(), np.ones(k))
-
-
 def backbone_forward(x, params, cfg: BackboneConfig):
     """Per-node MLP (input window -> hidden -> features).
 
@@ -260,37 +256,53 @@ def _affine(a, params, w, b):
     return out
 
 
-def _softmax_last(logits):
-    e = np.exp(logits - _max_k(logits)[..., None])
-    return e / _sum_k(e)[..., None]
-
-
 def head_forward(z, hc: HeadConfig, params):
-    """((logits, means, logvars), cache): the head's raw outputs, one
-    K-vector each per (leading index, horizon step).
+    """((logits, means, logvars), cache): the head's raw outputs, rows last.
 
-    z has shape (..., features); each output has shape (..., horizon, K)
-    in the dtype of the branch outputs (the float64 anchors are cast to
-    it). Means are in normalized space and log-variances are clamped to
-    [LOG_VAR_MIN, LOG_VAR_MAX]. The cache holds the projection."""
-    zp = _affine(z, params, "proj.w", "proj.b")
-    shape = z.shape[:-1] + (hc.horizon, hc.components)
-    logits = _affine(zp, params, "mix.w", "mix.b").reshape(shape)
-    means = _affine(zp, params, "mean.w", "mean.b").reshape(shape)
-    logvars = _affine(zp, params, "logvar.w", "logvar.b").reshape(shape)
+    z has shape (..., features), its leading axes flattening to R rows;
+    each output is a branch's W @ zp.T as (horizon, K, R), the order of
+    its weight rows, in the dtype of the branch outputs. Means are in
+    normalized space and log-variances are clamped to [LOG_VAR_MIN,
+    LOG_VAR_MAX]. The cache holds the (R, proj_width) projection."""
+    zp = _affine(z, params, "proj.w", "proj.b").reshape(-1, hc.proj_width)
+    shape = (hc.horizon, hc.components, zp.shape[0])
+
+    def branch(name):
+        out = params[f"{name}.w"] @ zp.T
+        out += params[f"{name}.b"][:, None]
+        return out.reshape(shape)
+
+    logits, means, logvars = branch("mix"), branch("mean"), branch("logvar")
     np.clip(logvars, LOG_VAR_MIN, LOG_VAR_MAX, out=logvars)
-    # From offsets, in place; slab by slab, since broadcasting the (K,)
-    # anchors would loop over rows of K.
+    # From offsets, in place.
     means *= hc.anchor_scale
-    for k, anchor in enumerate(hc.anchors.astype(means.dtype, copy=False)):
-        means[..., k] += anchor
+    means += hc.anchors.astype(means.dtype, copy=False)[:, None]
     return (logits, means, logvars), {"zp": zp}
 
 
-def head_mixtures(outputs) -> MixtureBatch:
-    """The mixtures of `head_forward`'s (logits, means, logvars)."""
+def head_mixtures(outputs, shape) -> MixtureBatch:
+    """The mixtures of `head_forward`'s rows-last outputs (overwriting the
+    logits and log-variances), copied to element shape shape + (horizon,)."""
     logits, means, logvars = outputs
-    return MixtureBatch(_softmax_last(logits), means, np.exp(logvars))
+    logits -= logits.max(axis=-2, keepdims=True)
+    w = np.exp(logits, out=logits)
+    w /= w.sum(axis=-2, keepdims=True)
+    new = tuple(shape) + logits.shape[:-1]
+    return MixtureBatch(*(np.ascontiguousarray(np.moveaxis(a, -1, 0)).reshape(new)
+                          for a in (w, means, np.exp(logvars, out=logvars))))
+
+
+def weight_entropy(logits):
+    """Per horizon step, the mean over rows of the component weights'
+    entropy and of its exp (the effective K), in float64, from
+    `head_forward`'s rows-last (horizon, K, rows) logits."""
+    entropy = np.empty((logits.shape[0], logits.shape[-1]))
+    for step, lg in zip(entropy, logits):  # step by step, to keep temporaries small
+        shifted = lg - lg.max(axis=0).astype(np.float64)
+        e = np.exp(shifted)
+        e_sum = e.sum(axis=0)
+        step[:] = np.log(e_sum) - (e * shifted).sum(axis=0) / e_sum
+    return entropy.mean(axis=-1), np.exp(entropy).mean(axis=-1)
 
 
 def _forward(inputs, params: ModelParams, cfg: ModelConfig):
@@ -309,8 +321,8 @@ def _forward(inputs, params: ModelParams, cfg: ModelConfig):
 def _loss(preds, y, cfg: ModelConfig, with_grad: bool):
     """(mean loss, per-element gradient or None) over all (window,
     location, step) elements: absolute error and its sign for det, NLL and
-    the kernel's (d_logits, d_means, d_logvars) for the mixture variants.
-    The loss does not depend on with_grad, bit for bit."""
+    the kernel's rows-last (d_logits, d_means, d_logvars) for the mixture
+    variants. The loss does not depend on with_grad, bit for bit."""
     grad = None
     if cfg.variant == "det":
         per = np.abs(preds - y)
@@ -318,13 +330,18 @@ def _loss(preds, y, cfg: ModelConfig, with_grad: bool):
             grad = np.sign(preds - y)
         what = "absolute error"
     else:
+        # Targets rows last, (horizon, 1, rows), like the head outputs.
+        y_rows_last = np.ascontiguousarray(y.reshape(-1, y.shape[-1]).T)[:, None, :]
         # Non-finite intermediates surface through the loss guard below,
         # so numpy's own warnings are redundant here.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            per, grad = nll_and_gradients(*preds, y, gradients=with_grad)
+            per, grad = nll_and_gradients(*preds, y_rows_last, gradients=with_grad)
         what = "negative log-likelihood"
     loss = float(per.mean())
     if not np.isfinite(loss):
+        if cfg.variant != "det":
+            # Back in the batch's (window, location, step) order.
+            per = np.moveaxis(per.reshape(y.shape[-1:] + y.shape[:-1]), 0, -1)
         bad = np.argwhere(~np.isfinite(per))
         first = tuple(int(i) for i in bad[0]) if bad.size else "?"
         raise ValueError(f"non-finite {what} at element {first}")
@@ -335,24 +352,25 @@ def forward_loss(batch: ForecastBatch, params: ModelParams, cfg: ModelConfig):
     """(training loss, predictions). The loss is the plain mean over all
     (window, location, step) elements: NLL for mixture variants, absolute
     error for the det variant. The predictions are `_forward`'s: the
-    head's (logits, means, logvars), or point values for det."""
-    preds, _ = _forward(batch.inputs, params, cfg)
+    head's rows-last (logits, means, logvars), or point values for det."""
+    preds = _forward(batch.inputs, params, cfg)[0]  # the cache is freed here
     return _loss(preds, batch.targets, cfg, with_grad=False)[0], preds
 
 
 def predict(params: ModelParams, cfg: ModelConfig, inputs):
     """Inference: mixtures for norm/gmm, point values for det."""
     preds = _forward(inputs, params, cfg)[0]
-    return preds if cfg.variant == "det" else head_mixtures(preds)
+    return preds if cfg.variant == "det" else head_mixtures(preds, inputs.shape[:-1])
 
 
 def _linear_backward(grads, params, w, b, d, a, ones):
     """Write the gradients of the layer `a @ params[w].T + params[b]`
-    (rows flattened) for upstream gradient d into their views of `grads`
-    (the bias one as the gemv ones @ d); return d @ params[w]."""
-    np.matmul(d.T, a, out=grads[w])
-    np.matmul(ones, d, out=grads[b])
-    return d @ params[w]
+    (rows of `a` flattened) for the upstream gradient d, given rows last
+    as (outputs, rows), into their views of `grads` (the bias one as the
+    gemv d @ ones); return the rows-first d.T @ params[w]."""
+    np.matmul(d, a, out=grads[w])
+    np.matmul(d, ones, out=grads[b])
+    return d.T @ params[w]
 
 
 def backward(batch: ForecastBatch, params: ModelParams, cfg: ModelConfig):
@@ -370,7 +388,7 @@ def backward(batch: ForecastBatch, params: ModelParams, cfg: ModelConfig):
 
     if cfg.variant == "det":
         d_out = (g_out * inv_count).reshape(rows, -1)
-        g_z = _linear_backward(grads, params, "out.w", "out.b", d_out, z, ones)
+        g_z = _linear_backward(grads, params, "out.w", "out.b", d_out.T, z, ones)
     else:
         d_logits, d_means, d_logvars = g_out
         # A clamped log-variance sits at a bound exactly when the raw one
@@ -383,16 +401,16 @@ def backward(batch: ForecastBatch, params: ModelParams, cfg: ModelConfig):
         # Hard-clamped log-variances contribute no gradient.
         d_logvars *= inside
         d_logvars *= inv_count
-        zp = cache["zp"].reshape(rows, -1)
+        zp = cache["zp"]
         g_zp = None
         for name, d in (("mix", d_logits), ("mean", d_means), ("logvar", d_logvars)):
             g = _linear_backward(grads, params, f"{name}.w", f"{name}.b",
-                                 d.reshape(rows, -1), zp, ones)
+                                 d.reshape(-1, rows), zp, ones)
             g_zp = g if g_zp is None else np.add(g_zp, g, out=g_zp)
-        g_z = _linear_backward(grads, params, "proj.w", "proj.b", g_zp, z, ones)
+        g_z = _linear_backward(grads, params, "proj.w", "proj.b", g_zp.T, z, ones)
 
     h1 = cache["h1"].reshape(rows, -1)
-    g_h1 = _linear_backward(grads, params, "backbone.w2", "backbone.b2", g_z, h1, ones)
+    g_h1 = _linear_backward(grads, params, "backbone.w2", "backbone.b2", g_z.T, h1, ones)
     g_a1 = g_h1
     if cfg.backbone.activation == "tanh":
         g_a1 = np.multiply(h1, h1)

@@ -193,7 +193,8 @@ def optimizer_step(params, grads, state: AdamWState, lr: float, cfg: TrainConfig
 @dataclass
 class TrainResult:
     """What `fit` returns: the best params (float64), the per-epoch history
-    and log lines, per completed step the pre-clip gradient norm and
+    (for mixtures with the validation `model.weight_entropy` per horizon
+    step) and log lines, per completed step the pre-clip gradient norm and
     whether clipping fired, and over the completed steps how many of the
     (element, component) log-variances sat at a clamp bound, out of
     `logvars` (both 0 for det)."""
@@ -277,15 +278,17 @@ def fit(splits, model_cfg: mdl.ModelConfig, train_cfg: TrainConfig) -> TrainResu
                 )
                 epoch_losses.append(loss)
                 step += 1
-            val_loss, _ = mdl.forward_loss(val_batch, params, model_cfg)
+            val_loss, val_preds = mdl.forward_loss(val_batch, params, model_cfg)
         except ValueError as err:
             result.log_lines.append(f"epoch={epoch} diverged error={err}")
             result.diverged = True
             break
         mean_loss = float(np.mean(epoch_losses))
-        result.history.append(
-            {"epoch": epoch, "train_loss": mean_loss, "val_loss": val_loss}
-        )
+        entry = {"epoch": epoch, "train_loss": mean_loss, "val_loss": val_loss}
+        if components:
+            entropy, effective_k = mdl.weight_entropy(val_preds[0])
+            entry.update(weight_entropy=entropy.tolist(), effective_k=effective_k.tolist())
+        result.history.append(entry)
         result.log_lines.append(
             f"epoch={epoch} train_loss={mean_loss!r} val_loss={val_loss!r} "
             f"batch_digest={digest}"

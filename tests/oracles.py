@@ -1,9 +1,12 @@
 """Test-side oracles: reference helpers that only tests call.
 
 The log-density is the mixture formula in weight and variance space,
-the reference for the package's log-space NLL kernel; the per-tensor
-AdamW step is the reference for the packed optimizer. The dip statistic
-checks the generator's bimodality; the sampling helpers
+the reference for the package's log-space NLL kernel, which
+`nll_components_last` calls on (..., K) arrays. The head computed rows
+first (`head_rows_first`) pins the checkpoint's branch row order, and
+`reference_mixture` is what a fresh head emits. The
+per-tensor AdamW step is the reference for the packed optimizer. The dip
+statistic checks the generator's bimodality; the sampling helpers
 draw targets from predicted mixtures; the interval helpers read widths,
 containment and selected mass off one grid's selection, and run the
 batch HPD kernel on the grid evaluation uses, to check the batch
@@ -12,7 +15,7 @@ library path, so they live beside the tests.
 """
 import numpy as np
 
-from mixcast.gmm import MixtureBatch, grid_densities
+from mixcast.gmm import LOG_VAR_MAX, LOG_VAR_MIN, MixtureBatch, grid_densities, nll_and_gradients
 from mixcast.training import ADAM_EPS
 from mixcast.intervals import (
     MASS_COMPLETE_MIN,
@@ -151,6 +154,67 @@ def adamw_step(params: dict, grads: dict, m: dict, v: dict, t: int, lr: float, c
         p = params[name]
         p -= lr * cfg.weight_decay * p
         p -= lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + ADAM_EPS)
+
+
+# ----------------------------------------------------------------------
+# The NLL kernel components last, and the head in the checkpoint's row
+# order.
+# ----------------------------------------------------------------------
+
+
+def nll_components_last(logits, means, logvars, y, gradients=True):
+    """`gmm.nll_and_gradients` on (..., K) head outputs and (...) targets,
+    broadcast to one element shape: moved rows last as (K, M) and (1, M),
+    and the results moved back to (...) and (..., K)."""
+    k = np.shape(logits)[-1]
+    shape = np.broadcast_shapes(*(np.shape(a)[:-1] for a in (logits, means, logvars)),
+                                np.shape(y))
+    args = [np.broadcast_to(a, shape + (k,)).reshape(-1, k).T
+            for a in (logits, means, logvars)]
+    nll, grads = nll_and_gradients(*args, np.broadcast_to(y, shape).reshape(1, -1),
+                                   gradients=gradients)
+    if grads is not None:
+        grads = tuple(g.T.reshape(shape + (k,)) for g in grads)
+    return nll.reshape(shape), grads
+
+
+def reference_mixture(hc) -> MixtureBatch:
+    """The mixture every freshly initialized head emits (element shape ()):
+    uniform weights, means at the anchors, unit variances."""
+    k = hc.components
+    return MixtureBatch(np.full(k, 1.0 / k), hc.anchors.copy(), np.ones(k))
+
+
+def head_rows_first(zp, hc, params):
+    """The head's (logits, means, logvars) as (rows, horizon, K), each
+    branch computed rows first as zp @ W.T + b and reshaped: the layout
+    the (horizon * K, proj_width) branch weights of a checkpoint were
+    trained in. Means come from the offsets, log-variances are clamped."""
+    shape = (zp.shape[0], hc.horizon, hc.components)
+    out = [(zp @ params[f"{n}.w"].T + params[f"{n}.b"]).reshape(shape)
+           for n in ("mix", "mean", "logvar")]
+    out[1] = out[1] * hc.anchor_scale + hc.anchors
+    out[2] = np.clip(out[2], LOG_VAR_MIN, LOG_VAR_MAX)
+    return tuple(out)
+
+
+def branch_gradients_rows_first(zp, hc, params, y):
+    """(mean NLL, {name: gradient}) of the three head branches' weights and
+    biases, from `head_rows_first` and `nll_components_last`, with targets
+    y (rows, horizon): each weight gradient is d.T @ zp over the (rows,
+    horizon * K) upstream gradient d, each bias gradient d.sum(0). A
+    log-variance at a clamp bound gets no gradient."""
+    logits, means, logvars = head_rows_first(zp, hc, params)
+    nll, (d_logits, d_means, d_logvars) = nll_components_last(logits, means, logvars, y)
+    scale = 1.0 / y.size
+    d_means = d_means * hc.anchor_scale
+    d_logvars = d_logvars * ((logvars > LOG_VAR_MIN) & (logvars < LOG_VAR_MAX))
+    grads = {}
+    for name, d in (("mix", d_logits), ("mean", d_means), ("logvar", d_logvars)):
+        d = d.reshape(zp.shape[0], -1) * scale
+        grads[f"{name}.w"] = d.T @ zp
+        grads[f"{name}.b"] = d.sum(axis=0)
+    return float(nll.mean()), grads
 
 
 # ----------------------------------------------------------------------

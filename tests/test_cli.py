@@ -104,7 +104,7 @@ class TestTrain:
     def test_gmm_beats_prior_nll(self, workspace):
         params, mcfg, norm_stats, extra = model.load_checkpoint(workspace / "gmm.ckpt.npz")
         assert mcfg.variant == "gmm"
-        prior = model.reference_mixture(mcfg.head)
+        prior = oracles.reference_mixture(mcfg.head)
         dataset, manifest = cli.load_dataset(workspace / "tiny")
         splits = data.prepare_splits(dataset, 6, 6, manifest.split_fractions)
         prior_nll = float(np.mean(-oracles.log_density(prior, splits.val.targets.ravel())))
@@ -245,6 +245,12 @@ class TestTrain:
         clamped = manifest["logvar_clamped"]
         assert clamped == {"count": result.logvar_clamped,
                            "fraction": result.logvar_clamped / result.logvars}
+        # Per epoch and horizon step, from the validation logits.
+        for key in ("weight_entropy", "effective_k"):
+            assert manifest[key] == [h[key] for h in result.history]
+            assert np.shape(manifest[key]) == (2, 6)
+        assert all(0 <= h <= math.log(5) + 1e-12 for row in manifest["weight_entropy"] for h in row)
+        assert all(1 <= k <= 5 + 1e-12 for row in manifest["effective_k"] for k in row)
 
 
 class TestEvaluate:

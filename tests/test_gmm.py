@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from mixcast import gmm
+from mixcast import gmm, model
 from mixcast.gmm import InvalidMixtureError, MixtureBatch
 
 
@@ -24,11 +24,11 @@ def head_outputs(m):
 
 
 def nll(m, y):
-    return gmm.nll_and_gradients(*head_outputs(m), y)[0]
+    return oracles.nll_components_last(*head_outputs(m), y)[0]
 
 
 def nll_gradients(m, y):
-    return gmm.nll_and_gradients(*head_outputs(m), y)[1]
+    return oracles.nll_components_last(*head_outputs(m), y)[1]
 
 
 def log_density(m, x):
@@ -87,15 +87,19 @@ class TestConstruction:
     def test_float32_softmax_accepted_at_k128(self):
         # A float32 softmax is off from summing to 1 by up to 1.4e-6 at
         # K = 128, past the float64 bound of 1e-6.
-        from mixcast.model import _softmax_last
-
+        # The softmax of `model.head_mixtures`, rows last: the sum over K
+        # adds one row of elements at a time.
         rng = np.random.default_rng(0)
-        logits = rng.normal(0.0, 3.0, (50_000, 128)).astype(np.float32)
-        w = _softmax_last(logits)
+        logits = rng.normal(0.0, 3.0, (128, 50_000)).astype(np.float32)
+        e = np.exp(logits - logits.max(axis=0))
+        w = (e / e.sum(axis=0)).T
         assert float(np.max(np.abs(gmm._sum_k(w).astype(float) - 1.0))) > 1e-6
         ones = np.ones_like(w)
         m = MixtureBatch(w, np.zeros_like(w), ones)
         assert m.weights.dtype == m.means.dtype == m.variances.dtype == np.float32
+        zeros = np.zeros_like(logits[None])
+        m = model.head_mixtures((logits[None], zeros, zeros.copy()), (50_000,))
+        assert m.shape == (50_000, 1) and m.weights.dtype == np.float32
 
     def test_float32_weights_off_by_1e3_rejected(self):
         for k in (2, 5, 128):
@@ -110,11 +114,11 @@ class TestConstruction:
         mu = rng.normal(0, 1, (6, 3)).astype(np.float32)
         logvar = rng.uniform(-0.7, 0.7, (6, 3)).astype(np.float32)
         y = rng.normal(0, 1, 6).astype(np.float32)
-        nll32, grads = gmm.nll_and_gradients(logits, mu, logvar, y)
+        nll32, grads = oracles.nll_components_last(logits, mu, logvar, y)
         assert nll32.dtype == np.float32
         assert all(g.dtype == np.float32 for g in grads)
         # The float64 kernel on the same values agrees to float32 rounding.
-        nll64, _ = gmm.nll_and_gradients(*(a.astype(float) for a in (logits, mu, logvar, y)))
+        nll64, _ = oracles.nll_components_last(*(a.astype(float) for a in (logits, mu, logvar, y)))
         np.testing.assert_allclose(nll32, nll64, rtol=1e-5, atol=1e-6)
 
 
@@ -178,14 +182,13 @@ def assert_same_bits(got, ref):
 
 
 class TestSlabReductions:
-    """`_sum_k` / `_max_k` against numpy's reductions over the last axis."""
+    """`_sum_k` against numpy's sum over the last axis."""
 
     # Any double, plus the -inf log-weight terms that zero weights produce.
     @given(slab_rows(1, 7, st.one_of(st.floats(), st.just(-math.inf))))
     def test_bitwise_equal_up_to_seven_components(self, a):
         with np.errstate(all="ignore"):
             assert_same_bits(gmm._sum_k(a), np.sum(a, axis=-1))
-            assert_same_bits(gmm._max_k(a), np.max(a, axis=-1))
 
     @given(slab_rows(8, 12, st.floats(-1e300, 1e300)))
     def test_sum_within_rounding_from_eight_components(self, a):
@@ -195,7 +198,6 @@ class TestSlabReductions:
             np.abs(gmm._sum_k(a) - np.sum(a, axis=-1)),
             1e-15 * np.sum(np.abs(a), axis=-1) + np.finfo(float).tiny,
         )
-        assert_same_bits(gmm._max_k(a), np.max(a, axis=-1))
 
 
 def mixture_rows(k_max=5, rows_max=4):
@@ -261,11 +263,12 @@ class TestNLL:
         assert np.isfinite(nll(m, 1e6))
 
 
-def random_head_outputs(rng, shape, k, logvar_range=(gmm.LOG_VAR_MIN, gmm.LOG_VAR_MAX)):
-    """Random (logits, means, logvars) of shape shape + (k,) and targets."""
-    full = shape + (k,)
-    return (rng.normal(0, 2, full), rng.normal(0, 3, full), rng.uniform(*logvar_range, full),
-            rng.normal(0, 3, shape))
+def random_head_outputs(rng, rows, k, logvar_range=(gmm.LOG_VAR_MIN, gmm.LOG_VAR_MAX)):
+    """Random rows-last (logits, means, logvars), each (k, rows), and
+    targets (1, rows), drawn components last."""
+    full = (rows, k)
+    params = (rng.normal(0, 2, full), rng.normal(0, 3, full), rng.uniform(*logvar_range, full))
+    return tuple(np.ascontiguousarray(a.T) for a in params) + (rng.normal(0, 3, (1, rows)),)
 
 
 def softmax(logits):
@@ -273,9 +276,27 @@ def softmax(logits):
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def mixtures_of(logits, means, logvars):
+    """The (rows, K) MixtureBatch of rows-last float64 head outputs."""
+    return MixtureBatch(softmax(logits.T), means.T, np.exp(logvars.T))
+
+
+def reference_gradients(logits, means, logvars, y):
+    """(log responsibility ratios, gradients) of rows-last head outputs in
+    float64 from the weight/variance formulas, with no cutoff."""
+    pi = softmax(logits.T).T
+    d = y - means
+    terms = np.log(pi) - 0.5 * d * d * np.exp(-logvars) - 0.5 * logvars
+    ratio = terms - terms.max(axis=0)
+    gamma = np.exp(ratio) / np.exp(ratio).sum(axis=0)
+    q = 0.5 * d * d * np.exp(-logvars)
+    return ratio, (pi - gamma, -gamma * d * np.exp(-logvars), gamma * (0.5 - q))
+
+
 class TestLogSpaceNLL:
-    """The kernel works from logits and log-variances; the weight/variance
-    formula of `oracles.log_density` is its float64 reference."""
+    """The kernel works rows last from logits and log-variances; the
+    weight/variance formula of `oracles.log_density` is its float64
+    reference."""
 
     # Measured worst over these 60 cases: 8.8e-16 of max(1, |nll|).
     ORACLE_RTOL = 1e-13
@@ -283,16 +304,16 @@ class TestLogSpaceNLL:
     def test_matches_log_density_oracle(self):
         for seed in range(60):
             rng = np.random.default_rng(seed)
-            logits, means, logvars, y = random_head_outputs(rng, (16, 8), int(rng.integers(1, 7)))
+            logits, means, logvars, y = random_head_outputs(rng, 128, int(rng.integers(1, 7)))
             nll = gmm.nll_and_gradients(logits, means, logvars, y)[0]
-            ref = -oracles.log_density(MixtureBatch(softmax(logits), means, np.exp(logvars)), y)
+            ref = -oracles.log_density(mixtures_of(logits, means, logvars), y[0])
             assert nll.dtype == np.float64 and nll.shape == y.shape
-            assert np.all(np.abs(nll - ref) <= self.ORACLE_RTOL * np.maximum(1.0, np.abs(ref)))
+            assert np.all(np.abs(nll[0] - ref) <= self.ORACLE_RTOL * np.maximum(1.0, np.abs(ref)))
 
     def test_nll_same_bits_without_gradients(self):
         rng = np.random.default_rng(5)
         for dtype in (np.float64, np.float32):
-            args = [a.astype(dtype) for a in random_head_outputs(rng, (9, 4), 5)]
+            args = [a.astype(dtype) for a in random_head_outputs(rng, 36, 5)]
             with_grad = gmm.nll_and_gradients(*args)[0]
             nll, grads = gmm.nll_and_gradients(*args, gradients=False)
             assert grads is None
@@ -301,11 +322,15 @@ class TestLogSpaceNLL:
     def test_float32_within_bounds_of_float64(self):
         # The model-level bounds of test_model.TestComputeDtype: loss 1e-6
         # relative, each gradient within 1e-5 of its largest entry. Measured
-        # worst over 400 seeds of this draw: 1.3e-7 and 2.4e-6.
+        # worst over 400 seeds of this draw: 1.3e-7 and 2.4e-6. The
+        # responsibility cutoff drops components in most of these draws.
+        dropped = 0
         for seed in range(40):
             rng = np.random.default_rng(seed)
             args32 = [a.astype(np.float32)
-                      for a in random_head_outputs(rng, (16, 8), int(rng.integers(2, 7)), (-3, 3))]
+                      for a in random_head_outputs(rng, 128, int(rng.integers(2, 7)), (-3, 3))]
+            ratio, _ = reference_gradients(*(a.astype(float) for a in args32))
+            dropped += int(np.count_nonzero(ratio < gmm.LOG_RESP_CUTOFF))
             nll64, grads64 = gmm.nll_and_gradients(*(a.astype(float) for a in args32))
             nll32, grads32 = gmm.nll_and_gradients(*args32)
             assert nll32.dtype == np.float32
@@ -313,6 +338,76 @@ class TestLogSpaceNLL:
             for g32, g64 in zip(grads32, grads64):
                 assert g32.dtype == np.float32
                 assert np.max(np.abs(g32 - g64)) <= 1e-5 * np.max(np.abs(g64))
+        assert dropped > 0
+
+
+@st.composite
+def grid_head_outputs(draw):
+    """Rows-last head outputs on coarse grids (so that mean - target is 0
+    or at least 1/64, and float32 holds every value): logits in [-10, 10],
+    means and targets in [-50, 50], log-variances across the clamp range."""
+    k, rows = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+
+    def grid(lo, hi, step, shape):
+        n = int(np.prod(shape))
+        values = draw(st.lists(st.integers(int(lo / step), int(hi / step)),
+                               min_size=n, max_size=n))
+        return np.array(values, dtype=float).reshape(shape) * step
+
+    return (grid(-10, 10, 1 / 8, (k, rows)), grid(-50, 50, 1 / 64, (k, rows)),
+            grid(gmm.LOG_VAR_MIN, gmm.LOG_VAR_MAX, 1 / 16, (k, rows)),
+            grid(-50, 50, 1 / 64, (1, rows)))
+
+
+class TestResponsibilityCutoff:
+    """Responsibilities below e**LOG_RESP_CUTOFF of their element's largest
+    are exactly 0; the NLL and gradients move by no more than rounding."""
+
+    CUT = gmm.LOG_RESP_CUTOFF
+
+    @given(grid_head_outputs())
+    def test_zero_or_at_least_cutoff_of_largest(self, args):
+        logits, means, logvars, y = args
+        nll, (d_logits, d_means, d_logvars) = gmm.nll_and_gradients(*args)
+        # The kernel's responsibilities, recovered from d_means = gamma * r
+        # with r as the kernel forms it, or from d_logvars = gamma / 2
+        # where the mean sits on the target.
+        d = means - y
+        on_target = d == 0
+        r = np.exp(-logvars) * np.where(on_target, 1.0, d)
+        gamma = np.where(on_target, 2 * d_logvars, d_means / r)
+        kept = gamma != 0
+        assert np.all(gamma >= 0)
+        top = np.broadcast_to(gamma.max(axis=0), gamma.shape)
+        assert np.all(gamma[kept] >= math.exp(self.CUT) * top[kept] * (1 - 1e-9))
+        # Dropped exactly where the log ratio lies below the cutoff, up to
+        # the rounding of the log terms.
+        ratio, ref_grads = reference_gradients(*args)
+        slack = 1e-6 + 1e-12 * np.max(np.abs(ratio))
+        assert not np.any(kept & (ratio < self.CUT - slack))
+        assert np.all(kept[ratio > self.CUT + slack])
+        # Today's bounds: the NLL oracle's rtol, and each gradient within
+        # 1e-5 of its largest entry of the formula without a cutoff.
+        ref = -oracles.log_density(mixtures_of(logits, means, logvars), y[0])
+        assert np.all(np.abs(nll[0] - ref)
+                      <= TestLogSpaceNLL.ORACLE_RTOL * np.maximum(1.0, np.abs(ref)))
+        for g, g_ref in zip((d_logits, d_means, d_logvars), ref_grads):
+            assert np.max(np.abs(g - g_ref)) <= 1e-5 * np.max(np.abs(g_ref))
+
+    def test_float32_gradients_have_no_subnormals(self):
+        # Components far from their targets: without the cutoff, some
+        # responsibilities would land between the float32 subnormal floor
+        # (1.4e-45) and the smallest normal (1.2e-38).
+        rng = np.random.default_rng(8)
+        logits, means, logvars, y = random_head_outputs(rng, 4000, 5, (-3, 1))
+        y = y + rng.choice([-9.0, 9.0], y.shape)
+        args32 = [a.astype(np.float32) for a in (logits, means, logvars, y)]
+        ratio, _ = reference_gradients(*(a.astype(float) for a in args32))
+        tiny = np.finfo(np.float32).tiny
+        assert np.count_nonzero((np.exp(ratio) < tiny) & (ratio > -103.9)) > 100
+        _, grads = gmm.nll_and_gradients(*args32)
+        for g in grads:
+            assert not np.any((g != 0) & (np.abs(g) < tiny))
 
 
 class TestGradients:
@@ -336,15 +431,15 @@ class TestGradients:
             k = int(rng.integers(1, 6))
             args = [rng.normal(0, 1, k), rng.uniform(-3, 3, k), rng.uniform(-1.5, 1.5, k)]
             y = rng.uniform(-4, 4)
-            grads = gmm.nll_and_gradients(*args, y)[1]
+            grads = oracles.nll_components_last(*args, y)[1]
             for which, grad in enumerate(grads):
                 for i in range(k):
                     up = [a.copy() for a in args]
                     dn = [a.copy() for a in args]
                     up[which][i] += h
                     dn[which][i] -= h
-                    fd = (gmm.nll_and_gradients(*up, y)[0]
-                          - gmm.nll_and_gradients(*dn, y)[0]) / (2 * h)
+                    fd = (oracles.nll_components_last(*up, y)[0]
+                          - oracles.nll_components_last(*dn, y)[0]) / (2 * h)
                     # Floor the denominator at the FD noise scale so exact
                     # zeros compare on absolute terms.
                     denom = max(abs(fd), abs(grad[i]), 1e-6)

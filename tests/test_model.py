@@ -43,7 +43,7 @@ def random_batch(rng, cfg, b=3, n=2):
 
 
 def head_mixtures(z, cfg, params):
-    return model.head_mixtures(model.head_forward(z, cfg.head, params)[0])
+    return model.head_mixtures(model.head_forward(z, cfg.head, params)[0], z.shape[:-1])
 
 
 def randomize(params, rng, scale=0.3):
@@ -145,7 +145,7 @@ class TestInitialization:
 
     def test_reference_mixture_matches_init_output(self):
         cfg = gmm_config()
-        ref = model.reference_mixture(cfg.head)
+        ref = oracles.reference_mixture(cfg.head)
         params = model.init_params(cfg, np.random.default_rng(0))
         mb = model.predict(params, cfg, np.zeros((1, 1, cfg.backbone.input_dim)))
         assert ref.shape == ()
@@ -217,6 +217,21 @@ class TestHeadForward:
         np.testing.assert_array_equal(direct.weights, via_stub.weights)
         np.testing.assert_array_equal(direct.means, via_stub.means)
 
+    def test_weight_entropy_per_step(self):
+        # Rows-last (horizon 2, K 4, rows 3) logits: step 0 uniform, step 1
+        # random, checked against the entropy of the softmax weights.
+        rng = np.random.default_rng(9)
+        logits = np.stack([np.zeros((4, 3)), rng.normal(0, 2, (4, 3))]).astype(np.float32)
+        entropy, effective_k = model.weight_entropy(logits)
+        assert entropy.dtype == effective_k.dtype == np.float64
+        assert entropy[0] == pytest.approx(np.log(4), rel=1e-15)
+        assert effective_k[0] == pytest.approx(4.0, rel=1e-15)
+        w = np.exp(logits[1].astype(float))
+        w /= w.sum(axis=0)
+        per_row = -(w * np.log(w)).sum(axis=0)
+        assert entropy[1] == pytest.approx(per_row.mean(), rel=1e-13)
+        assert effective_k[1] == pytest.approx(np.exp(per_row).mean(), rel=1e-13)
+
     def test_logvar_clamped(self):
         cfg = gmm_config()
         params = model.init_params(cfg, np.random.default_rng(0))
@@ -259,7 +274,7 @@ class TestForwardLoss:
     def test_init_loss_is_prior_nll_constant(self):
         cfg = gmm_config()
         params = model.init_params(cfg, np.random.default_rng(0))
-        ref_nll = -oracles.log_density(model.reference_mixture(cfg.head), 0.0)
+        ref_nll = -oracles.log_density(oracles.reference_mixture(cfg.head), 0.0)
         rng = np.random.default_rng(1)
         losses = []
         for _ in range(3):
@@ -305,6 +320,23 @@ class TestForwardLoss:
         batch = ForecastBatch(inputs=np.zeros((1, 1, 6)), targets=np.zeros((1, 1, 4)))
         with pytest.raises(ValueError, match="element"):
             model.forward_loss(batch, params, cfg)
+
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("variant", ["det", "norm", "gmm"])
+    def test_nan_target_named_in_batch_order(self, variant, dtype):
+        # Element (window 2, location 1, step 3) of a (4, 3, 5) batch: a
+        # transposed or rows-last index would name another element.
+        cfg = {"det": det_config(horizon=5), "norm": gmm_config(k=1, horizon=5),
+               "gmm": gmm_config(k=3, horizon=5)}[variant]
+        rng = np.random.default_rng(12)
+        params = randomize(model.init_params(cfg, rng), rng, scale=0.1)
+        batch = random_batch(rng, cfg, b=4, n=3)
+        batch.targets[2, 1, 3] = np.nan
+        params, batch = as_dtype(params, batch, dtype)
+        for entry in (model.forward_loss, model.backward):
+            with pytest.raises(ValueError, match=r"non-finite .* at element \(2, 1, 3\)$"):
+                entry(batch, params, cfg)
 
 
 class TestBackward:
@@ -476,6 +508,54 @@ class TestComputeDtype:
         assert grads.flat.dtype == np.float64
         mb = model.predict(params, cfg, batch.inputs)
         assert mb.weights.dtype == mb.means.dtype == mb.variances.dtype == np.float64
+
+
+class TestCheckpointRowOrder:
+    """The head reads the stored (horizon * K, proj_width) branch rows in
+    the order checkpoints were trained in: `oracles.head_rows_first`
+    computes that head rows first, as zp @ W.T reshaped."""
+
+    CFG = gmm_config(k=3, horizon=4, t_h=6, hidden=16, features=16, proj=16)
+
+    def projection(self, params, inputs):
+        z = model.backbone_forward(inputs, params, self.CFG.backbone)[0]
+        return z.reshape(-1, z.shape[-1]) @ params["proj.w"].T + params["proj.b"]
+
+    def test_predict_matches_rows_first_head(self):
+        cfg = self.CFG
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            params = randomize(model.init_params(cfg, rng), rng)
+            inputs = rng.normal(0, 1, (5, 7, cfg.backbone.input_dim))
+            mb = model.predict(params, cfg, inputs)
+            assert mb.shape == (5, 7, cfg.horizon)
+            logits, means, logvars = oracles.head_rows_first(self.projection(params, inputs),
+                                                             cfg.head, params)
+            e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+            refs = (e / e.sum(axis=-1, keepdims=True), means, np.exp(logvars))
+            # Measured worst: 2.5e-16 of the largest entry.
+            for got, ref in zip((mb.weights, mb.means, mb.variances), refs):
+                got = got.reshape(ref.shape)
+                assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_float32_backward_matches_rows_first_gradients(self):
+        # The float32 bounds of TestComputeDtype, against the float64
+        # branch gradients of the rows-first head. Measured worst: 8.7e-8
+        # for the loss and 5.7e-7 for a gradient tensor.
+        cfg = self.CFG
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            params = randomize(model.init_params(cfg, rng), rng, scale=0.1)
+            batch = random_batch(rng, cfg, b=16, n=8)
+            loss_ref, refs = oracles.branch_gradients_rows_first(
+                self.projection(params, batch.inputs), cfg.head, params,
+                batch.targets.reshape(-1, cfg.horizon))
+            params32, batch32 = as_dtype(params, batch, np.float32)
+            loss32, g32, _ = model.backward(batch32, params32, cfg)
+            assert abs(loss32 - loss_ref) <= TestComputeDtype.LOSS_RTOL * abs(loss_ref)
+            for name, ref in refs.items():
+                scale = float(np.max(np.abs(ref)))
+                assert float(np.max(np.abs(g32[name] - ref))) <= TestComputeDtype.GRAD_RTOL * scale
 
 
 class TestCheckpoint:

@@ -296,7 +296,7 @@ class TestFit:
         mcfg = small_model_cfg("gmm")
         tcfg = TrainConfig(epochs=15, batch_size=16, lr=5e-3, warmup_epochs=1, seed=2)
         res = training.fit(splits, mcfg, tcfg)
-        prior = model.reference_mixture(mcfg.head)
+        prior = oracles.reference_mixture(mcfg.head)
         prior_nll = float(np.mean(-oracles.log_density(prior, splits.val.targets.ravel())))
         assert not res.diverged
         assert res.best_val_loss < prior_nll
@@ -385,6 +385,21 @@ class TestFit:
         assert 0 <= res.logvar_clamped <= res.logvars
         det = training.fit(splits, small_model_cfg("det"), TrainConfig(epochs=1, seed=1))
         assert det.logvars == det.logvar_clamped == 0
+        assert all("weight_entropy" not in h and "effective_k" not in h for h in det.history)
+
+    def test_weight_entropy_per_epoch_and_step(self):
+        # The validation logits of each epoch's end, per horizon step.
+        splits = tiny_splits(np.random.default_rng(10))
+        mcfg = small_model_cfg("gmm", k=3)
+        res = training.fit(splits, mcfg, TrainConfig(epochs=2, seed=1))
+        assert all(np.shape(h["weight_entropy"]) == np.shape(h["effective_k"]) == (mcfg.horizon,)
+                   for h in res.history) and len(res.history) == 2
+        val = model.ForecastBatch(inputs=splits.val.inputs, targets=splits.val.targets)
+        logits = model.forward_loss(val, res.params, mcfg)[1][0]
+        entropy, effective_k = model.weight_entropy(logits)
+        best = res.history[res.best_epoch]
+        np.testing.assert_allclose(best["weight_entropy"], entropy, rtol=1e-5)
+        np.testing.assert_allclose(best["effective_k"], effective_k, rtol=1e-5)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_returns_last_good_checkpoint(self):
