@@ -216,12 +216,11 @@ def training_health(result: training.TrainResult) -> dict:
             "logvar_clamped": clamped, **tables}
 
 
-def _predict_in_chunks(params, mcfg, windows, chunk=512):
-    """Forward the whole window set without one giant activation blob."""
+def _predict_in_chunks(params, mcfg, inputs, chunk=512):
+    """Forward all windows' inputs without one giant activation blob."""
     outs = []
-    for start in range(0, windows.count, chunk):
-        sl = slice(start, min(start + chunk, windows.count))
-        outs.append(model.predict(params, mcfg, windows.inputs[sl]))
+    for start in range(0, len(inputs), chunk):
+        outs.append(model.predict(params, mcfg, inputs[start : start + chunk]))
     if mcfg.variant == "det":
         return np.concatenate(outs, axis=0)
     return MixtureBatch(
@@ -262,7 +261,8 @@ def evaluate_run(checkpoint_path, dataset, manifest, levels=metrics.DEFAULT_LEVE
         raise data.DataError("normalizer mismatch between checkpoint and dataset")
 
     test = splits.test
-    preds = _predict_in_chunks(params, mcfg, test)
+    inputs = test.inputs
+    preds = _predict_in_chunks(params, mcfg, inputs)
     if normalized_space:
         targets = test.targets
         interval_range = (-6.0, 6.0)
@@ -273,7 +273,7 @@ def evaluate_run(checkpoint_path, dataset, manifest, levels=metrics.DEFAULT_LEVE
             nrm.inverse(preds) if mcfg.variant == "det"
             else preds.scale_shift(nrm.std, nrm.mean)
         )
-    batch = model.ForecastBatch(inputs=test.inputs, targets=targets)
+    batch = model.ForecastBatch(inputs=inputs, targets=targets)
     if mcfg.variant == "det":
         batch.point_preds = preds
     else:

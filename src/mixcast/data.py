@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 from datetime import datetime, timedelta
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 class DataError(ValueError):
@@ -201,66 +202,99 @@ def degrade_resolution(d: SeriesDataset, factor: int) -> SeriesDataset:
     return replace(d, values=coarse, step_minutes=d.step_minutes * factor)
 
 
-@dataclass
+@dataclass(frozen=True)
 class WindowSet:
-    """Sliding windows from one split, z-scored and model-ready."""
+    """Stride-1 windows over one split's sessions, kept as the series they
+    are cut from and each window's start.
 
-    inputs: np.ndarray  # (W, N, t_h * channels), normalized
-    targets: np.ndarray  # (W, N, t_f), normalized
-    targets_raw: np.ndarray  # (W, N, t_f), raw units
+    `series` is z-scored with the (train-split) normalizer. With a coverage
+    mask, the inputs feed uncovered nodes the train-split mean (0 after
+    normalization) and carry a per-node availability flag channel; the
+    targets stay complete. `gather` builds the model-ready arrays of any
+    subset of windows; `inputs`, `targets` and `targets_raw` build them
+    for every window, on each read."""
+
+    series: np.ndarray  # (S, steps, N), normalized
+    raw: np.ndarray  # (S, steps, N), raw units
+    starts: np.ndarray  # (W, 2): each window's row of `series` and first step
     session_ids: np.ndarray  # (W,)
     input_steps: int
     horizon: int
-    channels: int
+    coverage: np.ndarray | None = None  # (N,) bool sensor mask
+
+    def __post_init__(self):
+        # Every window's steps as a read-only view, (S, offsets, N, need).
+        need = self.input_steps + self.horizon
+        object.__setattr__(self, "_steps", sliding_window_view(self.series, need, axis=1))
 
     @property
     def count(self) -> int:
-        return self.inputs.shape[0]
+        return self.starts.shape[0]
+
+    @property
+    def channels(self) -> int:
+        return 1 if self.coverage is None else 2
+
+    def astype(self, dtype) -> "WindowSet":
+        """These windows over a copy of the normalized series in `dtype`."""
+        return replace(self, series=self.series.astype(dtype))
+
+    def gather(self, idx):
+        """(inputs (B, N, input_steps * channels), targets (B, N, horizon)) of
+        the windows `idx` (anything that indexes `starts`), normalized,
+        contiguous, in the dtype of the series."""
+        starts = self.starts[idx]
+        steps = self._steps[starts[:, 0], starts[:, 1]]
+        x = np.ascontiguousarray(steps[..., : self.input_steps])
+        if self.coverage is not None:
+            x[:, ~self.coverage] = 0.0
+            flags = np.broadcast_to(self.coverage[:, None].astype(x.dtype), x.shape)
+            x = np.concatenate([x, flags], axis=2)
+        return x, np.ascontiguousarray(steps[..., self.input_steps :])
+
+    @property
+    def inputs(self) -> np.ndarray:  # (W, N, input_steps * channels)
+        return self.gather(slice(None))[0]
+
+    @property
+    def targets(self) -> np.ndarray:  # (W, N, horizon)
+        return self.gather(slice(None))[1]
+
+    @property
+    def targets_raw(self) -> np.ndarray:  # (W, N, horizon), raw units
+        steps = sliding_window_view(self.raw, self._steps.shape[-1], axis=1)
+        rows, offsets = self.starts.T
+        return np.ascontiguousarray(steps[rows, offsets, :, self.input_steps :])
 
 
 def window(d: SeriesDataset, t_h: int, t_f: int, normalizer, sessions=None) -> WindowSet:
     """Stride-1 sliding windows that never cross session boundaries.
 
-    Inputs and targets are z-scored with the (train-split) normalizer.
-    With a coverage mask on the dataset, uncovered nodes feed the
-    train-split mean (0 after normalization) and a per-node availability
-    flag channel is appended to the window."""
+    The sessions' values are z-scored with the (train-split) normalizer;
+    a coverage mask on the dataset carries over to the windows' inputs."""
     if sessions is None:
         sessions = np.arange(d.sessions)
+    sessions = np.asarray(sessions)
     need = t_h + t_f
-    ins, tgts, raws, sids = [], [], [], []
-    for s in sessions:
+    starts = []
+    for row, s in enumerate(sessions):
         steps = d.session_steps
         if steps < need:
             warnings.warn(f"session {s}: {steps} steps < {need}, skipped", stacklevel=2)
             continue
-        vals = d.values[s]  # (steps, nodes)
-        for o in range(steps - need + 1):
-            ins.append(vals[o : o + t_h].T)
-            raw = vals[o + t_h : o + need].T
-            raws.append(raw)
-            sids.append(s)
-    if not ins:
+        starts += [(row, o) for o in range(steps - need + 1)]
+    if not starts:
         raise DataError("no usable windows (all sessions too short)")
-    inputs = normalizer.transform(np.stack(ins))
-    targets_raw = np.stack(raws)
-    targets = normalizer.transform(targets_raw)
-    channels = 1
-    if d.coverage is not None:
-        flags = np.broadcast_to(
-            d.coverage[None, :, None].astype(float), inputs.shape
-        )
-        inputs = np.where(flags > 0, inputs, 0.0)
-        inputs = np.concatenate([inputs, flags], axis=2)
-        channels = 2
+    starts = np.array(starts)
+    raw = d.values[sessions]
     return WindowSet(
-        inputs=inputs,
-        targets=targets,
-        targets_raw=targets_raw,
-        session_ids=np.asarray(sids),
+        series=normalizer.transform(raw),
+        raw=raw,
+        starts=starts,
+        session_ids=sessions[starts[:, 0]],
         input_steps=t_h,
         horizon=t_f,
-        channels=channels,
+        coverage=d.coverage,
     )
 
 
@@ -432,7 +466,8 @@ def ingest_csv(path, manifest: DatasetManifest) -> SeriesDataset:
                     f"{path}:{r}: node {manifest.node_ids[i]}: bad cell {cell!r}"
                 ) from err
             values[r - 2, i] = v
-    bad = np.argwhere((values < 0) | (values > manifest.max_value))
+    # Negated, so NaN (which float() parses) fails the range check too.
+    bad = np.argwhere(~((values >= 0) & (values <= manifest.max_value)))
     if bad.size:
         spots = ", ".join(
             f"row {int(r) + 2}/node {manifest.node_ids[int(c)]}" for r, c in bad[:5]

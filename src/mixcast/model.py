@@ -10,14 +10,16 @@ are zero with biases chosen so every output is the same weakly
 informative mixture: uniform weights, means at the anchors, unit
 variances.
 
-One forward pass (`_forward`) serves `predict`, `forward_loss` and
-`backward`. For mixtures it returns the head outputs (logits, means,
-clamped log-variances) rows last, each branch as W @ zp.T shaped
-(horizon, K, rows) in the row order of the stored weights, so the NLL
-kernel and the branch gradients run over contiguous rows; only `predict`
-builds a `MixtureBatch`, of shape (..., horizon, K). One loss (`_loss`,
-on the log-space NLL kernel `gmm.nll_and_gradients`) serves both loss
-entry points, so their losses agree bitwise.
+One forward pass (`_forward`) serves `predict`, `forward_loss`,
+`blocked_loss` and `backward`. For mixtures it returns the head outputs
+(logits, means, clamped log-variances) rows last, each branch as
+W @ zp.T shaped (horizon, K, rows) in the row order of the stored
+weights, so the NLL kernel and the branch gradients run over contiguous
+rows; only `predict`
+builds a `MixtureBatch`, of shape (..., horizon, K). One per-element
+loss (`_elementwise_loss`, on the log-space NLL kernel
+`gmm.nll_and_gradients`) and one mean (`_mean_loss`) serve every loss
+entry point, so their losses agree bitwise.
 
 All gradients are hand-derived reverse mode; `backward` matches central
 finite differences (see tests). Forward/backward are pure functions of
@@ -318,34 +320,38 @@ def _forward(inputs, params: ModelParams, cfg: ModelConfig):
     return outputs, cache
 
 
-def _loss(preds, y, cfg: ModelConfig, with_grad: bool):
-    """(mean loss, per-element gradient or None) over all (window,
-    location, step) elements: absolute error and its sign for det, NLL and
-    the kernel's rows-last (d_logits, d_means, d_logvars) for the mixture
+def _elementwise_loss(preds, y, cfg: ModelConfig, with_grad: bool):
+    """(per-element loss, per-element gradient or None) over all (window,
+    location, step) elements: absolute error and its sign for det, in the
+    batch's shape, and NLL (rows last, (horizon, 1, rows)) and the
+    kernel's rows-last (d_logits, d_means, d_logvars) for the mixture
     variants. The loss does not depend on with_grad, bit for bit."""
-    grad = None
     if cfg.variant == "det":
-        per = np.abs(preds - y)
-        if with_grad:
-            grad = np.sign(preds - y)
-        what = "absolute error"
-    else:
-        # Targets rows last, (horizon, 1, rows), like the head outputs.
-        y_rows_last = np.ascontiguousarray(y.reshape(-1, y.shape[-1]).T)[:, None, :]
-        # Non-finite intermediates surface through the loss guard below,
-        # so numpy's own warnings are redundant here.
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            per, grad = nll_and_gradients(*preds, y_rows_last, gradients=with_grad)
-        what = "negative log-likelihood"
+        diff = preds - y
+        return np.abs(diff), (np.sign(diff) if with_grad else None)
+    # Targets rows last, (horizon, 1, rows), like the head outputs.
+    y_rows_last = np.ascontiguousarray(y.reshape(-1, y.shape[-1]).T)[:, None, :]
+    # Non-finite intermediates surface through the loss guard of _mean_loss,
+    # so numpy's own warnings are redundant here.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return nll_and_gradients(*preds, y_rows_last, gradients=with_grad)
+
+
+def _mean_loss(per, shape, cfg: ModelConfig) -> float:
+    """The mean of `_elementwise_loss`'s per-element losses for targets of
+    `shape`; a ValueError names the first non-finite one by its (window,
+    location, step) index."""
     loss = float(per.mean())
     if not np.isfinite(loss):
+        what = "absolute error"
         if cfg.variant != "det":
             # Back in the batch's (window, location, step) order.
-            per = np.moveaxis(per.reshape(y.shape[-1:] + y.shape[:-1]), 0, -1)
+            per = np.moveaxis(per.reshape(shape[-1:] + shape[:-1]), 0, -1)
+            what = "negative log-likelihood"
         bad = np.argwhere(~np.isfinite(per))
         first = tuple(int(i) for i in bad[0]) if bad.size else "?"
         raise ValueError(f"non-finite {what} at element {first}")
-    return loss, grad
+    return loss
 
 
 def forward_loss(batch: ForecastBatch, params: ModelParams, cfg: ModelConfig):
@@ -354,7 +360,27 @@ def forward_loss(batch: ForecastBatch, params: ModelParams, cfg: ModelConfig):
     error for the det variant. The predictions are `_forward`'s: the
     head's rows-last (logits, means, logvars), or point values for det."""
     preds = _forward(batch.inputs, params, cfg)[0]  # the cache is freed here
-    return _loss(preds, batch.targets, cfg, with_grad=False)[0], preds
+    per = _elementwise_loss(preds, batch.targets, cfg, with_grad=False)[0]
+    return _mean_loss(per, batch.targets.shape, cfg), preds
+
+
+def blocked_loss(batches, params: ModelParams, cfg: ModelConfig):
+    """(loss, logits): `forward_loss` over the windows of `batches` taken
+    in order as one batch, bit for bit, with one batch's activations alive
+    at a time. The per-element losses, and for norm/gmm the head's
+    rows-last logits, are put back together before the mean; the logits
+    are None for det."""
+    pers, logits, windows = [], [], 0
+    for batch in batches:
+        preds = _forward(batch.inputs, params, cfg)[0]
+        pers.append(_elementwise_loss(preds, batch.targets, cfg, with_grad=False)[0])
+        if cfg.variant != "det":
+            logits.append(preds[0])
+        windows += batch.targets.shape[0]
+    # Rows (window-major) run along the first axis for det, the last otherwise.
+    per = np.concatenate(pers, axis=0 if cfg.variant == "det" else -1)
+    loss = _mean_loss(per, (windows,) + batch.targets.shape[1:], cfg)
+    return loss, (np.concatenate(logits, axis=-1) if logits else None)
 
 
 def predict(params: ModelParams, cfg: ModelConfig, inputs):
@@ -378,7 +404,8 @@ def backward(batch: ForecastBatch, params: ModelParams, cfg: ModelConfig):
     and how many (element, component) log-variances sit at a clamp bound,
     where their gradient is zero (0 for det)."""
     preds, cache = _forward(batch.inputs, params, cfg)
-    loss, g_out = _loss(preds, batch.targets, cfg, with_grad=True)
+    per, g_out = _elementwise_loss(preds, batch.targets, cfg, with_grad=True)
+    loss = _mean_loss(per, batch.targets.shape, cfg)
     rows = batch.targets.shape[0] * batch.targets.shape[1]
     inv_count = 1.0 / batch.targets.size
     grads = params.zeros_like()

@@ -8,7 +8,7 @@ digests in the training log).
 
 `fit` computes in float32, the usual precision of a deep-learning loop:
 it casts the initialized params (so the Adam moments are float32 too)
-and the train and validation windows once at entry, and returns float64
+and the train and validation series once at entry, and returns float64
 params, so checkpoints and everything downstream stay float64. The
 batch digests and the gradient norm are taken in float64.
 """
@@ -213,41 +213,53 @@ class TrainResult:
     diverged: bool = False
 
 
-def _epoch_digest(inputs: np.ndarray, perm: np.ndarray) -> str:
-    """Digest of the epoch's batch content in consumption order."""
+def _epoch_digest(windows, perm: np.ndarray, batch_size: int) -> str:
+    """Digest of the epoch's float64 inputs in consumption order, hashed
+    batch by batch."""
     h = hashlib.sha256()
-    h.update(np.ascontiguousarray(inputs[perm]).tobytes())
+    for i in range(0, len(perm), batch_size):
+        h.update(windows.gather(perm[i : i + batch_size])[0])
     return h.hexdigest()[:16]
+
+
+def _validate(val, params, model_cfg: mdl.ModelConfig, batch_size: int):
+    """(loss, history entries) of the validation windows `val`, forwarded in
+    blocks of `batch_size` windows; for mixtures the entries are the
+    per-step weight entropy and effective K."""
+    blocks = (mdl.ForecastBatch(*val.gather(slice(i, i + batch_size)))
+              for i in range(0, val.count, batch_size))
+    loss, logits = mdl.blocked_loss(blocks, params, model_cfg)
+    if logits is None:
+        return loss, {}
+    entropy, effective_k = mdl.weight_entropy(logits)
+    return loss, {"weight_entropy": entropy.tolist(), "effective_k": effective_k.tolist()}
 
 
 def fit(splits, model_cfg: mdl.ModelConfig, train_cfg: TrainConfig) -> TrainResult:
     """Train on splits.train, keep the checkpoint with the best
     validation loss (NLL or MAE, per variant).
 
-    `splits` carries train/val window sets with aligned normalized
-    inputs/targets. Steps and validation run in COMPUTE_DTYPE on copies
-    made once here (params rounded from `init_params`' float64 draws);
-    the returned params are float64, and the batch digests hash the
-    float64 windows given. On divergence (non-finite loss or gradient)
-    training stops and the last good checkpoint is returned with
-    diverged=True.
+    `splits` carries train/val `data.WindowSet`s. Steps and validation run
+    in COMPUTE_DTYPE, on batches gathered from a copy of each split's
+    series made once here (params rounded from `init_params`' float64
+    draws); validation goes in blocks of batch_size windows. The
+    returned params are float64, and the batch digests hash the float64
+    windows given. On divergence (non-finite loss or gradient) training
+    stops and the last good checkpoint is returned with diverged=True.
     """
-    train, val = splits.train, splits.val
     rng_data = np.random.default_rng([train_cfg.seed, 0])
     rng_model = np.random.default_rng([train_cfg.seed, 1])
     params = mdl.init_params(model_cfg, rng_model).astype(COMPUTE_DTYPE)
     state = AdamWState.init(params)
 
-    w = train.inputs.shape[0]
+    w = splits.train.count
     if w == 0:
         raise ValueError("empty training split")
     bs = train_cfg.batch_size
     n_batches = (w + bs - 1) // bs
     total_steps = train_cfg.epochs * n_batches
-    train_x = train.inputs.astype(COMPUTE_DTYPE)
-    train_y = train.targets.astype(COMPUTE_DTYPE)
-    val_batch = mdl.ForecastBatch(inputs=val.inputs.astype(COMPUTE_DTYPE),
-                                  targets=val.targets.astype(COMPUTE_DTYPE))
+    train = splits.train.astype(COMPUTE_DTYPE)
+    val = splits.val.astype(COMPUTE_DTYPE)
 
     result = TrainResult(
         params=params.astype(np.float64), model_cfg=model_cfg, best_val_loss=math.inf,
@@ -257,13 +269,12 @@ def fit(splits, model_cfg: mdl.ModelConfig, train_cfg: TrainConfig) -> TrainResu
     step = 0
     for epoch in range(train_cfg.epochs):
         perm = rng_data.permutation(w)
-        digest = _epoch_digest(train.inputs, perm)
+        digest = _epoch_digest(splits.train, perm, bs)
         result.batch_digests.append(digest)
         epoch_losses = []
         try:
             for i in range(n_batches):
-                idx = perm[i * bs : (i + 1) * bs]
-                batch = mdl.ForecastBatch(inputs=train_x[idx], targets=train_y[idx])
+                batch = mdl.ForecastBatch(*train.gather(perm[i * bs : (i + 1) * bs]))
                 lr = lr_at(step, total_steps, train_cfg)
                 loss, grads, clamped = mdl.backward(batch, params, model_cfg)
                 norm = global_norm(grads)
@@ -278,17 +289,15 @@ def fit(splits, model_cfg: mdl.ModelConfig, train_cfg: TrainConfig) -> TrainResu
                 )
                 epoch_losses.append(loss)
                 step += 1
-            val_loss, val_preds = mdl.forward_loss(val_batch, params, model_cfg)
+            val_loss, val_entries = _validate(val, params, model_cfg, bs)
         except ValueError as err:
             result.log_lines.append(f"epoch={epoch} diverged error={err}")
             result.diverged = True
             break
         mean_loss = float(np.mean(epoch_losses))
-        entry = {"epoch": epoch, "train_loss": mean_loss, "val_loss": val_loss}
-        if components:
-            entropy, effective_k = mdl.weight_entropy(val_preds[0])
-            entry.update(weight_entropy=entropy.tolist(), effective_k=effective_k.tolist())
-        result.history.append(entry)
+        result.history.append(
+            {"epoch": epoch, "train_loss": mean_loss, "val_loss": val_loss, **val_entries}
+        )
         result.log_lines.append(
             f"epoch={epoch} train_loss={mean_loss!r} val_loss={val_loss!r} "
             f"batch_digest={digest}"

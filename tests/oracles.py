@@ -10,11 +10,17 @@ statistic checks the generator's bimodality; the sampling helpers
 draw targets from predicted mixtures; the interval helpers read widths,
 containment and selected mass off one grid's selection, and run the
 batch HPD kernel on the grid evaluation uses, to check the batch
-statistics the package computes. None of them is on a CLI or
-library path, so they live beside the tests.
+statistics the package computes. `stacked_windows` is the windowing
+that stored every window as its own copy, the reference for
+`data.WindowSet`'s gathers. None of them is on a CLI or library path, so
+they live beside the tests.
 """
+import warnings
+from types import SimpleNamespace
+
 import numpy as np
 
+from mixcast.data import DataError
 from mixcast.gmm import LOG_VAR_MAX, LOG_VAR_MIN, MixtureBatch, grid_densities, nll_and_gradients
 from mixcast.training import ADAM_EPS
 from mixcast.intervals import (
@@ -28,6 +34,41 @@ from mixcast.intervals import (
 # Above this pre-normalization cell-sum mass a grid over-counts its
 # mixture, the mirror of intervals.MASS_COMPLETE_MIN.
 MASS_COMPLETE_MAX = 1.02
+
+
+# ----------------------------------------------------------------------
+# Windowing by stacked copies.
+# ----------------------------------------------------------------------
+
+
+def stacked_windows(d, t_h: int, t_f: int, normalizer, sessions=None):
+    """Stride-1 windows that never cross session boundaries, each stored as
+    its own copy: normalized inputs (uncovered nodes 0, with the 0/1
+    coverage flag channel appended under a mask), normalized and raw
+    targets, session ids. Short sessions are skipped with a warning."""
+    if sessions is None:
+        sessions = np.arange(d.sessions)
+    need = t_h + t_f
+    ins, raws, sids = [], [], []
+    for s in sessions:
+        steps = d.session_steps
+        if steps < need:
+            warnings.warn(f"session {s}: {steps} steps < {need}, skipped", stacklevel=2)
+            continue
+        vals = d.values[s]  # (steps, nodes)
+        for o in range(steps - need + 1):
+            ins.append(vals[o : o + t_h].T)
+            raws.append(vals[o + t_h : o + need].T)
+            sids.append(s)
+    if not ins:
+        raise DataError("no usable windows (all sessions too short)")
+    inputs = normalizer.transform(np.stack(ins))
+    targets_raw = np.stack(raws)
+    if d.coverage is not None:
+        flags = np.broadcast_to(d.coverage[None, :, None].astype(float), inputs.shape)
+        inputs = np.concatenate([np.where(flags > 0, inputs, 0.0), flags], axis=2)
+    return SimpleNamespace(inputs=inputs, targets=normalizer.transform(targets_raw),
+                           targets_raw=targets_raw, session_ids=np.asarray(sids))
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """End-to-end CLI tests through click's test runner."""
 
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -128,6 +129,26 @@ class TestTrain:
             ["train", "--data", str(tmp_path / "nope"), "--out", str(tmp_path)],
         )
         assert res.exit_code == 3
+
+    def test_nan_cell_named_by_row_and_node(self, workspace, tmp_path):
+        # float() parses "nan", and NaN fails both range comparisons; the
+        # range check must still name its row and node.
+        (tmp_path / "nan.manifest.json").write_text(
+            (workspace / "tiny.manifest.json").read_text()
+        )
+        lines = (workspace / "tiny.csv").read_text().splitlines()
+        cells = lines[5].split(",")
+        cells[3] = "nan"
+        lines[5] = ",".join(cells)
+        (tmp_path / "nan.csv").write_text("\n".join(lines) + "\n")
+        node = lines[0].split(",")[3]
+        res = CliRunner().invoke(
+            cli.main,
+            ["train", "--data", str(tmp_path / "nan"), "--epochs", "1",
+             "--input-steps", "6", "--horizon", "6", "--out", str(tmp_path)],
+        )
+        assert res.exit_code == 3
+        assert f"1 values outside [0, 14.0]: row 6/node {node}" in res.output
 
     @pytest.mark.parametrize("sessions", [1, 2])
     def test_too_few_sessions_is_data_error(self, tmp_path, sessions):
@@ -506,6 +527,46 @@ class TestColdStart:
         for name in ("--version", "generate", "train", "evaluate"):
             assert loaded[name] == [], name
         assert "scipy.special" in loaded["probe"]
+
+
+_NO_LIBC = """
+import ctypes, runpy, sys
+
+def refuse(*args, **kwargs):
+    raise OSError("libc cannot be loaded")
+
+ctypes.CDLL = refuse
+sys.argv = ["mixcast", "--version"]
+runpy.run_module("mixcast", run_name="__main__", alter_sys=True)
+"""
+
+
+class TestMainModule:
+    def test_version_when_libc_cannot_be_loaded(self):
+        # `python -m mixcast` sets glibc's heap thresholds through ctypes;
+        # without a loadable libc it runs unchanged.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+        ))
+        proc = subprocess.run([sys.executable, "-c", _NO_LIBC],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert "0.1.0" in proc.stdout
+
+    def test_mixcast_command_runs_the_main_module(self):
+        pyproject = (Path(cli.__file__).resolve().parents[2] / "pyproject.toml").read_text()
+        assert 'mixcast = "mixcast.__main__:main"' in pyproject
+
+    def test_import_leaves_the_allocator_alone(self, monkeypatch):
+        import ctypes
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("libc loaded on import")
+
+        monkeypatch.setattr(ctypes, "CDLL", refuse)
+        monkeypatch.delitem(sys.modules, "mixcast.__main__", raising=False)
+        importlib.import_module("mixcast.__main__")
 
 
 class TestReproducibility:

@@ -6,6 +6,8 @@ import math
 import numpy as np
 import oracles
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mixcast import data
 from mixcast.data import DataError, DatasetManifest, SyntheticSpec
@@ -221,6 +223,42 @@ class TestWindowing:
         with pytest.warns(UserWarning, match="skipped"):
             with pytest.raises(DataError):
                 data.window(d, t_h=10, t_f=10, normalizer=nrm)
+
+    @given(sessions=st.integers(1, 4), steps=st.integers(2, 16), nodes=st.integers(1, 4),
+           t_h=st.integers(1, 6), t_f=st.integers(1, 6), masked=st.booleans(),
+           seed=st.integers(0, 2**16))
+    def test_gathers_match_stacked_copies(self, sessions, steps, nodes, t_h, t_f, masked, seed):
+        rng = np.random.default_rng(seed)
+        d = data.SeriesDataset(
+            values=rng.uniform(0, 14, (sessions, steps, nodes)), step_minutes=3.0,
+            max_value=14.0, node_ids=tuple(f"n{i}" for i in range(nodes)),
+            start_times=("2024-01-01T06:00:00",) * sessions,
+            coverage=rng.random(nodes) < 0.5 if masked else None,
+        )
+        nrm = Normalizer(mean=float(rng.uniform(0, 14)), std=float(rng.uniform(0.5, 5)))
+        subset = np.arange(int(rng.integers(0, sessions)), sessions)
+        if steps < t_h + t_f:
+            for windowing in (data.window, oracles.stacked_windows):
+                with pytest.warns(UserWarning, match="skipped"):
+                    with pytest.raises(DataError):
+                        windowing(d, t_h, t_f, nrm, sessions=subset)
+            return
+        w = data.window(d, t_h, t_f, nrm, sessions=subset)
+        ref = oracles.stacked_windows(d, t_h, t_f, nrm, sessions=subset)
+
+        def same_bytes(a, b):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+        assert w.count == len(ref.session_ids)
+        assert w.channels == (2 if masked else 1)
+        for name in ("inputs", "targets", "targets_raw", "session_ids"):
+            same_bytes(getattr(w, name), getattr(ref, name))
+        # Any subset, in any order, and from a float32 copy of the series
+        # as training gathers it.
+        idx = rng.permutation(w.count)[: int(rng.integers(1, w.count + 1))]
+        w32 = w.astype(np.float32)
+        for got, want in zip(w32.gather(idx), (ref.inputs, ref.targets)):
+            same_bytes(got, want[idx].astype(np.float32))
 
     def test_normalizer_ignores_val_and_test(self):
         d = data.generate(small_spec())

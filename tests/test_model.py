@@ -339,6 +339,33 @@ class TestForwardLoss:
                 entry(batch, params, cfg)
 
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("variant", ["det", "norm", "gmm"])
+    def test_blocked_loss_is_forward_loss_of_the_whole(self, variant, dtype):
+        cfg = {"det": det_config(horizon=5), "norm": gmm_config(k=1, horizon=5),
+               "gmm": gmm_config(k=3, horizon=5)}[variant]
+        rng = np.random.default_rng(13)
+        params = randomize(model.init_params(cfg, rng), rng, scale=0.1)
+        params, batch = as_dtype(params, random_batch(rng, cfg, b=7, n=3), dtype)
+
+        def blocks(batch):
+            return [ForecastBatch(inputs=batch.inputs[a:b], targets=batch.targets[a:b])
+                    for a, b in ((0, 2), (2, 5), (5, 7))]
+
+        loss, preds = model.forward_loss(batch, params, cfg)
+        blocked, logits = model.blocked_loss(blocks(batch), params, cfg)
+        assert blocked == loss
+        if variant == "det":
+            assert logits is None
+        else:
+            assert logits.tobytes() == preds[0].tobytes()
+        # A non-finite element in the last block is named by its index in
+        # the whole batch.
+        batch.targets[5, 1, 3] = np.nan
+        with pytest.raises(ValueError, match=r"non-finite .* at element \(5, 1, 3\)$"):
+            model.blocked_loss(blocks(batch), params, cfg)
+
+
 class TestBackward:
     def rel_err(self, a, b):
         return abs(a - b) / max(abs(a), abs(b), 1e-6)
