@@ -9,7 +9,7 @@ generation and windowing, and `cli` the command-line pipeline.
 """
 
 from .gmm import MixtureBatch
-from .intervals import DensityGrid, IntervalSet, derive_intervals, grid_from_mixture
+from .intervals import IntervalSet, derive_intervals
 from .metrics import EvaluationReport, ScoringConfig, evaluate
 from .model import BackboneConfig, ForecastBatch, HeadConfig, ModelConfig
 from .training import Normalizer, TrainConfig, fit
@@ -18,10 +18,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "MixtureBatch",
-    "DensityGrid",
     "IntervalSet",
     "derive_intervals",
-    "grid_from_mixture",
     "EvaluationReport",
     "ScoringConfig",
     "evaluate",

@@ -14,12 +14,13 @@ import hashlib
 import json
 import os
 import time
+import zipfile
 from pathlib import Path
 
 import click
 import numpy as np
 
-from . import __version__, data, metrics, model, training
+from . import __version__, data, intervals, metrics, model, training
 from .gmm import MixtureBatch, grid_densities
 
 
@@ -155,14 +156,14 @@ def build_model_config(variant, k, input_steps, horizon, channels, mcfg: dict) -
     backbone = model.BackboneConfig(
         input_steps=input_steps,
         channels=channels,
-        hidden=int(mcfg.get("hidden", 64)),
-        features=int(mcfg.get("features", 64)),
+        hidden=mcfg.get("hidden", 64),
+        features=mcfg.get("features", 64),
         activation=mcfg.get("activation", "tanh"),
     )
     head = None
     if variant != "det":
         head = model.HeadConfig(
-            components=k, horizon=horizon, proj_width=int(mcfg.get("proj_width", 64))
+            components=k, horizon=horizon, proj_width=mcfg.get("proj_width", 64)
         )
     return model.ModelConfig(variant=variant, backbone=backbone, horizon=horizon, head=head)
 
@@ -205,7 +206,12 @@ def training_health(result: training.TrainResult) -> dict:
     norms = result.grad_norms
     stats = None
     if norms:
-        stats = {"min": min(norms), "median": float(np.median(norms)), "max": max(norms)}
+        # The median as np.median takes it, without mapping numpy's
+        # selection kernels (about 1 MB of RSS) for a few hundred floats.
+        ordered = sorted(norms)
+        half = len(ordered) // 2
+        median = ordered[half] if len(ordered) % 2 else (ordered[half - 1] + ordered[half]) / 2
+        stats = {"min": ordered[0], "median": median, "max": ordered[-1]}
     clamped = None
     if result.logvars:
         clamped = {"count": result.logvar_clamped,
@@ -231,15 +237,18 @@ def _predict_in_chunks(params, mcfg, inputs, chunk=512):
 
 
 def evaluate_run(checkpoint_path, dataset, manifest, levels=metrics.DEFAULT_LEVELS,
-                 grid_points=500, normalized_space=False):
-    """Score a checkpoint on the dataset's test split.
+                 grid_points=500, normalized_space=False, ridge=(0, 0)):
+    """Score a checkpoint on the dataset's test split: (report, ridge grid).
 
     The data-quality settings and normalizer stored at training time are
     reapplied so inputs match what the model saw. Metrics are reported in
-    raw units unless normalized_space is set."""
+    raw units unless normalized_space is set. The ridge grid is
+    `ridge_densities` of the (window, node) `ridge` on the interval grid
+    (None for det); a ridge index outside the test split fails before
+    any scoring is done."""
     try:
         params, mcfg, norm_stats, extra = model.load_checkpoint(checkpoint_path)
-    except (EOFError, KeyError, ValueError) as err:
+    except (EOFError, KeyError, ValueError, zipfile.BadZipFile) as err:
         raise data.DataError(f"cannot read checkpoint {checkpoint_path}: {err}") from err
     if extra.get("dataset_id") not in (None, dataset_id(manifest)):
         raise data.DataError(
@@ -259,10 +268,18 @@ def evaluate_run(checkpoint_path, dataset, manifest, levels=metrics.DEFAULT_LEVE
         abs(norm_stats["mean"] - nrm.mean) > 1e-9 or abs(norm_stats["std"] - nrm.std) > 1e-9
     ):
         raise data.DataError("normalizer mismatch between checkpoint and dataset")
-
+    # Only the test split is scored: the train and validation series are
+    # released before prediction and scoring allocate.
     test = splits.test
+    del splits
     inputs = test.inputs
     preds = _predict_in_chunks(params, mcfg, inputs)
+    window, node = ridge
+    n_windows, n_nodes = preds.shape[:2]
+    if mcfg.variant != "det" and not (0 <= window < n_windows and 0 <= node < n_nodes):
+        raise data.DataError(
+            f"ridge index (window {window}, node {node}) outside ({n_windows}, {n_nodes})"
+        )
     if normalized_space:
         targets = test.targets
         interval_range = (-6.0, 6.0)
@@ -295,28 +312,42 @@ def evaluate_run(checkpoint_path, dataset, manifest, levels=metrics.DEFAULT_LEVE
         report = metrics.evaluate(batch, scoring, meta=meta)
     except ValueError as err:
         raise data.DataError(str(err)) from err
-    return report, splits, preds, mcfg, scoring
+    if mcfg.variant == "det":
+        return report, None
+    return report, ridge_densities(preds, window, node, interval_range, grid_points)
 
 
-def density_ridge_table(preds, window_idx, node_idx, interval_range, points):
-    """Grid densities for one (window, node) across all horizon steps:
-    the data behind a per-step density-ridge plot."""
+def ridge_densities(preds, window_idx, node_idx, interval_range, points):
+    """(x, densities): the float64 grid densities of one (window, node)'s
+    mixtures across all horizon steps, (horizon, points), at `points`
+    evenly spaced x over the interval range."""
     x = np.linspace(interval_range[0], interval_range[1], points)
-    n_windows, n_nodes, _ = preds.shape
-    if not (0 <= window_idx < n_windows and 0 <= node_idx < n_nodes):
-        raise data.DataError(
-            f"ridge index (window {window_idx}, node {node_idx}) outside "
-            f"({n_windows}, {n_nodes})"
-        )
     dens = grid_densities(
         preds.weights[window_idx, node_idx],
         preds.means[window_idx, node_idx],
         preds.variances[window_idx, node_idx],
         x,
     )
+    return x, dens
+
+
+def density_ridge_table(x, dens) -> str:
+    """The ridge densities by grid point: the data behind a per-step
+    density-ridge plot."""
     lines = ["x\t" + "\t".join(f"step{t + 1}" for t in range(dens.shape[0]))]
     for i, xv in enumerate(x):
         lines.append(repr(float(xv)) + "\t" + "\t".join(repr(float(v)) for v in dens[:, i]))
+    return "\n".join(lines) + "\n"
+
+
+def intervals_table(x, dens, levels) -> str:
+    """The ridge densities' HPD sub-intervals, one row per sub-interval of
+    each (step, level), numbered from 1 in ascending order."""
+    lines = ["step\tlevel\tindex\tlower\tupper"]
+    for step, sets in enumerate(intervals.derive_intervals(dens, x, levels), start=1):
+        for s in sets:
+            for index, (lo, hi) in enumerate(s.intervals, start=1):
+                lines.append(f"{step}\t{s.level!r}\t{index}\t{lo!r}\t{hi!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -383,7 +414,7 @@ def main():
 @click.option("--step-minutes", type=float, default=3.0, show_default=True)
 @click.option("--max-value", type=float, default=14.0, show_default=True)
 @click.option("--noise", type=float, default=0.3, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--name", default="synthetic", show_default=True)
 @click.option("--out", type=click.Path(), default=None, help="Output directory (default $MIXCAST_OUT or cwd).")
 def cmd_generate(nodes, sessions, session_steps, step_minutes, max_value, noise, seed, name, out):
@@ -423,11 +454,11 @@ def cmd_generate(nodes, sessions, session_steps, step_minutes, max_value, noise,
 @click.option("--epochs", type=int, default=None, callback=_positive)
 @click.option("--batch-size", type=int, default=None, callback=_positive)
 @click.option("--lr", type=float, default=None, callback=_positive)
-@click.option("--seed", type=int, default=None)
+@click.option("--seed", type=click.IntRange(min=0), default=None)
 @click.option("--input-steps", type=int, default=10, callback=_positive, show_default=True)
 @click.option("--horizon", type=int, default=10, callback=_positive, show_default=True)
 @click.option("--coverage-fraction", type=float, default=1.0, show_default=True)
-@click.option("--coverage-seed", type=int, default=0, show_default=True)
+@click.option("--coverage-seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--resolution-factor", type=int, default=1, show_default=True)
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None,
               help="JSON config with 'train' and 'model' sections; flags win.")
@@ -523,13 +554,15 @@ def cmd_evaluate(checkpoint, data_path, levels, grid_points, normalized_space,
     started = time.time()
     try:
         dataset, manifest = load_dataset(data_path)
-        report, splits, preds, mcfg, scoring = evaluate_run(
+        level_values = parse_levels(levels)
+        report, ridge = evaluate_run(
             checkpoint,
             dataset,
             manifest,
-            levels=parse_levels(levels),
+            levels=level_values,
             grid_points=grid_points,
             normalized_space=normalized_space,
+            ridge=(ridge_window, ridge_node),
         )
         base = _out_dir(out) / (name or (Path(checkpoint).name.split(".")[0] + "_eval"))
         report_path = Path(str(base) + ".report.txt")
@@ -539,15 +572,16 @@ def cmd_evaluate(checkpoint, data_path, levels, grid_points, normalized_space,
         horizon_path.write_text(horizon_table(report))
         calib_path.write_text(calibration_table(report))
         artifacts = {"report": report_path, "horizon": horizon_path, "calibration": calib_path}
-        if mcfg.variant != "det":
+        ridge_mass = None
+        if ridge is not None:
+            x, dens = ridge
             ridge_path = Path(str(base) + ".density.tsv")
-            ridge_path.write_text(
-                density_ridge_table(
-                    preds, ridge_window, ridge_node, scoring.interval_range,
-                    scoring.interval_points,
-                )
-            )
+            intervals_path = Path(str(base) + ".intervals.tsv")
+            ridge_path.write_text(density_ridge_table(x, dens))
+            intervals_path.write_text(intervals_table(x, dens, level_values))
             artifacts["density"] = ridge_path
+            artifacts["intervals"] = intervals_path
+            ridge_mass = (dens.sum(axis=1) * (x[1] - x[0])).tolist()
         _write_run_manifest(
             Path(str(base) + ".run.json"),
             "evaluate",
@@ -562,7 +596,8 @@ def cmd_evaluate(checkpoint, data_path, levels, grid_points, normalized_space,
             started,
             results={"clipped_interval_elements": report.clipped_interval_elements,
                      "hpd_pit_counts": report.hpd_pit_counts,
-                     "hpd_pit_counts_by_step": report.hpd_pit_counts_by_step},
+                     "hpd_pit_counts_by_step": report.hpd_pit_counts_by_step,
+                     "ridge_grid_mass": ridge_mass},
         )
     except (data.DataError, IndexError) as err:
         raise _fail(err)

@@ -66,12 +66,6 @@ def demand_profile(spec: SyntheticSpec) -> np.ndarray:
     return spec.demand_base + (spec.demand_peak - spec.demand_base) * bump
 
 
-def congestion_prone_steps(spec: SyntheticSpec) -> np.ndarray:
-    """Step indices where demand exceeds the halfway propensity."""
-    d = demand_profile(spec)
-    return np.flatnonzero(d >= 0.5 * (spec.demand_base + spec.demand_peak))
-
-
 @dataclass(frozen=True)
 class SeriesDataset:
     values: np.ndarray  # (sessions, steps, nodes), raw units

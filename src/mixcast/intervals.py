@@ -4,59 +4,24 @@ Cells are ranked by density and their normalized mass is accumulated
 until the requested confidence level is reached (Hyndman's 1996
 highest-density regions), so multi-modal densities select several
 disjoint sub-intervals. The ranking has one implementation,
-`_mass_before`. `hpd_select_batch` turns it into (M, L, P) masks, which
-`derive_intervals` reads back as one grid's sub-intervals; `hpd_scores`
-reduces it to each target's HPD value u(y), the smallest level whose
-selection covers y, and each level's selected-cell count. Evaluation
-reads coverage at level c as mean(u < c) and builds no mask.
+`_mass_before`, and each level's selected-cell count one,
+`_selected_counts`. `hpd_scores` reduces them to each target's HPD value
+u(y), the smallest level whose selection covers y, and each level's
+width; evaluation reads coverage at level c as mean(u < c) and builds no
+mask. `derive_intervals` reads the same counts back as sub-intervals.
 
-Grids are immutable after construction and every function here is pure,
-so evaluation across (location, time) elements can run concurrently.
+Every function here is pure, so evaluation across (location, time)
+elements can run concurrently.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gmm import MixtureBatch, grid_densities
-
 # Below this pre-normalization mass the grid clips real probability mass
 # and the normalized coverage semantics become distorted.
 MASS_COMPLETE_MIN = 0.98
-
-
-@dataclass(frozen=True)
-class DensityGrid:
-    """Uniformly spaced density evaluations: density[i] at x0 + i*dx."""
-
-    x0: float
-    dx: float
-    density: np.ndarray
-
-    def __post_init__(self):
-        dens = np.asarray(self.density, dtype=float)
-        if dens.ndim != 1 or dens.size < 2:
-            raise ValueError(f"density must be 1-D with >= 2 points, got shape {dens.shape}")
-        if not self.dx > 0:
-            raise ValueError(f"dx must be positive, got {self.dx!r}")
-        if not np.all(np.isfinite(dens)) or np.any(dens < 0):
-            raise ValueError("densities must be finite and nonnegative")
-        dens = dens.copy()
-        dens.setflags(write=False)
-        object.__setattr__(self, "density", dens)
-
-    @property
-    def size(self) -> int:
-        return self.density.size
-
-    def points(self) -> np.ndarray:
-        return self.x0 + self.dx * np.arange(self.size)
-
-    def total_mass(self) -> float:
-        """Cell-sum mass (density * dx), the mass notion used throughout."""
-        return float(self.density.sum() * self.dx)
 
 
 @dataclass(frozen=True)
@@ -86,21 +51,6 @@ class IntervalSet:
         return len(self.intervals)
 
 
-def grid_from_mixture(
-    m: MixtureBatch, range_lo: float, range_hi: float, points: int
-) -> DensityGrid:
-    """One mixture's density (element shape ()) at `points` evenly spaced locations."""
-    if m.shape != ():
-        raise ValueError(f"expected one mixture (element shape ()), got shape {m.shape}")
-    if not range_lo < range_hi:
-        raise ValueError(f"degenerate range [{range_lo!r}, {range_hi!r}]")
-    if points < 2:
-        raise ValueError(f"need at least 2 grid points, got {points}")
-    x = np.linspace(range_lo, range_hi, points)
-    dens = grid_densities(m.weights[None], m.means[None], m.variances[None], x)[0]
-    return DensityGrid(x0=float(range_lo), dx=float(x[1] - x[0]), density=dens)
-
-
 def _runs(mask: np.ndarray):
     """(start, stop) index pairs of maximal runs of True, stop inclusive."""
     idx = np.flatnonzero(mask)
@@ -112,44 +62,61 @@ def _runs(mask: np.ndarray):
     return list(zip(starts.tolist(), stops.tolist()))
 
 
-def derive_intervals(g: DensityGrid, c: float) -> IntervalSet:
-    """Highest-density sub-intervals covering (at least) mass c.
+def derive_intervals(density, x, levels) -> list:
+    """Highest-density sub-intervals of (S, P) density rows on one grid x
+    (P,) of evenly spaced points: out[s][l] is row s's IntervalSet at
+    levels[l].
 
-    The cumulative mass is normalized by its maximum, which silently
-    corrects grids that clip distribution tails; a warning is emitted when
-    the pre-normalization mass falls below the mass-complete threshold
-    since clipped tails distort the coverage semantics.
+    Rows need positive mass but no normalization. The level-c selection is
+    the first `count` cells, in order of descending density with ascending
+    index breaking ties, where `count` is the fewest cells whose
+    normalized mass reaches c (`_selected_counts`, the count `hpd_scores`
+    turns into widths).
 
     Run bounds are the selected grid coordinates themselves. A run of a
     single cell would give lower == upper, which the IntervalSet contract
     forbids, so single-cell runs are widened to the cell footprint
     [x - dx/2, x + dx/2], clipped to the grid range.
     """
-    if not 0.0 < c < 1.0:
-        raise ValueError(f"confidence level must be in (0, 1), got {c!r}")
-    if g.total_mass() < MASS_COMPLETE_MIN:
-        warnings.warn(
-            f"grid mass {g.total_mass():.4f} < {MASS_COMPLETE_MIN}: tails are "
-            "clipped and normalized coverage may be distorted",
-            stacklevel=2,
-        )
-    mask = hpd_select_batch(g.density[None], [c])[0, 0]
-    x = g.points()
-    x_end = float(x[-1])
-    half = 0.5 * g.dx
+    density = np.asarray(density)
+    x = np.asarray(x, dtype=float)
+    levels = np.asarray(levels, dtype=float)
+    if x.ndim != 1 or x.size < 2 or density.shape[1:] != x.shape:
+        raise ValueError(f"need (S, P) densities on a grid of P >= 2 points, got "
+                         f"{density.shape} on {x.shape}")
+    if not np.all(np.isfinite(density)) or np.any(density < 0):
+        raise ValueError("densities must be finite and nonnegative")
+    if levels.ndim != 1 or not np.all((levels > 0.0) & (levels < 1.0)):
+        raise ValueError(f"confidence levels must be in (0, 1), got {levels!r}")
+    ranked, incl, total = _mass_before(density)
+    counts = _selected_counts(incl, total, levels)
+    half = 0.5 * (x[1] - x[0])
     out = []
-    for start, stop in _runs(mask):
-        if start == stop:
-            out.append((max(g.x0, x[start] - half), min(x_end, x[start] + half)))
-        else:
-            out.append((float(x[start]), float(x[stop])))
-    return IntervalSet(level=float(c), intervals=tuple(out))
+    for row, row_ranked, row_counts in zip(density, ranked, counts):
+        sets = []
+        for c, count in zip(levels, row_counts):
+            # Every cell denser than the count-th ranked value, then as
+            # many of the cells tied with it, in index order, as the count
+            # leaves.
+            cut = row_ranked[count - 1]
+            mask = row > cut
+            mask[np.flatnonzero(row == cut)[: count - np.count_nonzero(mask)]] = True
+            ivs = []
+            for start, stop in _runs(mask):
+                if start == stop:
+                    ivs.append((max(x[0], x[start] - half), min(x[-1], x[start] + half)))
+                else:
+                    ivs.append((x[start], x[stop]))
+            sets.append(IntervalSet(level=float(c), intervals=tuple(ivs)))
+        out.append(sets)
+    return out
 
 
 def _mass_before(density: np.ndarray):
     """Rank (M, P) density rows by descending density and accumulate their
-    mass: (incl, total). incl[:, j] is the float64 mass of ranks 0..j, so
-    the mass strictly before rank j is incl[:, j - 1] (0 for j = 0), and
+    mass: (ranked, incl, total). ranked[:, j] is the rank-j density, in
+    the rows' dtype; incl[:, j] is the float64 mass of ranks 0..j, so the
+    mass strictly before rank j is incl[:, j - 1] (0 for j = 0), and
     total = incl[:, -1]; a ValueError if some row has no mass.
 
     Rows are sorted in their own dtype (tied values are interchangeable,
@@ -157,35 +124,43 @@ def _mass_before(density: np.ndarray):
     then takes the cumulative sum in place, so a float32 grid loses
     nothing to accumulation.
     """
-    incl = np.array(np.sort(density, axis=1)[:, ::-1], dtype=np.float64)
+    ranked = np.sort(density, axis=1)[:, ::-1]
+    incl = np.array(ranked, dtype=np.float64)
     np.cumsum(incl, axis=1, out=incl)
     total = incl[:, -1]
     if np.any(total <= 0.0):
         raise ValueError("a density grid has no mass to cover")
-    return incl, total
+    return ranked, incl, total
 
 
-def hpd_select_batch(density: np.ndarray, levels: np.ndarray) -> np.ndarray:
-    """Selection masks for many grids and levels at once.
+def _selected_counts(incl, total, levels):
+    """(M, L) counts of the fewest ranked cells whose normalized mass
+    reaches each level, from `_mass_before`'s (incl, total).
 
-    density: (M, P) nonnegative rows; levels: (L,).
-    Returns a boolean array of shape (M, L, P).
-
-    Cells are ranked by descending density with ascending index as the
-    stable tiebreaker. A cell is selected at level c iff the normalized
-    mass strictly before it in that order is < c, so each selection is the
-    fewest cells whose normalized mass reaches c.
+    Rank 0 is always selected, and each further rank j iff the mass
+    before it, incl[:, j - 1], is below c of the total. incl is
+    nondecreasing along a row and its last entry, the total itself, is
+    never below, so the count of such j is found for all (M, L) pairs at
+    once by binary lifting over flat indices, clamped to the row's last
+    entry. Every operand is a full (M, L) array: broadcasting an (M, 1)
+    column makes numpy loop row by row.
     """
-    density = np.asarray(density, dtype=float)
-    order = np.argsort(-density, axis=1, kind="stable")
-    incl, total = _mass_before(density)
-    before = np.zeros_like(incl)
-    np.divide(incl[:, :-1], total[:, None], out=before[:, 1:])
-    # Scatter the before-mass back to grid order once, then compare per
-    # level; this keeps the big (M, L, P) array to a single allocation.
-    before_grid = np.empty_like(before)
-    np.put_along_axis(before_grid, order, before, axis=1)
-    return before_grid[:, None, :] < np.asarray(levels, dtype=float)[None, :, None]
+    m, p = incl.shape
+    flat = incl.ravel()
+    shape = (m, np.size(levels))
+    levels = np.broadcast_to(np.asarray(levels, dtype=float), shape).copy()
+    total = np.broadcast_to(total[:, None], shape).copy()
+    pos = np.broadcast_to((np.arange(m) * p)[:, None], shape).copy()
+    last = pos + (p - 1)
+    step = 1 << (p - 1).bit_length()
+    reach = 0  # the largest offset pos can have reached
+    while step := step >> 1:
+        idx = pos + (step - 1)
+        if reach + step > p:
+            np.minimum(idx, last, out=idx)
+        pos += step * (np.take(flat, idx) / total < levels)
+        reach += step
+    return pos - (last - p)
 
 
 def hpd_scores(density, dx, p_y, on_grid, levels):
@@ -196,39 +171,17 @@ def hpd_scores(density, dx, p_y, on_grid, levels):
     point ties its cell; on_grid: (M,) bool; levels: (L,). Returns
     (u (M,), width (M, L)), both float64. u is the normalized mass of the
     cells denser than the target, so the target lies in the level-c
-    selection of `hpd_select_batch` iff u < c; off the grid u = 1. The
-    width is the selected-cell count times dx, the same count as
-    `hpd_select_batch`'s, which exceeds derive_intervals' run geometry by
-    at most dx per run. Beyond `_mass_before` and one comparison with p_y,
-    neither takes a full pass over the grid: u reads one accumulated mass
-    per row, and each count is a search in its row.
+    selection of `derive_intervals` iff u < c; off the grid u = 1. The
+    width is the selected-cell count times dx, which exceeds
+    derive_intervals' run geometry by at most dx per run. Beyond
+    `_mass_before` and one comparison with p_y, neither takes a full pass
+    over the grid: u reads one accumulated mass per row, and each count is
+    a search in its row.
     """
-    incl, total = _mass_before(density)
+    incl, total = _mass_before(density)[1:]
     m, p = incl.shape
-    flat = incl.ravel()
-    base = np.arange(m) * p
     above = np.count_nonzero(density > p_y[:, None], axis=1)
-    u = np.take(flat, base + np.maximum(above - 1, 0)) / total
+    u = np.take(incl.ravel(), np.arange(m) * p + np.maximum(above - 1, 0)) / total
     u[above == 0] = 0.0
     u[~on_grid | (above == p)] = 1.0
-    # Rank 0 is always selected, and each further rank j iff the mass
-    # before it, incl[:, j - 1], is below c of the total. incl is
-    # nondecreasing along a row and its last entry, the total itself, is
-    # never below, so the count of such j is found for all (M, L) pairs at
-    # once by binary lifting over flat indices, clamped to the row's last
-    # entry. Every operand is a full (M, L) array: broadcasting an (M, 1)
-    # column makes numpy loop row by row.
-    shape = (m, np.size(levels))
-    levels = np.broadcast_to(np.asarray(levels, dtype=float), shape).copy()
-    total = np.broadcast_to(total[:, None], shape).copy()
-    pos = np.broadcast_to(base[:, None], shape).copy()
-    last = pos + (p - 1)
-    step = 1 << (p - 1).bit_length()
-    reach = 0  # the largest offset pos can have reached
-    while step := step >> 1:
-        idx = pos + (step - 1)
-        if reach + step > p:
-            np.minimum(idx, last, out=idx)
-        pos += step * (np.take(flat, idx) / total < levels)
-        reach += step
-    return u, dx * (pos - (last - p))
+    return u, dx * _selected_counts(incl, total, levels)

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -55,6 +56,15 @@ def default_anchors(components: int):
     return scale, anchors
 
 
+def check_ints(obj, least: int, *names):
+    """ValueError unless each named field of obj is an integer (bool
+    excluded) of at least `least`."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class HeadConfig:
     components: int
@@ -64,8 +74,7 @@ class HeadConfig:
     anchors: np.ndarray = None
 
     def __post_init__(self):
-        if self.components < 1:
-            raise ValueError(f"components must be >= 1, got {self.components}")
+        check_ints(self, 1, "components", "proj_width")
         if self.anchor_scale is None or self.anchors is None:
             scale, anchors = default_anchors(self.components)
             object.__setattr__(self, "anchor_scale", float(scale))
@@ -88,6 +97,7 @@ class BackboneConfig:
     activation: str = "tanh"  # "tanh" | "identity"
 
     def __post_init__(self):
+        check_ints(self, 1, "hidden", "features")
         if self.activation not in ("tanh", "identity"):
             raise ValueError(f"unknown activation {self.activation!r}")
         if self.channels not in (1, 2):

@@ -43,9 +43,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("epochs", "batch_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        mdl.check_ints(self, 1, "epochs", "batch_size")
+        mdl.check_ints(self, 0, "seed")
         if not self.lr > 0:
             raise ValueError(f"lr must be positive, got {self.lr!r}")
         for name in ("weight_decay", "warmup_epochs", "clip_norm"):

@@ -7,11 +7,14 @@ first (`head_rows_first`) pins the checkpoint's branch row order, and
 `reference_mixture` is what a fresh head emits. The
 per-tensor AdamW step is the reference for the packed optimizer. The dip
 statistic checks the generator's bimodality; the sampling helpers
-draw targets from predicted mixtures; the interval helpers read widths,
-containment and selected mass off one grid's selection, and run the
-batch HPD kernel on the grid evaluation uses, to check the batch
-statistics the package computes. `stacked_windows` is the windowing
-that stored every window as its own copy, the reference for
+draw targets from predicted mixtures, and `congestion_prone_steps`
+picks the generator's high-demand steps. `hpd_select_batch` builds
+(M, L, P) HPD selection masks from their definition, the reference that
+`intervals.derive_intervals` and `intervals.hpd_scores` are checked
+against; the other interval helpers build one mixture's grid, read
+widths, containment, covered cells and selected mass, and run the batch
+HPD kernel on the grid evaluation uses. `stacked_windows` is the
+windowing that stored every window as its own copy, the reference for
 `data.WindowSet`'s gathers. None of them is on a CLI or library path, so
 they live beside the tests.
 """
@@ -20,16 +23,10 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from mixcast.data import DataError
+from mixcast.data import DataError, SyntheticSpec, demand_profile
 from mixcast.gmm import LOG_VAR_MAX, LOG_VAR_MIN, MixtureBatch, grid_densities, nll_and_gradients
 from mixcast.training import ADAM_EPS
-from mixcast.intervals import (
-    MASS_COMPLETE_MIN,
-    DensityGrid,
-    IntervalSet,
-    hpd_scores,
-    hpd_select_batch,
-)
+from mixcast.intervals import MASS_COMPLETE_MIN, IntervalSet, hpd_scores
 
 # Above this pre-normalization cell-sum mass a grid over-counts its
 # mixture, the mirror of intervals.MASS_COMPLETE_MIN.
@@ -69,6 +66,12 @@ def stacked_windows(d, t_h: int, t_f: int, normalizer, sessions=None):
         inputs = np.concatenate([np.where(flags > 0, inputs, 0.0), flags], axis=2)
     return SimpleNamespace(inputs=inputs, targets=normalizer.transform(targets_raw),
                            targets_raw=targets_raw, session_ids=np.asarray(sids))
+
+
+def congestion_prone_steps(spec: SyntheticSpec) -> np.ndarray:
+    """Step indices where demand exceeds the halfway propensity."""
+    d = demand_profile(spec)
+    return np.flatnonzero(d >= 0.5 * (spec.demand_base + spec.demand_peak))
 
 
 # ----------------------------------------------------------------------
@@ -293,18 +296,53 @@ def sample_one_each(mb: MixtureBatch, rng: np.random.Generator) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Scalar interval helpers.
+# HPD selection masks and scalar interval helpers.
 # ----------------------------------------------------------------------
 
 
-def is_mass_complete(g: DensityGrid) -> bool:
-    return MASS_COMPLETE_MIN <= g.total_mass() <= MASS_COMPLETE_MAX
+def hpd_select_batch(density, levels) -> np.ndarray:
+    """Selection masks for (M, P) rows with positive mass and levels (L,),
+    as a boolean (M, L, P) array.
+
+    Cells are ranked by descending density with ascending index as the
+    stable tiebreaker. A cell is selected at level c iff the normalized
+    mass strictly before it in that order is < c, so each selection is the
+    fewest cells whose normalized mass reaches c.
+    """
+    density = np.asarray(density, dtype=float)
+    order = np.argsort(-density, axis=1, kind="stable")
+    incl = np.cumsum(np.take_along_axis(density, order, axis=1), axis=1)
+    before = np.zeros_like(incl)
+    before[:, 1:] = incl[:, :-1] / incl[:, -1:]
+    before_grid = np.empty_like(before)
+    np.put_along_axis(before_grid, order, before, axis=1)
+    return before_grid[:, None, :] < np.asarray(levels, dtype=float)[None, :, None]
 
 
-def selection_mass(g: DensityGrid, c: float) -> float:
-    """Normalized mass of the selected cells; lies in [c, c + max cell mass]."""
-    mask = hpd_select_batch(g.density[None], [c])[0, 0]
-    return float(g.density[mask].sum() / g.density.sum())
+def mixture_grid(m: MixtureBatch, lo: float, hi: float, points: int):
+    """(x, density): one mixture's (element shape ()) float64 density at
+    `points` evenly spaced x over [lo, hi]."""
+    x = np.linspace(lo, hi, points)
+    return x, grid_densities(m.weights[None], m.means[None], m.variances[None], x)[0]
+
+
+def is_mass_complete(density, dx) -> bool:
+    """Whether a grid's cell-sum mass (density * dx) is close to 1."""
+    return MASS_COMPLETE_MIN <= density.sum() * dx <= MASS_COMPLETE_MAX
+
+
+def selection_mass(density, c: float) -> float:
+    """Normalized mass of one row's selected cells; lies in
+    [c, c + max cell mass]."""
+    mask = hpd_select_batch(density[None], [c])[0, 0]
+    return float(density[mask].sum() / density.sum())
+
+
+def covered_cells(s: IntervalSet, x) -> np.ndarray:
+    """The grid points of x inside any sub-interval of s: the cells that
+    `derive_intervals` selected."""
+    x = np.asarray(x)
+    return np.any([(lo <= x) & (x <= hi) for lo, hi in s.intervals], axis=0)
 
 
 def interval_width(s: IntervalSet) -> float:

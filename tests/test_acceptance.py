@@ -189,18 +189,18 @@ class TestCriterion2CRPS:
 class TestCriterion3Intervals:
     def test_interval_derivation_fidelity(self):
         started = time.time()
-        m = MixtureBatch([1.0], [0.0], [1.0])
-        g = iv.grid_from_mixture(m, -6.0, 6.0, 2001)
-        s = iv.derive_intervals(g, 0.95)
+        x, dens = oracles.mixture_grid(MixtureBatch([1.0], [0.0], [1.0]), -6.0, 6.0, 2001)
+        dx = x[1] - x[0]
+        s = iv.derive_intervals(dens[None], x, [0.95])[0][0]
         assert s.count == 1
         lo, hi = s.intervals[0]
-        assert abs(lo - (-1.959964)) <= g.dx
-        assert abs(hi - 1.959964) <= g.dx
+        assert abs(lo - (-1.959964)) <= dx
+        assert abs(hi - 1.959964) <= dx
 
         bimodal = MixtureBatch([0.5, 0.5], [-3.0, 3.0], [0.25, 0.25])
-        gb = iv.grid_from_mixture(bimodal, -6.0, 6.0, 2001)
-        for c in LEVELS:
-            assert iv.derive_intervals(gb, c).count == 2
+        xb, db = oracles.mixture_grid(bimodal, -6.0, 6.0, 2001)
+        for sb in iv.derive_intervals(db[None], xb, LEVELS)[0]:
+            assert sb.count == 2
 
         rng = np.random.default_rng(3)
         for _ in range(5):
@@ -208,11 +208,11 @@ class TestCriterion3Intervals:
             w = rng.random(k) + 0.2
             w /= w.sum()
             mm = MixtureBatch(w, rng.uniform(-3, 3, k), rng.uniform(0.2, 1.5, k))
-            gg = iv.grid_from_mixture(mm, -12, 12, 1001)
-            assert oracles.is_mass_complete(gg)
-            max_cell = float((gg.density * gg.dx).max() / (gg.density.sum() * gg.dx))
+            xg, dg = oracles.mixture_grid(mm, -12, 12, 1001)
+            assert oracles.is_mass_complete(dg, xg[1] - xg[0])
+            max_cell = float(dg.max() / dg.sum())
             for c in LEVELS:
-                mass = oracles.selection_mass(gg, c)
+                mass = oracles.selection_mass(dg, c)
                 assert c <= mass <= c + max_cell + 1e-12
         elapsed = time.time() - started
         assert elapsed < 5.0

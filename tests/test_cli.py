@@ -208,7 +208,7 @@ class TestTrain:
             ('{"model": {"hiden": 8}}', "unknown model key(s) ['hiden']"),
             ('{"train": {"lr": 0.01', "malformed JSON"),
             ('{"train": {"lr": -1}}', "lr must be positive, got -1"),
-            ('{"train": {"batch_size": 0}}', "batch_size must be >= 1, got 0"),
+            ('{"train": {"batch_size": 0}}', "batch_size must be an integer >= 1, got 0"),
             ('{"model": {"activation": "relu"}}', "unknown activation 'relu'"),
             ('{"train": {"betas": [0.9]}}',
              "train config: betas must be two numbers in [0, 1), got [0.9]"),
@@ -236,6 +236,58 @@ class TestTrain:
         assert message in res.output
         assert "diverged" not in res.output
         assert not list(tmp_path.glob("*.ckpt.npz"))
+
+    @pytest.mark.parametrize(
+        "args, config, message",
+        [
+            (["train"], {"train": {"epochs": 1.5}},
+             "train config: epochs must be an integer >= 1, got 1.5"),
+            (["train"], {"train": {"epochs": True}},
+             "train config: epochs must be an integer >= 1, got True"),
+            (["train"], {"train": {"batch_size": 2.5}},
+             "train config: batch_size must be an integer >= 1, got 2.5"),
+            (["train"], {"train": {"seed": 1.5}}, "train config: seed must be an integer >= 0, got 1.5"),
+            (["train"], {"train": {"seed": -1}}, "train config: seed must be an integer >= 0, got -1"),
+            (["train"], {"train": {"k": 2.5}},
+             "model config: components must be an integer >= 1, got 2.5"),
+            (["train"], {"model": {"hidden": -1}}, "model config: hidden must be an integer >= 1, got -1"),
+            (["train"], {"model": {"hidden": 0}}, "model config: hidden must be an integer >= 1, got 0"),
+            (["train"], {"model": {"features": -2}},
+             "model config: features must be an integer >= 1, got -2"),
+            (["train"], {"model": {"proj_width": 0}},
+             "model config: proj_width must be an integer >= 1, got 0"),
+            (["train", "--seed", "-1"], {}, "--seed"),
+            (["train", "--coverage-seed", "-1"], {}, "--coverage-seed"),
+            (GEN + ["--seed", "-1"], None, "--seed"),
+        ],
+        ids=["float-epochs", "bool-epochs", "float-batch-size", "float-seed", "negative-seed",
+             "float-k", "negative-hidden", "zero-hidden", "negative-features", "zero-proj-width",
+             "negative-seed-flag", "negative-coverage-seed-flag", "negative-generate-seed-flag"],
+    )
+    def test_non_integer_and_negative_settings_rejected(self, tmp_path, workspace, args, config,
+                                                         message):
+        # Flags fail click's range check (exit 2), config values the config
+        # dataclasses' checks (exit 3); either way nothing is written.
+        out = tmp_path / "out"
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            args = args + ["--variant", "gmm", "--config", str(cfg), "--data",
+                           str(workspace / "tiny"), "--input-steps", "6", "--horizon", "6"]
+            if "epochs" not in config.get("train", {}):
+                args += ["--epochs", "1"]
+        res = CliRunner().invoke(cli.main, args + ["--out", str(out)])
+        assert res.exit_code == (2 if message.startswith("--") else 3), res.output
+        assert message in res.output
+        assert not out.exists() or not list(out.iterdir())
+
+    @pytest.mark.parametrize("norms", [[0.3], [2.5, 0.1, 7.25], [0.3, 0.1, 0.7, 0.2]],
+                             ids=["one", "odd", "even"])
+    def test_grad_norm_median_is_numpys(self, norms):
+        result = cli.training.TrainResult(params=None, model_cfg=None, best_val_loss=0.0,
+                                          best_epoch=0, grad_norms=norms)
+        stats = cli.training_health(result)["grad_norm"]
+        assert stats == {"min": min(norms), "median": float(np.median(norms)), "max": max(norms)}
 
     def test_run_manifest_records_training_health(self, tmp_path, workspace):
         cfg = tmp_path / "cfg.json"
@@ -275,6 +327,65 @@ class TestTrain:
 
 
 class TestEvaluate:
+    @pytest.mark.parametrize("variant", ["det", "norm", "gmm"])
+    def test_artifacts_listed_and_intervals_table(self, workspace, tmp_path, variant):
+        res = run(
+            ["evaluate", "--checkpoint", str(workspace / f"{variant}.ckpt.npz"),
+             "--data", str(workspace / "tiny"), "--name", "e", "--out", str(tmp_path)]
+        )
+        assert res.exit_code == 0, res.output
+        kinds = {"report": "txt", "horizon": "tsv", "calibration": "tsv"}
+        if variant != "det":
+            kinds |= {"density": "tsv", "intervals": "tsv"}
+        manifest = json.loads((tmp_path / "e.run.json").read_text())
+        assert manifest["artifacts"] == {k: str(tmp_path / f"e.{k}.{ext}") for k, ext in kinds.items()}
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            [f"e.{k}.{ext}" for k, ext in kinds.items()] + ["e.run.json"]
+        )
+        if variant == "det":
+            assert manifest["ridge_grid_mass"] is None
+            return
+        ridge = np.array([[float(v) for v in line.split("\t")] for line in
+                          (tmp_path / "e.density.tsv").read_text().splitlines()[1:]])
+        x, dens = ridge[:, 0], ridge[:, 1:].T
+        assert manifest["ridge_grid_mass"] == pytest.approx(dens.sum(axis=1) * (x[1] - x[0]),
+                                                            rel=1e-12)
+        lines = (tmp_path / "e.intervals.tsv").read_text().splitlines()
+        assert lines[0] == "step\tlevel\tindex\tlower\tupper"
+        table = {}
+        for line in lines[1:]:
+            step, level, index, lo, hi = line.split("\t")
+            table.setdefault((int(step), float(level)), []).append((int(index), float(lo), float(hi)))
+        levels = [float(v) for v in metrics.DEFAULT_LEVELS]
+        assert sorted(table) == [(t, c) for t in range(1, 7) for c in levels]
+        for t in range(1, 7):
+            prev = np.zeros(x.size, dtype=bool)
+            for c in levels:
+                rows = table[(t, c)]
+                assert [i for i, _, _ in rows] == list(range(1, len(rows) + 1))
+                bounds = [v for _, lo, hi in rows for v in (lo, hi)]
+                assert bounds == sorted(bounds) and len(set(bounds)) == len(bounds)
+                assert 0.0 <= bounds[0] and bounds[-1] <= 14.0
+                # Nested as the level rises: every grid cell selected at a
+                # lower level is selected again.
+                cells = np.any([(lo <= x) & (x <= hi) for _, lo, hi in rows], axis=0)
+                assert np.all(cells[prev])
+                prev = cells
+
+    @pytest.mark.parametrize("flags", [["--ridge-node", "6"], ["--ridge-node", "-1"],
+                                       ["--ridge-window", "100000"]],
+                             ids=["node-past-end", "negative-node", "window-past-end"])
+    def test_ridge_index_outside_test_split_writes_nothing(self, workspace, tmp_path, flags):
+        out = tmp_path / "out"
+        res = CliRunner().invoke(
+            cli.main,
+            ["evaluate", "--checkpoint", str(workspace / "gmm.ckpt.npz"),
+             "--data", str(workspace / "tiny"), "--out", str(out)] + flags,
+        )
+        assert res.exit_code == 3, res.output
+        assert "ridge index" in res.output
+        assert not out.exists() or not list(out.iterdir())
+
     def test_gmm_report_schema(self, workspace, tmp_path):
         res = run(
             ["evaluate", "--checkpoint", str(workspace / "gmm.ckpt.npz"),
@@ -364,12 +475,16 @@ class TestEvaluate:
         assert res.exit_code == 3
         assert f"1 blank cells, first at row {len(lines)}/node {node}" in res.output
 
-    @pytest.mark.parametrize("name", ["tiny.csv", "tiny.run.json", "no_meta.npz"])
+    @pytest.mark.parametrize("name", ["tiny.csv", "tiny.run.json", "no_meta.npz", "truncated.npz"])
     def test_non_checkpoint_is_data_error(self, workspace, tmp_path, name):
         path = workspace / name
         if name == "no_meta.npz":
             path = tmp_path / name
             np.savez(path, w=np.zeros(3))
+        elif name == "truncated.npz":
+            # A zip header, cut short of its central directory.
+            path = tmp_path / name
+            path.write_bytes((workspace / "gmm.ckpt.npz").read_bytes()[:2000])
         res = CliRunner().invoke(
             cli.main,
             ["evaluate", "--checkpoint", str(path), "--data", str(workspace / "tiny"),

@@ -72,7 +72,7 @@ class TestGenerate:
     def test_prone_nodes_bimodal_by_dip(self):
         spec = SyntheticSpec(nodes=20, sessions=30, seed=5)
         d = data.generate(spec)
-        prone = data.congestion_prone_steps(spec)
+        prone = oracles.congestion_prone_steps(spec)
         thr = oracles.unimodal_dip_threshold(160, np.random.default_rng(0), sims=49)
         flagged = [
             oracles.dip_statistic(d.values[:, prone, i].ravel()) > thr

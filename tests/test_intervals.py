@@ -5,116 +5,155 @@ import itertools
 import numpy as np
 import oracles
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.stats import norm
 
 from mixcast import intervals as iv
-from mixcast.gmm import MixtureBatch
+from mixcast.gmm import MixtureBatch, grid_densities
 
 LEVELS = np.round(np.arange(0.50, 0.951, 0.05), 10)
 
 
 def std_normal_grid(points=2001, lo=-6.0, hi=6.0):
-    m = MixtureBatch([1.0], [0.0], [1.0])
-    return iv.grid_from_mixture(m, lo, hi, points)
+    return oracles.mixture_grid(MixtureBatch([1.0], [0.0], [1.0]), lo, hi, points)
+
+
+def one_set(density, x, c):
+    """derive_intervals for one row and one level."""
+    return iv.derive_intervals(np.asarray(density)[None], x, [c])[0][0]
+
+
+def selected(density, c):
+    """The cells derive_intervals selects in one row, on an integer grid."""
+    x = np.arange(density.size, dtype=float)
+    return oracles.covered_cells(one_set(density, x, c), x)
 
 
 class TestDensityGrid:
+    """Density grids as evaluation builds them: `grid_densities` at evenly
+    spaced points."""
+
     def test_grid_geometry_and_peak(self):
-        g = std_normal_grid(points=500)
-        assert g.dx == pytest.approx(12.0 / 499)
-        peak = g.density.max()
-        assert peak == pytest.approx(norm.pdf(g.points()[np.argmax(g.density)]), abs=1e-12)
+        x, dens = std_normal_grid(points=500)
+        assert x[1] - x[0] == pytest.approx(12.0 / 499)
+        peak = dens.max()
+        assert peak == pytest.approx(norm.pdf(x[np.argmax(dens)]), abs=1e-12)
         assert peak == pytest.approx(0.3989, abs=1e-3)
 
     def test_densities_nonnegative(self):
         m = MixtureBatch([0.25] * 4, [-6.0, -2.0, 2.0, 6.0], [4.0] * 4)
-        g = iv.grid_from_mixture(m, -20, 20, 300)
-        assert np.all(g.density >= 0)
+        _, dens = oracles.mixture_grid(m, -20, 20, 300)
+        assert np.all(dens >= 0)
 
     def test_speed_grid_spacing(self):
-        # 500 points across a 0..70 range.
-        m = MixtureBatch([1.0], [35.0], [25.0])
-        g = iv.grid_from_mixture(m, 0.0, 70.0, 500)
-        assert g.dx == pytest.approx(70.0 / 499, abs=1e-12)
+        # 500 points across a 0..70 range: a multi-cell run ends on grid
+        # points, 70/499 apart.
+        x, dens = oracles.mixture_grid(MixtureBatch([1.0], [35.0], [25.0]), 0.0, 70.0, 500)
+        s = one_set(dens, x, 0.95)
+        assert s.count == 1
+        lo, hi = s.intervals[0]
+        assert lo in x and hi in x
+        assert (hi - lo) / (70.0 / 499) == pytest.approx(round((hi - lo) / (70.0 / 499)))
+        assert lo == pytest.approx(35.0 - 5.0 * norm.ppf(0.975), abs=70.0 / 499)
 
     def test_degenerate_range_rejected(self):
-        m = MixtureBatch([1.0], [0.0], [1.0])
-        with pytest.raises(ValueError):
-            iv.grid_from_mixture(m, 2.0, 2.0, 100)
-        with pytest.raises(ValueError):
-            iv.grid_from_mixture(m, -1.0, 1.0, 1)
-        # A batch of element shape (1,) is not a single mixture.
-        with pytest.raises(ValueError, match="element shape"):
-            iv.grid_from_mixture(m.reshape(1), -1.0, 1.0, 100)
+        x, dens = std_normal_grid(points=101)
+        with pytest.raises(ValueError, match="P >= 2"):
+            iv.derive_intervals(dens[None, :1], x[:1], [0.5])
+        with pytest.raises(ValueError, match="P >= 2"):
+            iv.derive_intervals(dens[None, :-1], x, [0.5])
+        # One row is still an (S, P) array.
+        with pytest.raises(ValueError, match="P >= 2"):
+            iv.derive_intervals(dens, x, [0.5])
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            iv.derive_intervals(-dens[None], x, [0.5])
 
     def test_mass_complete_flag(self):
-        assert oracles.is_mass_complete(std_normal_grid())
-        clipped = std_normal_grid(lo=-1.0, hi=1.0)
-        assert not oracles.is_mass_complete(clipped)
+        x, dens = std_normal_grid()
+        assert oracles.is_mass_complete(dens, x[1] - x[0])
+        x, dens = std_normal_grid(lo=-1.0, hi=1.0)
+        assert not oracles.is_mass_complete(dens, x[1] - x[0])
 
 
 class TestDeriveIntervals:
     def test_standard_normal_95(self):
-        g = std_normal_grid()
-        s = iv.derive_intervals(g, 0.95)
+        x, dens = std_normal_grid()
+        s = one_set(dens, x, 0.95)
         assert s.count == 1
         lo, hi = s.intervals[0]
-        assert lo == pytest.approx(-1.959964, abs=g.dx)
-        assert hi == pytest.approx(1.959964, abs=g.dx)
+        assert lo == pytest.approx(-1.959964, abs=x[1] - x[0])
+        assert hi == pytest.approx(1.959964, abs=x[1] - x[0])
 
     def test_separated_bimodal_two_subintervals(self):
         m = MixtureBatch([0.5, 0.5], [-3.0, 3.0], [0.25, 0.25])
-        g = iv.grid_from_mixture(m, -6.0, 6.0, 2001)
-        s = iv.derive_intervals(g, 0.9)
+        x, dens = oracles.mixture_grid(m, -6.0, 6.0, 2001)
+        dx = x[1] - x[0]
+        s = one_set(dens, x, 0.9)
         assert s.count == 2
         (l1, u1), (l2, u2) = s.intervals
         # Symmetric about 0, each sub-interval ~ mu_k +- 0.5 * 1.645.
-        assert l1 == pytest.approx(-u2, abs=g.dx)
-        assert u1 == pytest.approx(-l2, abs=g.dx)
+        assert l1 == pytest.approx(-u2, abs=dx)
+        assert u1 == pytest.approx(-l2, abs=dx)
         half = 0.5 * norm.ppf(0.95)
-        assert l2 == pytest.approx(3.0 - half, abs=2 * g.dx)
-        assert u2 == pytest.approx(3.0 + half, abs=2 * g.dx)
+        assert l2 == pytest.approx(3.0 - half, abs=2 * dx)
+        assert u2 == pytest.approx(3.0 + half, abs=2 * dx)
 
     def test_unimodal_half_level_contains_mode(self):
-        g = std_normal_grid(points=801)
-        s = iv.derive_intervals(g, 0.5)
+        x, dens = std_normal_grid(points=801)
+        s = one_set(dens, x, 0.5)
         assert s.count == 1
-        mode_x = g.points()[np.argmax(g.density)]
-        assert oracles.contains(s, float(mode_x))
+        assert oracles.contains(s, float(x[np.argmax(dens)]))
 
     def test_level_validation(self):
-        g = std_normal_grid(points=101)
-        for c in (0.0, 1.0, -0.2, 1.5):
-            with pytest.raises(ValueError):
-                iv.derive_intervals(g, c)
+        x, dens = std_normal_grid(points=101)
+        for c in (0.0, 1.0, -0.2, 1.5, float("nan")):
+            with pytest.raises(ValueError, match="levels must be in"):
+                iv.derive_intervals(dens[None], x, [0.5, c])
 
     def test_all_zero_density_rejected(self):
-        g = iv.DensityGrid(0.0, 0.1, np.zeros(10))
-        with pytest.raises(ValueError), pytest.warns(UserWarning):
-            iv.derive_intervals(g, 0.5)
-
-    def test_clipped_grid_warns(self):
-        g = std_normal_grid(lo=-1.0, hi=1.0)
-        with pytest.warns(UserWarning, match="mass"):
-            iv.derive_intervals(g, 0.5)
+        dens = np.ones((2, 10))
+        dens[1] = 0.0
+        with pytest.raises(ValueError, match="no mass"):
+            iv.derive_intervals(dens, np.arange(10.0), [0.5])
 
     def test_singleton_run_widened_to_cell_footprint(self):
         # One dominant cell: the 0.5-level set is that single cell.
-        dens = np.array([0.1, 0.1, 10.0, 0.1, 0.1])
-        g = iv.DensityGrid(0.0, 1.0, dens)
-        s = iv.derive_intervals(g, 0.5)
+        x = np.arange(5.0)
+        s = one_set(np.array([0.1, 0.1, 10.0, 0.1, 0.1]), x, 0.5)
         assert s.intervals == ((1.5, 2.5),)
         assert oracles.contains(s, 2.0)
         assert not oracles.contains(s, 3.0)
+        # At a grid edge the footprint is clipped to the grid range.
+        s = one_set(np.array([10.0, 0.1, 0.1, 0.1, 0.1]), x, 0.5)
+        assert s.intervals == ((0.0, 0.5),)
 
     def test_deterministic_under_ties(self):
         dens = np.array([1.0, 2.0, 2.0, 1.0, 2.0, 0.5])
-        g = iv.DensityGrid(0.0, 1.0, dens)
-        a = iv.derive_intervals(g, 0.6)
-        b = iv.derive_intervals(g, 0.6)
+        x = np.arange(6.0)
+        a = one_set(dens, x, 0.6)
+        b = one_set(dens, x, 0.6)
         assert a.intervals == b.intervals
+        # Tied cells enter in index order: at 0.4, cells 1 and 2, not 4.
+        assert one_set(dens, x, 0.4).intervals == ((1.0, 2.0),)
+
+    @given(
+        arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(2, 40)),
+               elements=st.one_of(st.sampled_from([0.0, 0.5, 2.0]), st.floats(0.0, 10.0))),
+        st.lists(st.floats(0.01, 0.99), min_size=1, max_size=10),
+    )
+    def test_selects_the_oracle_masks_cells(self, density, levels):
+        # Rows are unnormalized and full of ties; levels come in any order.
+        assume(np.all(density.sum(axis=1) > 0))
+        x = np.arange(density.shape[1], dtype=float)
+        sets = iv.derive_intervals(density, x, levels)
+        masks = oracles.hpd_select_batch(density, levels)
+        assert len(sets) == len(density)
+        for row_sets, row_masks in zip(sets, masks):
+            assert [s.level for s in row_sets] == levels
+            for s, mask in zip(row_sets, row_masks):
+                assert np.array_equal(oracles.covered_cells(s, x), mask)
 
 
 class TestMassCoverage:
@@ -125,25 +164,22 @@ class TestMassCoverage:
             w = rng.random(k) + 0.1
             w /= w.sum()
             m = MixtureBatch(w, rng.uniform(-4, 4, k), rng.uniform(0.1, 1.5, k))
-            g = iv.grid_from_mixture(m, -12, 12, 1001)
-            assert oracles.is_mass_complete(g)
-            cell = (g.density * g.dx / g.total_mass()).max()
+            x, dens = oracles.mixture_grid(m, -12, 12, 1001)
+            assert oracles.is_mass_complete(dens, x[1] - x[0])
+            cell = (dens / dens.sum()).max()
             for c in LEVELS:
-                mass = oracles.selection_mass(g, c)
+                mass = oracles.selection_mass(dens, c)
                 assert c <= mass <= c + cell + 1e-12
 
     def test_nesting_and_width_monotone(self):
         m = MixtureBatch([0.4, 0.6], [-2.5, 2.0], [0.3, 0.8])
-        g = iv.grid_from_mixture(m, -10, 10, 1501)
-        prev_mask = None
-        prev_width = 0.0
-        for c in LEVELS:
-            mask = iv.hpd_select_batch(g.density[None], [c])[0, 0]
-            if prev_mask is not None:
-                assert np.all(mask[prev_mask])  # cell-wise containment
-            width = oracles.interval_width(iv.derive_intervals(g, c))
-            assert width >= prev_width - 1e-12
-            prev_mask, prev_width = mask, width
+        x, dens = oracles.mixture_grid(m, -10, 10, 1501)
+        sets = iv.derive_intervals(dens[None], x, LEVELS)[0]
+        masks = [oracles.covered_cells(s, x) for s in sets]
+        widths = [oracles.interval_width(s) for s in sets]
+        for prev_mask, mask in zip(masks, masks[1:]):
+            assert np.all(mask[prev_mask])  # cell-wise containment
+        assert np.all(np.diff(widths) >= -1e-12)
 
     def test_subinterval_count_bounded_by_components(self):
         rng = np.random.default_rng(23)
@@ -156,9 +192,9 @@ class TestMassCoverage:
             w = rng.random(k) + 0.2
             w /= w.sum()
             m = MixtureBatch(w, mu, sig**2)
-            g = iv.grid_from_mixture(m, mu.min() - 8 * smax, mu.max() + 8 * smax, 3001)
-            for c in LEVELS:
-                assert iv.derive_intervals(g, c).count <= k
+            x, dens = oracles.mixture_grid(m, mu.min() - 8 * smax, mu.max() + 8 * smax, 3001)
+            for s in iv.derive_intervals(dens[None], x, LEVELS)[0]:
+                assert s.count <= k
 
 
 class TestHPDOptimality:
@@ -169,9 +205,8 @@ class TestHPDOptimality:
         for _ in range(20):
             p = int(rng.integers(4, 13))
             dens = rng.random(p) * rng.choice([0.2, 1.0, 5.0], p)
-            g = iv.DensityGrid(0.0, 1.0, dens)
             c = float(rng.uniform(0.2, 0.9))
-            mask = iv.hpd_select_batch(g.density[None], [c])[0, 0]
+            mask = selected(dens, c)
             n_sel = int(mask.sum())
             total = dens.sum()
             assert dens[mask].sum() / total >= c - 1e-12
@@ -187,10 +222,8 @@ class TestHPDOptimality:
         rng = np.random.default_rng(31)
         for _ in range(20):
             dens = rng.random(50)
-            g = iv.DensityGrid(0.0, 1.0, dens)
             c = float(rng.uniform(0.3, 0.95))
-            mask = iv.hpd_select_batch(g.density[None], [c])[0, 0]
-            n_sel = int(mask.sum())
+            n_sel = int(selected(dens, c).sum())
             ranked = np.sort(dens)[::-1]
             total = dens.sum()
             # The top-j cells dominate every j-subset by mass, so checking
@@ -271,16 +304,13 @@ class TestHPDScores:
         w /= w.sum(-1, keepdims=True)
         mb = MixtureBatch(w, rng.uniform(-4, 4, (n, k)), rng.uniform(0.05, 1.0, (n, k)))
         _, width, dx = oracles.hpd_scores_on_grid(mb, rng.uniform(-5, 5, n), lo, hi, points, LEVELS)
-        for i in range(n):
-            g = iv.grid_from_mixture(
-                MixtureBatch(mb.weights[i], mb.means[i], mb.variances[i]), lo, hi, points
-            )
-            masks = iv.hpd_select_batch(g.density[None], LEVELS)[0]
-            # One ranking: the kernel's counts are the selection's.
-            assert np.array_equal(width[i], dx * masks.sum(axis=1))
-            for li, c in enumerate(LEVELS):
-                s = iv.derive_intervals(g, c)
-                gap = width[i, li] - oracles.interval_width(s)
+        x = np.linspace(lo, hi, points)
+        dens = grid_densities(mb.weights, mb.means, mb.variances, x)
+        # One ranking: the kernel's counts are the selection's.
+        assert np.array_equal(width, dx * oracles.hpd_select_batch(dens, LEVELS).sum(axis=2))
+        for row_width, sets in zip(width, iv.derive_intervals(dens, x, LEVELS)):
+            for wl, s in zip(row_width, sets):
+                gap = wl - oracles.interval_width(s)
                 assert -1e-9 <= gap <= s.count * dx + 1e-9
 
     @given(
@@ -303,19 +333,21 @@ class TestHPDScores:
         covered = u[0] < levels
         assert np.all(covered[:-1] <= covered[1:])
         assert np.all(np.diff(width[0]) >= 0.0)
-        masks = iv.hpd_select_batch(density, levels)[0]
+        masks = oracles.hpd_select_batch(density, levels)[0]
         assert np.array_equal(width[0], 0.5 * masks.sum(axis=1))
 
 
 class TestHPDMonotonicity:
     @given(
-        st.lists(st.floats(0.0, 10.0), min_size=1, max_size=60).filter(lambda d: sum(d) > 0),
+        st.lists(st.floats(0.0, 10.0), min_size=2, max_size=60).filter(lambda d: sum(d) > 0),
         st.lists(st.floats(0.01, 0.99), min_size=2, max_size=10),
     )
     def test_masks_nested_as_level_rises(self, density, levels):
-        density = np.array([density])
+        density = np.array(density)
         levels = np.sort(levels)
-        masks = iv.hpd_select_batch(density, levels)[0]
+        x = np.arange(density.size, dtype=float)
+        sets = iv.derive_intervals(density[None], x, levels)[0]
+        masks = np.array([oracles.covered_cells(s, x) for s in sets])
         assert np.all(masks[:-1] <= masks[1:])
         mass = (masks * density).sum(axis=1) / density.sum()
         assert np.all(mass >= levels - 1e-12)
