@@ -21,7 +21,7 @@ import click
 import numpy as np
 
 from . import __version__, data, intervals, metrics, model, training
-from .gmm import MixtureBatch, grid_densities
+from .gmm import grid_densities
 
 
 def _out_dir(out) -> Path:
@@ -79,13 +79,23 @@ def dataset_id(manifest: data.DatasetManifest) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
-def parse_levels(text: str) -> tuple:
-    """`lo:hi:step` (inclusive) or a comma list of levels."""
+def parse_levels(text: str, grid_points: int) -> tuple:
+    """`lo:hi:step` (inclusive) or a comma list of levels. A range is
+    counted before it is built: an empty one, or one of more levels than
+    `grid_points` (each width is a count of grid cells), is rejected."""
     try:
         if ":" in text:
             lo, hi, step = (float(p) for p in text.split(":"))
+            if not np.all(np.isfinite((lo, hi, step))):
+                raise ValueError("lo, hi and step must be finite")
             if not step > 0:
                 raise ValueError(f"step must be positive, got {step!r}")
+            # np.arange's length: ceil of this ratio, or none below 0.
+            count = (hi + step / 2 - lo) / step
+            if not count > 0:
+                raise ValueError("the range is empty")
+            if not count <= grid_points:
+                raise ValueError(f"the range holds more levels than --grid-points ({grid_points})")
             levels = np.round(np.arange(lo, hi + step / 2, step), 10)
         else:
             levels = np.asarray([float(p) for p in text.split(",")])
@@ -168,12 +178,15 @@ def build_model_config(variant, k, input_steps, horizon, channels, mcfg: dict) -
     return model.ModelConfig(variant=variant, backbone=backbone, horizon=horizon, head=head)
 
 
-def train_run(dataset, manifest, variant, k, train_cfg: training.TrainConfig,
+def train_run(data_path, variant, k, train_cfg: training.TrainConfig,
               input_steps, horizon, model_overrides=None,
               coverage_fraction=1.0, coverage_seed=0, resolution_factor=1):
-    """Degrade, split, window, fit. Returns (result, model_cfg, splits, extra)."""
+    """Load, degrade, split, window, fit: (result, model_cfg, splits, extra).
+    The splits copy the series, so the dataset is released before fitting."""
+    dataset, manifest = load_dataset(data_path)
     worked = apply_quality(dataset, coverage_fraction, coverage_seed, resolution_factor)
     splits = data.prepare_splits(worked, input_steps, horizon, manifest.split_fractions)
+    del dataset, worked
     channels = splits.train.channels
     try:
         mcfg = build_model_config(variant, k, input_steps, horizon, channels,
@@ -222,30 +235,19 @@ def training_health(result: training.TrainResult) -> dict:
             "logvar_clamped": clamped, **tables}
 
 
-def _predict_in_chunks(params, mcfg, inputs, chunk=512):
-    """Forward all windows' inputs without one giant activation blob."""
-    outs = []
-    for start in range(0, len(inputs), chunk):
-        outs.append(model.predict(params, mcfg, inputs[start : start + chunk]))
-    if mcfg.variant == "det":
-        return np.concatenate(outs, axis=0)
-    return MixtureBatch(
-        np.concatenate([o.weights for o in outs], axis=0),
-        np.concatenate([o.means for o in outs], axis=0),
-        np.concatenate([o.variances for o in outs], axis=0),
-    )
-
-
 def evaluate_run(checkpoint_path, dataset, manifest, levels=metrics.DEFAULT_LEVELS,
                  grid_points=500, normalized_space=False, ridge=(0, 0)):
     """Score a checkpoint on the dataset's test split: (report, ridge grid).
 
     The data-quality settings and normalizer stored at training time are
     reapplied so inputs match what the model saw. Metrics are reported in
-    raw units unless normalized_space is set. The ridge grid is
-    `ridge_densities` of the (window, node) `ridge` on the interval grid
-    (None for det); a ridge index outside the test split fails before
-    any scoring is done."""
+    raw units unless normalized_space is set. The test windows are
+    predicted, mapped to the reporting space and scored in chunks of
+    `metrics.chunk_rows` windows, so no array holds the mixtures of the
+    whole split. The ridge grid is (x, float64 densities (horizon,
+    grid_points)) of the (window, node) `ridge`'s mixtures on the
+    interval grid (None for det); a ridge index outside the test split
+    fails before any scoring is done."""
     try:
         params, mcfg, norm_stats, extra = model.load_checkpoint(checkpoint_path)
     except (EOFError, KeyError, ValueError, zipfile.BadZipFile) as err:
@@ -272,34 +274,32 @@ def evaluate_run(checkpoint_path, dataset, manifest, levels=metrics.DEFAULT_LEVE
     # released before prediction and scoring allocate.
     test = splits.test
     del splits
-    inputs = test.inputs
-    preds = _predict_in_chunks(params, mcfg, inputs)
+    det = mcfg.variant == "det"
+    targets = test.targets if normalized_space else test.targets_raw
     window, node = ridge
-    n_windows, n_nodes = preds.shape[:2]
-    if mcfg.variant != "det" and not (0 <= window < n_windows and 0 <= node < n_nodes):
+    n_windows, n_nodes = targets.shape[:2]
+    if not det and not (0 <= window < n_windows and 0 <= node < n_nodes):
         raise data.DataError(
             f"ridge index (window {window}, node {node}) outside ({n_windows}, {n_nodes})"
         )
-    if normalized_space:
-        targets = test.targets
-        interval_range = (-6.0, 6.0)
-    else:
-        targets = test.targets_raw
-        interval_range = (0.0, worked.max_value)
-        preds = (
-            nrm.inverse(preds) if mcfg.variant == "det"
-            else preds.scale_shift(nrm.std, nrm.mean)
-        )
-    batch = model.ForecastBatch(inputs=inputs, targets=targets)
-    if mcfg.variant == "det":
-        batch.point_preds = preds
-    else:
-        batch.mixtures = preds
+    interval_range = (-6.0, 6.0) if normalized_space else (0.0, worked.max_value)
     scoring = metrics.ScoringConfig(
         levels=tuple(levels),
         interval_points=grid_points,
         interval_range=interval_range,
     )
+    step = metrics.chunk_rows(targets[0].size, grid_points)
+    ridge_mixtures = []
+
+    def chunks():
+        for start in range(0, n_windows, step):
+            preds = model.predict(params, mcfg, test.gather(slice(start, start + step))[0])
+            if not normalized_space:
+                preds = nrm.inverse(preds) if det else preds.scale_shift(nrm.std, nrm.mean)
+            if not det and start <= window < start + step:
+                ridge_mixtures.append(preds[window - start, node])
+            yield preds
+
     meta = {
         "variant": mcfg.variant,
         "dataset": dataset_id(manifest),
@@ -309,26 +309,14 @@ def evaluate_run(checkpoint_path, dataset, manifest, levels=metrics.DEFAULT_LEVE
         "seed": str(extra.get("seed", "")),
     }
     try:
-        report = metrics.evaluate(batch, scoring, meta=meta)
+        report = metrics.evaluate(targets, chunks(), scoring, meta=meta)
     except ValueError as err:
         raise data.DataError(str(err)) from err
-    if mcfg.variant == "det":
+    if det:
         return report, None
-    return report, ridge_densities(preds, window, node, interval_range, grid_points)
-
-
-def ridge_densities(preds, window_idx, node_idx, interval_range, points):
-    """(x, densities): the float64 grid densities of one (window, node)'s
-    mixtures across all horizon steps, (horizon, points), at `points`
-    evenly spaced x over the interval range."""
-    x = np.linspace(interval_range[0], interval_range[1], points)
-    dens = grid_densities(
-        preds.weights[window_idx, node_idx],
-        preds.means[window_idx, node_idx],
-        preds.variances[window_idx, node_idx],
-        x,
-    )
-    return x, dens
+    x = np.linspace(*interval_range, grid_points)
+    mb = ridge_mixtures[0]
+    return report, (x, grid_densities(mb.weights, mb.means, mb.variances, x))
 
 
 def density_ridge_table(x, dens) -> str:
@@ -488,10 +476,8 @@ def cmd_train(data_path, variant, k, epochs, batch_size, lr, seed, input_steps, 
             )
         except (TypeError, ValueError) as err:
             raise data.DataError(f"train config: {err}") from err
-        dataset, manifest = load_dataset(data_path)
         result, mcfg, splits, extra = train_run(
-            dataset,
-            manifest,
+            data_path,
             variant,
             k,
             train_cfg,
@@ -554,7 +540,7 @@ def cmd_evaluate(checkpoint, data_path, levels, grid_points, normalized_space,
     started = time.time()
     try:
         dataset, manifest = load_dataset(data_path)
-        level_values = parse_levels(levels)
+        level_values = parse_levels(levels, grid_points)
         report, ridge = evaluate_run(
             checkpoint,
             dataset,

@@ -251,18 +251,23 @@ class MixtureBatch:
     def k(self) -> int:
         return self.weights.shape[-1]
 
+    @staticmethod
+    def _valid(weights, means, variances) -> "MixtureBatch":
+        """A batch of arrays that already meet the contract, as given.
+        Revalidating would renormalize the weights again, and w / sum(w)
+        is not idempotent in floating point."""
+        mb = object.__new__(MixtureBatch)
+        mb.__dict__.update(weights=weights, means=means, variances=variances)
+        return mb
+
     def __getitem__(self, index) -> "MixtureBatch":
-        """The elements at a basic index over the element axes, as views.
-        Elements of a valid batch are valid, so this skips revalidation
-        (which would renormalize the weights a second time)."""
-        part = object.__new__(MixtureBatch)
-        for name in ("weights", "means", "variances"):
-            object.__setattr__(part, name, getattr(self, name)[index])
-        return part
+        """The elements at a basic index over the element axes, as views."""
+        return MixtureBatch._valid(self.weights[index], self.means[index], self.variances[index])
 
     def reshape(self, *shape) -> "MixtureBatch":
+        """The elements in element shape `shape`, as views where numpy can."""
         new = tuple(shape) + (self.k,)
-        return MixtureBatch(
+        return MixtureBatch._valid(
             self.weights.reshape(new), self.means.reshape(new), self.variances.reshape(new)
         )
 
@@ -274,9 +279,9 @@ class MixtureBatch:
 
     def scale_shift(self, scale: float, shift: float) -> "MixtureBatch":
         """Affine change of variable y = scale * x + shift (e.g. undoing a
-        z-score): means map affinely, variances by scale^2."""
-        return MixtureBatch(
-            self.weights.copy(),
-            self.means * scale + shift,
-            self.variances * (scale * scale),
+        z-score): means map affinely, variances by scale^2 (floored at
+        VAR_FLOOR); the weights array is shared."""
+        var = self.variances * (scale * scale)
+        return MixtureBatch._valid(
+            self.weights, self.means * scale + shift, np.maximum(var, VAR_FLOOR, out=var)
         )

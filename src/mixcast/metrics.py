@@ -23,7 +23,6 @@ from .gmm import _SQRT_HALF, MixtureBatch, _sum_k, erf, grid_densities
 
 DEFAULT_LEVELS = tuple(np.round(np.arange(0.50, 0.951, 0.05), 10))
 MAPE_EPSILON = 1e-3
-_TAIL_SIGMAS = 8.0
 PIT_BINS = 10
 # Elements x grid points scored per chunk: 512 KiB per float32 (chunk,
 # grid) array and 1 MiB for its float64 cumulative mass, whatever the grid
@@ -48,16 +47,14 @@ class ScoringConfig:
     interval_points an integer >= 2, and interval_range, when given, two
     finite numbers lo < hi; anything else is a ValueError naming the
     field. interval_range is the shared interval grid range, e.g.
-    (0, max speed) in raw units, and is derived from the mixtures' 8-sigma
-    support when omitted. The grid is computed in float32 (see
-    `_interval_densities` for its error bound and float64 fallback).
-    Coverage and width are conditional on that range: u normalizes by the
-    on-grid mass, and a target outside it is covered at no level. The CLI keeps the fixed
+    (0, max speed) in raw units; mixtures need one, point predictions do
+    not. The grid is computed in float32 (see `_interval_densities` for
+    its error bound and float64 fallback). Coverage and width are
+    conditional on that range: u normalizes by the on-grid mass, and a
+    target outside it is covered at no level. The CLI keeps the fixed
     physical range (0, max_value), as ingest rejects any value outside
-    it: mass there is unobservable. `evaluate` scores mixtures in chunks
-    of 2**17 // interval_points elements (at least one), so its working
-    memory beyond the per-element results is a few (chunk,
-    interval_points) arrays of at most 1 MiB, whatever the element count.
+    it: mass there is unobservable. Beyond the per-element results,
+    `evaluate`'s working memory is one chunk (see there).
     """
 
     levels: tuple = DEFAULT_LEVELS
@@ -169,22 +166,11 @@ def deterministic_scores(points: np.ndarray, targets: np.ndarray):
     return mae, mape, rmse
 
 
-def _flatten_batch(batch):
-    """Flat targets, horizon shape, and mixtures-or-points from a batch."""
-    targets = np.asarray(batch.targets, dtype=float)
-    if targets.size == 0:
-        raise ValueError("empty batch")
-    t_f = targets.shape[-1]
-    flat_targets = targets.reshape(-1, t_f)
-    mixtures = getattr(batch, "mixtures", None)
-    points = getattr(batch, "point_preds", None)
-    if (mixtures is None) == (points is None):
-        raise ValueError("batch must carry exactly one of mixtures / point_preds")
-    if mixtures is not None and mixtures.shape != targets.shape:
-        raise ValueError(f"mixtures shape {mixtures.shape} vs targets {targets.shape}")
-    if points is not None and points.shape != targets.shape:
-        raise ValueError(f"point_preds shape {points.shape} vs targets {targets.shape}")
-    return flat_targets, t_f, mixtures, points
+def chunk_rows(row_elements: int, points: int) -> int:
+    """How many rows of `row_elements` elements to score at once on a
+    grid of `points`: as many whole rows as fit in _CHUNK_CELLS elements
+    x grid points, and at least one."""
+    return max(1, _CHUNK_CELLS // (row_elements * points))
 
 
 def _interval_densities(part: MixtureBatch, y: np.ndarray, lo: float, x: np.ndarray):
@@ -227,29 +213,22 @@ def _interval_densities(part: MixtureBatch, y: np.ndarray, lo: float, x: np.ndar
     return [(~wide, dens[~wide], p_y[~wide]), (wide, dens64, p_y64)], mass
 
 
-def _score_mixtures(mb: MixtureBatch, y: np.ndarray, cfg: ScoringConfig, levels: np.ndarray):
-    """Per-element CRPS, point estimate, HPD value u and HPD widths
-    (n, L) of a flat batch, plus the clipped-mass count.
-
-    Each chunk of rows is scored completely (CRPS, grid densities, p(y),
-    HPD scores) into preallocated per-element arrays, so no temporary
-    grows with the element count. CRPS and point estimates are float64;
-    the interval grid is float32 where that is safe (`_interval_densities`).
+def _score_mixtures(mb: MixtureBatch, y: np.ndarray, cfg: ScoringConfig, levels: np.ndarray,
+                    out) -> tuple:
+    """Score flat mixtures against their targets y (n,) into `out`: the
+    per-element CRPS, point estimate, HPD value u (n,) and HPD widths
+    (n, L). Return how many elements keep less than MASS_COMPLETE_MIN of
+    their mass on the grid, and how many keep none (their row chunk gets
+    no u or widths). Each chunk of rows is scored completely (float64
+    CRPS, float32 grid where `_interval_densities` allows, HPD scores).
     """
-    if cfg.interval_range is not None:
-        lo, hi = cfg.interval_range
-    else:
-        smax = float(np.sqrt(mb.variances.max()))
-        lo = float(mb.means.min()) - _TAIL_SIGMAS * smax
-        hi = float(mb.means.max()) + _TAIL_SIGMAS * smax
+    lo, hi = cfg.interval_range
     x = np.linspace(lo, hi, cfg.interval_points)
     dx = float(x[1] - x[0])
-    n = y.size
-    crps, point_est, u = np.empty(n), np.empty(n), np.empty(n)
-    width = np.empty((n, levels.size))
+    crps, point_est, u, width = out
     clipped = empty = 0
-    rows = max(1, _CHUNK_CELLS // x.size)
-    for start in range(0, n, rows):
+    rows = chunk_rows(1, x.size)
+    for start in range(0, y.size, rows):
         sl = slice(start, start + rows)
         part, y_part = mb[sl], y[sl]
         crps[sl] = crps_mixture_batch(part, y_part)
@@ -258,44 +237,76 @@ def _score_mixtures(mb: MixtureBatch, y: np.ndarray, cfg: ScoringConfig, levels:
         clipped += int(np.count_nonzero(mass < iv.MASS_COMPLETE_MIN))
         empty += int(np.count_nonzero(mass <= 0.0))
         if empty:
-            continue  # nothing to select; the error below counts every miss
+            continue  # nothing to select; evaluate's error counts every miss
         on_grid = (y_part >= lo) & (y_part <= hi)
         u_part, width_part = u[sl], width[sl]
         for at, dens, p_y in groups:
             u_part[at], width_part[at] = iv.hpd_scores(dens, dx, p_y, on_grid[at], levels)
-    if empty:
-        raise ValueError(
-            f"{empty} of {n} elements put no mass on the interval grid [{lo!r}, {hi!r}]"
-        )
-    return crps, point_est, u, width, clipped
+    return clipped, empty
 
 
-def evaluate(batch, scoring: ScoringConfig | None = None, meta: dict | None = None) -> EvaluationReport:
-    """Score a batch of predictions against its targets.
+def evaluate(targets, predictions, scoring: ScoringConfig | None = None,
+             meta: dict | None = None) -> EvaluationReport:
+    """Score predictions against their targets (..., t_f).
 
-    Probabilistic batches get CRPS, interval width and coverage at every
-    level, plus deterministic scores of their probability-weighted point
-    estimates. Point-prediction batches get CRPS == absolute error and
-    NaN ("not applicable") interval metrics. A ValueError names the
-    elements whose mixture puts no mass on the interval grid.
+    `predictions` is an iterable of chunks that split the targets along
+    their first axis, in order, each of shape (rows,) + targets.shape[1:]:
+    all mixtures (`MixtureBatch`) or all point predictions (arrays). A
+    caller holding every prediction passes one chunk. Mixtures get CRPS,
+    interval width and coverage at every level, plus deterministic scores
+    of their probability-weighted point estimates; point predictions get
+    CRPS == absolute error and NaN ("not applicable") interval metrics.
+    A ValueError names chunks that do not split the targets, mixtures
+    without an interval_range, and how many elements' mixtures put no
+    mass on the interval grid.
 
-    Mixtures are scored chunk by chunk (see ScoringConfig): beyond the
-    per-element results, a few doubles per element and level, memory is
-    bounded by one chunk's (chunk, grid) arrays of at most 1 MiB each.
+    Each chunk is scored into per-element arrays as it arrives, 2**17 //
+    interval_points elements at a time, and dropped: beyond the targets
+    and those results (a few doubles per element and level), working
+    memory is one chunk and a few (2**17)-cell arrays of at most 1 MiB.
     """
     cfg = scoring or ScoringConfig()
     levels = np.asarray(cfg.levels, dtype=float)
-    flat_targets, t_f, mixtures, points = _flatten_batch(batch)
-    y = flat_targets.ravel()
-
-    if points is not None:
-        point_est = np.asarray(points, dtype=float).ravel()
-        crps_elem = np.abs(point_est - y)
-        clipped = 0
-        width_elem = u = None
-    else:
-        crps_elem, point_est, u, width_elem, clipped = _score_mixtures(
-            mixtures.reshape(y.size), y, cfg, levels
+    targets = np.asarray(targets, dtype=float)
+    if targets.ndim < 2 or targets.size == 0:
+        raise ValueError(f"targets must be a non-empty (..., t_f) array, got {targets.shape}")
+    t_f = targets.shape[-1]
+    y = targets.ravel()
+    n = y.size
+    crps_elem, point_est = np.empty(n), np.empty(n)
+    u = width_elem = None
+    clipped = empty = done = 0
+    for chunk in predictions:
+        mixture = isinstance(chunk, MixtureBatch)
+        if not done and mixture:
+            if cfg.interval_range is None:
+                raise ValueError("interval_range is required to score mixtures")
+            u, width_elem = np.empty(n), np.empty((n, levels.size))
+        elif mixture != (u is not None):
+            raise ValueError("predictions mix mixtures and point values")
+        if not mixture:
+            chunk = np.asarray(chunk, dtype=float)
+        size = math.prod(chunk.shape)
+        if chunk.shape[1:] != targets.shape[1:] or done + size > n:
+            raise ValueError(
+                f"prediction chunk shape {chunk.shape} does not continue "
+                f"targets {targets.shape} at element {done}"
+            )
+        sl = slice(done, done + size)
+        if mixture:
+            out = (crps_elem[sl], point_est[sl], u[sl], width_elem[sl])
+            c, e = _score_mixtures(chunk.reshape(size), y[sl], cfg, levels, out)
+            clipped, empty = clipped + c, empty + e
+        else:
+            point_est[sl] = chunk.ravel()
+            crps_elem[sl] = np.abs(point_est[sl] - y[sl])
+        done += size
+    if done != n:
+        raise ValueError(f"predictions cover {done} of {n} target elements")
+    if empty:
+        lo, hi = cfg.interval_range
+        raise ValueError(
+            f"{empty} of {n} elements put no mass on the interval grid [{lo!r}, {hi!r}]"
         )
 
     crps_mean = float(crps_elem.mean())

@@ -198,13 +198,10 @@ class ModelParams:
 
 @dataclass
 class ForecastBatch:
-    """Aligned inputs/targets for a set of windows, plus predictions once
-    a forward pass has filled them."""
+    """Aligned inputs/targets for a set of windows."""
 
     inputs: np.ndarray  # (B, N, input_dim), normalized
     targets: np.ndarray  # (B, N, horizon), normalized
-    mixtures: MixtureBatch | None = None
-    point_preds: np.ndarray | None = None
 
     def __post_init__(self):
         if self.inputs.ndim != 3 or self.targets.ndim != 3:

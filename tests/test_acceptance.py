@@ -59,18 +59,9 @@ def train_and_score(dataset, variant, k, seed, coverage=None):
     test = splits.test
     preds = model.predict(result.params, mcfg, test.inputs)
     nrm = splits.normalizer
-    if variant == "det":
-        batch = model.ForecastBatch(
-            inputs=test.inputs, targets=test.targets_raw, point_preds=nrm.inverse(preds)
-        )
-    else:
-        batch = model.ForecastBatch(
-            inputs=test.inputs,
-            targets=test.targets_raw,
-            mixtures=preds.scale_shift(nrm.std, nrm.mean),
-        )
+    raw = nrm.inverse(preds) if variant == "det" else preds.scale_shift(nrm.std, nrm.mean)
     rep = metrics.evaluate(
-        batch, ScoringConfig(interval_range=(0.0, worked.max_value))
+        test.targets_raw, [raw], ScoringConfig(interval_range=(0.0, worked.max_value))
     )
     return rep.crps_mean, result.batch_digests
 
@@ -254,13 +245,9 @@ class TestCriterion5Calibration:
         w /= w.sum(-1, keepdims=True)
         mb = MixtureBatch(w, rng.uniform(-2, 2, (n, k)), rng.uniform(0.25, 2.0, (n, k)))
         targets = oracles.sample_one_each(mb, rng)
-        batch = model.ForecastBatch(
-            inputs=np.zeros((n // 10, 1, 1)),
-            targets=targets.reshape(n // 10, 1, 10),
-            mixtures=mb.reshape(n // 10, 1, 10),
-        )
         rep = metrics.evaluate(
-            batch, ScoringConfig(interval_range=(-8.0, 8.0), interval_points=points)
+            targets.reshape(n // 10, 1, 10), [mb.reshape(n // 10, 1, 10)],
+            ScoringConfig(interval_range=(-8.0, 8.0), interval_points=points),
         )
         worst = max(abs(cov - lvl) for lvl, cov in rep.calibration_curve)
         assert worst < 0.01

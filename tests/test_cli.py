@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -302,9 +303,8 @@ class TestTrain:
         assert set(stats) == {"min", "median", "max"}
         assert 0 < stats["min"] <= stats["median"] <= stats["max"]
         # The same run in process gives every step's norm.
-        dataset, dman = cli.load_dataset(workspace / "tiny")
         tcfg = cli.training.TrainConfig(epochs=2, batch_size=16, lr=0.002, clip_norm=0.2, seed=3)
-        result, _, splits, _ = cli.train_run(dataset, dman, "gmm", 5, tcfg, 6, 6)
+        result, _, splits, _ = cli.train_run(workspace / "tiny", "gmm", 5, tcfg, 6, 6)
         norms = result.grad_norms
         steps = len(re.findall(r"^epoch=\d+ step=\d+ ", (tmp_path / "health.log").read_text(),
                                flags=re.M))
@@ -537,6 +537,98 @@ class TestEvaluate:
         )
         assert res.exit_code == 2
         assert "--grid-points" in res.output
+
+    @pytest.mark.parametrize("levels,flags,message", [
+        ("0.5:0.95:1e-12", [], "the range holds more levels than --grid-points (500)"),
+        ("0.05:0.95:0.05", ["--grid-points", "10"],
+         "the range holds more levels than --grid-points (10)"),
+        ("0.9:0.5:0.1", [], "the range is empty"),
+    ], ids=["tiny-step", "more-than-grid", "reversed"])
+    def test_levels_range_counted_before_it_is_built(self, workspace, tmp_path, levels, flags,
+                                                     message):
+        # The tiny step used to ask numpy for a 3.27 TiB array, and the
+        # reversed range was reported as levels outside (0, 1).
+        out = tmp_path / "out"
+        res = CliRunner().invoke(
+            cli.main,
+            ["evaluate", "--checkpoint", str(workspace / "gmm.ckpt.npz"),
+             "--data", str(workspace / "tiny"), "--levels", levels, "--out", str(out)] + flags,
+        )
+        assert res.exit_code == 3, res.output
+        assert f"bad levels spec {levels!r}: {message}" in res.output
+        assert not out.exists() or not list(out.iterdir())
+
+
+class TestEvaluateChunks:
+    @pytest.mark.parametrize("variant", ["det", "norm", "gmm"])
+    @pytest.mark.parametrize("normalized", [False, True], ids=["raw", "normalized"])
+    def test_windows_predicted_and_scored_chunk_by_chunk(self, workspace, monkeypatch, variant,
+                                                         normalized):
+        # 13 test windows of 6 nodes x 6 steps on 500 grid points: 7 fit
+        # in one chunk. Every variant and space streams the same chunks,
+        # and one chunk of all windows gives the same report but for the
+        # rounding of a differently blocked gemm in predict.
+        dataset, manifest = cli.load_dataset(workspace / "tiny")
+        ckpt = workspace / f"{variant}.ckpt.npz"
+        predicted = []
+        predict = model.predict
+
+        def counting_predict(params, mcfg, inputs):
+            predicted.append(len(inputs))
+            return predict(params, mcfg, inputs)
+
+        monkeypatch.setattr(model, "predict", counting_predict)
+        reports = []
+        for cells in (metrics._CHUNK_CELLS, 2**40):
+            monkeypatch.setattr(metrics, "_CHUNK_CELLS", cells)
+            reports.append(cli.evaluate_run(ckpt, dataset, manifest, normalized_space=normalized)[0])
+        assert predicted == [7, 6, 13]
+        chunked, whole = reports
+        assert chunked.meta == whole.meta and chunked.meta["elements"] == str(13 * 36)
+        for name in ("crps_mean", "avg_width", "calib_error", "mae", "mape", "rmse"):
+            assert getattr(chunked, name) == pytest.approx(getattr(whole, name), rel=1e-12,
+                                                           nan_ok=True)
+        assert np.allclose(chunked.per_horizon, whole.per_horizon, rtol=1e-12, equal_nan=True)
+        assert chunked.calibration_curve == whole.calibration_curve
+
+
+class TestEvaluateMemory:
+    @staticmethod
+    def traced_peak(tmp_path, session_steps):
+        """(elements, levels, tracemalloc peak) of `evaluate_run` on the
+        test session of a 10-node dataset, with an untrained K = 8
+        checkpoint (no dataset id, so any dataset is accepted)."""
+        d = data.generate(data.SyntheticSpec(nodes=10, sessions=5, session_steps=session_steps,
+                                             seed=1))
+        mcfg = model.ModelConfig(
+            variant="gmm",
+            backbone=model.BackboneConfig(input_steps=10, hidden=16, features=16),
+            horizon=10,
+            head=model.HeadConfig(components=8, horizon=10, proj_width=16),
+        )
+        ckpt = tmp_path / f"steps{session_steps}.ckpt.npz"
+        model.save_checkpoint(ckpt, model.init_params(mcfg, np.random.default_rng(0)), mcfg,
+                              extra={"input_steps": 10})
+        tracemalloc.start()
+        try:
+            report, _ = cli.evaluate_run(ckpt, d, data.DatasetManifest.for_dataset(d))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return int(report.meta["elements"]), len(report.calibration_curve), peak
+
+    def test_traced_peak_grows_only_by_the_per_element_results(self, tmp_path):
+        # 48 and 106 steps per session give 29 and 87 test windows. The
+        # per-element results are a float64 target, CRPS, point estimate
+        # and u, a float64 width and a coverage flag per level: 122 bytes
+        # at 10 levels (measured growth: 107 bytes per element). Holding
+        # any of the split's float64 mixture arrays (64 bytes per element
+        # at K = 8) breaks it.
+        n_small, levels, small = self.traced_peak(tmp_path, 48)
+        n_large, _, large = self.traced_peak(tmp_path, 106)
+        assert n_large == 3 * n_small == 8700
+        per_element = 4 * 8 + levels * (8 + 1)
+        assert large - small <= (n_large - n_small) * per_element
 
 
 class TestCompare:

@@ -4,7 +4,7 @@ import dataclasses
 import json
 import math
 import warnings
-from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import oracles
@@ -220,8 +220,8 @@ class TestCRPSPoint:
         # at 0 scores 2 per trial; the ideal two-spike mixture scores the
         # hand-integrated 1 per trial (0.25 over a width-4 gap).
         ys = np.array([-2.0, 2.0])
-        det = SimpleNamespace(targets=ys.reshape(2, 1, 1), point_preds=np.zeros((2, 1, 1)))
-        assert metrics.evaluate(det).crps_mean == pytest.approx(2.0)
+        det = metrics.evaluate(ys.reshape(2, 1, 1), [np.zeros((2, 1, 1))])
+        assert det.crps_mean == pytest.approx(2.0)
         m = MixtureBatch([0.5, 0.5], [-2.0, 2.0], [0.0, 0.0])
         mix_scores = [crps_of(m, y) for y in ys]
         assert np.mean(mix_scores) == pytest.approx(1.0, rel=0.02)
@@ -289,8 +289,8 @@ class TestEvaluate:
             targets[..., None].copy(),
             np.zeros(targets.shape + (1,)),
         )
-        batch = SimpleNamespace(targets=targets, mixtures=mb)
-        rep = metrics.evaluate(batch, ScoringConfig(interval_range=(lo, hi), interval_points=pts))
+        cfg = ScoringConfig(interval_range=(lo, hi), interval_points=pts)
+        rep = metrics.evaluate(targets, [mb], cfg)
         assert rep.crps_mean < 0.02
         assert all(cov == 1.0 for _, cov in rep.calibration_curve)
         assert rep.calib_error == pytest.approx(0.275, abs=1e-12)
@@ -304,9 +304,9 @@ class TestEvaluate:
         w /= w.sum(-1, keepdims=True)
         mb = MixtureBatch(w, rng.uniform(-2, 2, (n, k)), rng.uniform(0.25, 2.0, (n, k)))
         targets = oracles.sample_one_each(mb, rng)
-        batch = SimpleNamespace(targets=targets.reshape(n // 4, 1, 4), mixtures=mb.reshape(n // 4, 1, 4))
         rep = metrics.evaluate(
-            batch, ScoringConfig(interval_range=(-8.0, 8.0), interval_points=3001)
+            targets.reshape(n // 4, 1, 4), [mb.reshape(n // 4, 1, 4)],
+            ScoringConfig(interval_range=(-8.0, 8.0), interval_points=3001),
         )
         for level, cov in rep.calibration_curve:
             assert cov == pytest.approx(level, abs=0.02)
@@ -314,9 +314,8 @@ class TestEvaluate:
 
     def test_single_element_95_width(self):
         mb = MixtureBatch(np.ones((1, 1, 1, 1)), np.zeros((1, 1, 1, 1)), np.ones((1, 1, 1, 1)))
-        batch = SimpleNamespace(targets=np.zeros((1, 1, 1)), mixtures=mb)
         rep = metrics.evaluate(
-            batch,
+            np.zeros((1, 1, 1)), [mb],
             ScoringConfig(levels=(0.95,), interval_range=(-6.0, 6.0), interval_points=2001),
         )
         assert rep.avg_width == pytest.approx(2 * 1.959964, abs=0.02)
@@ -325,9 +324,9 @@ class TestEvaluate:
         # sd 0.5 fits the -3..3 grid; sd 5 keeps only about 45% of its mass
         # there, which the HPD normalization alone would hide.
         mb = MixtureBatch(np.ones((2, 1)), np.zeros((2, 1)), np.array([[0.25], [25.0]]))
-        batch = SimpleNamespace(targets=np.zeros((1, 1, 2)), mixtures=mb.reshape(1, 1, 2))
         rep = metrics.evaluate(
-            batch, ScoringConfig(interval_range=(-3.0, 3.0), interval_points=601)
+            np.zeros((1, 1, 2)), [mb.reshape(1, 1, 2)],
+            ScoringConfig(interval_range=(-3.0, 3.0), interval_points=601),
         )
         assert rep.clipped_interval_elements == 1
         assert "clipped" not in metrics.report_to_text(rep)
@@ -335,32 +334,43 @@ class TestEvaluate:
     def test_point_prediction_batch(self):
         targets = np.array([[[1.0, 2.0]], [[3.0, 4.0]]])
         preds = targets + np.array([[[0.5, -0.5]], [[1.0, -1.0]]])
-        batch = SimpleNamespace(targets=targets, point_preds=preds)
-        rep = metrics.evaluate(batch)
+        rep = metrics.evaluate(targets, [preds])
         assert rep.crps_mean == rep.mae  # identical reductions, bitwise
         assert math.isnan(rep.avg_width) and math.isnan(rep.calib_error)
         assert rep.calibration_curve == []
         assert math.isnan(rep.per_horizon[0][2])
 
     def test_empty_batch_rejected(self):
-        batch = SimpleNamespace(targets=np.zeros((0, 2, 3)), point_preds=np.zeros((0, 2, 3)))
-        with pytest.raises(ValueError):
-            metrics.evaluate(batch)
+        with pytest.raises(ValueError, match="non-empty"):
+            metrics.evaluate(np.zeros((0, 2, 3)), [np.zeros((0, 2, 3))])
 
     def test_shape_mismatch_reports_dimensions(self):
         mb = MixtureBatch(np.ones((2, 3, 1)), np.zeros((2, 3, 1)), np.ones((2, 3, 1)))
-        batch = SimpleNamespace(targets=np.zeros((2, 4)), mixtures=mb)
-        with pytest.raises(ValueError, match="shape"):
-            metrics.evaluate(batch)
+        cfg = ScoringConfig(interval_range=(-3.0, 3.0))
+        with pytest.raises(ValueError, match=r"chunk shape \(2, 3\) does not continue targets \(2, 4\)"):
+            metrics.evaluate(np.zeros((2, 4)), [mb], cfg)
 
     def test_both_prediction_kinds_rejected(self):
-        batch = SimpleNamespace(
-            targets=np.zeros((1, 1, 1)),
-            mixtures=MixtureBatch(np.ones((1, 1, 1, 1)), np.zeros((1, 1, 1, 1)), np.ones((1, 1, 1, 1))),
-            point_preds=np.zeros((1, 1, 1)),
-        )
-        with pytest.raises(ValueError):
-            metrics.evaluate(batch)
+        mb = MixtureBatch(np.ones((1, 1, 1, 1)), np.zeros((1, 1, 1, 1)), np.ones((1, 1, 1, 1)))
+        cfg = ScoringConfig(interval_range=(-3.0, 3.0))
+        for chunks in ([mb, np.zeros((1, 1, 1))], [np.zeros((1, 1, 1)), mb]):
+            with pytest.raises(ValueError, match="predictions mix mixtures and point values"):
+                metrics.evaluate(np.zeros((2, 1, 1)), chunks, cfg)
+
+    @pytest.mark.parametrize("windows", [[1], [1, 2], [3], []])
+    def test_chunks_must_cover_the_targets(self, windows):
+        chunks = [np.zeros((w, 2, 3)) for w in windows]
+        with pytest.raises(ValueError, match="cover|does not continue"):
+            metrics.evaluate(np.zeros((2, 2, 3)), chunks)
+
+    def test_mixtures_need_an_interval_range(self):
+        # Point predictions score without one; mixtures have no grid to
+        # take intervals on.
+        y = np.zeros((1, 1, 1))
+        assert metrics.evaluate(y, [np.ones((1, 1, 1))]).crps_mean == 1.0
+        mb = MixtureBatch(np.ones((1, 1, 1, 1)), np.zeros((1, 1, 1, 1)), np.ones((1, 1, 1, 1)))
+        with pytest.raises(ValueError, match="interval_range is required"):
+            metrics.evaluate(y, [mb])
 
     def test_interval_metrics_aggregate_hpd_scores(self):
         # avg_width is the mean over elements and levels of the kernel's
@@ -373,10 +383,7 @@ class TestEvaluate:
         mb = MixtureBatch(w, rng.uniform(-2, 2, (n, 2)), rng.uniform(0.2, 1.0, (n, 2)))
         targets = rng.uniform(-2, 2, n)
         cfg = ScoringConfig(interval_range=(-9.0, 9.0), interval_points=901)
-        batch = SimpleNamespace(
-            targets=targets.reshape(-1, 1, t_f), mixtures=mb.reshape(-1, 1, t_f)
-        )
-        rep = metrics.evaluate(batch, cfg)
+        rep = metrics.evaluate(targets.reshape(-1, 1, t_f), [mb.reshape(-1, 1, t_f)], cfg)
         levels = np.asarray(cfg.levels)
         u, width, _ = oracles.hpd_scores_on_grid(mb, targets, -9.0, 9.0, 901, levels)
         assert rep.avg_width == pytest.approx(width.mean(), abs=1e-12)
@@ -399,17 +406,17 @@ class TestEvaluate:
         for y, want in (([3.5, -3.2], 0.0), ([3.0, -3.0], 1.0)):
             y = np.array(y)
             mb = MixtureBatch(np.ones((2, 1)), y[:, None].copy(), np.full((2, 1), 0.5))
-            batch = SimpleNamespace(targets=y.reshape(1, 1, 2), mixtures=mb.reshape(1, 1, 2))
-            rep = metrics.evaluate(batch, cfg)
+            rep = metrics.evaluate(y.reshape(1, 1, 2), [mb.reshape(1, 1, 2)], cfg)
             assert all(cov == want for _, cov in rep.calibration_curve), y
 
 
-    def test_chunk_size_changes_no_result(self, monkeypatch):
-        # Every score is per element, so one element per chunk, seven, and
-        # the default single chunk give the same report text and run.json
-        # figures; the batch has clipped-mass elements and an off-grid target.
+    @staticmethod
+    def mixed_batch():
+        """(targets, mixtures) of 15 windows x 2 nodes x 4 steps, K = 5,
+        with clipped-mass elements and an off-grid target, and a config
+        of 301 grid points on (-4, 4)."""
         rng = np.random.default_rng(8)
-        n, t_f, pts = 60, 4, 301
+        n, t_f, pts = 120, 4, 301
         w = rng.random((n, 5)) + 0.2
         w /= w.sum(-1, keepdims=True)
         var = rng.uniform(0.05, 1.0, (n, 5))
@@ -417,18 +424,49 @@ class TestEvaluate:
         mb = MixtureBatch(w, rng.uniform(-2, 2, (n, 5)), var)
         targets = rng.uniform(-2, 2, n)
         targets[9] = 4.5
-        batch = SimpleNamespace(targets=targets.reshape(-1, 1, t_f), mixtures=mb.reshape(-1, 1, t_f))
         cfg = ScoringConfig(interval_range=(-4.0, 4.0), interval_points=pts)
-        outputs = []
-        for cells in (1, 7 * pts, metrics._CHUNK_CELLS):
-            monkeypatch.setattr(metrics, "_CHUNK_CELLS", cells)
-            rep = metrics.evaluate(batch, cfg, meta={"variant": "gmm"})
-            results = [rep.clipped_interval_elements, rep.hpd_pit_counts,
-                       rep.hpd_pit_counts_by_step]
-            outputs.append((metrics.report_to_text(rep), json.dumps(results)))
-        assert rep.clipped_interval_elements > 0
-        assert rep.hpd_pit_counts[-1] > 0  # the off-grid target has u = 1
-        assert outputs[0] == outputs[1] == outputs[2]
+        return targets.reshape(-1, 2, t_f), mb.reshape(-1, 2, t_f), cfg
+
+    @staticmethod
+    def scored(targets, chunks, cfg):
+        """The report text and run.json figures of one evaluation."""
+        rep = metrics.evaluate(targets, chunks, cfg, meta={"variant": "gmm"})
+        results = [rep.clipped_interval_elements, rep.hpd_pit_counts, rep.hpd_pit_counts_by_step]
+        return metrics.report_to_text(rep), json.dumps(results)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sets(st.integers(1, 14)), st.sampled_from([1, 7 * 301, metrics._CHUNK_CELLS]))
+    def test_chunk_size_changes_no_result(self, cuts, cells):
+        # Every score is per element, so any split of the windows into
+        # prediction chunks, scored one element, seven or all at a time,
+        # gives the report text and run.json figures of one whole chunk.
+        targets, mb, cfg = self.mixed_batch()
+        whole = self.scored(targets, [mb], cfg)
+        bounds = [0, *sorted(cuts), len(targets)]
+        with mock.patch.object(metrics, "_CHUNK_CELLS", cells):
+            chunked = self.scored(targets, [mb[a:b] for a, b in zip(bounds, bounds[1:])], cfg)
+        assert chunked == whole
+        rep = metrics.report_from_text(whole[0])
+        assert json.loads(whole[1])[0] > 0  # clipped-mass elements
+        assert json.loads(whole[1])[1][-1] > 0  # the off-grid target has u = 1
+        assert math.isfinite(rep.avg_width)
+
+    @pytest.mark.parametrize("offset", range(0, 64, 8))
+    def test_memory_placement_changes_no_result(self, offset):
+        # The same values at any 8-byte offset mod 64 give the same bytes:
+        # no reduction depends on where its operands sit.
+        targets, mb, cfg = self.mixed_batch()
+
+        def placed(a):
+            buf = np.empty(a.nbytes + 64, dtype=np.uint8)
+            at = (offset - buf.ctypes.data) % 64
+            out = buf[at : at + a.nbytes].view(a.dtype).reshape(a.shape)
+            out[...] = a
+            assert out.ctypes.data % 64 == offset
+            return out
+
+        moved = gmm.MixtureBatch._valid(placed(mb.weights), placed(mb.means), placed(mb.variances))
+        assert self.scored(placed(targets), [moved], cfg) == self.scored(targets, [mb], cfg)
 
 
 class TestFloat32IntervalGrid:
@@ -443,6 +481,14 @@ class TestFloat32IntervalGrid:
         for at, g_dens, g_p_y in groups:
             dens[at], p_y[at] = g_dens, g_p_y
         return groups, dens, p_y
+
+    @staticmethod
+    def scores(mb, y, cfg):
+        """(u, widths, clipped count) of `_score_mixtures` on a flat batch."""
+        n, levels = y.size, np.asarray(cfg.levels)
+        out = (np.empty(n), np.empty(n), np.empty(n), np.empty((n, levels.size)))
+        clipped, _ = metrics._score_mixtures(mb, y, cfg, levels, out)
+        return out[2], out[3], clipped
 
     @given(
         st.floats(1.0, 200.0),
@@ -515,7 +561,7 @@ class TestFloat32IntervalGrid:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             groups, _ = metrics._interval_densities(mb, y, lo, x)
-            _, _, u, width, clipped = metrics._score_mixtures(mb, y, cfg, levels)
+            u, width, clipped = self.scores(mb, y, cfg)
             wide = groups[1][0]
             ref_u, ref_width, _ = oracles.hpd_scores_on_grid(mb[wide], y[wide], lo, hi, points, levels)
         assert wide.tolist() == [True, True, True, True, False]
@@ -534,7 +580,7 @@ class TestFloat32IntervalGrid:
         levels = np.asarray(cfg.levels)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, _, u, width, _ = metrics._score_mixtures(mb, y, cfg, levels)
+            u, width, _ = self.scores(mb, y, cfg)
         ref_u, ref_width, _ = oracles.hpd_scores_on_grid(mb, y, lo, hi, points, levels)
         assert np.array_equal(u, ref_u) and np.array_equal(width, ref_width)
 
@@ -583,9 +629,8 @@ class TestReportFiles:
         w = np.ones((n, 1))
         mb = MixtureBatch(w, rng.normal(0, 1, (n, 1)), np.full((n, 1), 0.5))
         targets = rng.normal(0, 1, n)
-        batch = SimpleNamespace(targets=targets.reshape(5, 2, 4), mixtures=mb.reshape(5, 2, 4))
         return metrics.evaluate(
-            batch,
+            targets.reshape(5, 2, 4), [mb.reshape(5, 2, 4)],
             ScoringConfig(interval_range=(-7.0, 7.0), interval_points=701),
             meta={"variant": "norm", "dataset": "unit-test"},
         )
@@ -615,8 +660,7 @@ class TestReportFiles:
         )
 
     def test_nan_serialized_as_na(self):
-        batch = SimpleNamespace(targets=np.ones((1, 1, 1)), point_preds=np.ones((1, 1, 1)))
-        text = metrics.report_to_text(metrics.evaluate(batch))
+        text = metrics.report_to_text(metrics.evaluate(np.ones((1, 1, 1)), [np.ones((1, 1, 1))]))
         assert "avg_width = na" in text
         back = metrics.report_from_text(text)
         assert math.isnan(back.avg_width)
