@@ -15,6 +15,7 @@ import json
 import os
 import time
 import zipfile
+from dataclasses import fields
 from pathlib import Path
 
 import click
@@ -114,7 +115,9 @@ def _positive(ctx, param, value):
     return value
 
 
-# The keys each --config section may carry; anything else is a typo.
+# The keys each --config section may carry; anything else is a typo. All
+# but k are fields of TrainConfig, BackboneConfig or HeadConfig, which hold
+# their defaults and checks.
 CONFIG_KEYS = {
     "train": {"k", "epochs", "batch_size", "lr", "weight_decay", "betas", "warmup_epochs",
               "clip_norm", "seed"},
@@ -144,15 +147,6 @@ def _load_config_file(path):
     return config
 
 
-def _pick(flag_value, config: dict, key: str, default):
-    """Precedence: explicit CLI flag > config file > default."""
-    if flag_value is not None:
-        return flag_value
-    if key in config:
-        return config[key]
-    return default
-
-
 def apply_quality(dataset, coverage_fraction, coverage_seed, resolution_factor):
     """Resolution first (block means), then sensor coverage masking."""
     if resolution_factor != 1:
@@ -163,18 +157,15 @@ def apply_quality(dataset, coverage_fraction, coverage_seed, resolution_factor):
 
 
 def build_model_config(variant, k, input_steps, horizon, channels, mcfg: dict) -> model.ModelConfig:
-    backbone = model.BackboneConfig(
-        input_steps=input_steps,
-        channels=channels,
-        hidden=mcfg.get("hidden", 64),
-        features=mcfg.get("features", 64),
-        activation=mcfg.get("activation", "tanh"),
-    )
+    """The model config; each --config model key given in `mcfg` goes to
+    the dataclass that has it as a field, and the others keep their defaults."""
+    head_keys = {f.name for f in fields(model.HeadConfig)}
+    backbone = model.BackboneConfig(input_steps=input_steps, channels=channels,
+                                    **{key: v for key, v in mcfg.items() if key not in head_keys})
     head = None
     if variant != "det":
-        head = model.HeadConfig(
-            components=k, horizon=horizon, proj_width=mcfg.get("proj_width", 64)
-        )
+        head = model.HeadConfig(components=k,
+                                **{key: v for key, v in mcfg.items() if key in head_keys})
     return model.ModelConfig(variant=variant, backbone=backbone, horizon=horizon, head=head)
 
 
@@ -458,36 +449,20 @@ def cmd_train(data_path, variant, k, epochs, batch_size, lr, seed, input_steps, 
     started = time.time()
     try:
         config = _load_config_file(config_path)
-        tsec = config["train"]
-        if variant == "norm":
-            k = 1
-        elif variant == "gmm":
-            k = _pick(k, tsec, "k", 5)
+        # Flags win over config keys; a setting given by neither keeps its
+        # dataclass default.
+        flags = {"k": k, "epochs": epochs, "batch_size": batch_size, "lr": lr, "seed": seed}
+        given = config["train"] | {key: v for key, v in flags.items() if v is not None}
+        # HeadConfig has no default K; the CLI's is 5. det has no head.
+        k = {"gmm": given.pop("k", 5), "norm": 1}.get(variant)
         try:
-            train_cfg = training.TrainConfig(
-                epochs=_pick(epochs, tsec, "epochs", 50),
-                batch_size=_pick(batch_size, tsec, "batch_size", 32),
-                lr=_pick(lr, tsec, "lr", 5e-4),
-                weight_decay=float(tsec.get("weight_decay", 1e-4)),
-                betas=tsec.get("betas", (0.9, 0.999)),
-                warmup_epochs=float(tsec.get("warmup_epochs", 2.0)),
-                clip_norm=float(tsec.get("clip_norm", 5.0)),
-                seed=_pick(seed, tsec, "seed", 0),
-            )
+            train_cfg = training.TrainConfig(**given)
         except (TypeError, ValueError) as err:
             raise data.DataError(f"train config: {err}") from err
         result, mcfg, splits, extra = train_run(
-            data_path,
-            variant,
-            k,
-            train_cfg,
-            input_steps,
-            horizon,
-            model_overrides=config["model"],
-            coverage_fraction=coverage_fraction,
-            coverage_seed=coverage_seed,
-            resolution_factor=resolution_factor,
-        )
+            data_path, variant, k, train_cfg, input_steps, horizon,
+            model_overrides=config["model"], coverage_fraction=coverage_fraction,
+            coverage_seed=coverage_seed, resolution_factor=resolution_factor)
         base = _out_dir(out) / (name or f"{variant}_seed{train_cfg.seed}")
         ckpt_path = Path(str(base) + ".ckpt.npz")
         log_path = Path(str(base) + ".log")
@@ -502,9 +477,11 @@ def cmd_train(data_path, variant, k, epochs, batch_size, lr, seed, input_steps, 
                 "variant": variant,
                 "k": k,
                 "train": train_cfg.__dict__,
+                "model": model._cfg_to_meta(mcfg),
                 "input_steps": input_steps,
                 "horizon": horizon,
                 "coverage_fraction": coverage_fraction,
+                "coverage_seed": coverage_seed,
                 "resolution_factor": resolution_factor,
             },
             {"checkpoint": ckpt_path, "log": log_path},

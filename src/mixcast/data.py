@@ -298,7 +298,6 @@ class Splits:
     val: WindowSet
     test: WindowSet
     normalizer: object
-    session_split: dict
 
 
 def prepare_splits(d: SeriesDataset, t_h: int, t_f: int, fractions=(0.7, 0.1, 0.2)) -> Splits:
@@ -322,16 +321,9 @@ def prepare_splits(d: SeriesDataset, t_h: int, t_f: int, fractions=(0.7, 0.1, 0.
     if d.coverage is not None:
         train_vals = train_vals[:, :, d.coverage]
     normalizer = Normalizer.fit(train_vals)
-    parts = {
-        name: window(d, t_h, t_f, normalizer, sessions=split[name]) for name in split
-    }
-    return Splits(
-        train=parts["train"],
-        val=parts["val"],
-        test=parts["test"],
-        normalizer=normalizer,
-        session_split=split,
-    )
+    return Splits(normalizer=normalizer,
+                  **{name: window(d, t_h, t_f, normalizer, sessions=rows)
+                     for name, rows in split.items()})
 
 
 # ----------------------------------------------------------------------

@@ -2,33 +2,35 @@
 point-prediction layer or a mixture output head.
 
 The mixture head projects backbone features, then runs three linear
-branches for mixing logits, mean offsets and log-variances. Component
-means are reparameterized as offset * anchor_scale + anchor, with fixed
-anchors spaced so the components tile the standardized 3-sigma band with
-half-overlap ((K+1) * scale = 6). At initialization the branch weights
-are zero with biases chosen so every output is the same weakly
-informative mixture: uniform weights, means at the anchors, unit
+branches for mixing logits, mean offsets and log-variances. Its only
+settings are K and the projection width (`HeadConfig`); the horizon is
+the model's. Component means are reparameterized as
+offset * anchor_scale + anchor, with fixed anchors derived from K
+(`default_anchors`) and spaced so the components tile the standardized
+3-sigma band with half-overlap ((K+1) * scale = 6). At initialization the
+branch weights are zero with biases chosen so every output is the same
+weakly informative mixture: uniform weights, means at the anchors, unit
 variances.
 
-One forward pass (`_forward`) serves `predict`, `forward_loss`,
-`blocked_loss` and `backward`. For mixtures it returns the head outputs
-(logits, means, clamped log-variances) rows last, each branch as
-W @ zp.T shaped (horizon, K, rows) in the row order of the stored
-weights, so the NLL kernel and the branch gradients run over contiguous
-rows; only `predict`
+One forward pass (`_forward`) serves `predict`, `blocked_loss` and
+`backward`. For mixtures it returns the head outputs (logits, means,
+clamped log-variances) rows last, each branch as W @ zp.T shaped
+(horizon, K, rows) in the row order of the stored weights, so the NLL
+kernel and the branch gradients run over contiguous rows; only `predict`
 builds a `MixtureBatch`, of shape (..., horizon, K). One per-element
 loss (`_elementwise_loss`, on the log-space NLL kernel
-`gmm.nll_and_gradients`) and one mean (`_mean_loss`) serve every loss
-entry point, so their losses agree bitwise.
+`gmm.nll_and_gradients`) and one mean (`_mean_loss`) serve both loss
+entry points, so their losses agree bitwise.
 
 All gradients are hand-derived reverse mode; `backward` matches central
 finite differences (see tests). Forward/backward are pure functions of
 (params, batch), so concurrent evaluation on parameter snapshots is safe.
 
 `ModelParams` packs every tensor into one contiguous buffer, with the
-named tensors as views of it. `backward` writes each gradient into a
-buffer of the same layout (weights by gemm, biases by a gemv against
-ones), so the optimizer updates all of them in one pass.
+named tensors as views of it, written through (`params[name][...] = v`)
+and never rebound. `backward` writes each gradient into a buffer of the
+same layout (weights by gemm, biases by a gemv against ones), so the
+optimizer updates all of them in one pass.
 
 Forward and backward compute in the dtype of the params and inputs:
 `training.fit` passes float32 copies, while checkpoints, `predict` and
@@ -39,7 +41,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -67,24 +69,19 @@ def check_ints(obj, least: int, *names):
 
 @dataclass(frozen=True)
 class HeadConfig:
+    """The mixture head: K components and the projection width. The
+    anchors and their scale follow from K (`default_anchors`), computed
+    once per config; the horizon is the model's."""
+
     components: int
-    horizon: int
     proj_width: int = 64
-    anchor_scale: float = None
-    anchors: np.ndarray = None
 
     def __post_init__(self):
         check_ints(self, 1, "components", "proj_width")
-        if self.anchor_scale is None or self.anchors is None:
-            scale, anchors = default_anchors(self.components)
-            object.__setattr__(self, "anchor_scale", float(scale))
-            object.__setattr__(self, "anchors", anchors)
-        anchors = np.asarray(self.anchors, dtype=float)
-        if anchors.shape != (self.components,):
-            raise ValueError(f"anchors shape {anchors.shape} != ({self.components},)")
-        if self.components > 1 and not np.all(np.diff(anchors) > 0):
-            raise ValueError("anchors must be strictly increasing")
+        scale, anchors = default_anchors(self.components)
         anchors.setflags(write=False)
+        # Attributes, not fields: read-only, and outside ==, repr and asdict.
+        object.__setattr__(self, "anchor_scale", scale)
         object.__setattr__(self, "anchors", anchors)
 
 
@@ -124,8 +121,6 @@ class ModelConfig:
         else:
             if self.head is None:
                 raise ValueError(f"{self.variant} variant needs a head config")
-            if self.head.horizon != self.horizon:
-                raise ValueError("head horizon differs from model horizon")
             if self.variant == "norm" and self.head.components != 1:
                 raise ValueError("norm variant is the single-component head")
 
@@ -171,16 +166,6 @@ class ModelParams:
 
     def __getitem__(self, name):
         return self.tensors[name]
-
-    def __setitem__(self, name, value):
-        """Write `value` into the tensor's view. A new shape is a
-        ValueError: rebinding the name would detach the tensor from
-        `flat`, which the optimizer updates."""
-        view = self.tensors[name]
-        value = np.asarray(value)
-        if value.shape != view.shape:
-            raise ValueError(f"{name}: shape {value.shape} differs from {view.shape}")
-        view[...] = value
 
     def names(self):
         return list(self.tensors)
@@ -233,7 +218,7 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator) -> ModelParams:
         t["out.b"] = np.zeros(cfg.horizon)
     else:
         hc = cfg.head
-        wide = hc.horizon * hc.components
+        wide = cfg.horizon * hc.components
         t["proj.w"] = _uniform_init(rng, (hc.proj_width, bb.features), bb.features)
         t["proj.b"] = np.zeros(hc.proj_width)
         t["mix.w"] = np.zeros((wide, hc.proj_width))
@@ -265,7 +250,7 @@ def _affine(a, params, w, b):
     return out
 
 
-def head_forward(z, hc: HeadConfig, params):
+def head_forward(z, cfg: ModelConfig, params):
     """((logits, means, logvars), cache): the head's raw outputs, rows last.
 
     z has shape (..., features), its leading axes flattening to R rows;
@@ -273,8 +258,9 @@ def head_forward(z, hc: HeadConfig, params):
     its weight rows, in the dtype of the branch outputs. Means are in
     normalized space and log-variances are clamped to [LOG_VAR_MIN,
     LOG_VAR_MAX]. The cache holds the (R, proj_width) projection."""
+    hc = cfg.head
     zp = _affine(z, params, "proj.w", "proj.b").reshape(-1, hc.proj_width)
-    shape = (hc.horizon, hc.components, zp.shape[0])
+    shape = (cfg.horizon, hc.components, zp.shape[0])
 
     def branch(name):
         out = params[f"{name}.w"] @ zp.T
@@ -322,7 +308,7 @@ def _forward(inputs, params: ModelParams, cfg: ModelConfig):
     cache = {"h1": h1, "z": z}
     if cfg.variant == "det":
         return _affine(z, params, "out.w", "out.b"), cache
-    outputs, head_cache = head_forward(z, cfg.head, params)
+    outputs, head_cache = head_forward(z, cfg, params)
     cache.update(head_cache)
     return outputs, cache
 
@@ -361,22 +347,13 @@ def _mean_loss(per, shape, cfg: ModelConfig) -> float:
     return loss
 
 
-def forward_loss(batch: ForecastBatch, params: ModelParams, cfg: ModelConfig):
-    """(training loss, predictions). The loss is the plain mean over all
-    (window, location, step) elements: NLL for mixture variants, absolute
-    error for the det variant. The predictions are `_forward`'s: the
-    head's rows-last (logits, means, logvars), or point values for det."""
-    preds = _forward(batch.inputs, params, cfg)[0]  # the cache is freed here
-    per = _elementwise_loss(preds, batch.targets, cfg, with_grad=False)[0]
-    return _mean_loss(per, batch.targets.shape, cfg), preds
-
-
 def blocked_loss(batches, params: ModelParams, cfg: ModelConfig):
-    """(loss, logits): `forward_loss` over the windows of `batches` taken
+    """(loss, logits): the training loss of the windows of `batches` taken
     in order as one batch, bit for bit, with one batch's activations alive
-    at a time. The per-element losses, and for norm/gmm the head's
-    rows-last logits, are put back together before the mean; the logits
-    are None for det."""
+    at a time. The loss is the plain mean over all (window, location,
+    step) elements: NLL for mixture variants, absolute error for det. The
+    per-element losses, and for norm/gmm the head's rows-last logits, are
+    put back together before the mean; the logits are None for det."""
     pers, logits, windows = [], [], 0
     for batch in batches:
         preds = _forward(batch.inputs, params, cfg)[0]
@@ -465,18 +442,39 @@ CHECKPOINT_VERSION = 1
 def _cfg_to_meta(cfg: ModelConfig) -> dict:
     meta = {"variant": cfg.variant, "horizon": cfg.horizon, "backbone": asdict(cfg.backbone)}
     if cfg.head is not None:
-        meta["head"] = asdict(cfg.head) | {"anchors": list(cfg.head.anchors)}
+        meta["head"] = asdict(cfg.head)
     return meta
 
 
+def _from_meta(cls, values: dict):
+    """cls(**values); a ValueError names each key that is not a field of cls."""
+    unknown = sorted(set(values) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} key(s) {unknown}")
+    return cls(**values)
+
+
 def _cfg_from_meta(meta: dict) -> ModelConfig:
-    # Older v1 files carry one backbone field that no longer exists.
+    """The config `_cfg_to_meta` wrote. Older v1 files carry a backbone
+    `graph_alpha`, which is dropped, and the head's horizon, anchor scale
+    and anchors, each of which must equal the value derived now."""
     backbone = {k: v for k, v in meta["backbone"].items() if k != "graph_alpha"}
+    head = None
+    if "head" in meta:
+        stored = dict(meta["head"])
+        derived = {key: stored.pop(key) for key in ("horizon", "anchor_scale", "anchors")
+                   if key in stored}
+        head = _from_meta(HeadConfig, stored)
+        expected = {"horizon": meta["horizon"], "anchor_scale": head.anchor_scale,
+                    "anchors": head.anchors.tolist()}
+        for key, value in derived.items():
+            if value != expected[key]:
+                raise ValueError(f"head {key} is {value!r}, not the derived {expected[key]!r}")
     return ModelConfig(
         variant=meta["variant"],
-        backbone=BackboneConfig(**backbone),
+        backbone=_from_meta(BackboneConfig, backbone),
         horizon=meta["horizon"],
-        head=HeadConfig(**meta["head"]) if "head" in meta else None,
+        head=head,
     )
 
 

@@ -33,6 +33,9 @@ COMPUTE_DTYPE = np.float32
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Every training setting and its default. The real-valued settings
+    are stored as floats once checked; a bool is not a number here."""
+
     epochs: int = 50
     batch_size: int = 32
     lr: float = 5e-4
@@ -45,12 +48,13 @@ class TrainConfig:
     def __post_init__(self):
         mdl.check_ints(self, 1, "epochs", "batch_size")
         mdl.check_ints(self, 0, "seed")
-        if not self.lr > 0:
-            raise ValueError(f"lr must be positive, got {self.lr!r}")
-        for name in ("weight_decay", "warmup_epochs", "clip_norm"):
+        if not (_is_real(self.lr) and 0 < self.lr < math.inf):
+            raise ValueError(f"lr must be positive and finite, got {self.lr!r}")
+        for name in ("lr", "weight_decay", "warmup_epochs", "clip_norm"):
             value = getattr(self, name)
             if not (_is_real(value) and 0 <= value < math.inf):
                 raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+            object.__setattr__(self, name, float(value))
         betas = tuple(self.betas) if isinstance(self.betas, (list, tuple)) else None
         if betas is None or len(betas) != 2 or not all(_is_real(b) and 0 <= b < 1 for b in betas):
             raise ValueError(f"betas must be two numbers in [0, 1), got {self.betas!r}")
@@ -199,7 +203,6 @@ class TrainResult:
     `logvars` (both 0 for det)."""
 
     params: mdl.ModelParams
-    model_cfg: mdl.ModelConfig
     best_val_loss: float
     best_epoch: int
     history: list = field(default_factory=list)
@@ -261,8 +264,7 @@ def fit(splits, model_cfg: mdl.ModelConfig, train_cfg: TrainConfig) -> TrainResu
     val = splits.val.astype(COMPUTE_DTYPE)
 
     result = TrainResult(
-        params=params.astype(np.float64), model_cfg=model_cfg, best_val_loss=math.inf,
-        best_epoch=-1,
+        params=params.astype(np.float64), best_val_loss=math.inf, best_epoch=-1,
     )
     components = 0 if model_cfg.head is None else model_cfg.head.components
     step = 0

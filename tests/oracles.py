@@ -234,7 +234,7 @@ def head_rows_first(zp, hc, params):
     branch computed rows first as zp @ W.T + b and reshaped: the layout
     the (horizon * K, proj_width) branch weights of a checkpoint were
     trained in. Means come from the offsets, log-variances are clamped."""
-    shape = (zp.shape[0], hc.horizon, hc.components)
+    shape = (zp.shape[0], -1, hc.components)
     out = [(zp @ params[f"{n}.w"].T + params[f"{n}.b"]).reshape(shape)
            for n in ("mix", "mean", "logvar")]
     out[1] = out[1] * hc.anchor_scale + hc.anchors

@@ -46,7 +46,7 @@ def train_and_score(dataset, variant, k, seed, coverage=None):
     if coverage is not None:
         worked, _ = data.degrade_coverage(dataset, coverage, seed=seed + 1000)
     splits = data.prepare_splits(worked, T_H, T_F)
-    head = None if variant == "det" else model.HeadConfig(components=k, horizon=T_F)
+    head = None if variant == "det" else model.HeadConfig(components=k)
     mcfg = model.ModelConfig(
         variant=variant,
         backbone=model.BackboneConfig(input_steps=T_H, channels=splits.train.channels),
@@ -115,7 +115,7 @@ class TestCriterion1Gradients:
         # End-to-end reverse mode on a 2-node, T=3, K=2 instance.
         worst_e2e = 0.0
         for variant, k in (("gmm", 2), ("norm", 1), ("det", 0)):
-            head = None if variant == "det" else model.HeadConfig(components=k, horizon=3)
+            head = None if variant == "det" else model.HeadConfig(components=k)
             mcfg = model.ModelConfig(
                 variant=variant,
                 backbone=model.BackboneConfig(input_steps=4, hidden=6, features=6),
@@ -124,7 +124,7 @@ class TestCriterion1Gradients:
             )
             params = model.init_params(mcfg, rng)
             for name in params.names():
-                params[name] = rng.normal(0, 0.3, params[name].shape)
+                params[name][...] = rng.normal(0, 0.3, params[name].shape)
             batch = model.ForecastBatch(
                 inputs=rng.normal(0, 1, (3, 2, 4)), targets=rng.normal(0, 1, (3, 2, 3))
             )
@@ -137,8 +137,8 @@ class TestCriterion1Gradients:
                 p_up[name][idx] += h2
                 p_dn[name][idx] -= h2
                 fd = (
-                    model.forward_loss(batch, p_up, mcfg)[0]
-                    - model.forward_loss(batch, p_dn, mcfg)[0]
+                    model.blocked_loss([batch], p_up, mcfg)[0]
+                    - model.blocked_loss([batch], p_dn, mcfg)[0]
                 ) / (2 * h2)
                 worst_e2e = max(worst_e2e, rel_err(fd, grads[name][idx]))
         assert worst_e2e < 1e-3
@@ -216,7 +216,7 @@ class TestCriterion4Init:
             variant="gmm",
             backbone=model.BackboneConfig(input_steps=T_H),
             horizon=T_F,
-            head=model.HeadConfig(components=5, horizon=T_F),
+            head=model.HeadConfig(components=5),
         )
         params = model.init_params(cfg, np.random.default_rng(0))
         rng = np.random.default_rng(1)

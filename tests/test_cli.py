@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import asdict, fields
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -203,27 +204,91 @@ class TestTrain:
         assert run_manifest["config"]["train"]["epochs"] == 2  # flag wins
         assert run_manifest["config"]["train"]["lr"] == 0.01  # config used
 
+    def test_defaults_are_the_dataclasses(self, tmp_path, workspace):
+        # With no setting flag and an empty --config, run.json records
+        # exactly the dataclasses' defaults: the CLI holds no copy of them.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("{}")
+        res = run(["train", "--name", "plain", "--config", str(cfg),
+                   "--data", str(workspace / "tiny"), "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        config = json.loads((tmp_path / "plain.run.json").read_text())["config"]
+        assert config["train"] == json.loads(json.dumps(asdict(cli.training.TrainConfig())))
+        assert config["k"] == 5
+        assert config["model"]["backbone"] == asdict(model.BackboneConfig(input_steps=10))
+        assert config["model"]["head"] == asdict(model.HeadConfig(components=5))
+
+    def test_config_keys_are_dataclass_fields(self):
+        def names(*classes):
+            return {f.name for cls in classes for f in fields(cls)}
+
+        assert cli.CONFIG_KEYS["train"] - {"k"} <= names(cli.training.TrainConfig)
+        assert cli.CONFIG_KEYS["model"] <= names(model.BackboneConfig, model.HeadConfig)
+
+    def test_run_manifest_reproduces_the_run(self, tmp_path, workspace):
+        # run.json records every setting: a train given only what it
+        # records writes the same tensors.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"train": {"k": 3, "weight_decay": 0.0},
+                                   "model": {"hidden": 8, "features": 6,
+                                             "activation": "identity", "proj_width": 4}}))
+        first = tmp_path / "first"
+        res = run(["train", "--name", "m", "--config", str(cfg), "--data", str(workspace / "tiny"),
+                   "--epochs", "2", "--input-steps", "6", "--horizon", "6",
+                   "--coverage-fraction", "0.5", "--coverage-seed", "9", "--out", str(first)])
+        assert res.exit_code == 0, res.output
+        recorded = json.loads((first / "m.run.json").read_text())["config"]
+        params, mcfg, _, _ = model.load_checkpoint(first / "m.ckpt.npz")
+        assert recorded["model"] == model._cfg_to_meta(mcfg)
+        assert recorded["coverage_seed"] == 9
+        backbone, head = recorded["model"]["backbone"], recorded["model"]["head"]
+        again = tmp_path / "again.json"
+        again.write_text(json.dumps({
+            "train": recorded["train"] | {"k": recorded["k"]},
+            "model": {key: backbone[key] for key in ("hidden", "features", "activation")}
+            | {"proj_width": head["proj_width"]},
+        }))
+        flags = [arg for key in ("variant", "input_steps", "horizon", "coverage_fraction",
+                                 "coverage_seed", "resolution_factor")
+                 for arg in ("--" + key.replace("_", "-"), str(recorded[key]))]
+        second = tmp_path / "second"
+        res = run(["train", "--name", "m", "--config", str(again), "--data", recorded["data"],
+                   "--out", str(second)] + flags)
+        assert res.exit_code == 0, res.output
+        params2, mcfg2, _, _ = model.load_checkpoint(second / "m.ckpt.npz")
+        assert mcfg2 == mcfg and params2.names() == params.names()
+        assert params2.flat.tobytes() == params.flat.tobytes()
+
     @pytest.mark.parametrize(
         "text, message",
         [
             ('{"model": {"hiden": 8}}', "unknown model key(s) ['hiden']"),
             ('{"train": {"lr": 0.01', "malformed JSON"),
-            ('{"train": {"lr": -1}}', "lr must be positive, got -1"),
+            ('{"train": {"lr": -1}}', "lr must be positive and finite, got -1"),
             ('{"train": {"batch_size": 0}}', "batch_size must be an integer >= 1, got 0"),
             ('{"model": {"activation": "relu"}}', "unknown activation 'relu'"),
             ('{"train": {"betas": [0.9]}}',
              "train config: betas must be two numbers in [0, 1), got [0.9]"),
             ('{"train": {"betas": [0.9, 1.0]}}', "train config: betas must be two numbers"),
             ('{"train": {"weight_decay": -5}}',
-             "train config: weight_decay must be a finite number >= 0, got -5.0"),
+             "train config: weight_decay must be a finite number >= 0, got -5"),
             ('{"train": {"warmup_epochs": -1}}',
-             "train config: warmup_epochs must be a finite number >= 0, got -1.0"),
+             "train config: warmup_epochs must be a finite number >= 0, got -1"),
             ('{"train": {"clip_norm": -1}}',
-             "train config: clip_norm must be a finite number >= 0, got -1.0"),
+             "train config: clip_norm must be a finite number >= 0, got -1"),
+            ('{"train": {"weight_decay": true}}',
+             "train config: weight_decay must be a finite number >= 0, got True"),
+            ('{"train": {"clip_norm": "5"}}',
+             "train config: clip_norm must be a finite number >= 0, got '5'"),
+            ('{"train": {"lr": true}}', "train config: lr must be positive and finite, got True"),
+            ('{"train": {"lr": "0.001"}}',
+             "train config: lr must be positive and finite, got '0.001'"),
+            ('{"train": {"lr": 1e400}}', "train config: lr must be positive and finite, got inf"),
         ],
         ids=["unknown-key", "malformed-json", "bad-value", "zero-batch", "bad-model-value",
              "one-beta", "beta-one", "negative-weight-decay", "negative-warmup",
-             "negative-clip-norm"],
+             "negative-clip-norm", "bool-weight-decay", "string-clip-norm", "bool-lr",
+             "string-lr", "overflowing-lr"],
     )
     def test_bad_config_is_data_error(self, tmp_path, workspace, text, message):
         cfg = tmp_path / "cfg.json"
@@ -257,13 +322,14 @@ class TestTrain:
              "model config: features must be an integer >= 1, got -2"),
             (["train"], {"model": {"proj_width": 0}},
              "model config: proj_width must be an integer >= 1, got 0"),
+            (["train", "--lr", "inf"], {}, "train config: lr must be positive and finite, got inf"),
             (["train", "--seed", "-1"], {}, "--seed"),
             (["train", "--coverage-seed", "-1"], {}, "--coverage-seed"),
             (GEN + ["--seed", "-1"], None, "--seed"),
         ],
         ids=["float-epochs", "bool-epochs", "float-batch-size", "float-seed", "negative-seed",
              "float-k", "negative-hidden", "zero-hidden", "negative-features", "zero-proj-width",
-             "negative-seed-flag", "negative-coverage-seed-flag", "negative-generate-seed-flag"],
+             "infinite-lr-flag", "negative-seed-flag", "negative-coverage-seed-flag", "negative-generate-seed-flag"],
     )
     def test_non_integer_and_negative_settings_rejected(self, tmp_path, workspace, args, config,
                                                          message):
@@ -285,8 +351,8 @@ class TestTrain:
     @pytest.mark.parametrize("norms", [[0.3], [2.5, 0.1, 7.25], [0.3, 0.1, 0.7, 0.2]],
                              ids=["one", "odd", "even"])
     def test_grad_norm_median_is_numpys(self, norms):
-        result = cli.training.TrainResult(params=None, model_cfg=None, best_val_loss=0.0,
-                                          best_epoch=0, grad_norms=norms)
+        result = cli.training.TrainResult(params=None, best_val_loss=0.0, best_epoch=0,
+                                          grad_norms=norms)
         stats = cli.training_health(result)["grad_norm"]
         assert stats == {"min": min(norms), "median": float(np.median(norms)), "max": max(norms)}
 
@@ -475,7 +541,8 @@ class TestEvaluate:
         assert res.exit_code == 3
         assert f"1 blank cells, first at row {len(lines)}/node {node}" in res.output
 
-    @pytest.mark.parametrize("name", ["tiny.csv", "tiny.run.json", "no_meta.npz", "truncated.npz"])
+    @pytest.mark.parametrize("name", ["tiny.csv", "tiny.run.json", "no_meta.npz", "truncated.npz",
+                                      "unknown_key.npz", "v1_anchors.npz"])
     def test_non_checkpoint_is_data_error(self, workspace, tmp_path, name):
         path = workspace / name
         if name == "no_meta.npz":
@@ -485,6 +552,19 @@ class TestEvaluate:
             # A zip header, cut short of its central directory.
             path = tmp_path / name
             path.write_bytes((workspace / "gmm.ckpt.npz").read_bytes()[:2000])
+        elif name in ("unknown_key.npz", "v1_anchors.npz"):
+            # The gmm checkpoint with a backbone key no config has, or with
+            # the head stored as older v1 files did, but with anchors [0..4].
+            path = tmp_path / name
+            with np.load(workspace / "gmm.ckpt.npz") as npz:
+                arrays = dict(npz)
+            meta = json.loads(bytes(arrays.pop("__meta__")).decode())
+            if name == "unknown_key.npz":
+                meta["model"]["backbone"]["dropout"] = 0.1
+            else:
+                meta["model"]["head"] |= {"horizon": 6, "anchor_scale": 1.0,
+                                          "anchors": [0, 1, 2, 3, 4]}
+            np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), np.uint8), **arrays)
         res = CliRunner().invoke(
             cli.main,
             ["evaluate", "--checkpoint", str(path), "--data", str(workspace / "tiny"),
@@ -492,6 +572,9 @@ class TestEvaluate:
         )
         assert res.exit_code == 3, res.output
         assert f"cannot read checkpoint {path}" in res.output
+        cause = {"unknown_key.npz": "unknown BackboneConfig key(s) ['dropout']",
+                 "v1_anchors.npz": "head anchors is [0, 1, 2, 3, 4], not the derived"}
+        assert cause.get(name, "") in res.output
 
     def test_bad_levels_rejected(self, workspace, tmp_path):
         # A repeated level would count twice in calib_error.
@@ -604,7 +687,7 @@ class TestEvaluateMemory:
             variant="gmm",
             backbone=model.BackboneConfig(input_steps=10, hidden=16, features=16),
             horizon=10,
-            head=model.HeadConfig(components=8, horizon=10, proj_width=16),
+            head=model.HeadConfig(components=8, proj_width=16),
         )
         ckpt = tmp_path / f"steps{session_steps}.ckpt.npz"
         model.save_checkpoint(ckpt, model.init_params(mcfg, np.random.default_rng(0)), mcfg,

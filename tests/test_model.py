@@ -1,6 +1,8 @@
 """Tests for the backbone + mixture head model and its gradients."""
 
+import dataclasses
 import json
+import re
 
 import numpy as np
 import oracles
@@ -24,7 +26,7 @@ def gmm_config(k=5, horizon=4, t_h=6, hidden=8, features=8, proj=8, channels=1):
             input_steps=t_h, channels=channels, hidden=hidden, features=features
         ),
         horizon=horizon,
-        head=HeadConfig(components=k, horizon=horizon, proj_width=proj),
+        head=HeadConfig(components=k, proj_width=proj),
     )
 
 
@@ -43,13 +45,18 @@ def random_batch(rng, cfg, b=3, n=2):
 
 
 def head_mixtures(z, cfg, params):
-    return model.head_mixtures(model.head_forward(z, cfg.head, params)[0], z.shape[:-1])
+    return model.head_mixtures(model.head_forward(z, cfg, params)[0], z.shape[:-1])
+
+
+def loss_of(batch, params, cfg):
+    """The training loss of one batch."""
+    return model.blocked_loss([batch], params, cfg)[0]
 
 
 def randomize(params, rng, scale=0.3):
     out = params.copy()
     for name in out.names():
-        out[name] = rng.normal(0, scale, out[name].shape)
+        out[name][...] = rng.normal(0, scale, out[name].shape)
     return out
 
 
@@ -69,14 +76,14 @@ class TestModelParams:
         assert ModelParams({"a": np.arange(3)}).flat.dtype == np.float64
 
     def test_setitem_writes_into_the_buffer(self):
+        # Tensors are written through their views; rebinding a name, which
+        # would detach it from `flat`, is not possible.
         params = ModelParams({"w": np.zeros((2, 3)), "b": np.zeros(2)})
         view = params["w"]
-        params["w"] = np.ones((2, 3))
+        params["w"][...] = np.ones((2, 3))
         assert params["w"] is view and params.flat[:6].sum() == 6.0
-        with pytest.raises(ValueError, match=r"w: shape \(3, 2\) differs from \(2, 3\)"):
-            params["w"] = np.ones((3, 2))
-        with pytest.raises(KeyError):
-            params["new"] = np.ones(2)
+        with pytest.raises(TypeError):
+            params["w"] = np.ones((2, 3))
         assert params["w"] is view and params.names() == ["w", "b"]
 
     def test_copies_own_their_buffer(self):
@@ -84,7 +91,7 @@ class TestModelParams:
         for other in (params.copy(), params.astype(np.float32), params.zeros_like()):
             assert other.layout == params.layout
             assert not np.shares_memory(other.flat, params.flat)
-            other["b"] = np.full(2, 5.0)
+            other["b"][...] = 5.0
         np.testing.assert_array_equal(params["b"], [1.0, 1.0])
         assert params.astype(np.float32).flat.dtype == np.float32
 
@@ -104,13 +111,30 @@ class TestHeadConfig:
             if k > 1:
                 assert np.all(np.diff(anchors) > 0)
 
+    @pytest.mark.parametrize("k", [1, 2, 5, 9])
+    def test_anchors_derived_once_from_k(self, k):
+        hc = HeadConfig(components=k)
+        scale, anchors = default_anchors(k)
+        assert hc.anchor_scale == scale
+        np.testing.assert_array_equal(hc.anchors, anchors)
+        assert hc.anchors is hc.anchors and not hc.anchors.flags.writeable
+        with pytest.raises(AttributeError):
+            hc.anchors = anchors
+
+    def test_two_settings(self):
+        # The horizon is the model's, the anchors follow from K.
+        assert [f.name for f in dataclasses.fields(HeadConfig)] == ["components", "proj_width"]
+        assert HeadConfig(components=3) == HeadConfig(components=3, proj_width=64)
+        with pytest.raises(TypeError):
+            HeadConfig(components=3, horizon=2)
+
     def test_norm_variant_requires_single_component(self):
         with pytest.raises(ValueError):
             ModelConfig(
                 variant="norm",
                 backbone=BackboneConfig(input_steps=4),
                 horizon=2,
-                head=HeadConfig(components=3, horizon=2),
+                head=HeadConfig(components=3),
             )
 
 
@@ -171,7 +195,7 @@ class TestHeadForward:
         z = rng.normal(0, 1, (4, cfg.backbone.features))
         mb = head_mixtures(z, cfg, params)
         shifted = params.copy()
-        shifted["mix.b"] = shifted["mix.b"] + 3.7  # same shift on all K logits
+        shifted["mix.b"][...] += 3.7  # same shift on all K logits
         mb2 = head_mixtures(z, cfg, shifted)
         np.testing.assert_allclose(mb.weights, mb2.weights, atol=1e-12)
 
@@ -235,7 +259,7 @@ class TestHeadForward:
     def test_logvar_clamped(self):
         cfg = gmm_config()
         params = model.init_params(cfg, np.random.default_rng(0))
-        params["logvar.b"] = np.full_like(params["logvar.b"], 50.0)
+        params["logvar.b"][...] = 50.0
         mb = model.predict(params, cfg, np.zeros((1, 1, cfg.backbone.input_dim)))
         assert np.all(mb.variances == pytest.approx(np.exp(10.0)))
 
@@ -245,7 +269,7 @@ class TestBackbone:
         cfg = gmm_config()
         params = model.init_params(cfg, np.random.default_rng(0))
         for name in ("backbone.w1", "backbone.w2", "proj.w"):
-            params[name] = np.zeros_like(params[name])
+            params[name][...] = 0.0
         mb = model.predict(params, cfg, np.random.default_rng(1).normal(0, 2, (2, 2, 6)))
         assert np.all(mb.weights == 0.2)
         assert np.all(mb.variances == 1.0)
@@ -281,7 +305,7 @@ class TestForwardLoss:
             batch = ForecastBatch(
                 inputs=rng.normal(0, 1, (4, 2, 6)), targets=np.zeros((4, 2, 4))
             )
-            loss, _ = model.forward_loss(batch, params, cfg)
+            loss = loss_of(batch, params, cfg)
             losses.append(loss)
         assert all(v == pytest.approx(ref_nll, abs=1e-12) for v in losses)
 
@@ -289,7 +313,7 @@ class TestForwardLoss:
         cfg = gmm_config(k=1)
         params = model.init_params(cfg, np.random.default_rng(0))
         batch = ForecastBatch(inputs=np.zeros((2, 2, 6)), targets=np.zeros((2, 2, 4)))
-        loss, _ = model.forward_loss(batch, params, cfg)
+        loss = loss_of(batch, params, cfg)
         assert loss == pytest.approx(0.5 * np.log(2 * np.pi), abs=1e-12)
 
     def test_loss_decreases_on_fixed_batch(self):
@@ -300,14 +324,14 @@ class TestForwardLoss:
             inputs=rng.normal(0, 1, (8, 2, 4)),
             targets=rng.choice([-1.5, 1.5], size=(8, 2, 2)) + rng.normal(0, 0.05, (8, 2, 2)),
         )
-        first, _ = model.forward_loss(batch, params, cfg)
+        first = loss_of(batch, params, cfg)
         lr = 0.05
         losses = [first]
         for _ in range(50):
             grads = model.backward(batch, params, cfg)[1]
             for name in params.names():
-                params[name] = params[name] - lr * grads[name]
-            losses.append(model.forward_loss(batch, params, cfg)[0])
+                params[name][...] -= lr * grads[name]
+            losses.append(loss_of(batch, params, cfg))
         assert losses[-1] < first - 0.1
         # Smoothed trend is monotone downward.
         smooth = np.convolve(losses, np.ones(5) / 5, mode="valid")
@@ -316,10 +340,10 @@ class TestForwardLoss:
     def test_nan_params_reported_with_index(self):
         cfg = gmm_config()
         params = model.init_params(cfg, np.random.default_rng(0))
-        params["mean.b"] = np.full_like(params["mean.b"], np.nan)
+        params["mean.b"][...] = np.nan
         batch = ForecastBatch(inputs=np.zeros((1, 1, 6)), targets=np.zeros((1, 1, 4)))
         with pytest.raises(ValueError, match="element"):
-            model.forward_loss(batch, params, cfg)
+            loss_of(batch, params, cfg)
 
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -334,7 +358,7 @@ class TestForwardLoss:
         batch = random_batch(rng, cfg, b=4, n=3)
         batch.targets[2, 1, 3] = np.nan
         params, batch = as_dtype(params, batch, dtype)
-        for entry in (model.forward_loss, model.backward):
+        for entry in (loss_of, model.backward):
             with pytest.raises(ValueError, match=r"non-finite .* at element \(2, 1, 3\)$"):
                 entry(batch, params, cfg)
 
@@ -352,13 +376,13 @@ class TestForwardLoss:
             return [ForecastBatch(inputs=batch.inputs[a:b], targets=batch.targets[a:b])
                     for a, b in ((0, 2), (2, 5), (5, 7))]
 
-        loss, preds = model.forward_loss(batch, params, cfg)
+        loss, whole_logits = model.blocked_loss([batch], params, cfg)
         blocked, logits = model.blocked_loss(blocks(batch), params, cfg)
         assert blocked == loss
         if variant == "det":
-            assert logits is None
+            assert logits is None is whole_logits
         else:
-            assert logits.tobytes() == preds[0].tobytes()
+            assert logits.tobytes() == whole_logits.tobytes()
         # A non-finite element in the last block is named by its index in
         # the whole batch.
         batch.targets[5, 1, 3] = np.nan
@@ -385,9 +409,9 @@ class TestBackward:
                 p = params.copy()
                 p[name][idx] += sign * h
                 if sign == 1:
-                    up = model.forward_loss(batch, p, cfg)[0]
+                    up = loss_of(batch, p, cfg)
                 else:
-                    dn = model.forward_loss(batch, p, cfg)[0]
+                    dn = loss_of(batch, p, cfg)
             fd = (up - dn) / (2 * h)
             worst = max(worst, self.rel_err(fd, grads[name][idx]))
         assert worst < tol
@@ -408,7 +432,7 @@ class TestBackward:
             variant="gmm",
             backbone=BackboneConfig(input_steps=4, hidden=6, features=6, activation="identity"),
             horizon=2,
-            head=HeadConfig(components=2, horizon=2, proj_width=6),
+            head=HeadConfig(components=2, proj_width=6),
         )
         self.finite_difference_check(cfg, seed=25)
 
@@ -457,7 +481,7 @@ class TestBackward:
             params = randomize(model.init_params(cfg, rng), rng)
             batch = random_batch(rng, cfg, b=5, n=3)
             loss = model.backward(batch, params, cfg)[0]
-            assert loss == model.forward_loss(batch, params, cfg)[0]
+            assert loss == loss_of(batch, params, cfg)
 
     def test_clamped_logvars_counted_and_given_no_gradient(self):
         cfg = gmm_config(k=3, horizon=2, t_h=4)
@@ -465,7 +489,7 @@ class TestBackward:
         params = randomize(model.init_params(cfg, rng), rng)
         bias = params["logvar.b"].copy()
         bias[[0, 4]] = [40.0, -40.0]  # step 0 component 0 high, step 1 component 1 low
-        params["logvar.b"] = bias
+        params["logvar.b"][...] = bias
         batch = random_batch(rng, cfg, b=5, n=3)
         _, grads, clamped = model.backward(batch, params, cfg)
         assert clamped == 2 * 5 * 3
@@ -616,9 +640,10 @@ class TestCheckpoint:
         assert cfg2.head is None
         assert norm is None
 
-    def test_reads_v1_file_with_graph_alpha(self, tmp_path):
-        # v1 files from before the graph path was removed carry
-        # backbone.graph_alpha; they load and predict like a fresh save.
+    @staticmethod
+    def saved_with(tmp_path, edit):
+        """(config, params, path of a fresh save, path of the same save
+        with `edit` applied to its model meta)."""
         cfg = gmm_config()
         rng = np.random.default_rng(43)
         params = randomize(model.init_params(cfg, rng), rng)
@@ -627,19 +652,58 @@ class TestCheckpoint:
         with np.load(new_path) as data:
             meta = json.loads(bytes(data["__meta__"]).decode())
             tensors = {name: data[name] for name in meta["tensor_names"]}
-        assert meta["version"] == 1 and "graph_alpha" not in meta["model"]["backbone"]
-        meta["model"]["backbone"]["graph_alpha"] = 0.3
+        assert meta["version"] == 1
+        edit(meta["model"])
         with open(old_path, "wb") as fh:
             np.savez(fh, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
                      **tensors)
+        return cfg, params, new_path, old_path
+
+    def v1_head(self, model_meta):
+        # The head as v1 files written before the anchors were derived
+        # store it: horizon, anchor scale and anchors included.
+        hc = HeadConfig(**model_meta["head"])
+        model_meta["head"] |= {"horizon": model_meta["horizon"],
+                               "anchor_scale": hc.anchor_scale, "anchors": list(hc.anchors)}
+
+    def test_reads_v1_file_with_graph_alpha(self, tmp_path):
+        # v1 files from before the graph path was removed carry
+        # backbone.graph_alpha, and older ones the head's horizon and
+        # anchors; they load and predict like a fresh save.
+        def edit(model_meta):
+            assert set(model_meta["head"]) == {"components", "proj_width"}
+            assert "graph_alpha" not in model_meta["backbone"]
+            model_meta["backbone"]["graph_alpha"] = 0.3
+            self.v1_head(model_meta)
+
+        cfg, _, new_path, old_path = self.saved_with(tmp_path, edit)
         old_params, old_cfg, _, _ = model.load_checkpoint(old_path)
         new_params, new_cfg, _, _ = model.load_checkpoint(new_path)
-        assert old_cfg.backbone == new_cfg.backbone
-        inputs = rng.normal(0, 1, (4, 3, cfg.backbone.input_dim))
+        assert old_cfg == new_cfg == cfg
+        inputs = np.random.default_rng(44).normal(0, 1, (4, 3, cfg.backbone.input_dim))
         old_mb = model.predict(old_params, old_cfg, inputs)
         new_mb = model.predict(new_params, new_cfg, inputs)
         for field in ("weights", "means", "variances"):
             np.testing.assert_array_equal(getattr(old_mb, field), getattr(new_mb, field))
+
+    @pytest.mark.parametrize("key, value", [("anchors", [0.0, 1.0, 2.0, 3.0, 4.0]),
+                                            ("anchor_scale", 0.5), ("horizon", 3)])
+    def test_v1_head_values_must_be_the_derived_ones(self, tmp_path, key, value):
+        # A checkpoint with its own anchors is never silently re-anchored.
+        def edit(model_meta):
+            self.v1_head(model_meta)
+            model_meta["head"][key] = value
+
+        *_, old_path = self.saved_with(tmp_path, edit)
+        with pytest.raises(ValueError, match=rf"^head {key} is {re.escape(repr(value))}, not"):
+            model.load_checkpoint(old_path)
+
+    @pytest.mark.parametrize("section, cls", [("backbone", "BackboneConfig"),
+                                              ("head", "HeadConfig")])
+    def test_unknown_meta_key_named(self, tmp_path, section, cls):
+        *_, old_path = self.saved_with(tmp_path, lambda m: m[section].update(dropout=0.1))
+        with pytest.raises(ValueError, match=rf"unknown {cls} key\(s\) \['dropout'\]"):
+            model.load_checkpoint(old_path)
 
     def test_wrong_file_rejected(self, tmp_path):
         path = tmp_path / "junk.npz"

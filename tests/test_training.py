@@ -53,6 +53,10 @@ class TestTrainConfig:
             ({"clip_norm": -0.5}, "clip_norm must be a finite number >= 0"),
             ({"clip_norm": math.inf}, "clip_norm must be a finite number >= 0"),
             ({"lr": math.nan}, "lr must be positive"),
+            ({"lr": math.inf}, "lr must be positive and finite, got inf"),
+            ({"lr": True}, "lr must be positive and finite, got True"),
+            ({"lr": "0.001"}, "lr must be positive and finite, got '0.001'"),
+            ({"weight_decay": True}, "weight_decay must be a finite number >= 0, got True"),
         ],
     )
     def test_invalid_values_rejected(self, kwargs, message):
@@ -63,6 +67,11 @@ class TestTrainConfig:
         cfg = TrainConfig(betas=[0, 0.5], weight_decay=0, warmup_epochs=0, clip_norm=0)
         assert cfg.betas == (0.0, 0.5)
         assert all(type(b) is float for b in cfg.betas)
+
+    def test_real_settings_stored_as_floats(self):
+        cfg = TrainConfig(lr=1, weight_decay=0, warmup_epochs=np.int64(2), clip_norm=5)
+        values = [cfg.lr, cfg.weight_decay, cfg.warmup_epochs, cfg.clip_norm]
+        assert values == [1.0, 0.0, 2.0, 5.0] and all(type(v) is float for v in values)
 
 
 class TestSchedule:
@@ -279,7 +288,7 @@ def tiny_splits(rng, n_windows=64, nodes=2, t_h=4, t_f=2, bimodal=True):
 
 def small_model_cfg(variant, k=3, t_h=4, t_f=2):
     head = None if variant == "det" else HeadConfig(
-        components=1 if variant == "norm" else k, horizon=t_f, proj_width=8
+        components=1 if variant == "norm" else k, proj_width=8
     )
     return ModelConfig(
         variant=variant,
@@ -319,8 +328,7 @@ class TestFit:
         mcfg = small_model_cfg("det")
         tcfg = TrainConfig(epochs=30, batch_size=32, lr=1e-2, warmup_epochs=1, seed=3)
         res = training.fit(splits, mcfg, tcfg)
-        batch = model.ForecastBatch(inputs=splits.val.inputs, targets=splits.val.targets)
-        _, preds = model.forward_loss(batch, res.params, mcfg)
+        preds = model.predict(res.params, mcfg, splits.val.inputs)
         assert abs(float(np.median(preds)) - 2.0) < 0.3
 
     def test_batch_digests_identical_across_variants(self):
@@ -405,7 +413,7 @@ class TestFit:
         assert all(np.shape(h["weight_entropy"]) == np.shape(h["effective_k"]) == (mcfg.horizon,)
                    for h in res.history) and len(res.history) == 2
         val = model.ForecastBatch(inputs=splits.val.inputs, targets=splits.val.targets)
-        logits = model.forward_loss(val, res.params, mcfg)[1][0]
+        logits = model.blocked_loss([val], res.params, mcfg)[1]
         entropy, effective_k = model.weight_entropy(logits)
         best = res.history[res.best_epoch]
         np.testing.assert_allclose(best["weight_entropy"], entropy, rtol=1e-5)
@@ -426,7 +434,7 @@ class TestFit:
     @pytest.mark.parametrize("variant", ["det", "norm", "gmm"])
     def test_blocked_validation_matches_whole_set(self, variant):
         # 13 validation windows in blocks of 5: the loss and the entropy
-        # tables equal forward_loss on the whole set, bit for bit.
+        # tables equal the loss of the whole set as one block, bit for bit.
         splits = tiny_splits(np.random.default_rng(12))
         assert splits.val.count % 5 != 0
         mcfg = small_model_cfg(variant)
@@ -434,11 +442,11 @@ class TestFit:
         params = res.params.astype(np.float32)  # the best epoch's params, as trained
         whole = model.ForecastBatch(inputs=splits.val.inputs.astype(np.float32),
                                     targets=splits.val.targets.astype(np.float32))
-        loss, preds = model.forward_loss(whole, params, mcfg)
+        loss, logits = model.blocked_loss([whole], params, mcfg)
         best = res.history[res.best_epoch]
         assert best["val_loss"] == loss
         if variant != "det":
-            entropy, effective_k = model.weight_entropy(preds[0])
+            entropy, effective_k = model.weight_entropy(logits)
             assert best["weight_entropy"] == entropy.tolist()
             assert best["effective_k"] == effective_k.tolist()
 
