@@ -8,11 +8,12 @@ hand-derived gradients, `training` the AdamW loop, `data` synthetic
 generation and windowing, and `cli` the command-line pipeline.
 """
 
+from .data import Normalizer
 from .gmm import MixtureBatch
 from .intervals import IntervalSet, derive_intervals
 from .metrics import EvaluationReport, ScoringConfig, evaluate
 from .model import BackboneConfig, ForecastBatch, HeadConfig, ModelConfig
-from .training import Normalizer, TrainConfig, fit
+from .training import TrainConfig, fit
 
 __version__ = "0.1.0"
 

@@ -187,8 +187,6 @@ def train_run(data_path, variant, k, train_cfg: training.TrainConfig,
     result = training.fit(splits, mcfg, train_cfg)
     extra = {
         "dataset_id": dataset_id(manifest),
-        "input_steps": input_steps,
-        "horizon": horizon,
         "coverage_fraction": coverage_fraction,
         "coverage_seed": coverage_seed,
         "resolution_factor": resolution_factor,
@@ -254,8 +252,8 @@ def evaluate_run(checkpoint_path, dataset, manifest, levels=metrics.DEFAULT_LEVE
         extra.get("coverage_seed", 0),
         extra.get("resolution_factor", 1),
     )
-    t_h = extra.get("input_steps", mcfg.backbone.input_steps)
-    splits = data.prepare_splits(worked, t_h, mcfg.horizon, manifest.split_fractions)
+    splits = data.prepare_splits(worked, mcfg.backbone.input_steps, mcfg.horizon,
+                                 manifest.split_fractions)
     nrm = splits.normalizer
     if norm_stats is not None and (
         abs(norm_stats["mean"] - nrm.mean) > 1e-9 or abs(norm_stats["std"] - nrm.std) > 1e-9
@@ -474,12 +472,8 @@ def cmd_train(data_path, variant, k, epochs, batch_size, lr, seed, input_steps, 
             "train",
             {
                 "data": str(data_path),
-                "variant": variant,
-                "k": k,
                 "train": train_cfg.__dict__,
                 "model": model._cfg_to_meta(mcfg),
-                "input_steps": input_steps,
-                "horizon": horizon,
                 "coverage_fraction": coverage_fraction,
                 "coverage_seed": coverage_seed,
                 "resolution_factor": resolution_factor,

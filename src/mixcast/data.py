@@ -14,7 +14,6 @@ bit-identical datasets, masks and windows.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta
 
@@ -197,9 +196,36 @@ def degrade_resolution(d: SeriesDataset, factor: int) -> SeriesDataset:
 
 
 @dataclass(frozen=True)
+class Normalizer:
+    """Z-score transform fitted on the training split only."""
+
+    mean: float
+    std: float
+
+    def __post_init__(self):
+        if not self.std > 0:
+            raise ValueError(f"std must be positive, got {self.std!r}")
+
+    @classmethod
+    def fit(cls, values: np.ndarray) -> "Normalizer":
+        values = np.asarray(values, dtype=float)
+        std = float(values.std())
+        if std < 1e-12:
+            raise ValueError("cannot normalize constant data (std ~ 0)")
+        return cls(mean=float(values.mean()), std=std)
+
+    def transform(self, x):
+        return (np.asarray(x, dtype=float) - self.mean) / self.std
+
+    def inverse(self, x):
+        return np.asarray(x, dtype=float) * self.std + self.mean
+
+
+@dataclass(frozen=True)
 class WindowSet:
     """Stride-1 windows over one split's sessions, kept as the series they
-    are cut from and each window's start.
+    are cut from. Sessions are equally long, so with P windows per session
+    window w starts at step w % P of row w // P.
 
     `series` is z-scored with the (train-split) normalizer. With a coverage
     mask, the inputs feed uncovered nodes the train-split mean (0 after
@@ -210,20 +236,18 @@ class WindowSet:
 
     series: np.ndarray  # (S, steps, N), normalized
     raw: np.ndarray  # (S, steps, N), raw units
-    starts: np.ndarray  # (W, 2): each window's row of `series` and first step
-    session_ids: np.ndarray  # (W,)
     input_steps: int
     horizon: int
     coverage: np.ndarray | None = None  # (N,) bool sensor mask
 
     def __post_init__(self):
-        # Every window's steps as a read-only view, (S, offsets, N, need).
+        # Every window's steps as a read-only view, (S, P, N, need).
         need = self.input_steps + self.horizon
         object.__setattr__(self, "_steps", sliding_window_view(self.series, need, axis=1))
 
     @property
     def count(self) -> int:
-        return self.starts.shape[0]
+        return self._steps.shape[0] * self._steps.shape[1]
 
     @property
     def channels(self) -> int:
@@ -235,10 +259,10 @@ class WindowSet:
 
     def gather(self, idx):
         """(inputs (B, N, input_steps * channels), targets (B, N, horizon)) of
-        the windows `idx` (anything that indexes `starts`), normalized,
+        the windows `idx` (anything that indexes range(count)), normalized,
         contiguous, in the dtype of the series."""
-        starts = self.starts[idx]
-        steps = self._steps[starts[:, 0], starts[:, 1]]
+        rows, offsets = np.divmod(np.arange(self.count)[idx], self._steps.shape[1])
+        steps = self._steps[rows, offsets]
         x = np.ascontiguousarray(steps[..., : self.input_steps])
         if self.coverage is not None:
             x[:, ~self.coverage] = 0.0
@@ -257,7 +281,7 @@ class WindowSet:
     @property
     def targets_raw(self) -> np.ndarray:  # (W, N, horizon), raw units
         steps = sliding_window_view(self.raw, self._steps.shape[-1], axis=1)
-        rows, offsets = self.starts.T
+        rows, offsets = np.divmod(np.arange(self.count), self._steps.shape[1])
         return np.ascontiguousarray(steps[rows, offsets, :, self.input_steps :])
 
 
@@ -265,31 +289,14 @@ def window(d: SeriesDataset, t_h: int, t_f: int, normalizer, sessions=None) -> W
     """Stride-1 sliding windows that never cross session boundaries.
 
     The sessions' values are z-scored with the (train-split) normalizer;
-    a coverage mask on the dataset carries over to the windows' inputs."""
-    if sessions is None:
-        sessions = np.arange(d.sessions)
-    sessions = np.asarray(sessions)
-    need = t_h + t_f
-    starts = []
-    for row, s in enumerate(sessions):
-        steps = d.session_steps
-        if steps < need:
-            warnings.warn(f"session {s}: {steps} steps < {need}, skipped", stacklevel=2)
-            continue
-        starts += [(row, o) for o in range(steps - need + 1)]
-    if not starts:
-        raise DataError("no usable windows (all sessions too short)")
-    starts = np.array(starts)
-    raw = d.values[sessions]
-    return WindowSet(
-        series=normalizer.transform(raw),
-        raw=raw,
-        starts=starts,
-        session_ids=sessions[starts[:, 0]],
-        input_steps=t_h,
-        horizon=t_f,
-        coverage=d.coverage,
-    )
+    a coverage mask on the dataset carries over to the windows' inputs.
+    Sessions shorter than one window are a DataError naming both lengths."""
+    if d.session_steps < t_h + t_f:
+        raise DataError(f"sessions have {d.session_steps} steps, fewer than "
+                        f"input_steps + horizon = {t_h + t_f}")
+    raw = d.values[np.arange(d.sessions) if sessions is None else sessions]
+    return WindowSet(series=normalizer.transform(raw), raw=raw, input_steps=t_h, horizon=t_f,
+                     coverage=d.coverage)
 
 
 @dataclass
@@ -307,8 +314,6 @@ def prepare_splits(d: SeriesDataset, t_h: int, t_f: int, fractions=(0.7, 0.1, 0.
 
     Blank cells are rejected: windows would carry their stored 0.0 as a
     real speed, into the normalizer, the inputs and the scored targets."""
-    from .training import Normalizer
-
     if d.missing is not None and d.missing.any():
         s, t, i = (int(v) for v in np.argwhere(d.missing)[0])
         raise DataError(

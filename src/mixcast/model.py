@@ -200,33 +200,31 @@ class ForecastBatch:
             )
 
 
-def _uniform_init(rng, shape, fan_in):
-    bound = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-bound, bound, shape)
+def param_shapes(cfg: ModelConfig) -> dict:
+    """Each parameter tensor's shape, by name, in storage order."""
+    bb = cfg.backbone
+    shapes = {"backbone.w1": (bb.hidden, bb.input_dim), "backbone.b1": (bb.hidden,),
+              "backbone.w2": (bb.features, bb.hidden), "backbone.b2": (bb.features,)}
+    if cfg.variant == "det":
+        return shapes | {"out.w": (cfg.horizon, bb.features), "out.b": (cfg.horizon,)}
+    wide, width = cfg.horizon * cfg.head.components, cfg.head.proj_width
+    shapes |= {"proj.w": (width, bb.features), "proj.b": (width,)}
+    for branch in ("mix", "mean", "logvar"):
+        shapes |= {f"{branch}.w": (wide, width), f"{branch}.b": (wide,)}
+    return shapes
 
 
 def init_params(cfg: ModelConfig, rng: np.random.Generator) -> ModelParams:
-    """Random backbone/projection, weakly-informative output head."""
-    bb = cfg.backbone
-    t = {}
-    t["backbone.w1"] = _uniform_init(rng, (bb.hidden, bb.input_dim), bb.input_dim)
-    t["backbone.b1"] = np.zeros(bb.hidden)
-    t["backbone.w2"] = _uniform_init(rng, (bb.features, bb.hidden), bb.hidden)
-    t["backbone.b2"] = np.zeros(bb.features)
-    if cfg.variant == "det":
-        t["out.w"] = np.zeros((cfg.horizon, bb.features))
-        t["out.b"] = np.zeros(cfg.horizon)
-    else:
-        hc = cfg.head
-        wide = cfg.horizon * hc.components
-        t["proj.w"] = _uniform_init(rng, (hc.proj_width, bb.features), bb.features)
-        t["proj.b"] = np.zeros(hc.proj_width)
-        t["mix.w"] = np.zeros((wide, hc.proj_width))
-        t["mix.b"] = np.full(wide, 1.0 / hc.components)
-        t["mean.w"] = np.zeros((wide, hc.proj_width))
-        t["mean.b"] = np.zeros(wide)
-        t["logvar.w"] = np.zeros((wide, hc.proj_width))
-        t["logvar.b"] = np.zeros(wide)
+    """Random backbone and projection weights, uniform in +-1/sqrt(fan-in)
+    and drawn in storage order; every other tensor 0, except the mixture
+    bias, which starts the weights equal (a weakly-informative head)."""
+    t = {name: np.zeros(shape) for name, shape in param_shapes(cfg).items()}
+    for name in ("backbone.w1", "backbone.w2", "proj.w"):
+        if name in t:
+            bound = 1.0 / np.sqrt(t[name].shape[1])
+            t[name] = rng.uniform(-bound, bound, t[name].shape)
+    if cfg.head is not None:
+        t["mix.b"][:] = 1.0 / cfg.head.components
     return ModelParams(t)
 
 
@@ -458,6 +456,9 @@ def _cfg_from_meta(meta: dict) -> ModelConfig:
     """The config `_cfg_to_meta` wrote. Older v1 files carry a backbone
     `graph_alpha`, which is dropped, and the head's horizon, anchor scale
     and anchors, each of which must equal the value derived now."""
+    for section in ("backbone", "head"):
+        if section in meta and not isinstance(meta[section], dict):
+            raise ValueError(f"model {section} must be an object, got {meta[section]!r}")
     backbone = {k: v for k, v in meta["backbone"].items() if k != "graph_alpha"}
     head = None
     if "head" in meta:
@@ -500,14 +501,23 @@ def save_checkpoint(path, params: ModelParams, cfg: ModelConfig, normalizer=None
 
 
 def load_checkpoint(path):
-    """(params, cfg, normalizer_stats_or_None, extra) from save_checkpoint."""
-    with np.load(path) as data:
+    """(params, cfg, normalizer_stats_or_None, extra) from save_checkpoint.
+
+    Each tensor must have the name and shape `param_shapes` gives for the
+    stored config; a ValueError names the first one that does not."""
+    with open(path, "rb") as fh, np.load(fh) as data:
         meta = json.loads(bytes(data["__meta__"]).decode())
         if meta.get("format") != "mixcast-checkpoint":
             raise ValueError(f"{path}: not a mixcast checkpoint")
         if meta.get("version") != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {meta.get('version')!r}")
         tensors = {name: data[name] for name in meta["tensor_names"]}
-    params = ModelParams(tensors)
     cfg = _cfg_from_meta(meta["model"])
-    return params, cfg, meta["normalizer"], meta["extra"]
+    expected = param_shapes(cfg)
+    for name in dict.fromkeys([*expected, *tensors]):
+        got = tensors[name].shape if name in tensors else "absent"
+        want = expected.get(name, "absent")
+        if got != want:
+            raise ValueError(f"{path}: tensor {name} is {got} in the file but {want} "
+                             "for the stored config")
+    return ModelParams(tensors), cfg, meta["normalizer"], meta["extra"]

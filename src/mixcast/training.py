@@ -1,5 +1,5 @@
 """Optimization loop: decoupled-weight-decay Adam, warmup + fixed step
-decay (`DECAY`), z-score bookkeeping and epoch orchestration.
+decay (`DECAY`) and epoch orchestration.
 
 The batch order stream is seeded separately from parameter
 initialization, so runs of different model variants under one seed
@@ -63,32 +63,6 @@ class TrainConfig:
 
 def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-@dataclass(frozen=True)
-class Normalizer:
-    """Z-score transform fitted on the training split only."""
-
-    mean: float
-    std: float
-
-    def __post_init__(self):
-        if not self.std > 0:
-            raise ValueError(f"std must be positive, got {self.std!r}")
-
-    @classmethod
-    def fit(cls, values: np.ndarray) -> "Normalizer":
-        values = np.asarray(values, dtype=float)
-        std = float(values.std())
-        if std < 1e-12:
-            raise ValueError("cannot normalize constant data (std ~ 0)")
-        return cls(mean=float(values.mean()), std=std)
-
-    def transform(self, x):
-        return (np.asarray(x, dtype=float) - self.mean) / self.std
-
-    def inverse(self, x):
-        return np.asarray(x, dtype=float) * self.std + self.mean
 
 
 def lr_at(step: int, total_steps: int, cfg: TrainConfig) -> float:

@@ -18,7 +18,6 @@ windowing that stored every window as its own copy, the reference for
 `data.WindowSet`'s gathers. None of them is on a CLI or library path, so
 they live beside the tests.
 """
-import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -42,16 +41,14 @@ def stacked_windows(d, t_h: int, t_f: int, normalizer, sessions=None):
     """Stride-1 windows that never cross session boundaries, each stored as
     its own copy: normalized inputs (uncovered nodes 0, with the 0/1
     coverage flag channel appended under a mask), normalized and raw
-    targets, session ids. Short sessions are skipped with a warning."""
+    targets, and each window's session. Sessions too short for one
+    window are a DataError."""
     if sessions is None:
         sessions = np.arange(d.sessions)
     need = t_h + t_f
     ins, raws, sids = [], [], []
     for s in sessions:
         steps = d.session_steps
-        if steps < need:
-            warnings.warn(f"session {s}: {steps} steps < {need}, skipped", stacklevel=2)
-            continue
         vals = d.values[s]  # (steps, nodes)
         for o in range(steps - need + 1):
             ins.append(vals[o : o + t_h].T)

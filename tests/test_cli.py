@@ -168,6 +168,19 @@ class TestTrain:
         )
         assert not list(tmp_path.glob("*.ckpt.npz"))
 
+    def test_sessions_shorter_than_a_window_named_once(self, tmp_path):
+        gen = ["generate", "--nodes", "3", "--sessions", "10", "--seed", "7", "--name", "short",
+               "--out", str(tmp_path)]
+        assert run(gen).exit_code == 0
+        res = CliRunner().invoke(
+            cli.main,
+            ["train", "--data", str(tmp_path / "short"), "--epochs", "1", "--horizon", "40",
+             "--out", str(tmp_path)],
+        )
+        assert res.exit_code == 3, res.output
+        assert res.output == "error: sessions have 48 steps, fewer than input_steps + horizon = 50\n"
+        assert not list(tmp_path.glob("*.ckpt.npz"))
+
     @pytest.mark.parametrize(
         "flags, message",
         [
@@ -214,7 +227,6 @@ class TestTrain:
         assert res.exit_code == 0, res.output
         config = json.loads((tmp_path / "plain.run.json").read_text())["config"]
         assert config["train"] == json.loads(json.dumps(asdict(cli.training.TrainConfig())))
-        assert config["k"] == 5
         assert config["model"]["backbone"] == asdict(model.BackboneConfig(input_steps=10))
         assert config["model"]["head"] == asdict(model.HeadConfig(components=5))
 
@@ -244,13 +256,16 @@ class TestTrain:
         backbone, head = recorded["model"]["backbone"], recorded["model"]["head"]
         again = tmp_path / "again.json"
         again.write_text(json.dumps({
-            "train": recorded["train"] | {"k": recorded["k"]},
+            "train": recorded["train"] | {"k": head["components"]},
             "model": {key: backbone[key] for key in ("hidden", "features", "activation")}
             | {"proj_width": head["proj_width"]},
         }))
-        flags = [arg for key in ("variant", "input_steps", "horizon", "coverage_fraction",
-                                 "coverage_seed", "resolution_factor")
-                 for arg in ("--" + key.replace("_", "-"), str(recorded[key]))]
+        settings = {"variant": recorded["model"]["variant"], "input_steps": backbone["input_steps"],
+                    "horizon": recorded["model"]["horizon"]}
+        settings |= {key: recorded[key] for key in ("coverage_fraction", "coverage_seed",
+                                                    "resolution_factor")}
+        flags = [arg for key, value in settings.items()
+                 for arg in ("--" + key.replace("_", "-"), str(value))]
         second = tmp_path / "second"
         res = run(["train", "--name", "m", "--config", str(again), "--data", recorded["data"],
                    "--out", str(second)] + flags)
@@ -542,7 +557,8 @@ class TestEvaluate:
         assert f"1 blank cells, first at row {len(lines)}/node {node}" in res.output
 
     @pytest.mark.parametrize("name", ["tiny.csv", "tiny.run.json", "no_meta.npz", "truncated.npz",
-                                      "unknown_key.npz", "v1_anchors.npz"])
+                                      "unknown_key.npz", "v1_anchors.npz", "head_list.npz",
+                                      "hidden_32.npz", "dropped_tensor.npz", "horizon_7.npz"])
     def test_non_checkpoint_is_data_error(self, workspace, tmp_path, name):
         path = workspace / name
         if name == "no_meta.npz":
@@ -552,18 +568,28 @@ class TestEvaluate:
             # A zip header, cut short of its central directory.
             path = tmp_path / name
             path.write_bytes((workspace / "gmm.ckpt.npz").read_bytes()[:2000])
-        elif name in ("unknown_key.npz", "v1_anchors.npz"):
-            # The gmm checkpoint with a backbone key no config has, or with
-            # the head stored as older v1 files did, but with anchors [0..4].
+        elif name.endswith(".npz"):
+            # The gmm checkpoint (6 input steps, 6 steps ahead, K=5) with
+            # its meta edited: a backbone key no config has, the head
+            # stored as older v1 files did but with anchors [0..4], a head
+            # that is not an object, or a config its tensors do not fit.
             path = tmp_path / name
             with np.load(workspace / "gmm.ckpt.npz") as npz:
                 arrays = dict(npz)
             meta = json.loads(bytes(arrays.pop("__meta__")).decode())
+            cfg = meta["model"]
             if name == "unknown_key.npz":
-                meta["model"]["backbone"]["dropout"] = 0.1
+                cfg["backbone"]["dropout"] = 0.1
+            elif name == "v1_anchors.npz":
+                cfg["head"] |= {"horizon": 6, "anchor_scale": 1.0, "anchors": [0, 1, 2, 3, 4]}
+            elif name == "head_list.npz":
+                cfg["head"] = [5, 64]
+            elif name == "hidden_32.npz":
+                cfg["backbone"]["hidden"] = 32
+            elif name == "dropped_tensor.npz":
+                meta["tensor_names"].remove("logvar.b")
             else:
-                meta["model"]["head"] |= {"horizon": 6, "anchor_scale": 1.0,
-                                          "anchors": [0, 1, 2, 3, 4]}
+                cfg["horizon"] = 7
             np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), np.uint8), **arrays)
         res = CliRunner().invoke(
             cli.main,
@@ -573,7 +599,14 @@ class TestEvaluate:
         assert res.exit_code == 3, res.output
         assert f"cannot read checkpoint {path}" in res.output
         cause = {"unknown_key.npz": "unknown BackboneConfig key(s) ['dropout']",
-                 "v1_anchors.npz": "head anchors is [0, 1, 2, 3, 4], not the derived"}
+                 "v1_anchors.npz": "head anchors is [0, 1, 2, 3, 4], not the derived",
+                 "head_list.npz": "model head must be an object, got [5, 64]",
+                 "hidden_32.npz": "tensor backbone.w1 is (64, 6) in the file but (32, 6) for "
+                                  "the stored config",
+                 "dropped_tensor.npz": "tensor logvar.b is absent in the file but (30,) for the "
+                                       "stored config",
+                 "horizon_7.npz": "tensor mix.w is (30, 64) in the file but (35, 64) for the "
+                                  "stored config"}
         assert cause.get(name, "") in res.output
 
     def test_bad_levels_rejected(self, workspace, tmp_path):

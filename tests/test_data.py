@@ -1,4 +1,4 @@
-"""Tests for synthetic generation, degradation, windowing and CSV I/O."""
+"""Tests for generation, degradation, the normalizer, windowing and CSV I/O."""
 
 import hashlib
 import math
@@ -10,8 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mixcast import data
-from mixcast.data import DataError, DatasetManifest, SyntheticSpec
-from mixcast.training import Normalizer
+from mixcast.data import DataError, DatasetManifest, Normalizer, SyntheticSpec
 
 
 def small_spec(**kw):
@@ -182,6 +181,21 @@ class TestDegradeResolution:
             data.degrade_resolution(d, 7)
 
 
+class TestNormalizer:
+    def test_round_trip(self):
+        rng = np.random.default_rng(0)
+        values = rng.normal(7.0, 2.5, 1000)
+        nrm = Normalizer.fit(values)
+        z = nrm.transform(values)
+        assert abs(z.mean()) < 1e-9
+        assert z.std() == pytest.approx(1.0, abs=1e-9)
+        np.testing.assert_allclose(nrm.inverse(z), values, atol=1e-9)
+
+    def test_constant_data_rejected(self):
+        with pytest.raises(ValueError):
+            Normalizer.fit(np.full(10, 3.0))
+
+
 class TestWindowing:
     def test_window_count(self):
         d = data.generate(small_spec(sessions=1, session_steps=30))
@@ -211,18 +225,17 @@ class TestWindowing:
         w = data.window(d, t_h=10, t_f=10, normalizer=nrm)
         per_session = 25 - 20 + 1
         assert w.count == 4 * per_session
-        # Each window's raw targets must be recoverable from its session.
+        # Window i's raw targets come from session i // per_session.
         for i in range(w.count):
-            s = int(w.session_ids[i])
-            o = (i % per_session) + 10
-            np.testing.assert_array_equal(w.targets_raw[i], d.values[s, o : o + 10].T)
+            s, o = divmod(i, per_session)
+            np.testing.assert_array_equal(w.targets_raw[i], d.values[s, o + 10 : o + 20].T)
 
-    def test_short_sessions_skipped_with_warning(self):
+    def test_short_sessions_rejected_naming_both_lengths(self):
         d = data.generate(small_spec(sessions=3, session_steps=15))
         nrm = Normalizer.fit(d.values)
-        with pytest.warns(UserWarning, match="skipped"):
-            with pytest.raises(DataError):
-                data.window(d, t_h=10, t_f=10, normalizer=nrm)
+        with pytest.raises(DataError, match=r"^sessions have 15 steps, fewer than "
+                                            r"input_steps \+ horizon = 20$"):
+            data.window(d, t_h=10, t_f=10, normalizer=nrm)
 
     @given(sessions=st.integers(1, 4), steps=st.integers(2, 16), nodes=st.integers(1, 4),
            t_h=st.integers(1, 6), t_f=st.integers(1, 6), masked=st.booleans(),
@@ -239,9 +252,8 @@ class TestWindowing:
         subset = np.arange(int(rng.integers(0, sessions)), sessions)
         if steps < t_h + t_f:
             for windowing in (data.window, oracles.stacked_windows):
-                with pytest.warns(UserWarning, match="skipped"):
-                    with pytest.raises(DataError):
-                        windowing(d, t_h, t_f, nrm, sessions=subset)
+                with pytest.raises(DataError):
+                    windowing(d, t_h, t_f, nrm, sessions=subset)
             return
         w = data.window(d, t_h, t_f, nrm, sessions=subset)
         ref = oracles.stacked_windows(d, t_h, t_f, nrm, sessions=subset)
@@ -251,7 +263,7 @@ class TestWindowing:
 
         assert w.count == len(ref.session_ids)
         assert w.channels == (2 if masked else 1)
-        for name in ("inputs", "targets", "targets_raw", "session_ids"):
+        for name in ("inputs", "targets", "targets_raw"):
             same_bytes(getattr(w, name), getattr(ref, name))
         # Any subset, in any order, and from a float32 copy of the series
         # as training gathers it.

@@ -1,4 +1,4 @@
-"""Tests for the optimizer, schedule, normalizer and fit loop."""
+"""Tests for the optimizer, schedule and fit loop."""
 
 import hashlib
 import math
@@ -12,7 +12,7 @@ import pytest
 
 from mixcast import data, model, training
 from mixcast.model import BackboneConfig, HeadConfig, ModelConfig, ModelParams
-from mixcast.training import AdamWState, Normalizer, TrainConfig
+from mixcast.training import AdamWState, TrainConfig
 
 
 def scalar_params(value=0.0):
@@ -116,21 +116,6 @@ class TestSchedule:
             + cfg.lr * 0.01 * (total - b2)
         )
         assert abs(got - analytic) < cfg.lr
-
-
-class TestNormalizer:
-    def test_round_trip(self):
-        rng = np.random.default_rng(0)
-        values = rng.normal(7.0, 2.5, 1000)
-        nrm = Normalizer.fit(values)
-        z = nrm.transform(values)
-        assert abs(z.mean()) < 1e-9
-        assert z.std() == pytest.approx(1.0, abs=1e-9)
-        np.testing.assert_allclose(nrm.inverse(z), values, atol=1e-9)
-
-    def test_constant_data_rejected(self):
-        with pytest.raises(ValueError):
-            Normalizer.fit(np.full(10, 3.0))
 
 
 class TestOptimizer:
@@ -279,9 +264,7 @@ def tiny_splits(rng, n_windows=64, nodes=2, t_h=4, t_f=2, bimodal=True):
 
     def mk(sl):
         rows = series[sl]
-        starts = np.stack([np.arange(len(rows)), np.zeros(len(rows), int)], axis=1)
-        return data.WindowSet(series=rows, raw=rows, starts=starts,
-                              session_ids=starts[:, 0], input_steps=t_h, horizon=t_f)
+        return data.WindowSet(series=rows, raw=rows, input_steps=t_h, horizon=t_f)
 
     return SimpleNamespace(train=mk(slice(0, cut)), val=mk(slice(cut, None)))
 
