@@ -15,7 +15,7 @@ import json
 import os
 import time
 import zipfile
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import click
@@ -169,9 +169,8 @@ def build_model_config(variant, k, input_steps, horizon, channels, mcfg: dict) -
     return model.ModelConfig(variant=variant, backbone=backbone, horizon=horizon, head=head)
 
 
-def train_run(data_path, variant, k, train_cfg: training.TrainConfig,
-              input_steps, horizon, model_overrides=None,
-              coverage_fraction=1.0, coverage_seed=0, resolution_factor=1):
+def train_run(data_path, variant, k, train_cfg: training.TrainConfig, input_steps, horizon,
+              model_overrides, coverage_fraction, coverage_seed, resolution_factor):
     """Load, degrade, split, window, fit: (result, model_cfg, splits, extra).
     The splits copy the series, so the dataset is released before fitting."""
     dataset, manifest = load_dataset(data_path)
@@ -180,8 +179,7 @@ def train_run(data_path, variant, k, train_cfg: training.TrainConfig,
     del dataset, worked
     channels = splits.train.channels
     try:
-        mcfg = build_model_config(variant, k, input_steps, horizon, channels,
-                                  model_overrides or {})
+        mcfg = build_model_config(variant, k, input_steps, horizon, channels, model_overrides)
     except (TypeError, ValueError) as err:
         raise data.DataError(f"model config: {err}") from err
     result = training.fit(splits, mcfg, train_cfg)
@@ -224,13 +222,14 @@ def training_health(result: training.TrainResult) -> dict:
             "logvar_clamped": clamped, **tables}
 
 
-def evaluate_run(checkpoint_path, dataset, manifest, levels=metrics.DEFAULT_LEVELS,
-                 grid_points=500, normalized_space=False, ridge=(0, 0)):
-    """Score a checkpoint on the dataset's test split: (report, ridge grid).
+def evaluate_run(checkpoint_path, data_path, levels, grid_points, normalized_space, ridge):
+    """Score a checkpoint on the test split of the dataset at `data_path`:
+    (report, ridge grid).
 
     The data-quality settings and normalizer stored at training time are
-    reapplied so inputs match what the model saw. Metrics are reported in
-    raw units unless normalized_space is set. The test windows are
+    reapplied so inputs match what the model saw, and the dataset is
+    released once the splits hold their own copies. Metrics are reported
+    in raw units unless normalized_space is set. The test windows are
     predicted, mapped to the reporting space and scored in chunks of
     `metrics.chunk_rows` windows, so no array holds the mixtures of the
     whole split. The ridge grid is (x, float64 densities (horizon,
@@ -241,19 +240,17 @@ def evaluate_run(checkpoint_path, dataset, manifest, levels=metrics.DEFAULT_LEVE
         params, mcfg, norm_stats, extra = model.load_checkpoint(checkpoint_path)
     except (EOFError, KeyError, ValueError, zipfile.BadZipFile) as err:
         raise data.DataError(f"cannot read checkpoint {checkpoint_path}: {err}") from err
+    dataset, manifest = load_dataset(data_path)
     if extra.get("dataset_id") not in (None, dataset_id(manifest)):
         raise data.DataError(
             f"checkpoint was trained on dataset {extra.get('dataset_id')}, "
             f"given {dataset_id(manifest)}"
         )
-    worked = apply_quality(
-        dataset,
-        extra.get("coverage_fraction", 1.0),
-        extra.get("coverage_seed", 0),
-        extra.get("resolution_factor", 1),
-    )
+    worked = apply_quality(dataset, extra.get("coverage_fraction", 1.0),
+                           extra.get("coverage_seed", 0), extra.get("resolution_factor", 1))
     splits = data.prepare_splits(worked, mcfg.backbone.input_steps, mcfg.horizon,
                                  manifest.split_fractions)
+    del dataset, worked
     nrm = splits.normalizer
     if norm_stats is not None and (
         abs(norm_stats["mean"] - nrm.mean) > 1e-9 or abs(norm_stats["std"] - nrm.std) > 1e-9
@@ -271,7 +268,7 @@ def evaluate_run(checkpoint_path, dataset, manifest, levels=metrics.DEFAULT_LEVE
         raise data.DataError(
             f"ridge index (window {window}, node {node}) outside ({n_windows}, {n_nodes})"
         )
-    interval_range = (-6.0, 6.0) if normalized_space else (0.0, worked.max_value)
+    interval_range = (-6.0, 6.0) if normalized_space else (0.0, manifest.max_value)
     scoring = metrics.ScoringConfig(
         levels=tuple(levels),
         interval_points=grid_points,
@@ -385,13 +382,18 @@ def main():
 
 
 @main.command("generate")
-@click.option("--nodes", type=int, default=50, callback=_positive, show_default=True)
-@click.option("--sessions", type=int, default=30, callback=_positive, show_default=True)
-@click.option("--session-steps", type=int, default=48, callback=_positive, show_default=True)
-@click.option("--step-minutes", type=float, default=3.0, show_default=True)
-@click.option("--max-value", type=float, default=14.0, show_default=True)
-@click.option("--noise", type=float, default=0.3, show_default=True)
-@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
+@click.option("--nodes", type=int, default=data.SyntheticSpec.nodes, callback=_positive,
+              show_default=True)
+@click.option("--sessions", type=int, default=data.SyntheticSpec.sessions, callback=_positive,
+              show_default=True)
+@click.option("--session-steps", type=int, default=data.SyntheticSpec.session_steps,
+              callback=_positive, show_default=True)
+@click.option("--step-minutes", type=float, default=data.SyntheticSpec.step_minutes,
+              show_default=True)
+@click.option("--max-value", type=float, default=data.SyntheticSpec.max_value, show_default=True)
+@click.option("--noise", type=float, default=data.SyntheticSpec.noise_sigma, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=data.SyntheticSpec.seed,
+              show_default=True)
 @click.option("--name", default="synthetic", show_default=True)
 @click.option("--out", type=click.Path(), default=None, help="Output directory (default $MIXCAST_OUT or cwd).")
 def cmd_generate(nodes, sessions, session_steps, step_minutes, max_value, noise, seed, name, out):
@@ -415,7 +417,7 @@ def cmd_generate(nodes, sessions, session_steps, step_minutes, max_value, noise,
         _write_run_manifest(
             Path(str(base) + ".run.json"),
             "generate",
-            {"spec": spec.__dict__ | {"seed": seed}},
+            {"spec": asdict(spec)},
             {"csv": csv_path, "manifest": man_path},
             started,
         )
@@ -458,9 +460,8 @@ def cmd_train(data_path, variant, k, epochs, batch_size, lr, seed, input_steps, 
         except (TypeError, ValueError) as err:
             raise data.DataError(f"train config: {err}") from err
         result, mcfg, splits, extra = train_run(
-            data_path, variant, k, train_cfg, input_steps, horizon,
-            model_overrides=config["model"], coverage_fraction=coverage_fraction,
-            coverage_seed=coverage_seed, resolution_factor=resolution_factor)
+            data_path, variant, k, train_cfg, input_steps, horizon, config["model"],
+            coverage_fraction, coverage_seed, resolution_factor)
         base = _out_dir(out) / (name or f"{variant}_seed{train_cfg.seed}")
         ckpt_path = Path(str(base) + ".ckpt.npz")
         log_path = Path(str(base) + ".log")
@@ -497,7 +498,8 @@ def cmd_train(data_path, variant, k, epochs, batch_size, lr, seed, input_steps, 
 @click.option("--checkpoint", required=True, type=click.Path(exists=True))
 @click.option("--data", "data_path", required=True, type=click.Path())
 @click.option("--levels", default="0.5:0.95:0.05", show_default=True)
-@click.option("--grid-points", type=click.IntRange(min=2), default=500, show_default=True,
+@click.option("--grid-points", type=click.IntRange(min=2),
+              default=metrics.ScoringConfig.interval_points, show_default=True,
               help="Interval-derivation grid points.")
 @click.option("--normalized-space", is_flag=True, default=False,
               help="Score in normalized space instead of raw units.")
@@ -510,17 +512,9 @@ def cmd_evaluate(checkpoint, data_path, levels, grid_points, normalized_space,
     """Score a checkpoint on the test split; write report + plot tables."""
     started = time.time()
     try:
-        dataset, manifest = load_dataset(data_path)
         level_values = parse_levels(levels, grid_points)
-        report, ridge = evaluate_run(
-            checkpoint,
-            dataset,
-            manifest,
-            levels=level_values,
-            grid_points=grid_points,
-            normalized_space=normalized_space,
-            ridge=(ridge_window, ridge_node),
-        )
+        report, ridge = evaluate_run(checkpoint, data_path, level_values, grid_points,
+                                     normalized_space, (ridge_window, ridge_node))
         base = _out_dir(out) / (name or (Path(checkpoint).name.split(".")[0] + "_eval"))
         report_path = Path(str(base) + ".report.txt")
         horizon_path = Path(str(base) + ".horizon.tsv")
@@ -556,7 +550,7 @@ def cmd_evaluate(checkpoint, data_path, levels, grid_points, normalized_space,
                      "hpd_pit_counts_by_step": report.hpd_pit_counts_by_step,
                      "ridge_grid_mass": ridge_mass},
         )
-    except (data.DataError, IndexError) as err:
+    except data.DataError as err:
         raise _fail(err)
     click.echo(f"wrote {report_path} (crps {report.crps_mean!r})")
 

@@ -14,7 +14,9 @@ bit-identical datasets, masks and windows.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+import math
+import numbers
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -23,6 +25,41 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 class DataError(ValueError):
     """Malformed or inconsistent dataset input."""
+
+
+def is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def check_ints(obj, least: int, *names):
+    """ValueError unless each named field of obj is an integer (bool
+    excluded) of at least `least`."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def check_positive(obj, *names):
+    """DataError unless each named field of obj is a finite real > 0."""
+    for name in names:
+        value = getattr(obj, name)
+        if not (is_real(value) and 0 < value < math.inf):
+            raise DataError(f"{name}={value!r} must be finite and positive")
+
+
+def from_fields(cls, values: dict):
+    """cls(**values) for a dataclass read from JSON; a ValueError names
+    each key that is not a field of cls and each field without a default
+    that values lacks."""
+    unknown = sorted(set(values) - {f.name for f in fields(cls)})
+    missing = [f.name for f in fields(cls)
+               if f.name not in values and f.default is f.default_factory is MISSING]
+    problems = [f"{what} {cls.__name__} key(s) {keys}"
+                for what, keys in (("unknown", unknown), ("missing", missing)) if keys]
+    if problems:
+        raise ValueError("; ".join(problems))
+    return cls(**values)
 
 
 @dataclass(frozen=True)
@@ -77,9 +114,7 @@ class SeriesDataset:
     missing: np.ndarray | None = None  # (sessions, steps, nodes) bool
 
     def __post_init__(self):
-        for name in ("step_minutes", "max_value"):
-            if not 0.0 < getattr(self, name) < np.inf:
-                raise DataError(f"{name}={getattr(self, name)!r} must be finite and positive")
+        check_positive(self, "step_minutes", "max_value")
         v = self.values
         if v.ndim != 3:
             raise DataError(f"values must be (sessions, steps, nodes), got {v.shape}")
@@ -104,11 +139,10 @@ class SeriesDataset:
     def nodes(self) -> int:
         return self.values.shape[2]
 
-    def split_sessions(self, fractions=(0.7, 0.1, 0.2)) -> dict:
-        """Contiguous session blocks: train, then val, then test; each
-        block holds at least one session."""
-        if len(fractions) != 3 or abs(sum(fractions) - 1.0) > 1e-9:
-            raise DataError(f"split fractions must sum to 1, got {fractions}")
+    def split_sessions(self, fractions) -> dict:
+        """Contiguous session blocks: train, then val, then test, by the
+        (train, val, test) fractions `DatasetManifest` checks; each block
+        holds at least one session."""
         n = self.sessions
         if n < 3:
             raise DataError(
@@ -307,7 +341,7 @@ class Splits:
     normalizer: object
 
 
-def prepare_splits(d: SeriesDataset, t_h: int, t_f: int, fractions=(0.7, 0.1, 0.2)) -> Splits:
+def prepare_splits(d: SeriesDataset, t_h: int, t_f: int, fractions) -> Splits:
     """Split sessions into contiguous blocks, fit the normalizer on the
     training block only (covered nodes only, when masked), and window
     each split with it.
@@ -336,8 +370,16 @@ def prepare_splits(d: SeriesDataset, t_h: int, t_f: int, fractions=(0.7, 0.1, 0.
 # ----------------------------------------------------------------------
 
 
+_MANIFEST_ENVELOPE = {"format": "mixcast-dataset", "version": 1}
+
+
 @dataclass(frozen=True)
 class DatasetManifest:
+    """What a dataset CSV holds. node_ids and the (train, val, test)
+    split_fractions are non-empty lists, stored as tuples; sessions and
+    steps are integers >= 1, step_minutes and max_value finite reals > 0,
+    and split_fractions three numbers >= 0 that sum to 1."""
+
     node_ids: tuple
     sessions: int
     session_steps: int
@@ -345,6 +387,19 @@ class DatasetManifest:
     max_value: float
     seed: int | None = None
     split_fractions: tuple = (0.7, 0.1, 0.2)
+
+    def __post_init__(self):
+        for name in ("node_ids", "split_fractions"):
+            value = getattr(self, name)
+            if not (isinstance(value, (list, tuple)) and value):
+                raise DataError(f"{name} must be a non-empty list, got {value!r}")
+            object.__setattr__(self, name, tuple(value))
+        check_ints(self, 1, "sessions", "session_steps")
+        check_positive(self, "step_minutes", "max_value")
+        fr = self.split_fractions
+        if (len(fr) != 3 or not all(is_real(f) and f >= 0 for f in fr)
+                or abs(sum(fr) - 1.0) > 1e-9):
+            raise DataError(f"split_fractions must be three numbers >= 0 that sum to 1, got {fr!r}")
 
     @classmethod
     def for_dataset(cls, d: SeriesDataset) -> "DatasetManifest":
@@ -359,36 +414,27 @@ class DatasetManifest:
 
 
 def write_manifest(m: DatasetManifest, path):
-    payload = {
-        "format": "mixcast-dataset",
-        "version": 1,
-        "node_ids": list(m.node_ids),
-        "sessions": m.sessions,
-        "session_steps": m.session_steps,
-        "step_minutes": m.step_minutes,
-        "max_value": m.max_value,
-        "seed": m.seed,
-        "split_fractions": list(m.split_fractions),
-    }
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump({**_MANIFEST_ENVELOPE, **asdict(m)}, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def read_manifest(path) -> DatasetManifest:
-    with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("format") != "mixcast-dataset":
-        raise DataError(f"{path}: not a dataset manifest")
-    return DatasetManifest(
-        node_ids=tuple(payload["node_ids"]),
-        sessions=payload["sessions"],
-        session_steps=payload["session_steps"],
-        step_minutes=payload["step_minutes"],
-        max_value=payload["max_value"],
-        seed=payload.get("seed"),
-        split_fractions=tuple(payload.get("split_fractions", (0.7, 0.1, 0.2))),
-    )
+    """The manifest `write_manifest` wrote; a DataError names the file and
+    the malformed JSON, envelope, key or value."""
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+        if not isinstance(payload, dict):
+            raise DataError(f"expected a JSON object, got {type(payload).__name__}")
+        envelope = {key: payload.pop(key, None) for key in _MANIFEST_ENVELOPE}
+        if envelope != _MANIFEST_ENVELOPE:
+            raise DataError(f"not a dataset manifest: {envelope}")
+        return from_fields(DatasetManifest, payload)
+    except json.JSONDecodeError as err:
+        raise DataError(f"{path}: malformed JSON: {err}") from err
+    except (OSError, ValueError) as err:
+        raise DataError(f"{path}: {err}") from err
 
 
 def export_csv(d: SeriesDataset, path):

@@ -1,6 +1,6 @@
 """Univariate Gaussian mixture kernel: one mixture type, `MixtureBatch`
 ((..., K) parameter arrays; a single mixture has element shape ()), with
-grid densities, CDF and point estimates, and the training NLL.
+grid densities and point estimates, and the training NLL.
 
 The NLL and its gradients (`nll_and_gradients`) work in log space from
 the head's raw outputs, as mixture density networks do (Bishop 1994):
@@ -24,9 +24,8 @@ and anything else is computed in float64.
 `MixtureBatch` keeps the components last, (..., K), and sums (`_sum_k`)
 and renormalizes over them one component at a time: a numpy operation
 along, or broadcast over, a length-K last axis loops over rows of K and
-is several times slower at these shapes. The normal CDF terms come from
-`math.erf` and `math.erfc` applied elementwise (`erf`, `norm_cdf`), so
-the package needs no scipy.
+is several times slower at these shapes. The error function comes from
+`math.erf` applied elementwise (`erf`), so the package needs no scipy.
 """
 from __future__ import annotations
 
@@ -54,7 +53,6 @@ LOG_RESP_CUTOFF = -60.0
 _SQRT_HALF = math.sqrt(0.5)
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 _ERF = np.frompyfunc(math.erf, 1, 1)
-_ERFC = np.frompyfunc(math.erfc, 1, 1)
 
 
 class InvalidMixtureError(ValueError):
@@ -182,21 +180,6 @@ def erf(x):
     return np.asarray(_ERF(x), dtype=float)
 
 
-def norm_cdf(z):
-    """Standard normal CDF as 0.5 erfc(-z / sqrt 2), elementwise, with no
-    cancellation in the lower tail: within 5e-15 relative of
-    `scipy.special.ndtr` on [-10, 10]. z is multiplied by a rounded
-    sqrt(1/2), which lands several times closer than dividing by sqrt 2."""
-    return 0.5 * np.asarray(_ERFC(np.multiply(z, -_SQRT_HALF)), dtype=float)
-
-
-def cdf_values(weights, means, variances, x):
-    """Vectorized mixture CDF: weighted standard-normal CDFs."""
-    x = np.asarray(x, dtype=float)
-    z = (x[..., None] - means) / np.sqrt(variances)
-    return _sum_k(weights * norm_cdf(z))
-
-
 @dataclass(frozen=True)
 class MixtureBatch:
     """A dense array of mixtures: parameter arrays of shape (..., K).
@@ -270,9 +253,6 @@ class MixtureBatch:
         return MixtureBatch._valid(
             self.weights.reshape(new), self.means.reshape(new), self.variances.reshape(new)
         )
-
-    def cdf(self, x: np.ndarray) -> np.ndarray:
-        return cdf_values(self.weights, self.means, self.variances, x)
 
     def point_estimates(self) -> np.ndarray:
         return _sum_k(self.weights * self.means)

@@ -13,12 +13,12 @@ grid: an element is covered at level c iff its HPD value u
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import intervals as iv
+from .data import check_ints
 from .gmm import _SQRT_HALF, MixtureBatch, _sum_k, erf, grid_densities
 
 DEFAULT_LEVELS = tuple(np.round(np.arange(0.50, 0.951, 0.05), 10))
@@ -63,9 +63,7 @@ class ScoringConfig:
 
     def __post_init__(self):
         check_levels(self.levels)
-        points = self.interval_points
-        if isinstance(points, bool) or not isinstance(points, numbers.Integral) or points < 2:
-            raise ValueError(f"interval_points must be an integer >= 2, got {points!r}")
+        check_ints(self, 2, "interval_points")
         if self.interval_range is not None:
             bounds = np.asarray(self.interval_range, dtype=float)
             if bounds.shape != (2,) or not np.all(np.isfinite(bounds)):

@@ -40,11 +40,11 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .data import check_ints, from_fields
 from .gmm import LOG_VAR_MAX, LOG_VAR_MIN, MixtureBatch, nll_and_gradients
 
 VARIANTS = ("det", "norm", "gmm")
@@ -56,15 +56,6 @@ def default_anchors(components: int):
     scale = 6.0 / (components + 1)
     anchors = scale * (np.arange(1, components + 1) - (components + 1) / 2.0)
     return scale, anchors
-
-
-def check_ints(obj, least: int, *names):
-    """ValueError unless each named field of obj is an integer (bool
-    excluded) of at least `least`."""
-    for name in names:
-        value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -94,7 +85,7 @@ class BackboneConfig:
     activation: str = "tanh"  # "tanh" | "identity"
 
     def __post_init__(self):
-        check_ints(self, 1, "hidden", "features")
+        check_ints(self, 1, "input_steps", "hidden", "features")
         if self.activation not in ("tanh", "identity"):
             raise ValueError(f"unknown activation {self.activation!r}")
         if self.channels not in (1, 2):
@@ -113,6 +104,7 @@ class ModelConfig:
     head: HeadConfig | None = None
 
     def __post_init__(self):
+        check_ints(self, 1, "horizon")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.variant == "det":
@@ -444,14 +436,6 @@ def _cfg_to_meta(cfg: ModelConfig) -> dict:
     return meta
 
 
-def _from_meta(cls, values: dict):
-    """cls(**values); a ValueError names each key that is not a field of cls."""
-    unknown = sorted(set(values) - {f.name for f in fields(cls)})
-    if unknown:
-        raise ValueError(f"unknown {cls.__name__} key(s) {unknown}")
-    return cls(**values)
-
-
 def _cfg_from_meta(meta: dict) -> ModelConfig:
     """The config `_cfg_to_meta` wrote. Older v1 files carry a backbone
     `graph_alpha`, which is dropped, and the head's horizon, anchor scale
@@ -465,7 +449,7 @@ def _cfg_from_meta(meta: dict) -> ModelConfig:
         stored = dict(meta["head"])
         derived = {key: stored.pop(key) for key in ("horizon", "anchor_scale", "anchors")
                    if key in stored}
-        head = _from_meta(HeadConfig, stored)
+        head = from_fields(HeadConfig, stored)
         expected = {"horizon": meta["horizon"], "anchor_scale": head.anchor_scale,
                     "anchors": head.anchors.tolist()}
         for key, value in derived.items():
@@ -473,7 +457,7 @@ def _cfg_from_meta(meta: dict) -> ModelConfig:
                 raise ValueError(f"head {key} is {value!r}, not the derived {expected[key]!r}")
     return ModelConfig(
         variant=meta["variant"],
-        backbone=_from_meta(BackboneConfig, backbone),
+        backbone=from_fields(BackboneConfig, backbone),
         horizon=meta["horizon"],
         head=head,
     )

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import hashlib
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import model as mdl
+from .data import check_ints, is_real
 
 # Adam's denominator guard; the step decay as (progress point, lr factor)
 # pairs, points increasing and factors decreasing.
@@ -46,23 +46,19 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        mdl.check_ints(self, 1, "epochs", "batch_size")
-        mdl.check_ints(self, 0, "seed")
-        if not (_is_real(self.lr) and 0 < self.lr < math.inf):
+        check_ints(self, 1, "epochs", "batch_size")
+        check_ints(self, 0, "seed")
+        if not (is_real(self.lr) and 0 < self.lr < math.inf):
             raise ValueError(f"lr must be positive and finite, got {self.lr!r}")
         for name in ("lr", "weight_decay", "warmup_epochs", "clip_norm"):
             value = getattr(self, name)
-            if not (_is_real(value) and 0 <= value < math.inf):
+            if not (is_real(value) and 0 <= value < math.inf):
                 raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
             object.__setattr__(self, name, float(value))
         betas = tuple(self.betas) if isinstance(self.betas, (list, tuple)) else None
-        if betas is None or len(betas) != 2 or not all(_is_real(b) and 0 <= b < 1 for b in betas):
+        if betas is None or len(betas) != 2 or not all(is_real(b) and 0 <= b < 1 for b in betas):
             raise ValueError(f"betas must be two numbers in [0, 1), got {self.betas!r}")
         object.__setattr__(self, "betas", tuple(float(b) for b in betas))
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def lr_at(step: int, total_steps: int, cfg: TrainConfig) -> float:

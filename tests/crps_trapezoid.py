@@ -1,14 +1,14 @@
 """Test-side CRPS oracle: trapezoidal integration of (F - H)^2.
 
-The package scores mixtures with the closed form; this grid version only
-shares the mixture CDF with it, so tests use it as an independent
-reference. Its error is O(dx^2) relative to the narrowest component.
+The package scores mixtures with the closed form; this grid version
+integrates the test-side mixture CDF (`oracles.cdf_values`), so tests use
+it as an independent reference. Its error is O(dx^2) relative to the narrowest component.
 """
 import math
 
 import numpy as np
 
-from mixcast.gmm import cdf_values
+from oracles import cdf_values
 
 _TAIL_SIGMAS = 8.0
 

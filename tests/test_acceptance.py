@@ -29,6 +29,8 @@ LEVELS = metrics.DEFAULT_LEVELS
 EPOCHS, LR, BATCH = 18, 2e-3, 32
 T_H = T_F = 10
 SEEDS = (0, 1, 2)
+# The (train, val, test) split a manifest gets by default.
+SPLIT = data.DatasetManifest.split_fractions
 
 
 def ok(criterion, detail):
@@ -45,7 +47,7 @@ def train_and_score(dataset, variant, k, seed, coverage=None):
     worked = dataset
     if coverage is not None:
         worked, _ = data.degrade_coverage(dataset, coverage, seed=seed + 1000)
-    splits = data.prepare_splits(worked, T_H, T_F)
+    splits = data.prepare_splits(worked, T_H, T_F, fractions=SPLIT)
     head = None if variant == "det" else model.HeadConfig(components=k)
     mcfg = model.ModelConfig(
         variant=variant,

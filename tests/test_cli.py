@@ -95,6 +95,27 @@ class TestGenerate:
         assert message in res.output
         assert not (tmp_path / "tiny.csv").exists()
 
+    def test_help_shows_the_spec_defaults(self):
+        # The option defaults are read from SyntheticSpec; the text is as
+        # it was when the CLI spelled them out.
+        assert run(["generate", "--help"]).output == """\
+Usage: main generate [OPTIONS]
+
+  Write a synthetic dataset (CSV + manifest).
+
+Options:
+  --nodes INTEGER          [default: 50]
+  --sessions INTEGER       [default: 30]
+  --session-steps INTEGER  [default: 48]
+  --step-minutes FLOAT     [default: 3.0]
+  --max-value FLOAT        [default: 14.0]
+  --noise FLOAT            [default: 0.3]
+  --seed INTEGER RANGE     [default: 0; x>=0]
+  --name TEXT              [default: synthetic]
+  --out PATH               Output directory (default $MIXCAST_OUT or cwd).
+  --help                   Show this message and exit.
+"""
+
     def test_env_var_sets_output_dir(self, tmp_path):
         res = CliRunner().invoke(
             cli.main, GEN, env={"MIXCAST_OUT": str(tmp_path)}, catch_exceptions=False
@@ -385,7 +406,8 @@ class TestTrain:
         assert 0 < stats["min"] <= stats["median"] <= stats["max"]
         # The same run in process gives every step's norm.
         tcfg = cli.training.TrainConfig(epochs=2, batch_size=16, lr=0.002, clip_norm=0.2, seed=3)
-        result, _, splits, _ = cli.train_run(workspace / "tiny", "gmm", 5, tcfg, 6, 6)
+        result, _, splits, _ = cli.train_run(workspace / "tiny", "gmm", 5, tcfg, 6, 6, {},
+                                             1.0, 0, 1)
         norms = result.grad_norms
         steps = len(re.findall(r"^epoch=\d+ step=\d+ ", (tmp_path / "health.log").read_text(),
                                flags=re.M))
@@ -405,6 +427,51 @@ class TestTrain:
             assert np.shape(manifest[key]) == (2, 6)
         assert all(0 <= h <= math.log(5) + 1e-12 for row in manifest["weight_entropy"] for h in row)
         assert all(1 <= k <= 5 + 1e-12 for row in manifest["effective_k"] for k in row)
+
+
+def _manifest_edit(key, value):
+    return lambda m: json.dumps(m | {key: value})
+
+
+# Each malformed manifest, as an edit of the tiny dataset's manifest
+# object, and the part of the message that names its key or value.
+BAD_MANIFESTS = {
+    "missing-key": (lambda m: json.dumps({k: v for k, v in m.items() if k != "sessions"}),
+                    "missing DatasetManifest key(s) ['sessions']"),
+    "malformed-json": (lambda m: json.dumps(m)[:-2], "malformed JSON: Expecting value"),
+    "json-list": (lambda m: json.dumps(list(m)), "expected a JSON object, got list"),
+    "max-value-text": (_manifest_edit("max_value", "x"), "max_value='x' must be finite"),
+    "split-text": (_manifest_edit("split_fractions", [0.7, 0.1, "x"]),
+                   "split_fractions must be three numbers >= 0 that sum to 1, got (0.7, 0.1, 'x')"),
+    "sessions-float": (_manifest_edit("sessions", 10.0),
+                       "sessions must be an integer >= 1, got 10.0"),
+    "sessions-text": (_manifest_edit("sessions", "ten"),
+                      "sessions must be an integer >= 1, got 'ten'"),
+    "split-sum": (_manifest_edit("split_fractions", [0.7, 0.1, 0.3]), "sum to 1"),
+    "unknown-key": (_manifest_edit("nodes", 6), "unknown DatasetManifest key(s) ['nodes']"),
+    "other-format": (_manifest_edit("format", "mixcast-checkpoint"), "not a dataset manifest"),
+}
+
+
+class TestManifestInput:
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    @pytest.mark.parametrize("case", sorted(BAD_MANIFESTS))
+    def test_malformed_manifest_named_and_nothing_written(self, workspace, tmp_path, command,
+                                                          case):
+        edit, cause = BAD_MANIFESTS[case]
+        man_path = tmp_path / "bad.manifest.json"
+        man_path.write_text(edit(json.loads((workspace / "tiny.manifest.json").read_text())))
+        (tmp_path / "bad.csv").write_bytes((workspace / "tiny.csv").read_bytes())
+        out = tmp_path / "out"
+        args = {"train": ["train", "--variant", "det", "--epochs", "1", "--input-steps", "6",
+                          "--horizon", "6"],
+                "evaluate": ["evaluate", "--checkpoint", str(workspace / "gmm.ckpt.npz")]}
+        res = CliRunner().invoke(cli.main, args[command] + ["--data", str(tmp_path / "bad"),
+                                                            "--out", str(out)])
+        assert res.exit_code == 3, res.output
+        assert res.output.startswith(f"error: {man_path}: ")
+        assert cause in res.output
+        assert not out.exists()
 
 
 class TestEvaluate:
@@ -558,7 +625,8 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("name", ["tiny.csv", "tiny.run.json", "no_meta.npz", "truncated.npz",
                                       "unknown_key.npz", "v1_anchors.npz", "head_list.npz",
-                                      "hidden_32.npz", "dropped_tensor.npz", "horizon_7.npz"])
+                                      "hidden_32.npz", "dropped_tensor.npz", "horizon_7.npz",
+                                      "no_input_steps.npz", "horizon_text.npz"])
     def test_non_checkpoint_is_data_error(self, workspace, tmp_path, name):
         path = workspace / name
         if name == "no_meta.npz":
@@ -570,9 +638,10 @@ class TestEvaluate:
             path.write_bytes((workspace / "gmm.ckpt.npz").read_bytes()[:2000])
         elif name.endswith(".npz"):
             # The gmm checkpoint (6 input steps, 6 steps ahead, K=5) with
-            # its meta edited: a backbone key no config has, the head
-            # stored as older v1 files did but with anchors [0..4], a head
-            # that is not an object, or a config its tensors do not fit.
+            # its meta edited: a backbone key no config has or one it
+            # needs, the head stored as older v1 files did but with
+            # anchors [0..4], a head that is not an object, a horizon
+            # given as text, or a config its tensors do not fit.
             path = tmp_path / name
             with np.load(workspace / "gmm.ckpt.npz") as npz:
                 arrays = dict(npz)
@@ -588,6 +657,10 @@ class TestEvaluate:
                 cfg["backbone"]["hidden"] = 32
             elif name == "dropped_tensor.npz":
                 meta["tensor_names"].remove("logvar.b")
+            elif name == "no_input_steps.npz":
+                del cfg["backbone"]["input_steps"]
+            elif name == "horizon_text.npz":
+                cfg["horizon"] = "6"
             else:
                 cfg["horizon"] = 7
             np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), np.uint8), **arrays)
@@ -606,7 +679,9 @@ class TestEvaluate:
                  "dropped_tensor.npz": "tensor logvar.b is absent in the file but (30,) for the "
                                        "stored config",
                  "horizon_7.npz": "tensor mix.w is (30, 64) in the file but (35, 64) for the "
-                                  "stored config"}
+                                  "stored config",
+                 "no_input_steps.npz": "missing BackboneConfig key(s) ['input_steps']",
+                 "horizon_text.npz": "horizon must be an integer >= 1, got '6'"}
         assert cause.get(name, "") in res.output
 
     def test_bad_levels_rejected(self, workspace, tmp_path):
@@ -684,7 +759,6 @@ class TestEvaluateChunks:
         # in one chunk. Every variant and space streams the same chunks,
         # and one chunk of all windows gives the same report but for the
         # rounding of a differently blocked gemm in predict.
-        dataset, manifest = cli.load_dataset(workspace / "tiny")
         ckpt = workspace / f"{variant}.ckpt.npz"
         predicted = []
         predict = model.predict
@@ -697,7 +771,8 @@ class TestEvaluateChunks:
         reports = []
         for cells in (metrics._CHUNK_CELLS, 2**40):
             monkeypatch.setattr(metrics, "_CHUNK_CELLS", cells)
-            reports.append(cli.evaluate_run(ckpt, dataset, manifest, normalized_space=normalized)[0])
+            reports.append(cli.evaluate_run(ckpt, workspace / "tiny", metrics.DEFAULT_LEVELS, 500,
+                                            normalized, (0, 0))[0])
         assert predicted == [7, 6, 13]
         chunked, whole = reports
         assert chunked.meta == whole.meta and chunked.meta["elements"] == str(13 * 36)
@@ -713,9 +788,14 @@ class TestEvaluateMemory:
     def traced_peak(tmp_path, session_steps):
         """(elements, levels, tracemalloc peak) of `evaluate_run` on the
         test session of a 10-node dataset, with an untrained K = 8
-        checkpoint (no dataset id, so any dataset is accepted)."""
+        checkpoint (no dataset id, so any dataset is accepted). The peak
+        covers reading the dataset files too."""
         d = data.generate(data.SyntheticSpec(nodes=10, sessions=5, session_steps=session_steps,
                                              seed=1))
+        base = tmp_path / f"steps{session_steps}"
+        csv_path, man_path = cli.dataset_paths(base)
+        data.export_csv(d, csv_path)
+        data.write_manifest(data.DatasetManifest.for_dataset(d), man_path)
         mcfg = model.ModelConfig(
             variant="gmm",
             backbone=model.BackboneConfig(input_steps=10, hidden=16, features=16),
@@ -727,7 +807,7 @@ class TestEvaluateMemory:
                               extra={"input_steps": 10})
         tracemalloc.start()
         try:
-            report, _ = cli.evaluate_run(ckpt, d, data.DatasetManifest.for_dataset(d))
+            report, _ = cli.evaluate_run(ckpt, base, metrics.DEFAULT_LEVELS, 500, False, (0, 0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

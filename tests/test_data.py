@@ -12,6 +12,9 @@ from hypothesis import strategies as st
 from mixcast import data
 from mixcast.data import DataError, DatasetManifest, Normalizer, SyntheticSpec
 
+# The (train, val, test) split a manifest gets by default.
+SPLIT = DatasetManifest.split_fractions
+
 
 def small_spec(**kw):
     base = dict(nodes=6, sessions=8, session_steps=30, seed=3)
@@ -126,14 +129,14 @@ class TestDegradeCoverage:
     def test_targets_identical_across_coverage(self):
         d = data.generate(small_spec())
         degraded, _ = data.degrade_coverage(d, 0.5, seed=7)
-        full = data.prepare_splits(d, t_h=5, t_f=5)
-        masked = data.prepare_splits(degraded, t_h=5, t_f=5)
+        full = data.prepare_splits(d, t_h=5, t_f=5, fractions=SPLIT)
+        masked = data.prepare_splits(degraded, t_h=5, t_f=5, fractions=SPLIT)
         assert digest(full.test.targets_raw) == digest(masked.test.targets_raw)
 
     def test_masked_inputs_zeroed_with_flag_channel(self):
         d = data.generate(small_spec())
         degraded, mask = data.degrade_coverage(d, 0.5, seed=7)
-        splits = data.prepare_splits(degraded, t_h=5, t_f=5)
+        splits = data.prepare_splits(degraded, t_h=5, t_f=5, fractions=SPLIT)
         w = splits.train
         assert w.channels == 2
         assert w.inputs.shape[2] == 10
@@ -205,7 +208,7 @@ class TestWindowing:
 
     def test_train_split_normalized(self):
         d = data.generate(small_spec())
-        splits = d.split_sessions()
+        splits = d.split_sessions(SPLIT)
         nrm = Normalizer.fit(d.values[splits["train"]])
         z = nrm.transform(d.values[splits["train"]])
         assert abs(z.mean()) < 1e-6
@@ -213,7 +216,7 @@ class TestWindowing:
 
     def test_round_trip_through_normalizer(self):
         d = data.generate(small_spec())
-        splits = data.prepare_splits(d, t_h=5, t_f=5)
+        splits = data.prepare_splits(d, t_h=5, t_f=5, fractions=SPLIT)
         w = splits.test
         np.testing.assert_allclose(
             splits.normalizer.inverse(w.targets), w.targets_raw, atol=1e-9
@@ -274,7 +277,7 @@ class TestWindowing:
 
     def test_normalizer_ignores_val_and_test(self):
         d = data.generate(small_spec())
-        splits = d.split_sessions()
+        splits = d.split_sessions(SPLIT)
         tampered_values = d.values.copy()
         tampered_values[splits["test"]] = np.clip(
             tampered_values[splits["test"]] * 0.5 + 1.0, 0, d.max_value
@@ -282,9 +285,45 @@ class TestWindowing:
         from dataclasses import replace
 
         tampered = replace(d, values=tampered_values)
-        a = data.prepare_splits(d, t_h=5, t_f=5).normalizer
-        b = data.prepare_splits(tampered, t_h=5, t_f=5).normalizer
+        a = data.prepare_splits(d, t_h=5, t_f=5, fractions=SPLIT).normalizer
+        b = data.prepare_splits(tampered, t_h=5, t_f=5, fractions=SPLIT).normalizer
         assert (a.mean, a.std) == (b.mean, b.std)
+
+
+class TestDatasetManifest:
+    FIELDS = dict(node_ids=["a", "b"], sessions=2, session_steps=3, step_minutes=3.0,
+                  max_value=14.0)
+
+    def test_lists_become_tuples_and_split_defaults(self):
+        m = DatasetManifest(**self.FIELDS, split_fractions=[0.5, 0.25, 0.25])
+        assert m.node_ids == ("a", "b") and m.split_fractions == (0.5, 0.25, 0.25)
+        assert DatasetManifest(**self.FIELDS).split_fractions == (0.7, 0.1, 0.2)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"node_ids": "ab"}, "node_ids must be a non-empty list, got 'ab'"),
+        ({"node_ids": []}, "node_ids must be a non-empty list, got []"),
+        ({"sessions": 0}, "sessions must be an integer >= 1, got 0"),
+        ({"sessions": 10.0}, "sessions must be an integer >= 1, got 10.0"),
+        ({"session_steps": True}, "session_steps must be an integer >= 1, got True"),
+        ({"step_minutes": math.nan}, "step_minutes=nan must be finite and positive"),
+        ({"max_value": "x"}, "max_value='x' must be finite and positive"),
+        ({"split_fractions": (0.5, 0.5)}, "three numbers >= 0 that sum to 1, got (0.5, 0.5)"),
+        ({"split_fractions": (1.2, -0.1, -0.1)}, "got (1.2, -0.1, -0.1)"),
+        ({"split_fractions": (0.7, 0.1, "x")}, "got (0.7, 0.1, 'x')"),
+        ({"split_fractions": (0.7, 0.1, 0.3)}, "sum to 1, got (0.7, 0.1, 0.3)"),
+    ], ids=["ids-text", "no-ids", "no-sessions", "float-sessions", "bool-steps", "nan-step", "text-max",
+            "two-fractions", "negative-fraction", "text-fraction", "sum-not-one"])
+    def test_bad_field_named(self, change, message):
+        with pytest.raises(ValueError) as err:
+            DatasetManifest(**(self.FIELDS | change))
+        assert message in str(err.value)
+
+    def test_from_fields_names_unknown_and_missing_keys(self):
+        values = {k: v for k, v in self.FIELDS.items() if k != "sessions"} | {"nodes": 2}
+        with pytest.raises(ValueError) as err:
+            data.from_fields(DatasetManifest, values)
+        assert str(err.value) == ("unknown DatasetManifest key(s) ['nodes']; "
+                                  "missing DatasetManifest key(s) ['sessions']")
 
 
 class TestCSVRoundTrip:
@@ -304,6 +343,10 @@ class TestCSVRoundTrip:
         path = tmp_path / "series.manifest.json"
         data.write_manifest(m, path)
         assert data.read_manifest(path) == m
+        # write, read, write: the same bytes.
+        again = tmp_path / "again.manifest.json"
+        data.write_manifest(data.read_manifest(path), again)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_small_wellformed_file(self, tmp_path):
         path = tmp_path / "tiny.csv"
@@ -402,17 +445,18 @@ class TestCSVRoundTrip:
         assert str(err.value) == f"{path}:4: node b: bad cell 'x'"
 
     def test_infinite_manifest_max_value_rejected(self, tmp_path):
-        path = tmp_path / "inf.csv"
-        path.write_text("timestamp,a\n2024-01-01T06:00:00,1.0\n2024-01-01T06:03:00,2.0\n")
         man_path = tmp_path / "inf.manifest.json"
         data.write_manifest(DatasetManifest(
             node_ids=("a",), sessions=1, session_steps=2, step_minutes=3.0, max_value=14.0
         ), man_path)
         man_path.write_text(man_path.read_text().replace("14.0", "Infinity"))
-        m = data.read_manifest(man_path)
-        assert m.max_value == math.inf
+        with pytest.raises(DataError) as err:
+            data.read_manifest(man_path)
+        assert str(err.value) == f"{man_path}: max_value=inf must be finite and positive"
+        # A dataset built in process is checked too.
         with pytest.raises(DataError, match="max_value=inf must be finite and positive"):
-            data.ingest_csv(path, m)
+            data.SeriesDataset(values=np.ones((1, 2, 1)), step_minutes=3.0, max_value=math.inf,
+                               node_ids=("a",), start_times=("2024-01-01T06:00:00",))
 
     def test_row_count_mismatch_rejected(self, tmp_path):
         path = tmp_path / "short.csv"

@@ -200,14 +200,14 @@ class TestTrapezoidOracle:
         ys = oracles.sample(m, rng, 25)
         lo, hi, points = ys.min() - 12, ys.max() + 12, 4001
         x = np.linspace(lo, hi, points)
-        f = gmm.cdf_values(m.weights, m.means, m.variances, x)
+        f = oracles.cdf_values(m.weights, m.means, m.variances, x)
         w = np.full(points, x[1] - x[0])
         w[0] *= 0.5
         w[-1] *= 0.5
         suf_f = np.concatenate((np.cumsum((w * f)[::-1])[::-1], [0.0]))
         suf_w = np.concatenate((np.cumsum(w[::-1])[::-1], [0.0]))
         j = np.searchsorted(x, ys, side="left")
-        fy = gmm.cdf_values(m.weights, m.means, m.variances, ys)
+        fy = oracles.cdf_values(m.weights, m.means, m.variances, ys)
         factored = np.sum(w * f * f) - 2 * suf_f[j] + suf_w[j]
         factored += jump_cell_correction(x[j - 1], x[j], ys, f[j - 1], f[j], fy)
         for y, got in zip(ys, factored):

@@ -14,6 +14,9 @@ from mixcast import data, model, training
 from mixcast.model import BackboneConfig, HeadConfig, ModelConfig, ModelParams
 from mixcast.training import AdamWState, TrainConfig
 
+# The (train, val, test) split a manifest gets by default.
+SPLIT = data.DatasetManifest.split_fractions
+
 
 def scalar_params(value=0.0):
     return ModelParams({"theta": np.array([value])})
@@ -405,7 +408,7 @@ class TestFit:
     def test_batch_digests_hash_float64_inputs_in_order(self):
         # The old definition: sha256 of the epoch's float64 inputs[perm].
         d = data.generate(data.SyntheticSpec(nodes=5, sessions=10, session_steps=16, seed=2))
-        splits = data.prepare_splits(d, t_h=4, t_f=2)
+        splits = data.prepare_splits(d, t_h=4, t_f=2, fractions=SPLIT)
         assert splits.train.count % 16 != 0
         res = training.fit(splits, small_model_cfg("gmm"), TrainConfig(epochs=3, batch_size=16, seed=9))
         inputs = splits.train.inputs
@@ -452,7 +455,7 @@ class TestFitMemory:
         # every training window (their float64 inputs alone are a third of
         # the bytes below), in any dtype, would push its peak past the bound.
         d = data.generate(data.SyntheticSpec(nodes=10, sessions=40, seed=1))
-        splits = data.prepare_splits(d, t_h=10, t_f=10)
+        splits = data.prepare_splits(d, t_h=10, t_f=10, fractions=SPLIT)
         window_bytes = sum(getattr(splits.train, name).nbytes
                            for name in ("inputs", "targets", "targets_raw"))
         tracemalloc.start()
