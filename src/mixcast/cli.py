@@ -497,7 +497,8 @@ def cmd_train(data_path, variant, k, epochs, batch_size, lr, seed, input_steps, 
 @main.command("evaluate")
 @click.option("--checkpoint", required=True, type=click.Path(exists=True))
 @click.option("--data", "data_path", required=True, type=click.Path())
-@click.option("--levels", default="0.5:0.95:0.05", show_default=True)
+@click.option("--levels", default=",".join(map(str, map(float, metrics.DEFAULT_LEVELS))),
+              show_default=True)
 @click.option("--grid-points", type=click.IntRange(min=2),
               default=metrics.ScoringConfig.interval_points, show_default=True,
               help="Interval-derivation grid points.")

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from collections import Counter
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from datetime import datetime, timedelta
 
@@ -376,9 +377,10 @@ _MANIFEST_ENVELOPE = {"format": "mixcast-dataset", "version": 1}
 @dataclass(frozen=True)
 class DatasetManifest:
     """What a dataset CSV holds. node_ids and the (train, val, test)
-    split_fractions are non-empty lists, stored as tuples; sessions and
-    steps are integers >= 1, step_minutes and max_value finite reals > 0,
-    and split_fractions three numbers >= 0 that sum to 1."""
+    split_fractions are non-empty lists, stored as tuples, and no node id
+    repeats; sessions and steps are integers >= 1, step_minutes and
+    max_value finite reals > 0, seed None or an integer >= 0, and
+    split_fractions three numbers >= 0 that sum to 1."""
 
     node_ids: tuple
     sessions: int
@@ -394,7 +396,12 @@ class DatasetManifest:
             if not (isinstance(value, (list, tuple)) and value):
                 raise DataError(f"{name} must be a non-empty list, got {value!r}")
             object.__setattr__(self, name, tuple(value))
+        repeated = [i for i, count in Counter(map(repr, self.node_ids)).items() if count > 1]
+        if repeated:
+            raise DataError(f"node_ids must be distinct, got {', '.join(repeated)} more than once")
         check_ints(self, 1, "sessions", "session_steps")
+        if self.seed is not None:
+            check_ints(self, 0, "seed")
         check_positive(self, "step_minutes", "max_value")
         fr = self.split_fractions
         if (len(fr) != 3 or not all(is_real(f) and f >= 0 for f in fr)

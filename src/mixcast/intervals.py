@@ -7,8 +7,9 @@ disjoint sub-intervals. The ranking has one implementation,
 `_mass_before`, and each level's selected-cell count one,
 `_selected_counts`. `hpd_scores` reduces them to each target's HPD value
 u(y), the smallest level whose selection covers y, and each level's
-width; evaluation reads coverage at level c as mean(u < c) and builds no
-mask. `derive_intervals` reads the same counts back as sub-intervals.
+selected-cell count; evaluation reads coverage at level c as mean(u < c)
+and a width as the count times the grid spacing, and builds no mask.
+`derive_intervals` reads the same counts back as sub-intervals.
 
 Every function here is pure, so evaluation across (location, time)
 elements can run concurrently.
@@ -71,7 +72,7 @@ def derive_intervals(density, x, levels) -> list:
     the first `count` cells, in order of descending density with ascending
     index breaking ties, where `count` is the fewest cells whose
     normalized mass reaches c (`_selected_counts`, the count `hpd_scores`
-    turns into widths).
+    returns).
 
     Run bounds are the selected grid coordinates themselves. A run of a
     single cell would give lower == upper, which the IntervalSet contract
@@ -88,7 +89,7 @@ def derive_intervals(density, x, levels) -> list:
         raise ValueError("densities must be finite and nonnegative")
     if levels.ndim != 1 or not np.all((levels > 0.0) & (levels < 1.0)):
         raise ValueError(f"confidence levels must be in (0, 1), got {levels!r}")
-    ranked, incl, total = _mass_before(density)
+    ranked, incl, total = _mass_before(density.copy())  # rows are read below
     counts = _selected_counts(incl, total, levels)
     half = 0.5 * (x[1] - x[0])
     out = []
@@ -119,12 +120,13 @@ def _mass_before(density: np.ndarray):
     mass strictly before rank j is incl[:, j - 1] (0 for j = 0), and
     total = incl[:, -1]; a ValueError if some row has no mass.
 
-    Rows are sorted in their own dtype (tied values are interchangeable,
-    so the sort need not be stable); one float64 copy of the ranked rows
-    then takes the cumulative sum in place, so a float32 grid loses
-    nothing to accumulation.
+    Rows are sorted in place, in their own dtype (tied values are
+    interchangeable, so the sort need not be stable); one float64 copy of
+    the ranked view takes the cumulative sum in place, so a float32 grid
+    loses nothing to accumulation.
     """
-    ranked = np.sort(density, axis=1)[:, ::-1]
+    density.sort(axis=1)
+    ranked = density[:, ::-1]
     incl = np.array(ranked, dtype=np.float64)
     np.cumsum(incl, axis=1, out=incl)
     total = incl[:, -1]
@@ -163,25 +165,26 @@ def _selected_counts(incl, total, levels):
     return pos - (last - p)
 
 
-def hpd_scores(density, dx, p_y, on_grid, levels):
-    """Each target's HPD value u and each level's HPD width, mask-free.
+def hpd_scores(density, p_y, on_grid, levels):
+    """Each target's HPD value u and each level's selected-cell count.
 
-    density: (M, P) rows with positive mass, float32 or float64; p_y: (M,)
-    target densities, computed like the grid's so that a target on a grid
-    point ties its cell; on_grid: (M,) bool; levels: (L,). Returns
-    (u (M,), width (M, L)), both float64. u is the normalized mass of the
-    cells denser than the target, so the target lies in the level-c
-    selection of `derive_intervals` iff u < c; off the grid u = 1. The
-    width is the selected-cell count times dx, which exceeds
-    derive_intervals' run geometry by at most dx per run. Beyond
-    `_mass_before` and one comparison with p_y, neither takes a full pass
-    over the grid: u reads one accumulated mass per row, and each count is
-    a search in its row.
+    density: (M, P) rows with positive mass, float32 or float64, sorted
+    in place (their order is lost); p_y: (M,) target densities, computed
+    like the grid's so that a target on a grid point ties its cell;
+    on_grid: (M,) bool; levels: (L,). Returns (u (M,) float64, counts
+    (M, L) int64). u is the normalized mass of the cells denser than the
+    target, so the target lies in the level-c selection of
+    `derive_intervals` iff u < c; off the grid u = 1. A width is the
+    count times the grid spacing, which exceeds derive_intervals' run
+    geometry by at most one spacing per run. Beyond one comparison with
+    p_y and `_mass_before`, neither takes a full pass over the grid: u
+    reads one accumulated mass per row, and each count is a search in its
+    row.
     """
+    above = np.count_nonzero(density > p_y[:, None], axis=1)
     incl, total = _mass_before(density)[1:]
     m, p = incl.shape
-    above = np.count_nonzero(density > p_y[:, None], axis=1)
     u = np.take(incl.ravel(), np.arange(m) * p + np.maximum(above - 1, 0)) / total
     u[above == 0] = 0.0
     u[~on_grid | (above == p)] = 1.0
-    return u, dx * _selected_counts(incl, total, levels)
+    return u, _selected_counts(incl, total, levels)

@@ -211,21 +211,28 @@ def _interval_densities(part: MixtureBatch, y: np.ndarray, lo: float, x: np.ndar
     return [(~wide, dens[~wide], p_y[~wide]), (wide, dens64, p_y64)], mass
 
 
+def _pit_bins(u: np.ndarray) -> np.ndarray:
+    """u's bin of PIT_BINS equal bins over [0, 1], as np.histogram bins it."""
+    edges = np.linspace(0.0, 1.0, PIT_BINS + 1)
+    return np.minimum(np.searchsorted(edges, u, side="right") - 1, PIT_BINS - 1)
+
+
 def _score_mixtures(mb: MixtureBatch, y: np.ndarray, cfg: ScoringConfig, levels: np.ndarray,
                     out) -> tuple:
     """Score flat mixtures against their targets y (n,) into `out`: the
-    per-element CRPS, point estimate, HPD value u (n,) and HPD widths
-    (n, L). Return how many elements keep less than MASS_COMPLETE_MIN of
-    their mass on the grid, and how many keep none (their row chunk gets
-    no u or widths). Each chunk of rows is scored completely (float64
-    CRPS, float32 grid where `_interval_densities` allows, HPD scores).
-    """
+    per-element CRPS and point estimate (n,), and int64 tallies of each
+    element's selected-cell counts (t_f, L), u < level (t_f, L) and HPD-PIT
+    bin (t_f, PIT_BINS) at its step, index mod t_f. Return how many
+    elements keep less than MASS_COMPLETE_MIN of their mass on the grid,
+    and how many keep none (their chunk adds no tallies). Each chunk of
+    whole steps is scored completely (float64 CRPS, float32 grid where
+    `_interval_densities` allows, HPD scores)."""
     lo, hi = cfg.interval_range
     x = np.linspace(lo, hi, cfg.interval_points)
-    dx = float(x[1] - x[0])
-    crps, point_est, u, width = out
+    crps, point_est, cells, covered, pit = out
+    t_f = cells.shape[0]
     clipped = empty = 0
-    rows = chunk_rows(1, x.size)
+    rows = t_f * chunk_rows(t_f, x.size)
     for start in range(0, y.size, rows):
         sl = slice(start, start + rows)
         part, y_part = mb[sl], y[sl]
@@ -237,9 +244,12 @@ def _score_mixtures(mb: MixtureBatch, y: np.ndarray, cfg: ScoringConfig, levels:
         if empty:
             continue  # nothing to select; evaluate's error counts every miss
         on_grid = (y_part >= lo) & (y_part <= hi)
-        u_part, width_part = u[sl], width[sl]
+        u, counts = np.empty(y_part.size), np.empty((y_part.size, levels.size), dtype=np.int64)
         for at, dens, p_y in groups:
-            u_part[at], width_part[at] = iv.hpd_scores(dens, dx, p_y, on_grid[at], levels)
+            u[at], counts[at] = iv.hpd_scores(dens, p_y, on_grid[at], levels)
+        cells += counts.reshape(-1, t_f, levels.size).sum(axis=0)
+        covered += (u.reshape(-1, t_f, 1) < levels).sum(axis=0)
+        np.add.at(pit, (np.arange(u.size) % t_f, _pit_bins(u)), 1)
     return clipped, empty
 
 
@@ -258,10 +268,12 @@ def evaluate(targets, predictions, scoring: ScoringConfig | None = None,
     without an interval_range, and how many elements' mixtures put no
     mass on the interval grid.
 
-    Each chunk is scored into per-element arrays as it arrives, 2**17 //
-    interval_points elements at a time, and dropped: beyond the targets
-    and those results (a few doubles per element and level), working
-    memory is one chunk and a few (2**17)-cell arrays of at most 1 MiB.
+    Each chunk is scored as it arrives, 2**17 // interval_points elements
+    at a time, and dropped. Per element only the CRPS and point estimate
+    are kept, whatever the levels: widths, coverage and the HPD-PIT are
+    exact integer tallies per horizon step. Beyond those and the targets,
+    working memory is one chunk and a few (2**17)-cell arrays of at most
+    1 MiB.
     """
     cfg = scoring or ScoringConfig()
     levels = np.asarray(cfg.levels, dtype=float)
@@ -272,15 +284,15 @@ def evaluate(targets, predictions, scoring: ScoringConfig | None = None,
     y = targets.ravel()
     n = y.size
     crps_elem, point_est = np.empty(n), np.empty(n)
-    u = width_elem = None
+    tallies = None
     clipped = empty = done = 0
     for chunk in predictions:
         mixture = isinstance(chunk, MixtureBatch)
         if not done and mixture:
             if cfg.interval_range is None:
                 raise ValueError("interval_range is required to score mixtures")
-            u, width_elem = np.empty(n), np.empty((n, levels.size))
-        elif mixture != (u is not None):
+            tallies = [np.zeros((t_f, w), np.int64) for w in (levels.size, levels.size, PIT_BINS)]
+        elif mixture != (tallies is not None):
             raise ValueError("predictions mix mixtures and point values")
         if not mixture:
             chunk = np.asarray(chunk, dtype=float)
@@ -292,7 +304,7 @@ def evaluate(targets, predictions, scoring: ScoringConfig | None = None,
             )
         sl = slice(done, done + size)
         if mixture:
-            out = (crps_elem[sl], point_est[sl], u[sl], width_elem[sl])
+            out = (crps_elem[sl], point_est[sl], *tallies)
             c, e = _score_mixtures(chunk.reshape(size), y[sl], cfg, levels, out)
             clipped, empty = clipped + c, empty + e
         else:
@@ -311,28 +323,23 @@ def evaluate(targets, predictions, scoring: ScoringConfig | None = None,
     mae, mape, rmse = deterministic_scores(point_est, y)
 
     crps_by_step = crps_elem.reshape(-1, t_f).mean(axis=0)
-    if width_elem is None:
+    if tallies is None:
         avg_width = calib_error = float("nan")
         curve, pit, pit_by_step = [], [], []
         per_horizon = [(s + 1, float(crps_by_step[s]), float("nan"), float("nan")) for s in range(t_f)]
     else:
-        contained_elem = u[:, None] < levels
-        coverage = contained_elem.mean(axis=0)
+        cells, covered, pit_rows = tallies
+        x = np.linspace(*cfg.interval_range, cfg.interval_points)
+        num, den = float(x[1] - x[0]).as_integer_ratio()  # dx; int / int rounds once
+        rows, step_cells = n // t_f, cells.sum(axis=1).tolist()
+        coverage = covered.sum(axis=0) / n
         curve = [(float(c), float(v)) for c, v in zip(levels, coverage)]
-        avg_width = float(width_elem.mean())
+        avg_width = num * sum(step_cells) / (den * n * levels.size)
         calib_error = float(np.mean(np.abs(coverage - levels)))
-        w_step = width_elem.reshape(-1, t_f, levels.size).mean(axis=(0, 2))
-        cov_step = contained_elem.reshape(-1, t_f, levels.size).mean(axis=0)
-        ce_step = np.mean(np.abs(cov_step - levels[None, :]), axis=1)
-        per_horizon = [
-            (s + 1, float(crps_by_step[s]), float(w_step[s]), float(ce_step[s]))
-            for s in range(t_f)
-        ]
-        # A value's bin does not depend on the other values, so the
-        # per-step rows add up to the histogram of all of u.
-        pit_rows = np.array(
-            [np.histogram(u_step, PIT_BINS, (0.0, 1.0))[0] for u_step in u.reshape(-1, t_f).T]
-        )
+        w_step = [num * c / (den * rows * levels.size) for c in step_cells]
+        ce_step = np.mean(np.abs(covered / rows - levels), axis=1)
+        per_horizon = [(s + 1, float(crps_by_step[s]), w_step[s], float(ce_step[s]))
+                       for s in range(t_f)]
         pit, pit_by_step = pit_rows.sum(axis=0).tolist(), pit_rows.tolist()
 
     return EvaluationReport(

@@ -15,7 +15,7 @@ picks the generator's high-demand steps. `hpd_select_batch` builds
 `intervals.derive_intervals` and `intervals.hpd_scores` are checked
 against; the other interval helpers build one mixture's grid, read
 widths, containment, covered cells and selected mass, and run the batch
-HPD kernel on the grid evaluation uses. `stacked_windows` is the
+HPD kernel (u and selected-cell counts) on the grid evaluation uses. `stacked_windows` is the
 windowing that stored every window as its own copy, the reference for
 `data.WindowSet`'s gathers. None of them is on a CLI or library path, so
 they live beside the tests.
@@ -382,9 +382,9 @@ def contains(s: IntervalSet, y: float) -> bool:
 def hpd_scores_on_grid(mb: MixtureBatch, y, lo: float, hi: float, points: int, levels):
     """intervals.hpd_scores for an (M,) batch on the grid metrics.evaluate
     builds, computed in float64 (evaluate's grid is float32 unless a
-    mixture falls back to float64): (u, width, dx)."""
+    mixture falls back to float64): (u, selected-cell counts (M, L), dx)."""
     x = np.linspace(lo, hi, points)
     dens = grid_densities(mb.weights, mb.means, mb.variances, x)
     p_y = grid_densities(mb.weights, mb.means, mb.variances, y[:, None])[:, 0]
-    u, width = hpd_scores(dens, x[1] - x[0], p_y, (y >= lo) & (y <= hi), levels)
-    return u, width, x[1] - x[0]
+    u, counts = hpd_scores(dens, p_y, (y >= lo) & (y <= hi), levels)
+    return u, counts, x[1] - x[0]

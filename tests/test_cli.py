@@ -449,6 +449,10 @@ BAD_MANIFESTS = {
                       "sessions must be an integer >= 1, got 'ten'"),
     "split-sum": (_manifest_edit("split_fractions", [0.7, 0.1, 0.3]), "sum to 1"),
     "unknown-key": (_manifest_edit("nodes", 6), "unknown DatasetManifest key(s) ['nodes']"),
+    "repeated-id": (lambda m: json.dumps(m | {"node_ids": m["node_ids"][:1] * 2 + m["node_ids"][2:]}),
+                    "node_ids must be distinct, got 'n0000' more than once"),
+    "seed-text": (_manifest_edit("seed", "x"), "seed must be an integer >= 0, got 'x'"),
+    "seed-negative": (_manifest_edit("seed", -1), "seed must be an integer >= 0, got -1"),
     "other-format": (_manifest_edit("format", "mixcast-checkpoint"), "not a dataset manifest"),
 }
 
@@ -472,6 +476,15 @@ class TestManifestInput:
         assert res.output.startswith(f"error: {man_path}: ")
         assert cause in res.output
         assert not out.exists()
+
+    @pytest.mark.parametrize("seed, want", [(None, "9a70914876b6"), (0, "4fb225b60a32"),
+                                            (7, "1685e014de49")])
+    def test_dataset_id_of_a_valid_manifest_is_stable(self, seed, want):
+        # Checkpoints store this id, so checking the manifest's fields
+        # must not move it for any manifest that was valid before.
+        manifest = data.DatasetManifest(node_ids=["a", "b"], sessions=2, session_steps=3,
+                                        step_minutes=3.0, max_value=14.0, seed=seed)
+        assert cli.dataset_id(manifest) == want
 
 
 class TestEvaluate:
@@ -519,6 +532,15 @@ class TestEvaluate:
                 cells = np.any([(lo <= x) & (x <= hi) for _, lo, hi in rows], axis=0)
                 assert np.all(cells[prev])
                 prev = cells
+
+    def test_default_levels_are_metrics_default_levels(self, workspace, tmp_path):
+        res = run(["evaluate", "--checkpoint", str(workspace / "gmm.ckpt.npz"),
+                   "--data", str(workspace / "tiny"), "--name", "e", "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        report = report_from_text((tmp_path / "e.report.txt").read_text())
+        recorded = tuple(float(v) for v in report.meta["levels"].split(","))
+        assert recorded == tuple(float(v) for v in metrics.DEFAULT_LEVELS)
+        assert [c for c, _ in report.calibration_curve] == list(recorded)
 
     @pytest.mark.parametrize("flags", [["--ridge-node", "6"], ["--ridge-node", "-1"],
                                        ["--ridge-window", "100000"]],
@@ -785,8 +807,8 @@ class TestEvaluateChunks:
 
 class TestEvaluateMemory:
     @staticmethod
-    def traced_peak(tmp_path, session_steps):
-        """(elements, levels, tracemalloc peak) of `evaluate_run` on the
+    def traced_peak(tmp_path, session_steps, levels):
+        """(elements, tracemalloc peak) of `evaluate_run` at `levels` on the
         test session of a 10-node dataset, with an untrained K = 8
         checkpoint (no dataset id, so any dataset is accepted). The peak
         covers reading the dataset files too."""
@@ -807,24 +829,33 @@ class TestEvaluateMemory:
                               extra={"input_steps": 10})
         tracemalloc.start()
         try:
-            report, _ = cli.evaluate_run(ckpt, base, metrics.DEFAULT_LEVELS, 500, False, (0, 0))
+            report, _ = cli.evaluate_run(ckpt, base, levels, 500, False, (0, 0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        return int(report.meta["elements"]), len(report.calibration_curve), peak
+        assert len(report.calibration_curve) == len(levels)
+        return int(report.meta["elements"]), peak
 
     def test_traced_peak_grows_only_by_the_per_element_results(self, tmp_path):
-        # 48 and 106 steps per session give 29 and 87 test windows. The
-        # per-element results are a float64 target, CRPS, point estimate
-        # and u, a float64 width and a coverage flag per level: 122 bytes
-        # at 10 levels (measured growth: 107 bytes per element). Holding
-        # any of the split's float64 mixture arrays (64 bytes per element
-        # at K = 8) breaks it.
-        n_small, levels, small = self.traced_peak(tmp_path, 48)
-        n_large, _, large = self.traced_peak(tmp_path, 106)
+        self.check_growth(tmp_path, metrics.DEFAULT_LEVELS)
+
+    def test_traced_peak_bound_holds_at_19_levels(self, tmp_path):
+        self.check_growth(tmp_path, cli.parse_levels("0.05:0.95:0.05", 500))
+
+    def check_growth(self, tmp_path, levels):
+        # 48 and 106 steps per session give 29 and 87 test windows. Per
+        # element, evaluate_run holds a float64 target, CRPS and point
+        # estimate, plus the test split's series: four doubles bound it,
+        # whatever the number of levels (measured growth: 26 to 29 bytes
+        # per element at 10 and 19 levels). Widths, coverage and the
+        # HPD-PIT are tallied per horizon step, so keeping a width or a
+        # coverage flag per element and level breaks it, and so does
+        # holding any of the split's float64 mixture arrays (64 bytes per
+        # element at K = 8).
+        n_small, small = self.traced_peak(tmp_path, 48, levels)
+        n_large, large = self.traced_peak(tmp_path, 106, levels)
         assert n_large == 3 * n_small == 8700
-        per_element = 4 * 8 + levels * (8 + 1)
-        assert large - small <= (n_large - n_small) * per_element
+        assert large - small <= (n_large - n_small) * 4 * 8
 
 
 class TestCompare:

@@ -311,12 +311,27 @@ class TestDatasetManifest:
         ({"split_fractions": (1.2, -0.1, -0.1)}, "got (1.2, -0.1, -0.1)"),
         ({"split_fractions": (0.7, 0.1, "x")}, "got (0.7, 0.1, 'x')"),
         ({"split_fractions": (0.7, 0.1, 0.3)}, "sum to 1, got (0.7, 0.1, 0.3)"),
+        ({"node_ids": ["a", "b", "a"]}, "node_ids must be distinct, got 'a' more than once"),
+        ({"node_ids": ["a", "b", "b", "a"]}, "got 'a', 'b' more than once"),
+        ({"seed": "x"}, "seed must be an integer >= 0, got 'x'"),
+        ({"seed": -1}, "seed must be an integer >= 0, got -1"),
+        ({"seed": 3.0}, "seed must be an integer >= 0, got 3.0"),
+        ({"seed": False}, "seed must be an integer >= 0, got False"),
     ], ids=["ids-text", "no-ids", "no-sessions", "float-sessions", "bool-steps", "nan-step", "text-max",
-            "two-fractions", "negative-fraction", "text-fraction", "sum-not-one"])
+            "two-fractions", "negative-fraction", "text-fraction", "sum-not-one", "repeated-id",
+            "two-repeated-ids", "seed-text", "seed-negative", "seed-float", "seed-bool"])
     def test_bad_field_named(self, change, message):
         with pytest.raises(ValueError) as err:
             DatasetManifest(**(self.FIELDS | change))
         assert message in str(err.value)
+
+    def test_repeated_node_id_is_a_data_error(self):
+        with pytest.raises(DataError, match="'a' more than once"):
+            DatasetManifest(**(self.FIELDS | {"node_ids": ["a", "a"]}))
+
+    @pytest.mark.parametrize("seed", [None, 0, 7, np.int64(7)])
+    def test_seed_none_or_integer_accepted(self, seed):
+        assert DatasetManifest(**self.FIELDS, seed=seed).seed == seed
 
     def test_from_fields_names_unknown_and_missing_keys(self):
         values = {k: v for k, v in self.FIELDS.items() if k != "sessions"} | {"nodes": 2}

@@ -282,7 +282,8 @@ class TestHPDScores:
             x = np.linspace(-10.0, 10.0, points)
             y[: n // 4] = x[rng.integers(0, points, n // 4)]  # exactly on grid points
             mb = MixtureBatch(np.ones((n, 1)), mu[:, None], (sd**2)[:, None])
-            u, width, dx = oracles.hpd_scores_on_grid(mb, y, -10.0, 10.0, points, LEVELS)
+            u, counts, dx = oracles.hpd_scores_on_grid(mb, y, -10.0, 10.0, points, LEVELS)
+            width = dx * counts
             r = dx / sd
             assert r.max() <= 0.5
             exact_u = 2.0 * norm.cdf(np.abs(y - mu) / sd) - 1.0
@@ -303,14 +304,14 @@ class TestHPDScores:
         w[: n // 2, 2] = 0.0  # some two-component mixtures
         w /= w.sum(-1, keepdims=True)
         mb = MixtureBatch(w, rng.uniform(-4, 4, (n, k)), rng.uniform(0.05, 1.0, (n, k)))
-        _, width, dx = oracles.hpd_scores_on_grid(mb, rng.uniform(-5, 5, n), lo, hi, points, LEVELS)
+        _, counts, dx = oracles.hpd_scores_on_grid(mb, rng.uniform(-5, 5, n), lo, hi, points, LEVELS)
         x = np.linspace(lo, hi, points)
         dens = grid_densities(mb.weights, mb.means, mb.variances, x)
         # One ranking: the kernel's counts are the selection's.
-        assert np.array_equal(width, dx * oracles.hpd_select_batch(dens, LEVELS).sum(axis=2))
-        for row_width, sets in zip(width, iv.derive_intervals(dens, x, LEVELS)):
-            for wl, s in zip(row_width, sets):
-                gap = wl - oracles.interval_width(s)
+        assert np.array_equal(counts, oracles.hpd_select_batch(dens, LEVELS).sum(axis=2))
+        for row_counts, sets in zip(counts, iv.derive_intervals(dens, x, LEVELS)):
+            for count, s in zip(row_counts, sets):
+                gap = count * dx - oracles.interval_width(s)
                 assert -1e-9 <= gap <= s.count * dx + 1e-9
 
     @given(
@@ -325,16 +326,50 @@ class TestHPDScores:
         levels = np.sort(levels)
         # An integer query picks a grid cell's own density (a tie).
         p_y = density[0, query % density.size] if isinstance(query, int) else query
-        u, width = iv.hpd_scores(density, 0.5, np.array([p_y]), np.array([on_grid]), levels)
+        u, counts = iv.hpd_scores(density.copy(), np.array([p_y]), np.array([on_grid]), levels)
         dens = density[0]
         want = dens[dens > p_y].sum() / dens.sum() if on_grid else 1.0
         assert u[0] == pytest.approx(want, abs=1e-12)
         assert 0.0 <= u[0] <= 1.0
         covered = u[0] < levels
         assert np.all(covered[:-1] <= covered[1:])
-        assert np.all(np.diff(width[0]) >= 0.0)
+        assert counts.dtype == np.int64 and np.all(np.diff(counts[0]) >= 0)
         masks = oracles.hpd_select_batch(density, levels)[0]
-        assert np.array_equal(width[0], 0.5 * masks.sum(axis=1))
+        assert np.array_equal(counts[0], masks.sum(axis=1))
+
+
+class TestInPlaceRanking:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_scores_equal_ranking_a_copy_bitwise(self, dtype):
+        # hpd_scores sorts its grid in place (leaving it ascending). Its u
+        # and counts are, bit for bit, those of ranking a sorted copy:
+        # np.sort, then the float64 cumulative mass of the ranked rows.
+        # Rows quantized to 1/16 are full of ties, and p(y) ties a cell.
+        rng = np.random.default_rng(17)
+        m, p = 300, 257
+        dens = (np.round(rng.random((m, p)) * 16) / 16).astype(dtype)
+        dens[:, 0] += dtype(1.0)  # positive mass in every row
+        p_y = np.where(rng.random(m) < 0.5, dens[np.arange(m), rng.integers(0, p, m)],
+                       rng.random(m).astype(dtype))
+        on_grid = rng.random(m) < 0.9
+        grid = dens.copy()
+        u, counts = iv.hpd_scores(grid, p_y, on_grid, LEVELS)
+        assert np.array_equal(grid, np.sort(dens, axis=1))
+        incl = np.cumsum(np.sort(dens, axis=1)[:, ::-1].astype(np.float64), axis=1)
+        above = np.count_nonzero(dens > p_y[:, None], axis=1)
+        want = incl[np.arange(m), np.maximum(above - 1, 0)] / incl[:, -1]
+        want[above == 0] = 0.0
+        want[~on_grid | (above == p)] = 1.0
+        assert np.array_equal(u, want)
+        assert np.array_equal(counts, iv._selected_counts(incl, incl[:, -1], LEVELS))
+        assert np.array_equal(counts, oracles.hpd_select_batch(dens, LEVELS).sum(axis=2))
+
+    def test_derive_intervals_leaves_its_rows_unchanged(self):
+        rng = np.random.default_rng(18)
+        dens = np.round(rng.random((4, 50)) * 8) / 8 + 0.01
+        before = dens.copy()
+        iv.derive_intervals(dens, np.arange(50.0), LEVELS)
+        assert np.array_equal(dens, before)
 
 
 class TestHPDMonotonicity:

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from mixcast import gmm, metrics
+from mixcast import intervals as iv
 from mixcast.gmm import MixtureBatch
 from mixcast.metrics import ScoringConfig
 
@@ -374,8 +376,9 @@ class TestEvaluate:
 
     def test_interval_metrics_aggregate_hpd_scores(self):
         # avg_width is the mean over elements and levels of the kernel's
-        # widths, coverage the share of u below each level, and the HPD-PIT
-        # the histogram of u; per-horizon figures reduce the same arrays.
+        # widths (counts x dx), coverage the share of u below each level,
+        # and the HPD-PIT the histogram of u; per-horizon figures reduce
+        # the same arrays.
         rng = np.random.default_rng(21)
         n, t_f = 24, 3
         w = rng.random((n, 2)) + 0.3
@@ -385,7 +388,8 @@ class TestEvaluate:
         cfg = ScoringConfig(interval_range=(-9.0, 9.0), interval_points=901)
         rep = metrics.evaluate(targets.reshape(-1, 1, t_f), [mb.reshape(-1, 1, t_f)], cfg)
         levels = np.asarray(cfg.levels)
-        u, width, _ = oracles.hpd_scores_on_grid(mb, targets, -9.0, 9.0, 901, levels)
+        u, counts, dx = oracles.hpd_scores_on_grid(mb, targets, -9.0, 9.0, 901, levels)
+        width = dx * counts
         assert rep.avg_width == pytest.approx(width.mean(), abs=1e-12)
         coverage = (u[:, None] < levels).mean(axis=0)
         assert [cov for _, cov in rep.calibration_curve] == pytest.approx(coverage, abs=1e-12)
@@ -397,6 +401,91 @@ class TestEvaluate:
             np.histogram(u.reshape(-1, t_f)[:, s], bins=10, range=(0, 1))[0].tolist()
             for s in range(t_f)
         ]
+
+    @staticmethod
+    def per_element_reference(targets, mb, cfg):
+        """The interval figures of a report, aggregated the way `evaluate`
+        did when it kept a width per element and level, from the u and
+        counts of the same kernels (`_interval_densities`, then
+        `hpd_scores`) on the whole flat batch: (u, exact avg_width as a
+        Fraction, width per element and level, per-step widths, coverage,
+        per-step calib_error, HPD-PIT, HPD-PIT by step)."""
+        lo, hi = cfg.interval_range
+        x = np.linspace(lo, hi, cfg.interval_points)
+        levels, t_f = np.asarray(cfg.levels), targets.shape[-1]
+        y = targets.ravel()
+        u, counts = np.empty(y.size), np.empty((y.size, levels.size), dtype=np.int64)
+        on_grid = (y >= lo) & (y <= hi)
+        for at, dens, p_y in metrics._interval_densities(mb.reshape(y.size), y, lo, x)[0]:
+            u[at], counts[at] = iv.hpd_scores(dens, p_y, on_grid[at], levels)
+        width = (x[1] - x[0]) * counts
+        contained = u[:, None] < levels
+        cov_step = contained.reshape(-1, t_f, levels.size).mean(axis=0)
+        pit_rows = [np.histogram(v, 10, (0.0, 1.0))[0].tolist() for v in u.reshape(-1, t_f).T]
+        return (
+            u,
+            Fraction(float(x[1] - x[0])) * int(counts.sum()) / counts.size,
+            width,
+            width.reshape(-1, t_f, levels.size).mean(axis=(0, 2)),
+            contained.mean(axis=0),
+            np.mean(np.abs(cov_step - levels[None, :]), axis=1),
+            np.sum(pit_rows, axis=0).tolist(),
+            pit_rows,
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.tuples(st.integers(1, 9), st.integers(1, 3), st.integers(1, 4), st.integers(1, 3)),
+        st.sets(st.integers(1, 8)),
+        st.integers(1, 4000),
+        st.sampled_from([7, 41, 300]),
+        st.sampled_from([metrics.DEFAULT_LEVELS, (0.3,), tuple(np.linspace(0.05, 0.95, 19)), None]),
+    )
+    def test_tallies_match_per_element_widths(self, seed, shape, cuts, cells, points, levels):
+        # Random mixtures, some wide or off-centre enough to clip their
+        # mass, targets on and off the grid and on grid points, any split
+        # of the windows into prediction chunks and any scoring chunk: the
+        # coverage and HPD-PIT figures equal the per-element reference
+        # bit for bit, the widths agree within 1e-14, and avg_width is
+        # within one ulp of its exact value. Levels None are taken from
+        # the u values themselves, so some u equal a level (not covered).
+        windows, nodes, t_f, k = shape
+        rng = np.random.default_rng(seed)
+        size = (windows, nodes, t_f)
+        w = rng.random(size + (k,)) + 0.05
+        mb = MixtureBatch(w / w.sum(-1, keepdims=True), rng.uniform(-5.0, 5.0, size + (k,)),
+                          rng.uniform(0.1, 2.0, size + (k,)) ** 2)
+        lo, hi = -4.0, 4.0
+        targets = rng.uniform(-5.0, 5.0, size)
+        on_point = rng.random(size) < 0.3
+        targets[on_point] = np.linspace(lo, hi, points)[rng.integers(0, points, on_point.sum())]
+        if levels is None:
+            cfg = ScoringConfig(interval_range=(lo, hi), interval_points=points)
+            u = self.per_element_reference(targets, mb, cfg)[0]
+            inside = np.unique(u[(u > 0.0) & (u < 1.0)])
+            levels = tuple(inside[:: max(1, inside.size // 5)][:5]) or (0.5,)
+        cfg = ScoringConfig(levels=levels, interval_range=(lo, hi), interval_points=points)
+        bounds = [0, *sorted(c for c in cuts if c < windows), windows]
+        with mock.patch.object(metrics, "_CHUNK_CELLS", cells):
+            rep = metrics.evaluate(targets, [mb[a:b] for a, b in zip(bounds, bounds[1:])], cfg)
+        _, exact, width, w_step, coverage, ce_step, pit, pit_by_step = (
+            self.per_element_reference(targets, mb, cfg))
+        assert rep.calibration_curve == [(float(c), float(v)) for c, v in zip(levels, coverage)]
+        assert rep.calib_error == float(np.mean(np.abs(coverage - np.asarray(levels))))
+        assert [row[3] for row in rep.per_horizon] == ce_step.tolist()
+        assert rep.hpd_pit_counts == pit and rep.hpd_pit_counts_by_step == pit_by_step
+        assert abs(Fraction(rep.avg_width) - exact) <= Fraction(np.spacing(rep.avg_width))
+        assert rep.avg_width == pytest.approx(width.mean(), rel=1e-14, abs=0)
+        assert [row[2] for row in rep.per_horizon] == pytest.approx(w_step, rel=1e-14, abs=0)
+
+    def test_pit_bins_are_np_histogram_bins(self):
+        # At, just below and just above every bin edge, and at 0 and 1.
+        edges = np.linspace(0.0, 1.0, 11)
+        u = np.clip(np.concatenate([edges, np.nextafter(edges, -1), np.nextafter(edges, 2)]), 0, 1)
+        bins = metrics._pit_bins(u)
+        for v, b in zip(u, bins):
+            assert np.histogram([v], 10, (0.0, 1.0))[0].tolist() == np.eye(10, dtype=int)[b].tolist()
 
     def test_target_off_grid_uncovered_at_every_level(self):
         # Coverage is conditional on the grid range: a target outside it is
@@ -435,11 +524,12 @@ class TestEvaluate:
         return metrics.report_to_text(rep), json.dumps(results)
 
     @settings(max_examples=30, deadline=None)
-    @given(st.sets(st.integers(1, 14)), st.sampled_from([1, 7 * 301, metrics._CHUNK_CELLS]))
+    @given(st.sets(st.integers(1, 14)), st.sampled_from([1, 7 * 4 * 301, metrics._CHUNK_CELLS]))
     def test_chunk_size_changes_no_result(self, cuts, cells):
-        # Every score is per element, so any split of the windows into
-        # prediction chunks, scored one element, seven or all at a time,
-        # gives the report text and run.json figures of one whole chunk.
+        # Every score is per element and every tally an integer sum, so any
+        # split of the windows into prediction chunks, scored one row of 4
+        # steps, seven rows or all at a time, gives the report text and
+        # run.json figures of one whole chunk.
         targets, mb, cfg = self.mixed_batch()
         whole = self.scored(targets, [mb], cfg)
         bounds = [0, *sorted(cuts), len(targets)]
@@ -484,11 +574,20 @@ class TestFloat32IntervalGrid:
 
     @staticmethod
     def scores(mb, y, cfg):
-        """(u, widths, clipped count) of `_score_mixtures` on a flat batch."""
+        """(tallies, clipped count) of `_score_mixtures` on a flat batch,
+        one step per element, so each tally row is one element's: its
+        selected-cell counts (n, L), u < level (n, L) and HPD-PIT bin
+        (n, PIT_BINS)."""
         n, levels = y.size, np.asarray(cfg.levels)
-        out = (np.empty(n), np.empty(n), np.empty(n), np.empty((n, levels.size)))
-        clipped, _ = metrics._score_mixtures(mb, y, cfg, levels, out)
-        return out[2], out[3], clipped
+        tallies = [np.zeros((n, w), dtype=np.int64) for w in (levels.size, levels.size, 10)]
+        clipped, _ = metrics._score_mixtures(mb, y, cfg, levels, (np.empty(n), np.empty(n), *tallies))
+        return tallies, clipped
+
+    @staticmethod
+    def tallies_of(u, counts, levels):
+        """What `scores` tallies for per-element u and counts."""
+        pit = [np.histogram(v, 10, (0.0, 1.0))[0] for v in u]
+        return [counts, u[:, None] < levels, np.array(pit)]
 
     @given(
         st.floats(1.0, 200.0),
@@ -561,13 +660,17 @@ class TestFloat32IntervalGrid:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             groups, _ = metrics._interval_densities(mb, y, lo, x)
-            u, width, clipped = self.scores(mb, y, cfg)
+            tallies, clipped = self.scores(mb, y, cfg)
             wide = groups[1][0]
-            ref_u, ref_width, _ = oracles.hpd_scores_on_grid(mb[wide], y[wide], lo, hi, points, levels)
+            ref_u, ref_counts, _ = oracles.hpd_scores_on_grid(mb[wide], y[wide], lo, hi, points, levels)
+            ref_dens = gmm.grid_densities(mb.weights[wide], mb.means[wide], mb.variances[wide], x)
         assert wide.tolist() == [True, True, True, True, False]
         assert groups[1][1].dtype == np.float64 and groups[0][1].dtype == np.float32
-        assert np.array_equal(u[wide], ref_u) and np.array_equal(width[wide], ref_width)
-        assert u[1] == u[4] == 1.0  # targets off the grid
+        assert np.array_equal(groups[1][1], ref_dens)
+        for got, want in zip(tallies, self.tallies_of(ref_u, ref_counts, levels)):
+            assert np.array_equal(got[wide], want)
+        assert ref_u[1] == 1.0 and tallies[2][[1, 4], -1].tolist() == [1, 1]  # targets off the grid
+        assert not tallies[1][[1, 4]].any()
         assert clipped == 4  # all but the last row keep at most half their mass
 
     def test_grid_beyond_float32_reach_scored_in_float64(self):
@@ -580,9 +683,10 @@ class TestFloat32IntervalGrid:
         levels = np.asarray(cfg.levels)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            u, width, _ = self.scores(mb, y, cfg)
-        ref_u, ref_width, _ = oracles.hpd_scores_on_grid(mb, y, lo, hi, points, levels)
-        assert np.array_equal(u, ref_u) and np.array_equal(width, ref_width)
+            tallies, _ = self.scores(mb, y, cfg)
+        ref_u, ref_counts, _ = oracles.hpd_scores_on_grid(mb, y, lo, hi, points, levels)
+        for got, want in zip(tallies, self.tallies_of(ref_u, ref_counts, levels)):
+            assert np.array_equal(got, want)
 
 
 class TestScoringConfig:
