@@ -24,8 +24,9 @@ and anything else is computed in float64.
 `MixtureBatch` keeps the components last, (..., K), and sums (`_sum_k`)
 and renormalizes over them one component at a time: a numpy operation
 along, or broadcast over, a length-K last axis loops over rows of K and
-is several times slower at these shapes. The error function comes from
-`math.erf` applied elementwise (`erf`), so the package needs no scipy.
+is several times slower at these shapes. The error function (`erf`) is
+vectorized float64 numpy over Cody's (1969) rational approximations, so
+the package needs no scipy and makes no Python call per value.
 """
 from __future__ import annotations
 
@@ -52,7 +53,25 @@ LOG_RESP_CUTOFF = -60.0
 
 _SQRT_HALF = math.sqrt(0.5)
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
-_ERF = np.frompyfunc(math.erf, 1, 1)
+
+# erf's rational approximations (Cody 1969, Math. Comp. 23, 631-638; the
+# coefficients of netlib specfun's CALERF), each as (numerator,
+# denominator) coefficients in descending powers: erf(x) = x P(x^2) /
+# Q(x^2) up to _ERF_NEAR, and 1 - exp(-x^2) R(x) beyond it.
+_ERF_NEAR = 0.46875
+_ERF_P = (1.85777706184603153e-1, 3.16112374387056560e00, 1.13864154151050156e02,
+          3.77485237685302021e02, 3.20937758913846947e03)
+_ERF_Q = (1.0, 2.36012909523441209e01, 2.44024637934444173e02, 1.28261652607737228e03,
+          2.84423683343917062e03)
+_ERFC_P = (2.15311535474403846e-8, 5.64188496988670089e-1, 8.88314979438837594e00,
+           6.61191906371416295e01, 2.98635138197400131e02, 8.81952221241769090e02,
+           1.71204761263407058e03, 2.05107837782607147e03, 1.23033935479799725e03)
+_ERFC_Q = (1.0, 1.57449261107098347e01, 1.17693950891312499e02, 5.37181101862009858e02,
+           1.62138957456669019e03, 3.29079923573345963e03, 4.36261909014324716e03,
+           3.43936767414372164e03, 1.23033935480374942e03)
+# Past this |x| erf is 1 in float64 (erfc(6) = 2.2e-17, under half an ulp
+# of 1), and R, fitted on [0.47, 4], still holds erfc to 3e-12 relative.
+_ERF_ONE = 6.0
 
 
 class InvalidMixtureError(ValueError):
@@ -174,10 +193,42 @@ def nll_and_gradients(logits, means, logvars, y, gradients=True):
     return nll, (d_logits, d_means, d_logvars)
 
 
+def _rational(t, p, q):
+    """p(t) / q(t) by Horner's rule, for coefficients in descending powers
+    and a monic q of the same degree."""
+    num = p[0] * t
+    num += p[1]
+    den = t + q[1]
+    for a, b in zip(p[2:], q[2:]):
+        num *= t
+        num += a
+        den *= t
+        den += b
+    num /= den
+    return num
+
+
 def erf(x):
-    """The error function, elementwise (numpy has none): `math.erf` per
-    element, about 0.1 us each."""
-    return np.asarray(_ERF(x), dtype=float)
+    """The error function in float64, elementwise (numpy has none), from
+    Cody's rational approximations: within 1e-14 relative of
+    `scipy.special.erf` (tests/test_gmm.py; measured within 3 ulp of the
+    exact value). Computed on |x| and given x's sign, so it is odd
+    exactly: erf(+-0) is +-0, erf(+-inf) is +-1 and NaN stays NaN. Both
+    branches run on every element; at a scoring chunk's few thousand
+    values that is as fast as splitting the array, and about twice as fast
+    as `math.erf` per element."""
+    x = np.asarray(x, dtype=float)
+    flat = x.reshape(-1)  # numpy returns scalars, not arrays, from 0-d operands
+    y = np.minimum(np.abs(flat), _ERF_ONE)
+    t = y * y
+    near = _rational(t, _ERF_P, _ERF_Q)
+    near *= y
+    far = _rational(y, _ERFC_P, _ERFC_Q)
+    np.negative(t, out=t)
+    far *= np.exp(t, out=t)
+    np.subtract(1.0, far, out=far)
+    out = np.where(y <= _ERF_NEAR, near, far)
+    return np.copysign(out, flat, out=out).reshape(x.shape)
 
 
 @dataclass(frozen=True)

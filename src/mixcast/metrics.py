@@ -29,6 +29,12 @@ PIT_BINS = 10
 # size. Smaller chunks pay more per-call overhead; larger ones fall out of
 # cache and raise peak RSS.
 _CHUNK_CELLS = 2**17
+# The most interval grid points: one element's grid row fills at most one
+# scoring chunk, so a chunk of one horizon row (t_f elements, the least
+# `chunk_rows` gives) holds at most t_f * _CHUNK_CELLS cells.
+MAX_INTERVAL_POINTS = _CHUNK_CELLS
+# `deterministic_scores` packs the kept MAPE terms this many at a time.
+_PACK_BLOCK = 2**13
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # The interval grid is float32 where that is safe: with every mean and the
 # grid within _F32_REACH of the grid's low end and every variance at most
@@ -44,11 +50,11 @@ class ScoringConfig:
     """Interval grid and level choices for batch evaluation.
 
     levels must be strictly increasing and lie strictly inside (0, 1),
-    interval_points an integer >= 2, and interval_range, when given, two
-    finite numbers lo < hi; anything else is a ValueError naming the
-    field. interval_range is the shared interval grid range, e.g.
-    (0, max speed) in raw units; mixtures need one, point predictions do
-    not. The grid is computed in float32 (see `_interval_densities` for
+    interval_points an integer from 2 to MAX_INTERVAL_POINTS (2**17), and
+    interval_range, when given, two finite numbers lo < hi; anything else
+    is a ValueError naming the field. interval_range is the shared
+    interval grid range, e.g. (0, max speed) in raw units; mixtures need
+    one, point predictions do not. The grid is computed in float32 (see `_interval_densities` for
     its error bound and float64 fallback). Coverage and width are
     conditional on that range: u normalizes by the on-grid mass, and a
     target outside it is covered at no level. The CLI keeps the fixed
@@ -64,6 +70,9 @@ class ScoringConfig:
     def __post_init__(self):
         check_levels(self.levels)
         check_ints(self, 2, "interval_points")
+        if self.interval_points > MAX_INTERVAL_POINTS:
+            raise ValueError(f"interval_points must be at most {MAX_INTERVAL_POINTS}, "
+                             f"got {self.interval_points!r}")
         if self.interval_range is not None:
             bounds = np.asarray(self.interval_range, dtype=float)
             if bounds.shape != (2,) or not np.all(np.isfinite(bounds)):
@@ -153,14 +162,27 @@ def deterministic_scores(points: np.ndarray, targets: np.ndarray):
     targets = np.asarray(targets, dtype=float).ravel()
     if points.size == 0 or points.size != targets.size:
         raise ValueError(f"length mismatch: {points.size} points vs {targets.size} targets")
-    err = points - targets
-    mae = float(np.mean(np.abs(err)))
-    rmse = float(np.sqrt(np.mean(err**2)))
-    keep = np.abs(targets) >= MAPE_EPSILON
-    if np.any(keep):
-        mape = float(100.0 * np.mean(np.abs(err[keep] / targets[keep])))
-    else:
-        mape = float("nan")
+    # One float64 buffer beyond the inputs, reused for |target|, |e|, e**2
+    # (|e| squared is e squared bit for bit) and the kept |e / target|,
+    # packed to its front _PACK_BLOCK elements at a time (writes never pass
+    # reads), so each mean sums the same values in the same order as on
+    # fresh arrays.
+    buf = np.abs(targets)
+    keep = buf >= MAPE_EPSILON
+    np.subtract(points, targets, out=buf)
+    np.abs(buf, out=buf)
+    mae = float(np.mean(buf))
+    np.square(buf, out=buf)
+    rmse = float(np.sqrt(np.mean(buf)))
+    np.subtract(points, targets, out=buf)
+    np.divide(buf, targets, out=buf, where=keep)
+    np.abs(buf, out=buf)
+    kept = 0
+    for start in range(0, buf.size, _PACK_BLOCK):
+        part = buf[start:start + _PACK_BLOCK][keep[start:start + _PACK_BLOCK]]
+        buf[kept:kept + part.size] = part
+        kept += part.size
+    mape = float(100.0 * np.mean(buf[:kept])) if kept else float("nan")
     return mae, mape, rmse
 
 

@@ -14,7 +14,6 @@ batch digests and the gradient norm are taken in float64.
 """
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -187,7 +186,13 @@ class TrainResult:
 
 def _epoch_digest(windows, perm: np.ndarray, batch_size: int) -> str:
     """Digest of the epoch's float64 inputs in consumption order, hashed
-    batch by batch."""
+    batch by batch. hashlib's OpenSSL SHA-256, imported here so that
+    importing the package does not load OpenSSL: it hashes about 46 MB
+    per run of the README's budget, several times faster than the
+    interpreter's own SHA-256 that `cli.dataset_id` uses, and `fit`
+    loads OpenSSL anyway through `numpy.random`."""
+    import hashlib
+
     h = hashlib.sha256()
     for i in range(0, len(perm), batch_size):
         h.update(windows.gather(perm[i : i + batch_size])[0])

@@ -751,6 +751,20 @@ class TestEvaluate:
         assert res.exit_code == 2
         assert "--grid-points" in res.output
 
+    def test_grid_points_above_the_limit_is_usage_error(self, workspace, tmp_path):
+        # Rejected while the options are parsed: the data path does not
+        # exist, so a check after loading the dataset would exit 3.
+        limit = metrics.MAX_INTERVAL_POINTS
+        res = CliRunner().invoke(
+            cli.main,
+            ["evaluate", "--checkpoint", str(workspace / "gmm.ckpt.npz"),
+             "--data", str(tmp_path / "missing"), "--grid-points", str(limit + 1),
+             "--out", str(tmp_path)],
+        )
+        assert res.exit_code == 2
+        assert "--grid-points" in res.output and f"2<=x<={limit}" in res.output
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("levels,flags,message", [
         ("0.5:0.95:1e-12", [], "the range holds more levels than --grid-points (500)"),
         ("0.05:0.95:0.05", ["--grid-points", "10"],
@@ -807,11 +821,9 @@ class TestEvaluateChunks:
 
 class TestEvaluateMemory:
     @staticmethod
-    def traced_peak(tmp_path, session_steps, levels):
-        """(elements, tracemalloc peak) of `evaluate_run` at `levels` on the
-        test session of a 10-node dataset, with an untrained K = 8
-        checkpoint (no dataset id, so any dataset is accepted). The peak
-        covers reading the dataset files too."""
+    def make_inputs(tmp_path, session_steps):
+        """(checkpoint, dataset base) of a 10-node dataset and an untrained
+        K = 8 checkpoint (no dataset id, so any dataset is accepted)."""
         d = data.generate(data.SyntheticSpec(nodes=10, sessions=5, session_steps=session_steps,
                                              seed=1))
         base = tmp_path / f"steps{session_steps}"
@@ -827,9 +839,16 @@ class TestEvaluateMemory:
         ckpt = tmp_path / f"steps{session_steps}.ckpt.npz"
         model.save_checkpoint(ckpt, model.init_params(mcfg, np.random.default_rng(0)), mcfg,
                               extra={"input_steps": 10})
+        return ckpt, base
+
+    @staticmethod
+    def traced_peak(inputs, levels):
+        """(elements, tracemalloc peak) of `evaluate_run` at `levels` on the
+        test session of `inputs`. The peak covers reading the dataset
+        files too."""
         tracemalloc.start()
         try:
-            report, _ = cli.evaluate_run(ckpt, base, levels, 500, False, (0, 0))
+            report, _ = cli.evaluate_run(*inputs, levels, 500, False, (0, 0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -851,9 +870,14 @@ class TestEvaluateMemory:
         # HPD-PIT are tallied per horizon step, so keeping a width or a
         # coverage flag per element and level breaks it, and so does
         # holding any of the split's float64 mixture arrays (64 bytes per
-        # element at K = 8).
-        n_small, small = self.traced_peak(tmp_path, 48, levels)
-        n_large, large = self.traced_peak(tmp_path, 106, levels)
+        # element at K = 8). An untraced call first makes the one-time
+        # imports (60 to 140 KB, depending on which tests ran before), so
+        # neither traced call counts them.
+        small_inputs = self.make_inputs(tmp_path, 48)
+        large_inputs = self.make_inputs(tmp_path, 106)
+        cli.evaluate_run(*small_inputs, levels, 500, False, (0, 0))
+        n_small, small = self.traced_peak(small_inputs, levels)
+        n_large, large = self.traced_peak(large_inputs, levels)
         assert n_large == 3 * n_small == 8700
         assert large - small <= (n_large - n_small) * 4 * 8
 
@@ -945,7 +969,41 @@ print(json.dumps(loaded))
 """
 
 
+# Runs one command through `cli.main` in a fresh interpreter, then prints
+# the loaded modules that are OpenSSL's (`_hashlib`) or scipy's.
+_ONE_COMMAND = """
+import json, sys
+from mixcast import cli
+
+try:
+    cli.main.main(sys.argv[1:], standalone_mode=False)
+finally:
+    print(json.dumps(sorted(m for m in sys.modules
+                            if m == "_hashlib" or m.split(".")[0] == "scipy")))
+"""
+
+
 class TestColdStart:
+    def test_evaluate_loads_neither_openssl_nor_scipy(self, workspace, tmp_path):
+        # On a full-coverage checkpoint and data made beforehand. `train`
+        # loads OpenSSL through numpy.random, and so does an evaluate that
+        # re-draws a coverage mask.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+        ))
+        commands = {
+            "--version": ["--version"],
+            "evaluate": ["evaluate", "--checkpoint", str(workspace / "gmm.ckpt.npz"),
+                         "--data", str(workspace / "tiny"), "--out", str(tmp_path)],
+        }
+        for name, args in commands.items():
+            proc = subprocess.run([sys.executable, "-c", _ONE_COMMAND, *args],
+                                  capture_output=True, text=True, env=env, timeout=300)
+            assert proc.returncode == 0, (name, proc.stderr)
+            assert json.loads(proc.stdout.splitlines()[-1]) == [], name
+        assert (tmp_path / "gmm_eval.report.txt").exists()
+
     def test_scipy_loaded_only_by_scoring(self, tmp_path):
         src = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import oracles
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
@@ -478,9 +478,23 @@ class TestCDF:
             assert np.max(np.abs(deriv - dens[1:-1])) < 1e-4
 
 
+def erf_gap_within_bound(x):
+    """gmm.erf(x) against scipy.special.erf(x): within 1e-14 relative, or
+    one subnormal step (2**-1074) where scipy rounds a subnormal product
+    the other way: erf(145635 * 2**-1074) is 164331.49999995 steps, which
+    gmm.erf rounds down and scipy up. NaN where and only where scipy has
+    NaN."""
+    got, ref = gmm.erf(x), special.erf(x)
+    nan = np.isnan(ref)
+    assert np.array_equal(np.isnan(got), nan)
+    gap = np.abs(got[~nan] - ref[~nan])
+    assert np.all(gap <= np.maximum(1e-14 * np.abs(ref[~nan]), 2.0**-1074))
+
+
 class TestErfHelpers:
     # scipy.special is the oracle here only: the package computes erf from
-    # math.erf, and the test-side norm_cdf comes from math.erfc.
+    # Cody's rational approximations, and the test-side norm_cdf comes from
+    # math.erfc.
     Z = np.linspace(-10.0, 10.0, 200_001)
 
     def test_norm_cdf_matches_ndtr(self):
@@ -494,6 +508,43 @@ class TestErfHelpers:
     def test_scalar_and_shape(self):
         assert oracles.norm_cdf(0.0) == 0.5 and gmm.erf(0.0) == 0.0
         assert gmm.erf(np.zeros((2, 3))).shape == (2, 3)
+
+    @settings(max_examples=500)
+    @given(st.floats(allow_nan=False))
+    @example(0.0)
+    @example(-0.0)
+    @example(5e-324)
+    @example(145635 * 5e-324)
+    @example(2.2250738585072014e-308)
+    @example(gmm._ERF_NEAR)
+    @example(math.nextafter(gmm._ERF_NEAR, 1.0))
+    @example(4.0)
+    @example(5.9)
+    @example(gmm._ERF_ONE)
+    @example(26.55)
+    @example(1.7976931348623157e308)
+    @example(math.inf)
+    @example(math.nan)
+    def test_erf_matches_scipy_over_the_float64_range(self, v):
+        # Signalling NaNs are left out of the draws: numpy arithmetic on
+        # one warns "invalid value", and pytest makes warnings errors.
+        x = np.array([v, -v])
+        erf_gap_within_bound(x)
+        got = gmm.erf(x)
+        # Odd exactly, the sign of zero included; exact at 0 and +-inf.
+        assert np.array_equal(got[1], -got[0], equal_nan=True)
+        assert np.isnan(v) or np.array_equal(np.signbit(got), np.signbit(x))
+        if v == 0.0 or math.isinf(v):
+            assert got[0] == special.erf(v) == math.copysign(v != 0.0, v)
+
+    def test_erf_matches_scipy_on_random_bit_patterns(self):
+        # Every binade alike, subnormals included: a uniform draw of bit
+        # patterns (NaN patterns dropped), with both signs.
+        bits = np.random.default_rng(11).integers(0, 2**63, 200_000, dtype=np.int64)
+        x = bits.view(np.float64)
+        x = x[~np.isnan(x)]
+        erf_gap_within_bound(np.concatenate([x, -x]))
+
 
 
 class TestPointEstimate:

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 from unittest import mock
@@ -275,6 +276,46 @@ class TestDeterministicScores:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             metrics.deterministic_scores([1.0], [1.0, 2.0])
+
+    @staticmethod
+    def fresh_array_scores(points, targets):
+        """The scores computed on fresh arrays, one per step."""
+        err = points - targets
+        keep = np.abs(targets) >= metrics.MAPE_EPSILON
+        mape = float(100.0 * np.mean(np.abs(err[keep] / targets[keep]))) if keep.any() else math.nan
+        return float(np.mean(np.abs(err))), mape, float(np.sqrt(np.mean(err**2)))
+
+    @pytest.mark.parametrize("n", [1, 9, 129, metrics._PACK_BLOCK + 1, 3 * metrics._PACK_BLOCK + 5,
+                                   100_003])
+    @pytest.mark.parametrize("excluded", [0.0, 0.3, 1.0])
+    def test_bit_identical_to_fresh_arrays(self, n, excluded):
+        # The kept MAPE terms are packed across blocks; every mean still
+        # sums the same values in the same order.
+        rng = np.random.default_rng(n)
+        targets = rng.normal(0.0, 30.0, n)
+        targets[rng.random(n) < excluded] = rng.choice([0.0, -0.0, 1e-4, -5e-4])
+        points = targets + rng.normal(0.0, 1.0, n)
+        got = metrics.deterministic_scores(points, targets)
+        assert np.array_equal(got, self.fresh_array_scores(points, targets), equal_nan=True)
+
+    def test_traced_growth_is_one_buffer_per_element(self):
+        # One float64 buffer and the one-byte keep mask per element: 9
+        # bytes (measured 9.0). Fresh arrays per step took 25 bytes per
+        # element with every target kept and more with some excluded.
+        def peak(n):
+            rng = np.random.default_rng(n)
+            targets = rng.normal(0.0, 30.0, n)
+            targets[::7] = 0.0
+            points = targets + 1.0
+            tracemalloc.start()
+            try:
+                metrics.deterministic_scores(points, targets)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(100_000), peak(300_000)
+        assert large - small <= 200_000 * 10
 
 
 class TestEvaluate:
@@ -724,6 +765,14 @@ class TestScoringConfig:
     def test_smallest_grid_accepted(self):
         cfg = ScoringConfig(interval_points=np.int64(2), interval_range=[-1, 1])
         assert cfg.interval_points == 2
+
+    def test_interval_points_limit(self):
+        # A config allocates no grid, so the limit itself is checked here.
+        limit = metrics.MAX_INTERVAL_POINTS
+        assert limit == 2**17
+        assert ScoringConfig(interval_points=limit).interval_points == limit
+        with pytest.raises(ValueError, match=f"interval_points must be at most {limit}, got"):
+            ScoringConfig(interval_points=limit + 1)
 
 
 class TestReportFiles:
