@@ -247,12 +247,12 @@ def evaluate_run(checkpoint_path, data_path, levels, grid_points, normalized_spa
     reapplied so inputs match what the model saw, and the dataset is
     released once the splits hold their own copies. Metrics are reported
     in raw units unless normalized_space is set. The test windows are
-    predicted, mapped to the reporting space and scored in chunks of
-    `metrics.chunk_rows` windows, so no array holds the mixtures of the
-    whole split. The ridge grid is (x, float64 densities (horizon,
-    grid_points)) of the (window, node) `ridge`'s mixtures on the
-    interval grid (None for det); a ridge index outside the test split
-    fails before any scoring is done."""
+    gathered with their targets, predicted, mapped to the reporting space
+    and scored in chunks of `metrics.chunk_rows` windows, so no array
+    holds the targets or the mixtures of the whole split. The ridge grid
+    is (x, float64 densities (horizon, grid_points)) of the (window,
+    node) `ridge`'s mixtures on the interval grid (None for det); a ridge
+    index outside the test split fails before any scoring is done."""
     try:
         params, mcfg, norm_stats, extra = model.load_checkpoint(checkpoint_path)
     except (EOFError, KeyError, ValueError, zipfile.BadZipFile) as err:
@@ -278,41 +278,40 @@ def evaluate_run(checkpoint_path, data_path, levels, grid_points, normalized_spa
     test = splits.test
     del splits
     det = mcfg.variant == "det"
-    targets = test.targets if normalized_space else test.targets_raw
     window, node = ridge
-    n_windows, n_nodes = targets.shape[:2]
+    n_windows, n_nodes, t_f = test.count, test.raw.shape[2], mcfg.horizon
     if not det and not (0 <= window < n_windows and 0 <= node < n_nodes):
         raise data.DataError(
             f"ridge index (window {window}, node {node}) outside ({n_windows}, {n_nodes})"
         )
     interval_range = (-6.0, 6.0) if normalized_space else (0.0, manifest.max_value)
-    scoring = metrics.ScoringConfig(
-        levels=tuple(levels),
-        interval_points=grid_points,
-        interval_range=interval_range,
-    )
-    step = metrics.chunk_rows(targets[0].size, grid_points)
+    scoring = metrics.ScoringConfig(levels=tuple(levels), interval_points=grid_points,
+                                    interval_range=interval_range)
+    step = metrics.chunk_rows(n_nodes * t_f, grid_points)
     ridge_mixtures = []
 
-    def chunks():
+    def pairs():
         for start in range(0, n_windows, step):
-            preds = model.predict(params, mcfg, test.gather(slice(start, start + step))[0])
+            idx = slice(start, start + step)
+            inputs, targets = test.gather(idx)
+            preds = model.predict(params, mcfg, inputs)
             if not normalized_space:
+                targets = test.gather_raw(idx)
                 preds = nrm.inverse(preds) if det else preds.scale_shift(nrm.std, nrm.mean)
             if not det and start <= window < start + step:
                 ridge_mixtures.append(preds[window - start, node])
-            yield preds
+            yield targets, preds
 
     meta = {
         "variant": mcfg.variant,
         "dataset": dataset_id(manifest),
         "space": "normalized" if normalized_space else "raw",
-        "elements": str(targets.size),
+        "elements": str(n_windows * n_nodes * t_f),
         "levels": ",".join(repr(v) for v in scoring.levels),
         "seed": str(extra.get("seed", "")),
     }
     try:
-        report = metrics.evaluate(targets, chunks(), scoring, meta=meta)
+        report = metrics.evaluate(pairs(), scoring, meta=meta)
     except ValueError as err:
         raise data.DataError(str(err)) from err
     if det:

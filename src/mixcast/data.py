@@ -266,8 +266,8 @@ class WindowSet:
     mask, the inputs feed uncovered nodes the train-split mean (0 after
     normalization) and carry a per-node availability flag channel; the
     targets stay complete. `gather` builds the model-ready arrays of any
-    subset of windows; `inputs`, `targets` and `targets_raw` build them
-    for every window, on each read."""
+    subset of windows and `gather_raw` their raw-unit targets; `inputs`,
+    `targets` and `targets_raw` build them for every window, on each read."""
 
     series: np.ndarray  # (S, steps, N), normalized
     raw: np.ndarray  # (S, steps, N), raw units
@@ -292,18 +292,26 @@ class WindowSet:
         """These windows over a copy of the normalized series in `dtype`."""
         return replace(self, series=self.series.astype(dtype))
 
+    def _starts(self, idx):
+        """(session rows, step offsets) of the windows `idx`."""
+        return np.divmod(np.arange(self.count)[idx], self._steps.shape[1])
+
     def gather(self, idx):
         """(inputs (B, N, input_steps * channels), targets (B, N, horizon)) of
         the windows `idx` (anything that indexes range(count)), normalized,
         contiguous, in the dtype of the series."""
-        rows, offsets = np.divmod(np.arange(self.count)[idx], self._steps.shape[1])
-        steps = self._steps[rows, offsets]
+        steps = self._steps[self._starts(idx)]
         x = np.ascontiguousarray(steps[..., : self.input_steps])
         if self.coverage is not None:
             x[:, ~self.coverage] = 0.0
             flags = np.broadcast_to(self.coverage[:, None].astype(x.dtype), x.shape)
             x = np.concatenate([x, flags], axis=2)
         return x, np.ascontiguousarray(steps[..., self.input_steps :])
+
+    def gather_raw(self, idx) -> np.ndarray:
+        """The raw-unit targets (B, N, horizon) of the windows `idx`, contiguous."""
+        steps = sliding_window_view(self.raw, self._steps.shape[-1], axis=1)[self._starts(idx)]
+        return np.ascontiguousarray(steps[..., self.input_steps :])
 
     @property
     def inputs(self) -> np.ndarray:  # (W, N, input_steps * channels)
@@ -315,9 +323,7 @@ class WindowSet:
 
     @property
     def targets_raw(self) -> np.ndarray:  # (W, N, horizon), raw units
-        steps = sliding_window_view(self.raw, self._steps.shape[-1], axis=1)
-        rows, offsets = np.divmod(np.arange(self.count), self._steps.shape[1])
-        return np.ascontiguousarray(steps[rows, offsets, :, self.input_steps :])
+        return self.gather_raw(slice(None))
 
 
 def window(d: SeriesDataset, t_h: int, t_f: int, normalizer, sessions=None) -> WindowSet:

@@ -33,8 +33,6 @@ _CHUNK_CELLS = 2**17
 # scoring chunk, so a chunk of one horizon row (t_f elements, the least
 # `chunk_rows` gives) holds at most t_f * _CHUNK_CELLS cells.
 MAX_INTERVAL_POINTS = _CHUNK_CELLS
-# `deterministic_scores` packs the kept MAPE terms this many at a time.
-_PACK_BLOCK = 2**13
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # The interval grid is float32 where that is safe: with every mean and the
 # grid within _F32_REACH of the grid's low end and every variance at most
@@ -54,13 +52,13 @@ class ScoringConfig:
     interval_range, when given, two finite numbers lo < hi; anything else
     is a ValueError naming the field. interval_range is the shared
     interval grid range, e.g. (0, max speed) in raw units; mixtures need
-    one, point predictions do not. The grid is computed in float32 (see `_interval_densities` for
-    its error bound and float64 fallback). Coverage and width are
-    conditional on that range: u normalizes by the on-grid mass, and a
-    target outside it is covered at no level. The CLI keeps the fixed
-    physical range (0, max_value), as ingest rejects any value outside
-    it: mass there is unobservable. Beyond the per-element results,
-    `evaluate`'s working memory is one chunk (see there).
+    one, point predictions do not. The grid is computed in float32 (see
+    `_interval_densities` for its error bound and float64 fallback).
+    Coverage and width are conditional on that range: u normalizes by the
+    on-grid mass, and a target outside it is covered at no level. The CLI
+    keeps the fixed physical range (0, max_value), as ingest rejects any
+    value outside it: mass there is unobservable. `evaluate` keeps nothing
+    per element; its working memory is one chunk (see there).
     """
 
     levels: tuple = DEFAULT_LEVELS
@@ -152,38 +150,64 @@ def crps_mixture_batch(mb: MixtureBatch, y: np.ndarray) -> np.ndarray:
     return spread - pairs
 
 
-def deterministic_scores(points: np.ndarray, targets: np.ndarray):
-    """(mae, mape, rmse); mape in percent, excluding |target| < 1e-3.
+def _exact_partials(terms: list) -> list:
+    """Floats whose sum is exactly that of `terms` (which it extends): the
+    correctly rounded sum, then each correctly rounded remainder until none
+    is left, one math.fsum pass each. Where fsum cannot sum (beyond the
+    float range, or inf + -inf) the one partial is np.sum's, inf or NaN."""
+    try:
+        out = [math.fsum(terms)]
+    except (OverflowError, ValueError):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return [float(np.sum(terms))]
+    if math.isfinite(out[0]):
+        terms.append(-out[0])
+        while rest := math.fsum(terms):
+            out.append(rest)
+            terms.append(-rest)
+    return out
 
-    mape is NaN (an explicit undefined marker, never 0) when every target
-    is excluded.
-    """
-    points = np.asarray(points, dtype=float).ravel()
-    targets = np.asarray(targets, dtype=float).ravel()
-    if points.size == 0 or points.size != targets.size:
-        raise ValueError(f"length mismatch: {points.size} points vs {targets.size} targets")
-    # One float64 buffer beyond the inputs, reused for |target|, |e|, e**2
-    # (|e| squared is e squared bit for bit) and the kept |e / target|,
-    # packed to its front _PACK_BLOCK elements at a time (writes never pass
-    # reads), so each mean sums the same values in the same order as on
-    # fresh arrays.
-    buf = np.abs(targets)
-    keep = buf >= MAPE_EPSILON
-    np.subtract(points, targets, out=buf)
-    np.abs(buf, out=buf)
-    mae = float(np.mean(buf))
-    np.square(buf, out=buf)
-    rmse = float(np.sqrt(np.mean(buf)))
-    np.subtract(points, targets, out=buf)
-    np.divide(buf, targets, out=buf, where=keep)
-    np.abs(buf, out=buf)
-    kept = 0
-    for start in range(0, buf.size, _PACK_BLOCK):
-        part = buf[start:start + _PACK_BLOCK][keep[start:start + _PACK_BLOCK]]
-        buf[kept:kept + part.size] = part
-        kept += part.size
-    mape = float(100.0 * np.mean(buf[:kept])) if kept else float("nan")
-    return mae, mape, rmse
+
+def _mean(partials: list, n: int) -> float:
+    """The correctly rounded mean of n terms, given `_exact_partials` of
+    their sum (NaN for no terms): over the largest partial denominator, a
+    power of 2, int / int rounds once, and loads no fractions module."""
+    if not (n and math.isfinite(partials[0])):
+        return partials[0] if n else math.nan
+    ratios = [p.as_integer_ratio() for p in partials]
+    den = max(d for _, d in ratios)
+    return sum(num * (den // d) for num, d in ratios) / (den * n)
+
+
+class _ExactSums:
+    """Exact running sums per horizon step, as `_exact_partials`, of each
+    element's CRPS, |e|, e**2 and, where |y| >= MAPE_EPSILON, |e / y| (e =
+    point estimate - target), so no sum depends on the chunking; `kept`
+    counts the MAPE targets."""
+
+    def __init__(self, t_f: int):
+        self.t_f, self.kept = t_f, 0
+        self.partials = [[[] for _ in range(t_f)] for _ in range(4)]
+
+    def add(self, y: np.ndarray, point: np.ndarray, crps: np.ndarray) -> None:
+        """Add flat elements in whole rows of t_f steps."""
+        keep = np.abs(y) >= MAPE_EPSILON
+        with np.errstate(over="ignore"):  # a huge error sums to inf, as np.mean does
+            e = point - y
+            ratio = np.divide(e, y, out=np.zeros_like(e), where=keep)
+            terms = (crps, np.abs(e), e * e, np.abs(ratio))
+        for sums, values in zip(self.partials, terms):
+            for s, column in enumerate(values.reshape(-1, self.t_f).T.tolist()):
+                sums[s] = _exact_partials(sums[s] + column)
+        self.kept += int(np.count_nonzero(keep))
+
+    def means(self, rows: int):
+        """(crps_mean, CRPS per step, mae, mape, rmse) of `rows` rows."""
+        crps, abs_err, sq_err, pct_err = (
+            _exact_partials([p for step in sums for p in step]) for sums in self.partials)
+        n = rows * self.t_f
+        return (_mean(crps, n), [_mean(step, rows) for step in self.partials[0]],
+                _mean(abs_err, n), 100.0 * _mean(pct_err, self.kept), math.sqrt(_mean(sq_err, n)))
 
 
 def chunk_rows(row_elements: int, points: int) -> int:
@@ -240,26 +264,25 @@ def _pit_bins(u: np.ndarray) -> np.ndarray:
 
 
 def _score_mixtures(mb: MixtureBatch, y: np.ndarray, cfg: ScoringConfig, levels: np.ndarray,
-                    out) -> tuple:
-    """Score flat mixtures against their targets y (n,) into `out`: the
-    per-element CRPS and point estimate (n,), and int64 tallies of each
-    element's selected-cell counts (t_f, L), u < level (t_f, L) and HPD-PIT
-    bin (t_f, PIT_BINS) at its step, index mod t_f. Return how many
+                    sums: _ExactSums, tallies) -> tuple:
+    """Score flat mixtures against their targets y (n,): add each element's
+    CRPS and point estimate into `sums`, and its selected-cell counts
+    (t_f, L), u < level (t_f, L) and HPD-PIT bin (t_f, PIT_BINS) at its
+    step, index mod t_f, into the int64 `tallies`. Return how many
     elements keep less than MASS_COMPLETE_MIN of their mass on the grid,
     and how many keep none (their chunk adds no tallies). Each chunk of
     whole steps is scored completely (float64 CRPS, float32 grid where
     `_interval_densities` allows, HPD scores)."""
     lo, hi = cfg.interval_range
     x = np.linspace(lo, hi, cfg.interval_points)
-    crps, point_est, cells, covered, pit = out
+    cells, covered, pit = tallies
     t_f = cells.shape[0]
     clipped = empty = 0
     rows = t_f * chunk_rows(t_f, x.size)
     for start in range(0, y.size, rows):
         sl = slice(start, start + rows)
         part, y_part = mb[sl], y[sl]
-        crps[sl] = crps_mixture_batch(part, y_part)
-        point_est[sl] = part.point_estimates()
+        sums.add(y_part, part.point_estimates(), crps_mixture_batch(part, y_part))
         groups, mass = _interval_densities(part, y_part, lo, x)
         clipped += int(np.count_nonzero(mass < iv.MASS_COMPLETE_MIN))
         empty += int(np.count_nonzero(mass <= 0.0))
@@ -275,114 +298,94 @@ def _score_mixtures(mb: MixtureBatch, y: np.ndarray, cfg: ScoringConfig, levels:
     return clipped, empty
 
 
-def evaluate(targets, predictions, scoring: ScoringConfig | None = None,
+def evaluate(pairs, scoring: ScoringConfig | None = None,
              meta: dict | None = None) -> EvaluationReport:
-    """Score predictions against their targets (..., t_f).
+    """Score (targets, predictions) chunk pairs.
 
-    `predictions` is an iterable of chunks that split the targets along
-    their first axis, in order, each of shape (rows,) + targets.shape[1:]:
-    all mixtures (`MixtureBatch`) or all point predictions (arrays). A
-    caller holding every prediction passes one chunk. Mixtures get CRPS,
-    interval width and coverage at every level, plus deterministic scores
-    of their probability-weighted point estimates; point predictions get
-    CRPS == absolute error and NaN ("not applicable") interval metrics.
-    A ValueError names chunks that do not split the targets, mixtures
+    Each pair holds targets (..., t_f), with one t_f in every pair, and
+    predictions of the same shape: all mixtures (`MixtureBatch`) or all
+    point predictions (arrays); a caller holding everything passes one
+    pair. Mixtures get CRPS, interval width and coverage at every level,
+    plus deterministic scores of their probability-weighted point
+    estimates; point predictions get CRPS == absolute error and NaN ("not
+    applicable") interval metrics. A ValueError names a pair whose shapes
+    disagree or whose t_f differs, pairs without elements, mixtures
     without an interval_range, and how many elements' mixtures put no
     mass on the interval grid.
 
     Each chunk is scored as it arrives, 2**17 // interval_points elements
-    at a time, and dropped. Per element only the CRPS and point estimate
-    are kept, whatever the levels: widths, coverage and the HPD-PIT are
-    exact integer tallies per horizon step. Beyond those and the targets,
-    working memory is one chunk and a few (2**17)-cell arrays of at most
-    1 MiB.
+    at a time, and dropped: CRPS and the point errors go into exact sums
+    per horizon step (`_ExactSums`), so each mean is correctly rounded
+    whatever the chunking, and widths, coverage and the HPD-PIT into
+    integer tallies per step. Working memory is one chunk and a few
+    (2**17)-cell arrays of at most 1 MiB.
     """
     cfg = scoring or ScoringConfig()
     levels = np.asarray(cfg.levels, dtype=float)
-    targets = np.asarray(targets, dtype=float)
-    if targets.ndim < 2 or targets.size == 0:
-        raise ValueError(f"targets must be a non-empty (..., t_f) array, got {targets.shape}")
-    t_f = targets.shape[-1]
-    y = targets.ravel()
-    n = y.size
-    crps_elem, point_est = np.empty(n), np.empty(n)
-    tallies = None
-    clipped = empty = done = 0
-    for chunk in predictions:
+    sums = tallies = None
+    clipped = empty = n = 0
+    for y, chunk in pairs:
+        y = np.asarray(y, dtype=float)
         mixture = isinstance(chunk, MixtureBatch)
-        if not done and mixture:
-            if cfg.interval_range is None:
-                raise ValueError("interval_range is required to score mixtures")
-            tallies = [np.zeros((t_f, w), np.int64) for w in (levels.size, levels.size, PIT_BINS)]
+        chunk = chunk if mixture else np.asarray(chunk, dtype=float)
+        if chunk.shape != y.shape or not y.shape:
+            raise ValueError(f"prediction chunk shape {chunk.shape} differs from its "
+                             f"targets' {y.shape}, or is not (..., t_f)")
+        if mixture and cfg.interval_range is None:
+            raise ValueError("interval_range is required to score mixtures")
+        if sums is None:
+            sums = _ExactSums(y.shape[-1])
+            tallies = [np.zeros((sums.t_f, w), np.int64)
+                       for w in (levels.size, levels.size, PIT_BINS)] if mixture else None
         elif mixture != (tallies is not None):
             raise ValueError("predictions mix mixtures and point values")
-        if not mixture:
-            chunk = np.asarray(chunk, dtype=float)
-        size = math.prod(chunk.shape)
-        if chunk.shape[1:] != targets.shape[1:] or done + size > n:
-            raise ValueError(
-                f"prediction chunk shape {chunk.shape} does not continue "
-                f"targets {targets.shape} at element {done}"
-            )
-        sl = slice(done, done + size)
+        elif y.shape[-1] != sums.t_f:
+            raise ValueError(f"chunk shape {y.shape} has t_f {y.shape[-1]}, the first {sums.t_f}")
+        y = y.ravel()
+        n += y.size
         if mixture:
-            out = (crps_elem[sl], point_est[sl], *tallies)
-            c, e = _score_mixtures(chunk.reshape(size), y[sl], cfg, levels, out)
+            c, e = _score_mixtures(chunk.reshape(y.size), y, cfg, levels, sums, tallies)
             clipped, empty = clipped + c, empty + e
         else:
-            point_est[sl] = chunk.ravel()
-            crps_elem[sl] = np.abs(point_est[sl] - y[sl])
-        done += size
-    if done != n:
-        raise ValueError(f"predictions cover {done} of {n} target elements")
+            point = chunk.ravel()
+            sums.add(y, point, np.abs(point - y))
+    if not n:
+        raise ValueError("pairs hold no elements: targets must be non-empty (..., t_f) arrays")
     if empty:
         lo, hi = cfg.interval_range
-        raise ValueError(
-            f"{empty} of {n} elements put no mass on the interval grid [{lo!r}, {hi!r}]"
-        )
+        raise ValueError(f"{empty} of {n} elements put no mass on the interval grid "
+                         f"[{lo!r}, {hi!r}]")
 
-    crps_mean = float(crps_elem.mean())
-    mae, mape, rmse = deterministic_scores(point_est, y)
-
-    crps_by_step = crps_elem.reshape(-1, t_f).mean(axis=0)
-    if tallies is None:
-        avg_width = calib_error = float("nan")
-        curve, pit, pit_by_step = [], [], []
-        per_horizon = [(s + 1, float(crps_by_step[s]), float("nan"), float("nan")) for s in range(t_f)]
-    else:
+    t_f, rows = sums.t_f, n // sums.t_f
+    crps_mean, crps_by_step, mae, mape, rmse = sums.means(rows)
+    avg_width = calib_error = math.nan
+    w_step = ce_step = [math.nan] * t_f
+    curve, pit, pit_by_step = [], [], []
+    if tallies is not None:
         cells, covered, pit_rows = tallies
         x = np.linspace(*cfg.interval_range, cfg.interval_points)
         num, den = float(x[1] - x[0]).as_integer_ratio()  # dx; int / int rounds once
-        rows, step_cells = n // t_f, cells.sum(axis=1).tolist()
+        step_cells = cells.sum(axis=1).tolist()
         coverage = covered.sum(axis=0) / n
         curve = [(float(c), float(v)) for c, v in zip(levels, coverage)]
         avg_width = num * sum(step_cells) / (den * n * levels.size)
         calib_error = float(np.mean(np.abs(coverage - levels)))
         w_step = [num * c / (den * rows * levels.size) for c in step_cells]
-        ce_step = np.mean(np.abs(covered / rows - levels), axis=1)
-        per_horizon = [(s + 1, float(crps_by_step[s]), w_step[s], float(ce_step[s]))
-                       for s in range(t_f)]
+        ce_step = np.mean(np.abs(covered / rows - levels), axis=1).tolist()
         pit, pit_by_step = pit_rows.sum(axis=0).tolist(), pit_rows.tolist()
-
+    per_horizon = [(s + 1, crps_by_step[s], w_step[s], ce_step[s]) for s in range(t_f)]
     return EvaluationReport(
-        crps_mean=crps_mean,
-        avg_width=avg_width,
-        calib_error=calib_error,
-        mae=mae,
-        mape=mape,
-        rmse=rmse,
-        per_horizon=per_horizon,
-        calibration_curve=curve,
-        meta=dict(meta or {}),
-        clipped_interval_elements=clipped,
-        hpd_pit_counts=pit,
-        hpd_pit_counts_by_step=pit_by_step,
-    )
+        crps_mean=crps_mean, avg_width=avg_width, calib_error=calib_error, mae=mae, mape=mape,
+        rmse=rmse, per_horizon=per_horizon, calibration_curve=curve, meta=dict(meta or {}),
+        clipped_interval_elements=clipped, hpd_pit_counts=pit, hpd_pit_counts_by_step=pit_by_step)
 
 
 # ----------------------------------------------------------------------
 # Structured-text report files (diffable, byte-deterministic).
 # ----------------------------------------------------------------------
+
+
+_SCALARS = ("crps_mean", "avg_width", "calib_error", "mae", "mape", "rmse")
 
 
 def _fmt(v: float) -> str:
@@ -397,7 +400,7 @@ def report_to_text(r: EvaluationReport) -> str:
     lines = ["# evaluation report v1"]
     for k in sorted(r.meta):
         lines.append(f"meta.{k} = {r.meta[k]}")
-    for k in ("crps_mean", "avg_width", "calib_error", "mae", "mape", "rmse"):
+    for k in _SCALARS:
         lines.append(f"{k} = {_fmt(getattr(r, k))}")
     lines.append("")
     lines.append("[per_horizon]")
@@ -435,14 +438,5 @@ def report_from_text(text: str) -> EvaluationReport:
         elif section == "calibration":
             level, cov = line.split()
             curve.append((_parse(level), _parse(cov)))
-    return EvaluationReport(
-        crps_mean=scalars["crps_mean"],
-        avg_width=scalars["avg_width"],
-        calib_error=scalars["calib_error"],
-        mae=scalars["mae"],
-        mape=scalars["mape"],
-        rmse=scalars["rmse"],
-        per_horizon=per_horizon,
-        calibration_curve=curve,
-        meta=meta,
-    )
+    return EvaluationReport(**{k: scalars[k] for k in _SCALARS}, per_horizon=per_horizon,
+                            calibration_curve=curve, meta=meta)

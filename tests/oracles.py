@@ -17,10 +17,12 @@ against; the other interval helpers build one mixture's grid, read
 widths, containment, covered cells and selected mass, and run the batch
 HPD kernel (u and selected-cell counts) on the grid evaluation uses. `stacked_windows` is the
 windowing that stored every window as its own copy, the reference for
-`data.WindowSet`'s gathers. None of them is on a CLI or library path, so
-they live beside the tests.
+`data.WindowSet`'s gathers. `exact_scores` is the correctly rounded
+reference for the means `metrics.evaluate` reports. None of them is on a
+CLI or library path, so they live beside the tests.
 """
 import math
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -67,6 +69,43 @@ def stacked_windows(d, t_h: int, t_f: int, normalizer, sessions=None):
         inputs = np.concatenate([np.where(flags > 0, inputs, 0.0), flags], axis=2)
     return SimpleNamespace(inputs=inputs, targets=normalizer.transform(targets_raw),
                            targets_raw=targets_raw, session_ids=np.asarray(sids))
+
+
+# ----------------------------------------------------------------------
+# Correctly rounded means.
+# ----------------------------------------------------------------------
+
+
+def exact_sum(values) -> Fraction:
+    """The exact sum of finite floats: integer arithmetic over the common
+    denominator 2**1074, the float spacing at the bottom of the range."""
+    total = 0
+    for v in np.ravel(values).tolist():
+        num, den = v.as_integer_ratio()  # den is a power of 2
+        total += num << (1075 - den.bit_length())
+    return Fraction(total, 1 << 1074)
+
+
+def exact_scores(y, point, crps, t_f: int, mape_epsilon: float):
+    """(crps_mean, CRPS per step, mae, mape, rmse) as correctly rounded
+    means of the per-element terms over flat elements in rows of t_f
+    steps: each exact sum is divided once and rounded once; rmse is the
+    square root of the rounded mean of e**2 and mape 100 times the rounded
+    mean of |e / y| over |y| >= mape_epsilon (NaN if no target is kept)."""
+    e = point - y
+    keep = np.abs(y) >= mape_epsilon
+    n = y.size
+
+    def mean(values, count):
+        return float(exact_sum(values) / count)
+
+    return (
+        mean(crps, n),
+        [mean(col, n // t_f) for col in crps.reshape(-1, t_f).T],
+        mean(np.abs(e), n),
+        100.0 * mean(np.abs(e[keep] / y[keep]), keep.sum()) if keep.any() else math.nan,
+        math.sqrt(mean(e * e, n)),
+    )
 
 
 def congestion_prone_steps(spec: SyntheticSpec) -> np.ndarray:

@@ -63,7 +63,7 @@ def train_and_score(dataset, variant, k, seed, coverage=None):
     nrm = splits.normalizer
     raw = nrm.inverse(preds) if variant == "det" else preds.scale_shift(nrm.std, nrm.mean)
     rep = metrics.evaluate(
-        test.targets_raw, [raw], ScoringConfig(interval_range=(0.0, worked.max_value))
+        [(test.targets_raw, raw)], ScoringConfig(interval_range=(0.0, worked.max_value))
     )
     return rep.crps_mean, result.batch_digests
 
@@ -248,7 +248,7 @@ class TestCriterion5Calibration:
         mb = MixtureBatch(w, rng.uniform(-2, 2, (n, k)), rng.uniform(0.25, 2.0, (n, k)))
         targets = oracles.sample_one_each(mb, rng)
         rep = metrics.evaluate(
-            targets.reshape(n // 10, 1, 10), [mb.reshape(n // 10, 1, 10)],
+            [(targets.reshape(n // 10, 1, 10), mb.reshape(n // 10, 1, 10))],
             ScoringConfig(interval_range=(-8.0, 8.0), interval_points=points),
         )
         worst = max(abs(cov - lvl) for lvl, cov in rep.calibration_curve)

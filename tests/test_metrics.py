@@ -223,7 +223,7 @@ class TestCRPSPoint:
         # at 0 scores 2 per trial; the ideal two-spike mixture scores the
         # hand-integrated 1 per trial (0.25 over a width-4 gap).
         ys = np.array([-2.0, 2.0])
-        det = metrics.evaluate(ys.reshape(2, 1, 1), [np.zeros((2, 1, 1))])
+        det = metrics.evaluate([(ys.reshape(2, 1, 1), np.zeros((2, 1, 1)))])
         assert det.crps_mean == pytest.approx(2.0)
         m = MixtureBatch([0.5, 0.5], [-2.0, 2.0], [0.0, 0.0])
         mix_scores = [crps_of(m, y) for y in ys]
@@ -254,68 +254,142 @@ class TestPropriety:
             assert diff.mean() > 3 * se
 
 
+def point_scores(points, targets):
+    """(mae, mape, rmse) of point predictions scored by `evaluate`, one
+    element per window."""
+    rep = metrics.evaluate([(np.reshape(targets, (-1, 1)), np.reshape(points, (-1, 1)))])
+    return rep.mae, rep.mape, rep.rmse
+
+
 class TestDeterministicScores:
     def test_perfect(self):
-        assert metrics.deterministic_scores([1.0, 2.0], [1.0, 2.0]) == (0.0, 0.0, 0.0)
+        assert point_scores([1.0, 2.0], [1.0, 2.0]) == (0.0, 0.0, 0.0)
 
     def test_arithmetic(self):
-        mae, mape, rmse = metrics.deterministic_scores([1.0, 3.0], [2.0, 2.0])
+        mae, mape, rmse = point_scores([1.0, 3.0], [2.0, 2.0])
         assert (mae, rmse) == (1.0, 1.0)
         assert mape == pytest.approx(50.0)
 
     def test_constant_offset(self):
         t = np.linspace(1, 5, 20)
-        mae, _, rmse = metrics.deterministic_scores(t + 1.0, t)
+        mae, _, rmse = point_scores(t + 1.0, t)
         assert mae == pytest.approx(1.0)
         assert rmse == pytest.approx(1.0)
 
+    def test_mape_excludes_targets_below_epsilon(self):
+        # |y| < 1e-3 drops out of MAPE only; 1e-3 itself is kept.
+        mae, mape, _ = point_scores([1.0, 1.0, 3.0, 2e-3], [0.0, -9e-4, 2.0, 1e-3])
+        assert mae == pytest.approx((1.0 + 1.0009 + 1.0 + 1e-3) / 4)
+        assert mape == pytest.approx(100.0 * (0.5 + 1.0) / 2)
+
     def test_all_targets_below_epsilon_gives_nan_mape(self):
-        _, mape, _ = metrics.deterministic_scores([1.0, 2.0], [0.0, 1e-9])
+        _, mape, _ = point_scores([1.0, 2.0], [0.0, 1e-9])
         assert math.isnan(mape)
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            metrics.deterministic_scores([1.0], [1.0, 2.0])
+        with pytest.raises(ValueError, match="differs from its targets"):
+            point_scores([1.0], [1.0, 2.0])
 
-    @staticmethod
-    def fresh_array_scores(points, targets):
-        """The scores computed on fresh arrays, one per step."""
-        err = points - targets
-        keep = np.abs(targets) >= metrics.MAPE_EPSILON
-        mape = float(100.0 * np.mean(np.abs(err[keep] / targets[keep]))) if keep.any() else math.nan
-        return float(np.mean(np.abs(err))), mape, float(np.sqrt(np.mean(err**2)))
-
-    @pytest.mark.parametrize("n", [1, 9, 129, metrics._PACK_BLOCK + 1, 3 * metrics._PACK_BLOCK + 5,
-                                   100_003])
+    @pytest.mark.parametrize("n", [1, 9, 129, 8193, 24581, 100_003])
     @pytest.mark.parametrize("excluded", [0.0, 0.3, 1.0])
     def test_bit_identical_to_fresh_arrays(self, n, excluded):
-        # The kept MAPE terms are packed across blocks; every mean still
-        # sums the same values in the same order.
+        # Whatever the size and the share of targets MAPE excludes, each
+        # score is the correctly rounded mean of the terms computed on
+        # fresh arrays.
         rng = np.random.default_rng(n)
         targets = rng.normal(0.0, 30.0, n)
         targets[rng.random(n) < excluded] = rng.choice([0.0, -0.0, 1e-4, -5e-4])
         points = targets + rng.normal(0.0, 1.0, n)
-        got = metrics.deterministic_scores(points, targets)
-        assert np.array_equal(got, self.fresh_array_scores(points, targets), equal_nan=True)
+        _, _, mae, mape, rmse = oracles.exact_scores(targets, points, np.abs(points - targets), 1,
+                                                     metrics.MAPE_EPSILON)
+        got = point_scores(points, targets)
+        assert np.array_equal(got, (mae, mape, rmse), equal_nan=True)
 
-    def test_traced_growth_is_one_buffer_per_element(self):
-        # One float64 buffer and the one-byte keep mask per element: 9
-        # bytes (measured 9.0). Fresh arrays per step took 25 bytes per
-        # element with every target kept and more with some excluded.
+    def test_traced_peak_does_not_grow_with_the_elements(self):
+        # Scored chunk by chunk, nothing is kept per element: 300,000
+        # elements in 300 chunks peak no higher than 100,000 in 100.
         def peak(n):
             rng = np.random.default_rng(n)
-            targets = rng.normal(0.0, 30.0, n)
-            targets[::7] = 0.0
+            targets = rng.normal(0.0, 30.0, (n // 1000, 100, 10))
+            targets[..., ::7] = 0.0
             points = targets + 1.0
             tracemalloc.start()
             try:
-                metrics.deterministic_scores(points, targets)
+                metrics.evaluate(zip(targets[:, None], points[:, None]))
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        small, large = peak(100_000), peak(300_000)
-        assert large - small <= 200_000 * 10
+        peak(100_000)  # one-time allocations first
+        assert peak(300_000) - peak(100_000) <= 16_000
+
+
+class TestExactMeans:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.tuples(st.integers(1, 12), st.integers(1, 2), st.integers(1, 3)),
+        st.sets(st.integers(1, 11)),
+        st.booleans(),
+    )
+    def test_means_are_correctly_rounded_under_any_chunking(self, seed, shape, cuts, mixtures):
+        # Terms over many binades, exact zeros and MAPE-excluded targets,
+        # split into chunks of any number of windows (one element each
+        # when nodes = t_f = 1): every mean equals the exact sum of its
+        # terms divided once and rounded once, and for point predictions
+        # crps_mean == mae bit for bit.
+        windows, nodes, t_f = shape
+        rng = np.random.default_rng(seed)
+        size = (windows, nodes, t_f)
+        targets = rng.uniform(-1.0, 1.0, size) * 10.0 ** rng.integers(-5, 4, size)
+        targets[rng.random(size) < 0.2] = 0.0
+        if mixtures:
+            w = rng.random(size + (3,)) + 0.05
+            preds = MixtureBatch(w / w.sum(-1, keepdims=True), rng.normal(0.0, 50.0, size + (3,)),
+                                 10.0 ** rng.uniform(0, 4, size + (3,)))
+            point = preds.point_estimates()
+            crps = metrics.crps_mixture_batch(preds.reshape(targets.size), targets.ravel())
+            cfg = ScoringConfig(interval_range=(-200.0, 200.0), interval_points=401)
+        else:
+            preds = targets + rng.uniform(-1.0, 1.0, size) * 10.0 ** rng.integers(-8, 3, size)
+            exact = rng.random(size) < 0.2
+            preds[exact] = targets[exact]
+            point, crps, cfg = preds, np.abs(preds - targets).ravel(), None
+        bounds = [0, *sorted(c for c in cuts if c < windows), windows]
+        rep = metrics.evaluate([(targets[a:b], preds[a:b]) for a, b in zip(bounds, bounds[1:])],
+                               cfg)
+        crps_mean, by_step, mae, mape, rmse = oracles.exact_scores(
+            targets.ravel(), np.ravel(point), crps, t_f, metrics.MAPE_EPSILON)
+        assert rep.crps_mean == crps_mean
+        assert [row[1] for row in rep.per_horizon] == by_step
+        assert np.array_equal((rep.mae, rep.mape, rep.rmse), (mae, mape, rmse), equal_nan=True)
+        if not mixtures:
+            assert rep.crps_mean == rep.mae
+
+    @pytest.mark.parametrize("value, want", [(1e200, (1e200, math.inf)), (1e308, (math.inf,) * 2),
+                                             (math.nan, (math.nan,) * 2)])
+    def test_huge_and_nan_point_predictions_score_as_np_mean(self, value, want):
+        # e**2 overflows to inf at 1e200, and at 1e308 the sum of |e| does
+        # too, which math.fsum alone reports as an OverflowError; NaN
+        # never leaves a remainder of 0. Each ends with np.mean's result
+        # (mape, finite at 1e200, to its rounding).
+        targets = np.array([[1.0, 2.0], [4.0, 0.0]])
+        rep = metrics.evaluate([(targets, np.full((2, 2), value))])
+        with np.errstate(over="ignore"):
+            e = value - targets
+            mape = 100.0 * np.mean(np.abs(e[targets != 0] / targets[targets != 0]))
+            assert (np.mean(np.abs(e)), np.sqrt(np.mean(e * e))) == pytest.approx(want, nan_ok=True)
+        assert np.array_equal((rep.mae, rep.rmse), want, equal_nan=True)
+        assert rep.mape == pytest.approx(mape, rel=1e-15, nan_ok=True)
+        assert np.array_equal(rep.crps_mean, rep.mae, equal_nan=True)
+
+    @pytest.mark.parametrize("terms, want", [([math.inf, 1.0], math.inf),
+                                             ([math.inf, -math.inf], math.nan),
+                                             ([1e308, 1e308, 1.0], math.inf),
+                                             ([math.nan, 1.0], math.nan)])
+    def test_non_finite_sums_stand_alone(self, terms, want):
+        got = metrics._exact_partials(list(terms))
+        assert len(got) == 1 and np.array_equal(got[0], want, equal_nan=True)
 
 
 class TestEvaluate:
@@ -333,7 +407,7 @@ class TestEvaluate:
             np.zeros(targets.shape + (1,)),
         )
         cfg = ScoringConfig(interval_range=(lo, hi), interval_points=pts)
-        rep = metrics.evaluate(targets, [mb], cfg)
+        rep = metrics.evaluate([(targets, mb)], cfg)
         assert rep.crps_mean < 0.02
         assert all(cov == 1.0 for _, cov in rep.calibration_curve)
         assert rep.calib_error == pytest.approx(0.275, abs=1e-12)
@@ -348,7 +422,7 @@ class TestEvaluate:
         mb = MixtureBatch(w, rng.uniform(-2, 2, (n, k)), rng.uniform(0.25, 2.0, (n, k)))
         targets = oracles.sample_one_each(mb, rng)
         rep = metrics.evaluate(
-            targets.reshape(n // 4, 1, 4), [mb.reshape(n // 4, 1, 4)],
+            [(targets.reshape(n // 4, 1, 4), mb.reshape(n // 4, 1, 4))],
             ScoringConfig(interval_range=(-8.0, 8.0), interval_points=3001),
         )
         for level, cov in rep.calibration_curve:
@@ -358,7 +432,7 @@ class TestEvaluate:
     def test_single_element_95_width(self):
         mb = MixtureBatch(np.ones((1, 1, 1, 1)), np.zeros((1, 1, 1, 1)), np.ones((1, 1, 1, 1)))
         rep = metrics.evaluate(
-            np.zeros((1, 1, 1)), [mb],
+            [(np.zeros((1, 1, 1)), mb)],
             ScoringConfig(levels=(0.95,), interval_range=(-6.0, 6.0), interval_points=2001),
         )
         assert rep.avg_width == pytest.approx(2 * 1.959964, abs=0.02)
@@ -368,7 +442,7 @@ class TestEvaluate:
         # there, which the HPD normalization alone would hide.
         mb = MixtureBatch(np.ones((2, 1)), np.zeros((2, 1)), np.array([[0.25], [25.0]]))
         rep = metrics.evaluate(
-            np.zeros((1, 1, 2)), [mb.reshape(1, 1, 2)],
+            [(np.zeros((1, 1, 2)), mb.reshape(1, 1, 2))],
             ScoringConfig(interval_range=(-3.0, 3.0), interval_points=601),
         )
         assert rep.clipped_interval_elements == 1
@@ -377,7 +451,7 @@ class TestEvaluate:
     def test_point_prediction_batch(self):
         targets = np.array([[[1.0, 2.0]], [[3.0, 4.0]]])
         preds = targets + np.array([[[0.5, -0.5]], [[1.0, -1.0]]])
-        rep = metrics.evaluate(targets, [preds])
+        rep = metrics.evaluate([(targets, preds)])
         assert rep.crps_mean == rep.mae  # identical reductions, bitwise
         assert math.isnan(rep.avg_width) and math.isnan(rep.calib_error)
         assert rep.calibration_curve == []
@@ -385,35 +459,43 @@ class TestEvaluate:
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
-            metrics.evaluate(np.zeros((0, 2, 3)), [np.zeros((0, 2, 3))])
+            metrics.evaluate([(np.zeros((0, 2, 3)), np.zeros((0, 2, 3)))])
 
     def test_shape_mismatch_reports_dimensions(self):
         mb = MixtureBatch(np.ones((2, 3, 1)), np.zeros((2, 3, 1)), np.ones((2, 3, 1)))
         cfg = ScoringConfig(interval_range=(-3.0, 3.0))
-        with pytest.raises(ValueError, match=r"chunk shape \(2, 3\) does not continue targets \(2, 4\)"):
-            metrics.evaluate(np.zeros((2, 4)), [mb], cfg)
+        with pytest.raises(ValueError,
+                           match=r"chunk shape \(2, 3\) differs from its targets' \(2, 4\)"):
+            metrics.evaluate([(np.zeros((2, 4)), mb)], cfg)
 
     def test_both_prediction_kinds_rejected(self):
         mb = MixtureBatch(np.ones((1, 1, 1, 1)), np.zeros((1, 1, 1, 1)), np.ones((1, 1, 1, 1)))
         cfg = ScoringConfig(interval_range=(-3.0, 3.0))
         for chunks in ([mb, np.zeros((1, 1, 1))], [np.zeros((1, 1, 1)), mb]):
             with pytest.raises(ValueError, match="predictions mix mixtures and point values"):
-                metrics.evaluate(np.zeros((2, 1, 1)), chunks, cfg)
+                metrics.evaluate([(np.zeros((1, 1, 1)), c) for c in chunks], cfg)
 
-    @pytest.mark.parametrize("windows", [[1], [1, 2], [3], []])
+    @pytest.mark.parametrize("windows", [[1], [2, 1], [3], []])
     def test_chunks_must_cover_the_targets(self, windows):
-        chunks = [np.zeros((w, 2, 3)) for w in windows]
-        with pytest.raises(ValueError, match="cover|does not continue"):
-            metrics.evaluate(np.zeros((2, 2, 3)), chunks)
+        # Each chunk's predictions cover its two target windows exactly,
+        # and some chunk holds elements.
+        pairs = [(np.zeros((2, 2, 3)), np.zeros((w, 2, 3))) for w in windows]
+        with pytest.raises(ValueError, match="differs from its targets|non-empty"):
+            metrics.evaluate(pairs)
+
+    def test_chunks_must_share_the_horizon(self):
+        pairs = [(np.zeros(shape), np.zeros(shape)) for shape in ((1, 2, 3), (1, 3, 2))]
+        with pytest.raises(ValueError, match=r"chunk shape \(1, 3, 2\) has t_f 2, the first 3"):
+            metrics.evaluate(pairs)
 
     def test_mixtures_need_an_interval_range(self):
         # Point predictions score without one; mixtures have no grid to
         # take intervals on.
         y = np.zeros((1, 1, 1))
-        assert metrics.evaluate(y, [np.ones((1, 1, 1))]).crps_mean == 1.0
+        assert metrics.evaluate([(y, np.ones((1, 1, 1)))]).crps_mean == 1.0
         mb = MixtureBatch(np.ones((1, 1, 1, 1)), np.zeros((1, 1, 1, 1)), np.ones((1, 1, 1, 1)))
         with pytest.raises(ValueError, match="interval_range is required"):
-            metrics.evaluate(y, [mb])
+            metrics.evaluate([(y, mb)])
 
     def test_interval_metrics_aggregate_hpd_scores(self):
         # avg_width is the mean over elements and levels of the kernel's
@@ -427,7 +509,7 @@ class TestEvaluate:
         mb = MixtureBatch(w, rng.uniform(-2, 2, (n, 2)), rng.uniform(0.2, 1.0, (n, 2)))
         targets = rng.uniform(-2, 2, n)
         cfg = ScoringConfig(interval_range=(-9.0, 9.0), interval_points=901)
-        rep = metrics.evaluate(targets.reshape(-1, 1, t_f), [mb.reshape(-1, 1, t_f)], cfg)
+        rep = metrics.evaluate([(targets.reshape(-1, 1, t_f), mb.reshape(-1, 1, t_f))], cfg)
         levels = np.asarray(cfg.levels)
         u, counts, dx = oracles.hpd_scores_on_grid(mb, targets, -9.0, 9.0, 901, levels)
         width = dx * counts
@@ -509,7 +591,8 @@ class TestEvaluate:
         cfg = ScoringConfig(levels=levels, interval_range=(lo, hi), interval_points=points)
         bounds = [0, *sorted(c for c in cuts if c < windows), windows]
         with mock.patch.object(metrics, "_CHUNK_CELLS", cells):
-            rep = metrics.evaluate(targets, [mb[a:b] for a, b in zip(bounds, bounds[1:])], cfg)
+            rep = metrics.evaluate([(targets[a:b], mb[a:b]) for a, b in zip(bounds, bounds[1:])],
+                                   cfg)
         _, exact, width, w_step, coverage, ce_step, pit, pit_by_step = (
             self.per_element_reference(targets, mb, cfg))
         assert rep.calibration_curve == [(float(c), float(v)) for c, v in zip(levels, coverage)]
@@ -536,7 +619,7 @@ class TestEvaluate:
         for y, want in (([3.5, -3.2], 0.0), ([3.0, -3.0], 1.0)):
             y = np.array(y)
             mb = MixtureBatch(np.ones((2, 1)), y[:, None].copy(), np.full((2, 1), 0.5))
-            rep = metrics.evaluate(y.reshape(1, 1, 2), [mb.reshape(1, 1, 2)], cfg)
+            rep = metrics.evaluate([(y.reshape(1, 1, 2), mb.reshape(1, 1, 2))], cfg)
             assert all(cov == want for _, cov in rep.calibration_curve), y
 
 
@@ -558,24 +641,25 @@ class TestEvaluate:
         return targets.reshape(-1, 2, t_f), mb.reshape(-1, 2, t_f), cfg
 
     @staticmethod
-    def scored(targets, chunks, cfg):
+    def scored(pairs, cfg):
         """The report text and run.json figures of one evaluation."""
-        rep = metrics.evaluate(targets, chunks, cfg, meta={"variant": "gmm"})
+        rep = metrics.evaluate(pairs, cfg, meta={"variant": "gmm"})
         results = [rep.clipped_interval_elements, rep.hpd_pit_counts, rep.hpd_pit_counts_by_step]
         return metrics.report_to_text(rep), json.dumps(results)
 
     @settings(max_examples=30, deadline=None)
     @given(st.sets(st.integers(1, 14)), st.sampled_from([1, 7 * 4 * 301, metrics._CHUNK_CELLS]))
     def test_chunk_size_changes_no_result(self, cuts, cells):
-        # Every score is per element and every tally an integer sum, so any
-        # split of the windows into prediction chunks, scored one row of 4
-        # steps, seven rows or all at a time, gives the report text and
-        # run.json figures of one whole chunk.
+        # Every mean is an exact sum divided once and every tally an integer
+        # sum, so any split of the windows into prediction chunks, scored
+        # one row of 4 steps, seven rows or all at a time, gives the report
+        # text and run.json figures of one whole chunk.
         targets, mb, cfg = self.mixed_batch()
-        whole = self.scored(targets, [mb], cfg)
+        whole = self.scored([(targets, mb)], cfg)
         bounds = [0, *sorted(cuts), len(targets)]
         with mock.patch.object(metrics, "_CHUNK_CELLS", cells):
-            chunked = self.scored(targets, [mb[a:b] for a, b in zip(bounds, bounds[1:])], cfg)
+            chunked = self.scored([(targets[a:b], mb[a:b]) for a, b in zip(bounds, bounds[1:])],
+                                  cfg)
         assert chunked == whole
         rep = metrics.report_from_text(whole[0])
         assert json.loads(whole[1])[0] > 0  # clipped-mass elements
@@ -597,7 +681,7 @@ class TestEvaluate:
             return out
 
         moved = gmm.MixtureBatch._valid(placed(mb.weights), placed(mb.means), placed(mb.variances))
-        assert self.scored(placed(targets), [moved], cfg) == self.scored(targets, [mb], cfg)
+        assert self.scored([(placed(targets), moved)], cfg) == self.scored([(targets, mb)], cfg)
 
 
 class TestFloat32IntervalGrid:
@@ -621,7 +705,7 @@ class TestFloat32IntervalGrid:
         (n, PIT_BINS)."""
         n, levels = y.size, np.asarray(cfg.levels)
         tallies = [np.zeros((n, w), dtype=np.int64) for w in (levels.size, levels.size, 10)]
-        clipped, _ = metrics._score_mixtures(mb, y, cfg, levels, (np.empty(n), np.empty(n), *tallies))
+        clipped, _ = metrics._score_mixtures(mb, y, cfg, levels, metrics._ExactSums(n), tallies)
         return tallies, clipped
 
     @staticmethod
@@ -783,7 +867,7 @@ class TestReportFiles:
         mb = MixtureBatch(w, rng.normal(0, 1, (n, 1)), np.full((n, 1), 0.5))
         targets = rng.normal(0, 1, n)
         return metrics.evaluate(
-            targets.reshape(5, 2, 4), [mb.reshape(5, 2, 4)],
+            [(targets.reshape(5, 2, 4), mb.reshape(5, 2, 4))],
             ScoringConfig(interval_range=(-7.0, 7.0), interval_points=701),
             meta={"variant": "norm", "dataset": "unit-test"},
         )
@@ -813,7 +897,7 @@ class TestReportFiles:
         )
 
     def test_nan_serialized_as_na(self):
-        text = metrics.report_to_text(metrics.evaluate(np.ones((1, 1, 1)), [np.ones((1, 1, 1))]))
+        text = metrics.report_to_text(metrics.evaluate([(np.ones((1, 1, 1)), np.ones((1, 1, 1)))]))
         assert "avg_width = na" in text
         back = metrics.report_from_text(text)
         assert math.isnan(back.avg_width)
