@@ -285,8 +285,11 @@ def evaluate_run(checkpoint_path, data_path, levels, grid_points, normalized_spa
             f"ridge index (window {window}, node {node}) outside ({n_windows}, {n_nodes})"
         )
     interval_range = (-6.0, 6.0) if normalized_space else (0.0, manifest.max_value)
-    scoring = metrics.ScoringConfig(levels=tuple(levels), interval_points=grid_points,
-                                    interval_range=interval_range)
+    scoring = metrics.ScoringConfig(
+        levels=tuple(levels),
+        interval_points=grid_points,
+        interval_range=interval_range,
+    )
     step = metrics.chunk_rows(n_nodes * t_f, grid_points)
     ridge_mixtures = []
 

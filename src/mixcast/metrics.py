@@ -180,14 +180,14 @@ def _mean(partials: list, n: int) -> float:
 
 
 class _ExactSums:
-    """Exact running sums per horizon step, as `_exact_partials`, of each
-    element's CRPS, |e|, e**2 and, where |y| >= MAPE_EPSILON, |e / y| (e =
-    point estimate - target), so no sum depends on the chunking; `kept`
-    counts the MAPE targets."""
+    """Exact running sums, as `_exact_partials`, of each element's CRPS per
+    horizon step and, over all steps, its |e|, e**2 and, where |y| >=
+    MAPE_EPSILON, |e / y| (e = point estimate - target), so no sum depends
+    on the chunking; `kept` counts the MAPE targets."""
 
     def __init__(self, t_f: int):
         self.t_f, self.kept = t_f, 0
-        self.partials = [[[] for _ in range(t_f)] for _ in range(4)]
+        self.crps, self.errors = [[] for _ in range(t_f)], [[], [], []]
 
     def add(self, y: np.ndarray, point: np.ndarray, crps: np.ndarray) -> None:
         """Add flat elements in whole rows of t_f steps."""
@@ -195,18 +195,17 @@ class _ExactSums:
         with np.errstate(over="ignore"):  # a huge error sums to inf, as np.mean does
             e = point - y
             ratio = np.divide(e, y, out=np.zeros_like(e), where=keep)
-            terms = (crps, np.abs(e), e * e, np.abs(ratio))
-        for sums, values in zip(self.partials, terms):
-            for s, column in enumerate(values.reshape(-1, self.t_f).T.tolist()):
-                sums[s] = _exact_partials(sums[s] + column)
+            terms = (np.abs(e), e * e, np.abs(ratio))
+        self.errors = [_exact_partials(s + t.tolist()) for s, t in zip(self.errors, terms)]
+        columns = crps.reshape(-1, self.t_f).T.tolist()
+        self.crps = [_exact_partials(s + c) for s, c in zip(self.crps, columns)]
         self.kept += int(np.count_nonzero(keep))
 
     def means(self, rows: int):
         """(crps_mean, CRPS per step, mae, mape, rmse) of `rows` rows."""
-        crps, abs_err, sq_err, pct_err = (
-            _exact_partials([p for step in sums for p in step]) for sums in self.partials)
-        n = rows * self.t_f
-        return (_mean(crps, n), [_mean(step, rows) for step in self.partials[0]],
+        n, (abs_err, sq_err, pct_err) = rows * self.t_f, self.errors
+        crps = _exact_partials([p for step in self.crps for p in step])
+        return (_mean(crps, n), [_mean(step, rows) for step in self.crps],
                 _mean(abs_err, n), 100.0 * _mean(pct_err, self.kept), math.sqrt(_mean(sq_err, n)))
 
 
@@ -314,8 +313,8 @@ def evaluate(pairs, scoring: ScoringConfig | None = None,
     mass on the interval grid.
 
     Each chunk is scored as it arrives, 2**17 // interval_points elements
-    at a time, and dropped: CRPS and the point errors go into exact sums
-    per horizon step (`_ExactSums`), so each mean is correctly rounded
+    at a time, and dropped: CRPS (per horizon step) and the point errors
+    go into exact sums (`_ExactSums`), so each mean is correctly rounded
     whatever the chunking, and widths, coverage and the HPD-PIT into
     integer tallies per step. Working memory is one chunk and a few
     (2**17)-cell arrays of at most 1 MiB.
@@ -353,8 +352,9 @@ def evaluate(pairs, scoring: ScoringConfig | None = None,
         raise ValueError("pairs hold no elements: targets must be non-empty (..., t_f) arrays")
     if empty:
         lo, hi = cfg.interval_range
-        raise ValueError(f"{empty} of {n} elements put no mass on the interval grid "
-                         f"[{lo!r}, {hi!r}]")
+        raise ValueError(
+            f"{empty} of {n} elements put no mass on the interval grid [{lo!r}, {hi!r}]"
+        )
 
     t_f, rows = sums.t_f, n // sums.t_f
     crps_mean, crps_by_step, mae, mape, rmse = sums.means(rows)
@@ -375,17 +375,24 @@ def evaluate(pairs, scoring: ScoringConfig | None = None,
         pit, pit_by_step = pit_rows.sum(axis=0).tolist(), pit_rows.tolist()
     per_horizon = [(s + 1, crps_by_step[s], w_step[s], ce_step[s]) for s in range(t_f)]
     return EvaluationReport(
-        crps_mean=crps_mean, avg_width=avg_width, calib_error=calib_error, mae=mae, mape=mape,
-        rmse=rmse, per_horizon=per_horizon, calibration_curve=curve, meta=dict(meta or {}),
-        clipped_interval_elements=clipped, hpd_pit_counts=pit, hpd_pit_counts_by_step=pit_by_step)
+        crps_mean=crps_mean,
+        avg_width=avg_width,
+        calib_error=calib_error,
+        mae=mae,
+        mape=mape,
+        rmse=rmse,
+        per_horizon=per_horizon,
+        calibration_curve=curve,
+        meta=dict(meta or {}),
+        clipped_interval_elements=clipped,
+        hpd_pit_counts=pit,
+        hpd_pit_counts_by_step=pit_by_step,
+    )
 
 
 # ----------------------------------------------------------------------
 # Structured-text report files (diffable, byte-deterministic).
 # ----------------------------------------------------------------------
-
-
-_SCALARS = ("crps_mean", "avg_width", "calib_error", "mae", "mape", "rmse")
 
 
 def _fmt(v: float) -> str:
@@ -400,7 +407,7 @@ def report_to_text(r: EvaluationReport) -> str:
     lines = ["# evaluation report v1"]
     for k in sorted(r.meta):
         lines.append(f"meta.{k} = {r.meta[k]}")
-    for k in _SCALARS:
+    for k in ("crps_mean", "avg_width", "calib_error", "mae", "mape", "rmse"):
         lines.append(f"{k} = {_fmt(getattr(r, k))}")
     lines.append("")
     lines.append("[per_horizon]")
@@ -438,5 +445,14 @@ def report_from_text(text: str) -> EvaluationReport:
         elif section == "calibration":
             level, cov = line.split()
             curve.append((_parse(level), _parse(cov)))
-    return EvaluationReport(**{k: scalars[k] for k in _SCALARS}, per_horizon=per_horizon,
-                            calibration_curve=curve, meta=meta)
+    return EvaluationReport(
+        crps_mean=scalars["crps_mean"],
+        avg_width=scalars["avg_width"],
+        calib_error=scalars["calib_error"],
+        mae=scalars["mae"],
+        mape=scalars["mape"],
+        rmse=scalars["rmse"],
+        per_horizon=per_horizon,
+        calibration_curve=curve,
+        meta=meta,
+    )

@@ -269,11 +269,12 @@ class TestWindowing:
         for name in ("inputs", "targets", "targets_raw"):
             same_bytes(getattr(w, name), getattr(ref, name))
         # Any subset, in any order, and from a float32 copy of the series
-        # as training gathers it.
+        # as training gathers it; the raw targets stay float64.
         idx = rng.permutation(w.count)[: int(rng.integers(1, w.count + 1))]
         w32 = w.astype(np.float32)
         for got, want in zip(w32.gather(idx), (ref.inputs, ref.targets)):
             same_bytes(got, want[idx].astype(np.float32))
+        same_bytes(w32.gather_raw(idx), ref.targets_raw[idx])
 
     def test_normalizer_ignores_val_and_test(self):
         d = data.generate(small_spec())

@@ -293,9 +293,10 @@ class TestDeterministicScores:
     @pytest.mark.parametrize("n", [1, 9, 129, 8193, 24581, 100_003])
     @pytest.mark.parametrize("excluded", [0.0, 0.3, 1.0])
     def test_bit_identical_to_fresh_arrays(self, n, excluded):
-        # Whatever the size and the share of targets MAPE excludes, each
-        # score is the correctly rounded mean of the terms computed on
-        # fresh arrays.
+        # At sizes beyond TestExactMeans' few dozen elements, and whatever
+        # the share of targets MAPE excludes, each score is bit-identical
+        # to the correctly rounded mean of the terms computed on fresh
+        # arrays.
         rng = np.random.default_rng(n)
         targets = rng.normal(0.0, 30.0, n)
         targets[rng.random(n) < excluded] = rng.choice([0.0, -0.0, 1e-4, -5e-4])
