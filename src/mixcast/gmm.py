@@ -10,12 +10,15 @@ exp(-logvar) and logvar / 2, so training forms no weights, variances or
 the head computes them, so every step, the sums over the K components
 included, runs over contiguous rows; responsibilities below e**-60 of
 their element's largest are set to 0, which keeps float32 subnormals out
-of the gradients. Densities on a shared grid and at interval targets
-have one plain-space implementation (`grid_densities`).
+of the gradients. It consumes the head outputs it is given, writing its
+gradients over them, and needs two scratch arrays of their shape, which
+a caller may pass from a reused workspace. Densities on a shared grid
+and at interval targets have one plain-space implementation
+(`grid_densities`), which can also write into given buffers.
 
-Everything here is a pure function of its inputs. A `MixtureBatch`
-neither copies nor freezes its arrays, so callers that share one must
-not mutate them.
+Apart from that kernel and the buffers a caller hands over, everything
+here is a pure function of its inputs. A `MixtureBatch` neither copies
+nor freezes its arrays, so callers that share one must not mutate them.
 
 The kernels follow the dtype of their inputs: float32 arrays (training
 and the interval grid of evaluation compute in float32) stay float32,
@@ -108,7 +111,7 @@ def _sum_k(a):
     return out
 
 
-def grid_densities(weights, means, variances, x):
+def grid_densities(weights, means, variances, x, out=None):
     """Mixture densities of M mixtures on one shared grid.
 
     `weights/means/variances` have shape (M, K) and `x` shape (P,), or
@@ -118,11 +121,15 @@ def grid_densities(weights, means, variances, x):
     log space): grid densities may underflow to zero in far tails (below
     about 1e-45 in float32, 1e-323 in float64), which the interval
     selection handles. One scratch buffer keeps the memory traffic flat
-    in K.
+    in K. `out` is None or a (result, scratch) pair of arrays of the
+    result's shape and dtype, the result written into the first.
     """
-    dtype = np.result_type(weights, means, variances, x, np.float32)
-    dens = np.zeros(np.broadcast_shapes((weights.shape[0], 1), x.shape), dtype=dtype)
-    buf = np.empty_like(dens)
+    if out is None:
+        dtype = np.result_type(weights, means, variances, x, np.float32)
+        shape = np.broadcast_shapes((weights.shape[0], 1), x.shape)
+        out = np.empty(shape, dtype=dtype), np.empty(shape, dtype=dtype)
+    dens, buf = out
+    dens[...] = 0.0
     for k in range(weights.shape[1]):
         var = variances[:, k]
         np.subtract(x, means[:, k][:, None], out=buf)
@@ -134,15 +141,16 @@ def grid_densities(weights, means, variances, x):
     return dens
 
 
-def nll_and_gradients(logits, means, logvars, y, gradients=True):
+def nll_and_gradients(logits, means, logvars, y, gradients=True, scratch=None):
     """Per-element NLL -log p(y) of the mixtures with weights
     softmax(logits), and its gradients, all in log space.
 
     Rows last: parameter arrays have shape (..., K, M), the M elements
-    along the last axis, and y shape (..., 1, M). Returns (nll, (d_logits,
-    d_means, d_logvars)), with nll shaped (..., 1, M) and each gradient
-    (..., K, M), or (nll, None) when `gradients` is false (the nll is the
-    same, bit for bit). With responsibilities gamma_k = pi_k N(y|k) / p(y):
+    along the last axis, and y shape (..., 1, M), all of one float dtype.
+    Returns (nll, (d_logits, d_means, d_logvars)), with nll shaped
+    (..., 1, M) and each gradient (..., K, M), or (nll, None) when
+    `gradients` is false (the nll is the same, bit for bit). With
+    responsibilities gamma_k = pi_k N(y|k) / p(y):
 
         d/d logit_k   = -(gamma_k - pi_k)
         d/d mu_k      = -gamma_k (y - mu_k) / var_k
@@ -152,19 +160,28 @@ def nll_and_gradients(logits, means, logvars, y, gradients=True):
     exp(-logvar) and logvar / 2, so no weight or variance is formed.
     A responsibility below e**LOG_RESP_CUTOFF of its element's largest is
     exactly 0.
+
+    The kernel consumes logits, means and logvars: each gradient is
+    written over its own input (d_logits over logits, and so on), and
+    without gradients the three hold intermediates. Callers that still
+    need them pass copies. `scratch` is two arrays of the parameters'
+    shape and dtype to work in, or None to allocate them.
     """
+    s1, s2 = (np.empty_like(logits), np.empty_like(logits)) if scratch is None else scratch
     # Max-shifted logits: log pi_k = e_k - log(e_sum).
-    e = logits - logits.max(axis=-2, keepdims=True)
+    e = logits
+    e -= logits.max(axis=-2, keepdims=True)
     # log pi_k + log N(y; mu_k, var_k), with r = (mu_k - y) / var_k and
     # q = (y - mu_k)^2 / (2 var_k), which the gradients reuse.
-    d = means - y
-    scratch = np.negative(logvars)
-    inv_var = np.exp(scratch, out=scratch)
-    r = d * inv_var
+    d = means
+    d -= y
+    inv_var = np.exp(np.negative(logvars, out=s1), out=s1)
+    r = np.multiply(d, inv_var, out=s2)
     d *= 0.5
     q = np.multiply(d, r, out=d)
-    terms = e - q
-    half_log_var = np.multiply(logvars, 0.5, out=scratch)
+    terms = np.subtract(e, q, out=s1)
+    half_log_var = logvars
+    half_log_var *= 0.5
     half_log_var += _HALF_LOG_2PI
     terms -= half_log_var
     # -log p(y) by log-sum-exp over the components, with log(e_sum) added
@@ -174,10 +191,9 @@ def nll_and_gradients(logits, means, logvars, y, gradients=True):
     # g_sum, so what it drops (under K e**-60) lies far below g_sum's ulp.
     m = terms.max(axis=-2, keepdims=True)
     terms -= m
-    kept = np.greater_equal(terms, LOG_RESP_CUTOFF, out=scratch)  # 1.0 or 0.0
+    kept = np.greater_equal(terms, LOG_RESP_CUTOFF, out=logvars)  # 1.0 or 0.0
     gamma = np.exp(terms, out=terms)
     gamma *= kept
-    del scratch, inv_var, half_log_var, kept  # one buffer, freed before the sums
     e_sum = np.exp(e, out=e).sum(axis=-2, keepdims=True)
     g_sum = gamma.sum(axis=-2, keepdims=True)
     nll = np.log(e_sum / g_sum)
@@ -186,10 +202,10 @@ def nll_and_gradients(logits, means, logvars, y, gradients=True):
         return nll, None
     gamma /= g_sum
     pi = np.divide(e, e_sum, out=e)
-    d_means = np.multiply(gamma, r, out=r)
     np.subtract(0.5, q, out=q)
-    d_logvars = np.multiply(gamma, q, out=q)
-    d_logits = np.subtract(pi, gamma, out=gamma)
+    d_logvars = np.multiply(gamma, q, out=logvars)
+    d_means = np.multiply(gamma, r, out=means)
+    d_logits = np.subtract(pi, gamma, out=logits)
     return nll, (d_logits, d_means, d_logvars)
 
 

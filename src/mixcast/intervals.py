@@ -113,7 +113,7 @@ def derive_intervals(density, x, levels) -> list:
     return out
 
 
-def _mass_before(density: np.ndarray):
+def _mass_before(density: np.ndarray, incl=None):
     """Rank (M, P) density rows by descending density and accumulate their
     mass: (ranked, incl, total). ranked[:, j] is the rank-j density, in
     the rows' dtype; incl[:, j] is the float64 mass of ranks 0..j, so the
@@ -122,12 +122,15 @@ def _mass_before(density: np.ndarray):
 
     Rows are sorted in place, in their own dtype (tied values are
     interchangeable, so the sort need not be stable); one float64 copy of
-    the ranked view takes the cumulative sum in place, so a float32 grid
-    loses nothing to accumulation.
+    the ranked view, into the (M, P) float64 `incl` when given, takes the
+    cumulative sum in place, so a float32 grid loses nothing to
+    accumulation.
     """
     density.sort(axis=1)
     ranked = density[:, ::-1]
-    incl = np.array(ranked, dtype=np.float64)
+    if incl is None:
+        incl = np.empty(density.shape)
+    np.copyto(incl, ranked)
     np.cumsum(incl, axis=1, out=incl)
     total = incl[:, -1]
     if np.any(total <= 0.0):
@@ -165,16 +168,17 @@ def _selected_counts(incl, total, levels):
     return pos - (last - p)
 
 
-def hpd_scores(density, p_y, on_grid, levels):
+def hpd_scores(density, p_y, on_grid, levels, incl=None):
     """Each target's HPD value u and each level's selected-cell count.
 
     density: (M, P) rows with positive mass, float32 or float64, sorted
     in place (their order is lost); p_y: (M,) target densities, computed
     like the grid's so that a target on a grid point ties its cell;
-    on_grid: (M,) bool; levels: (L,). Returns (u (M,) float64, counts
-    (M, L) int64). u is the normalized mass of the cells denser than the
-    target, so the target lies in the level-c selection of
-    `derive_intervals` iff u < c; off the grid u = 1. A width is the
+    on_grid: (M,) bool; levels: (L,); incl: None or an (M, P) float64
+    buffer for the cumulative masses (`_mass_before`). Returns (u (M,)
+    float64, counts (M, L) int64). u is the normalized mass of the cells
+    denser than the target, so the target lies in the level-c selection
+    of `derive_intervals` iff u < c; off the grid u = 1. A width is the
     count times the grid spacing, which exceeds derive_intervals' run
     geometry by at most one spacing per run. Beyond one comparison with
     p_y and `_mass_before`, neither takes a full pass over the grid: u
@@ -182,7 +186,7 @@ def hpd_scores(density, p_y, on_grid, levels):
     row.
     """
     above = np.count_nonzero(density > p_y[:, None], axis=1)
-    incl, total = _mass_before(density)[1:]
+    incl, total = _mass_before(density, incl)[1:]
     m, p = incl.shape
     u = np.take(incl.ravel(), np.arange(m) * p + np.maximum(above - 1, 0)) / total
     u[above == 0] = 0.0

@@ -216,9 +216,12 @@ def chunk_rows(row_elements: int, points: int) -> int:
     return max(1, _CHUNK_CELLS // (row_elements * points))
 
 
-def _interval_densities(part: MixtureBatch, y: np.ndarray, lo: float, x: np.ndarray):
+def _interval_densities(part: MixtureBatch, y: np.ndarray, lo: float, x: np.ndarray,
+                        out=None):
     """Grid and target densities of one chunk, in row groups, and each
     row's grid mass: ([(rows, dens (r, P), p_y (r,)), ...], mass (n,)).
+    The float32 grid goes into `out`, None or a (grid, scratch) pair of
+    (n, P) float32 buffers for `grid_densities`.
 
     The grid is computed in float32: means, grid and targets are shifted
     by lo in float64 before the cast, so rounding scales with the grid
@@ -243,7 +246,7 @@ def _interval_densities(part: MixtureBatch, y: np.ndarray, lo: float, x: np.ndar
     )
     x32 = np.minimum(x - lo, _F32_REACH).astype(np.float32)
     y32 = np.clip(y - lo, -_F32_REACH, _F32_REACH).astype(np.float32)
-    dens = grid_densities(w32, mu32, var32, x32)
+    dens = grid_densities(w32, mu32, var32, x32, out)
     p_y = grid_densities(w32, mu32, var32, y32[:, None])[:, 0]
     mass = dens.sum(axis=1, dtype=np.float64) * dx
     wide |= ~(mass >= _F32_MASS_MIN)
@@ -262,8 +265,27 @@ def _pit_bins(u: np.ndarray) -> np.ndarray:
     return np.minimum(np.searchsorted(edges, u, side="right") - 1, PIT_BINS - 1)
 
 
+class _GridBuffers:
+    """The float32 grid of a scoring chunk and the float64 cumulative
+    masses, one buffer each, grown to the largest chunk and reused by
+    every chunk of an evaluation, since fresh (rows, P) arrays would be
+    mapped and faulted in again for each chunk. The grid's scratch is the
+    front half of the masses' buffer: it is dead before they are summed."""
+
+    size = 0
+
+    def views(self, shape):
+        """(grid, scratch, incl) views of `shape`."""
+        n = shape[0] * shape[1]
+        if n > self.size:
+            self.size = n
+            self.grid, self.incl = np.empty(n, np.float32), np.empty(n)
+        scratch = self.incl.view(np.float32)[:n]
+        return tuple(a[:n].reshape(shape) for a in (self.grid, scratch, self.incl))
+
+
 def _score_mixtures(mb: MixtureBatch, y: np.ndarray, cfg: ScoringConfig, levels: np.ndarray,
-                    sums: _ExactSums, tallies) -> tuple:
+                    sums: _ExactSums, tallies, buffers: _GridBuffers) -> tuple:
     """Score flat mixtures against their targets y (n,): add each element's
     CRPS and point estimate into `sums`, and its selected-cell counts
     (t_f, L), u < level (t_f, L) and HPD-PIT bin (t_f, PIT_BINS) at its
@@ -271,7 +293,7 @@ def _score_mixtures(mb: MixtureBatch, y: np.ndarray, cfg: ScoringConfig, levels:
     elements keep less than MASS_COMPLETE_MIN of their mass on the grid,
     and how many keep none (their chunk adds no tallies). Each chunk of
     whole steps is scored completely (float64 CRPS, float32 grid where
-    `_interval_densities` allows, HPD scores)."""
+    `_interval_densities` allows, HPD scores) in views of `buffers`."""
     lo, hi = cfg.interval_range
     x = np.linspace(lo, hi, cfg.interval_points)
     cells, covered, pit = tallies
@@ -282,7 +304,8 @@ def _score_mixtures(mb: MixtureBatch, y: np.ndarray, cfg: ScoringConfig, levels:
         sl = slice(start, start + rows)
         part, y_part = mb[sl], y[sl]
         sums.add(y_part, part.point_estimates(), crps_mixture_batch(part, y_part))
-        groups, mass = _interval_densities(part, y_part, lo, x)
+        grid, scratch, incl = buffers.views((y_part.size, x.size))
+        groups, mass = _interval_densities(part, y_part, lo, x, (grid, scratch))
         clipped += int(np.count_nonzero(mass < iv.MASS_COMPLETE_MIN))
         empty += int(np.count_nonzero(mass <= 0.0))
         if empty:
@@ -290,7 +313,7 @@ def _score_mixtures(mb: MixtureBatch, y: np.ndarray, cfg: ScoringConfig, levels:
         on_grid = (y_part >= lo) & (y_part <= hi)
         u, counts = np.empty(y_part.size), np.empty((y_part.size, levels.size), dtype=np.int64)
         for at, dens, p_y in groups:
-            u[at], counts[at] = iv.hpd_scores(dens, p_y, on_grid[at], levels)
+            u[at], counts[at] = iv.hpd_scores(dens, p_y, on_grid[at], levels, incl[: len(dens)])
         cells += counts.reshape(-1, t_f, levels.size).sum(axis=0)
         covered += (u.reshape(-1, t_f, 1) < levels).sum(axis=0)
         np.add.at(pit, (np.arange(u.size) % t_f, _pit_bins(u)), 1)
@@ -323,6 +346,7 @@ def evaluate(pairs, scoring: ScoringConfig | None = None,
     levels = np.asarray(cfg.levels, dtype=float)
     sums = tallies = None
     clipped = empty = n = 0
+    buffers = _GridBuffers()
     for y, chunk in pairs:
         y = np.asarray(y, dtype=float)
         mixture = isinstance(chunk, MixtureBatch)
@@ -343,7 +367,7 @@ def evaluate(pairs, scoring: ScoringConfig | None = None,
         y = y.ravel()
         n += y.size
         if mixture:
-            c, e = _score_mixtures(chunk.reshape(y.size), y, cfg, levels, sums, tallies)
+            c, e = _score_mixtures(chunk.reshape(y.size), y, cfg, levels, sums, tallies, buffers)
             clipped, empty = clipped + c, empty + e
         else:
             point = chunk.ravel()

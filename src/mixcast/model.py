@@ -19,12 +19,21 @@ clamped log-variances) rows last, each branch as W @ zp.T shaped
 kernel and the branch gradients run over contiguous rows; only `predict`
 builds a `MixtureBatch`, of shape (..., horizon, K). One per-element
 loss (`_elementwise_loss`, on the log-space NLL kernel
-`gmm.nll_and_gradients`) and one mean (`_mean_loss`) serve both loss
-entry points, so their losses agree bitwise.
+`gmm.nll_and_gradients`, which writes its gradients over the head
+outputs) and one mean (`_mean_loss`) serve both loss entry points, so
+their losses agree bitwise.
+
+A `Workspace` holds a step's arrays in one buffer, laid out by liveness:
+the forward activations, head outputs, NLL scratch and targets, and the
+backward products, each written into the slot of an array that is dead
+by then. `training.fit` keeps one for every step and validation block,
+so training allocates no large array per step; `backward` without one
+allocates a fresh workspace, and `predict` allocates as numpy does.
 
 All gradients are hand-derived reverse mode; `backward` matches central
 finite differences (see tests). Forward/backward are pure functions of
-(params, batch), so concurrent evaluation on parameter snapshots is safe.
+(params, batch) apart from the workspace they write, so concurrent
+evaluation on parameter snapshots is safe when each call has its own.
 
 `ModelParams` packs every tensor into one contiguous buffer, with the
 named tensors as views of it, written through (`params[name][...] = v`)
@@ -220,40 +229,103 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator) -> ModelParams:
     return ModelParams(t)
 
 
-def backbone_forward(x, params, cfg: BackboneConfig):
+# Workspace slots start at multiples of this many elements (64 bytes in
+# float32), so every view is at least as aligned as a fresh array.
+_SLOT_ALIGN = 16
+
+
+def _aligned(n: int) -> int:
+    """n rounded up to a multiple of _SLOT_ALIGN."""
+    return -(-n // _SLOT_ALIGN) * _SLOT_ALIGN
+
+
+def _slot_widths(cfg: ModelConfig, itemsize: int) -> dict:
+    """Each workspace slot's width per batch row, in storage order. A slot
+    is sized for every array it holds over a step: h1 then g_a1; z then
+    g_h1 (mixtures); zp then the branch products and g_z; the NLL's
+    scratch, the first also g_zp; for det the outputs, then g_h1, while z
+    takes g_z. `inside` holds the bool clamp mask, one byte per element."""
+    bb = cfg.backbone
+    if cfg.variant == "det":
+        return {"h1": bb.hidden, "z": bb.features, "out": max(cfg.horizon, bb.hidden)}
+    wide, width = cfg.horizon * cfg.head.components, cfg.head.proj_width
+    return {"h1": bb.hidden, "z": max(bb.features, bb.hidden), "zp": max(width, bb.features),
+            "mix": wide, "mean": wide, "logvar": wide, "scratch1": max(wide, width),
+            "scratch2": wide, "y": cfg.horizon, "inside": -(-wide // itemsize)}
+
+
+class Workspace:
+    """One buffer for the arrays of a training step or a validation block
+    of up to `rows` (window, location) rows, in `dtype`, reused from call
+    to call. `views(r)` carves each slot's first r * width elements from
+    the front of the buffer, one after another, so a short batch uses a
+    prefix of it. What a step leaves in it is overwritten by the next."""
+
+    def __init__(self, cfg: ModelConfig, rows: int, dtype=np.float32):
+        self.rows = rows
+        self.widths = _slot_widths(cfg, np.dtype(dtype).itemsize)
+        self.flat = np.empty(sum(_aligned(rows * w) for w in self.widths.values()), dtype)
+
+    def views(self, rows: int) -> dict:
+        """Each slot's flat view for a batch of `rows` rows."""
+        if rows > self.rows:
+            raise ValueError(f"a batch of {rows} rows exceeds the workspace's {self.rows}")
+        views, start = {}, 0
+        for name, width in self.widths.items():
+            views[name] = self.flat[start : start + rows * width]
+            start += _aligned(rows * width)
+        return views
+
+
+def _out(ws, name, shape, dtype=None):
+    """The front of workspace slot `name` as an array of `shape` (viewed
+    as `dtype` when given), or None without a workspace, where numpy
+    allocates."""
+    if ws is None:
+        return None
+    slot = ws[name] if dtype is None else ws[name].view(dtype)
+    return slot[: math.prod(shape)].reshape(shape)
+
+
+def backbone_forward(x, params, cfg: BackboneConfig, ws=None):
     """Per-node MLP (input window -> hidden -> features).
 
     Returns (z, h1): the features and the hidden activations that
-    `backward` reuses."""
+    `backward` reuses, in the slots of workspace views `ws` if given."""
     if x.ndim != 3 or x.shape[-1] != cfg.input_dim:
         raise ValueError(f"expected inputs (B, N, {cfg.input_dim}), got {x.shape}")
-    a1 = _affine(x, params, "backbone.w1", "backbone.b1")
+    rows = x.shape[:-1]
+    a1 = _affine(x, params, "backbone.w1", "backbone.b1", _out(ws, "h1", rows + (cfg.hidden,)))
     h1 = np.tanh(a1, out=a1) if cfg.activation == "tanh" else a1
-    return _affine(h1, params, "backbone.w2", "backbone.b2"), h1
+    z = _affine(h1, params, "backbone.w2", "backbone.b2", _out(ws, "z", rows + (cfg.features,)))
+    return z, h1
 
 
-def _affine(a, params, w, b):
-    """a @ params[w].T + params[b], adding the bias in place: each fresh
-    temporary costs page faults as well as a pass."""
-    out = a @ params[w].T
+def _affine(a, params, w, b, out=None):
+    """a @ params[w].T + params[b] into `out` (None: a new array), adding
+    the bias in place."""
+    out = np.matmul(a, params[w].T, out=out)
     out += params[b]
     return out
 
 
-def head_forward(z, cfg: ModelConfig, params):
+def head_forward(z, cfg: ModelConfig, params, ws=None):
     """((logits, means, logvars), cache): the head's raw outputs, rows last.
 
     z has shape (..., features), its leading axes flattening to R rows;
     each output is a branch's W @ zp.T as (horizon, K, R), the order of
     its weight rows, in the dtype of the branch outputs. Means are in
     normalized space and log-variances are clamped to [LOG_VAR_MIN,
-    LOG_VAR_MAX]. The cache holds the (R, proj_width) projection."""
+    LOG_VAR_MAX]. The cache holds the (R, proj_width) projection. With
+    workspace views `ws`, every array lands in its slot."""
     hc = cfg.head
-    zp = _affine(z, params, "proj.w", "proj.b").reshape(-1, hc.proj_width)
+    zp = _affine(z, params, "proj.w", "proj.b",
+                 _out(ws, "zp", z.shape[:-1] + (hc.proj_width,))).reshape(-1, hc.proj_width)
     shape = (cfg.horizon, hc.components, zp.shape[0])
 
     def branch(name):
-        out = params[f"{name}.w"] @ zp.T
+        out = _out(ws, name, (shape[0] * shape[1], shape[2]))
+        out = np.matmul(params[f"{name}.w"], zp.T, out=out)
         out += params[f"{name}.b"][:, None]
         return out.reshape(shape)
 
@@ -277,47 +349,60 @@ def head_mixtures(outputs, shape) -> MixtureBatch:
                           for a in (w, means, np.exp(logvars, out=logvars))))
 
 
-def weight_entropy(logits):
-    """Per horizon step, the mean over rows of the component weights'
-    entropy and of its exp (the effective K), in float64, from
-    `head_forward`'s rows-last (horizon, K, rows) logits."""
+def entropy_rows(logits):
+    """The component weights' entropy per horizon step and row, (horizon,
+    rows) float64, from `head_forward`'s rows-last (horizon, K, rows)
+    logits."""
     entropy = np.empty((logits.shape[0], logits.shape[-1]))
     for step, lg in zip(entropy, logits):  # step by step, to keep temporaries small
         shifted = lg - lg.max(axis=0).astype(np.float64)
         e = np.exp(shifted)
         e_sum = e.sum(axis=0)
         step[:] = np.log(e_sum) - (e * shifted).sum(axis=0) / e_sum
-    return entropy.mean(axis=-1), np.exp(entropy).mean(axis=-1)
+    return entropy
 
 
-def _forward(inputs, params: ModelParams, cfg: ModelConfig):
+def weight_entropy(rows):
+    """Per horizon step, the mean over rows of `entropy_rows`' entropies
+    and of their exp (the effective K)."""
+    return rows.mean(axis=-1), np.exp(rows).mean(axis=-1)
+
+
+def _forward(inputs, params: ModelParams, cfg: ModelConfig, ws=None):
     """(predictions, cache): the head's (logits, means, logvars) for
     norm/gmm, point values for det, plus every intermediate `backward`
-    needs."""
-    z, h1 = backbone_forward(inputs, params, cfg.backbone)
+    needs, in the slots of workspace views `ws` if given."""
+    z, h1 = backbone_forward(inputs, params, cfg.backbone, ws)
     cache = {"h1": h1, "z": z}
     if cfg.variant == "det":
-        return _affine(z, params, "out.w", "out.b"), cache
-    outputs, head_cache = head_forward(z, cfg, params)
+        return _affine(z, params, "out.w", "out.b",
+                       _out(ws, "out", z.shape[:-1] + (cfg.horizon,))), cache
+    outputs, head_cache = head_forward(z, cfg, params, ws)
     cache.update(head_cache)
     return outputs, cache
 
 
-def _elementwise_loss(preds, y, cfg: ModelConfig, with_grad: bool):
+def _elementwise_loss(preds, y, cfg: ModelConfig, with_grad: bool, ws=None):
     """(per-element loss, per-element gradient or None) over all (window,
     location, step) elements: absolute error and its sign for det, in the
     batch's shape, and NLL (rows last, (horizon, 1, rows)) and the
     kernel's rows-last (d_logits, d_means, d_logvars) for the mixture
-    variants. The loss does not depend on with_grad, bit for bit."""
+    variants. The loss does not depend on with_grad, bit for bit. The
+    predictions are consumed: the gradients are written over them."""
     if cfg.variant == "det":
-        diff = preds - y
-        return np.abs(diff), (np.sign(diff) if with_grad else None)
+        diff = np.subtract(preds, y, out=preds)
+        per = np.abs(diff)
+        return per, (np.sign(diff, out=diff) if with_grad else None)
     # Targets rows last, (horizon, 1, rows), like the head outputs.
-    y_rows_last = np.ascontiguousarray(y.reshape(-1, y.shape[-1]).T)[:, None, :]
+    shape = (y.shape[-1], 1, y.size // y.shape[-1])
+    y_rows_last = np.empty(shape, y.dtype) if ws is None else _out(ws, "y", shape)
+    y_rows_last[:, 0] = y.reshape(-1, y.shape[-1]).T
+    scratch = None if ws is None else tuple(_out(ws, name, preds[0].shape)
+                                            for name in ("scratch1", "scratch2"))
     # Non-finite intermediates surface through the loss guard of _mean_loss,
     # so numpy's own warnings are redundant here.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return nll_and_gradients(*preds, y_rows_last, gradients=with_grad)
+        return nll_and_gradients(*preds, y_rows_last, gradients=with_grad, scratch=scratch)
 
 
 def _mean_loss(per, shape, cfg: ModelConfig) -> float:
@@ -337,24 +422,28 @@ def _mean_loss(per, shape, cfg: ModelConfig) -> float:
     return loss
 
 
-def blocked_loss(batches, params: ModelParams, cfg: ModelConfig):
-    """(loss, logits): the training loss of the windows of `batches` taken
+def blocked_loss(batches, params: ModelParams, cfg: ModelConfig, workspace=None):
+    """(loss, entropy): the training loss of the windows of `batches` taken
     in order as one batch, bit for bit, with one batch's activations alive
-    at a time. The loss is the plain mean over all (window, location,
-    step) elements: NLL for mixture variants, absolute error for det. The
-    per-element losses, and for norm/gmm the head's rows-last logits, are
-    put back together before the mean; the logits are None for det."""
-    pers, logits, windows = [], [], 0
+    at a time (in `workspace`, if given). The loss is the plain mean over
+    all (window, location, step) elements: NLL for mixture variants,
+    absolute error for det. For norm/gmm each batch's per-row weight
+    entropy (`entropy_rows`) is taken before the NLL consumes its logits;
+    the per-element losses and the entropy rows are put back together, in
+    order, the entropy as (horizon, rows) float64 (None for det)."""
+    pers, entropy, windows = [], [], 0
     for batch in batches:
-        preds = _forward(batch.inputs, params, cfg)[0]
-        pers.append(_elementwise_loss(preds, batch.targets, cfg, with_grad=False)[0])
+        rows = batch.targets.shape[0] * batch.targets.shape[1]
+        ws = None if workspace is None else workspace.views(rows)
+        preds = _forward(batch.inputs, params, cfg, ws)[0]
         if cfg.variant != "det":
-            logits.append(preds[0])
+            entropy.append(entropy_rows(preds[0]))
+        pers.append(_elementwise_loss(preds, batch.targets, cfg, with_grad=False, ws=ws)[0])
         windows += batch.targets.shape[0]
     # Rows (window-major) run along the first axis for det, the last otherwise.
     per = np.concatenate(pers, axis=0 if cfg.variant == "det" else -1)
     loss = _mean_loss(per, (windows,) + batch.targets.shape[1:], cfg)
-    return loss, (np.concatenate(logits, axis=-1) if logits else None)
+    return loss, (np.concatenate(entropy, axis=-1) if entropy else None)
 
 
 def predict(params: ModelParams, cfg: ModelConfig, inputs):
@@ -363,61 +452,83 @@ def predict(params: ModelParams, cfg: ModelConfig, inputs):
     return preds if cfg.variant == "det" else head_mixtures(preds, inputs.shape[:-1])
 
 
-def _linear_backward(grads, params, w, b, d, a, ones):
+def _weight_grads(grads, w, b, d, a, ones):
     """Write the gradients of the layer `a @ params[w].T + params[b]`
     (rows of `a` flattened) for the upstream gradient d, given rows last
-    as (outputs, rows), into their views of `grads` (the bias one as the
-    gemv d @ ones); return the rows-first d.T @ params[w]."""
+    as (outputs, rows), into their views of `grads`: d @ a by gemm, and
+    the bias one as the gemv d @ ones."""
     np.matmul(d, a, out=grads[w])
     np.matmul(d, ones, out=grads[b])
-    return d.T @ params[w]
 
 
-def backward(batch: ForecastBatch, params: ModelParams, cfg: ModelConfig):
+def backward(batch: ForecastBatch, params: ModelParams, cfg: ModelConfig, workspace=None):
     """(loss, gradients, clamped): the gradients packed like the params,
     and how many (element, component) log-variances sit at a clamp bound,
-    where their gradient is zero (0 for det)."""
-    preds, cache = _forward(batch.inputs, params, cfg)
-    per, g_out = _elementwise_loss(preds, batch.targets, cfg, with_grad=True)
-    loss = _mean_loss(per, batch.targets.shape, cfg)
-    rows = batch.targets.shape[0] * batch.targets.shape[1]
-    inv_count = 1.0 / batch.targets.size
-    grads = params.zeros_like()
-    z = cache["z"].reshape(rows, -1)
-    ones = np.ones(rows, dtype=z.dtype)
-    clamped = 0
+    where their gradient is zero (0 for det).
 
-    if cfg.variant == "det":
-        d_out = (g_out * inv_count).reshape(rows, -1)
-        g_z = _linear_backward(grads, params, "out.w", "out.b", d_out.T, z, ones)
-    else:
-        d_logits, d_means, d_logvars = g_out
+    The step's arrays live in `workspace`, or in a fresh one sized for
+    this batch. Every array is written into a slot whose previous
+    occupant is dead: the clamp mask is taken before the NLL consumes the
+    log-variances; the branch weight gradients, which need zp, come
+    before the d.T @ W products that reuse its slot; g_z goes into zp's
+    slot, g_h1 into z's (for det into the outputs'), and g_a1 into h1's."""
+    x, y = batch.inputs, batch.targets
+    rows = y.shape[0] * y.shape[1]
+    if workspace is None:
+        workspace = Workspace(cfg, rows, np.result_type(x, y, params.flat))
+    ws = workspace.views(rows)
+    preds, cache = _forward(x, params, cfg, ws)
+    clamped = 0
+    if cfg.variant != "det":
         # A clamped log-variance sits at a bound exactly when the raw one
         # reached or passed it.
         logvars = preds[2]
-        inside = (logvars > LOG_VAR_MIN) & (logvars < LOG_VAR_MAX)
+        inside = np.greater(logvars, LOG_VAR_MIN, out=_out(ws, "inside", logvars.shape, bool))
+        inside &= logvars < LOG_VAR_MAX
         clamped = inside.size - int(np.count_nonzero(inside))
+    per, g_out = _elementwise_loss(preds, y, cfg, with_grad=True, ws=ws)
+    loss = _mean_loss(per, y.shape, cfg)
+    inv_count = 1.0 / y.size
+    grads = params.zeros_like()
+    z = cache["z"].reshape(rows, -1)
+    ones = np.ones(rows, dtype=z.dtype)
+    features, hidden = cfg.backbone.features, cfg.backbone.hidden
+
+    if cfg.variant == "det":
+        d_out = g_out.reshape(rows, -1)
+        d_out *= inv_count
+        _weight_grads(grads, "out.w", "out.b", d_out.T, z, ones)
+        g_z = np.matmul(d_out, params["out.w"], out=_out(ws, "z", (rows, features)))
+        g_h1_slot = "out"
+    else:
+        d_logits, d_means, d_logvars = g_out
         d_logits *= inv_count
         d_means *= cfg.head.anchor_scale * inv_count
         # Hard-clamped log-variances contribute no gradient.
         d_logvars *= inside
         d_logvars *= inv_count
         zp = cache["zp"]
-        g_zp = None
-        for name, d in (("mix", d_logits), ("mean", d_means), ("logvar", d_logvars)):
-            g = _linear_backward(grads, params, f"{name}.w", f"{name}.b",
-                                 d.reshape(-1, rows), zp, ones)
-            g_zp = g if g_zp is None else np.add(g_zp, g, out=g_zp)
-        g_z = _linear_backward(grads, params, "proj.w", "proj.b", g_zp.T, z, ones)
+        branches = [(name, d.reshape(-1, rows))
+                    for name, d in (("mix", d_logits), ("mean", d_means), ("logvar", d_logvars))]
+        for name, d in branches:
+            _weight_grads(grads, f"{name}.w", f"{name}.b", d, zp, ones)
+        # zp is dead: the mean and logvar products take its slot.
+        g_zp = np.matmul(branches[0][1].T, params["mix.w"], out=_out(ws, "scratch1", zp.shape))
+        for name, d in branches[1:]:
+            g_zp += np.matmul(d.T, params[f"{name}.w"], out=zp)
+        _weight_grads(grads, "proj.w", "proj.b", g_zp.T, z, ones)
+        g_z = np.matmul(g_zp, params["proj.w"], out=_out(ws, "zp", (rows, features)))
+        g_h1_slot = "z"
 
     h1 = cache["h1"].reshape(rows, -1)
-    g_h1 = _linear_backward(grads, params, "backbone.w2", "backbone.b2", g_z.T, h1, ones)
+    _weight_grads(grads, "backbone.w2", "backbone.b2", g_z.T, h1, ones)
+    g_h1 = np.matmul(g_z, params["backbone.w2"], out=_out(ws, g_h1_slot, (rows, hidden)))
     g_a1 = g_h1
     if cfg.backbone.activation == "tanh":
-        g_a1 = np.multiply(h1, h1)
+        g_a1 = np.multiply(h1, h1, out=h1)
         np.subtract(1.0, g_a1, out=g_a1)
         g_a1 *= g_h1
-    np.matmul(g_a1.T, batch.inputs.reshape(rows, -1), out=grads["backbone.w1"])
+    np.matmul(g_a1.T, x.reshape(rows, -1), out=grads["backbone.w1"])
     np.matmul(ones, g_a1, out=grads["backbone.b1"])
     return loss, grads, clamped
 

@@ -11,6 +11,10 @@ it casts the initialized params (so the Adam moments are float32 too)
 and the train and validation series once at entry, and returns float64
 params, so checkpoints and everything downstream stay float64. The
 batch digests and the gradient norm are taken in float64.
+
+Every step and validation block works in one `model.Workspace`, made
+once per `fit` for the largest batch it draws, so the loop allocates no
+large array per step and runs the same under any allocator settings.
 """
 from __future__ import annotations
 
@@ -199,16 +203,16 @@ def _epoch_digest(windows, perm: np.ndarray, batch_size: int) -> str:
     return h.hexdigest()[:16]
 
 
-def _validate(val, params, model_cfg: mdl.ModelConfig, batch_size: int):
+def _validate(val, params, model_cfg: mdl.ModelConfig, batch_size: int, workspace):
     """(loss, history entries) of the validation windows `val`, forwarded in
-    blocks of `batch_size` windows; for mixtures the entries are the
-    per-step weight entropy and effective K."""
+    blocks of `batch_size` windows in `workspace`; for mixtures the
+    entries are the per-step weight entropy and effective K."""
     blocks = (mdl.ForecastBatch(*val.gather(slice(i, i + batch_size)))
               for i in range(0, val.count, batch_size))
-    loss, logits = mdl.blocked_loss(blocks, params, model_cfg)
-    if logits is None:
+    loss, rows = mdl.blocked_loss(blocks, params, model_cfg, workspace)
+    if rows is None:
         return loss, {}
-    entropy, effective_k = mdl.weight_entropy(logits)
+    entropy, effective_k = mdl.weight_entropy(rows)
     return loss, {"weight_entropy": entropy.tolist(), "effective_k": effective_k.tolist()}
 
 
@@ -221,8 +225,10 @@ def fit(splits, model_cfg: mdl.ModelConfig, train_cfg: TrainConfig) -> TrainResu
     series made once here (params rounded from `init_params`' float64
     draws); validation goes in blocks of batch_size windows. The
     returned params are float64, and the batch digests hash the float64
-    windows given. On divergence (non-finite loss or gradient) training
-    stops and the last good checkpoint is returned with diverged=True.
+    windows given. Steps and validation blocks share one workspace, sized
+    for the largest batch drawn: min(batch_size, windows) windows of every
+    location. On divergence (non-finite loss or gradient) training stops
+    and the last good checkpoint is returned with diverged=True.
     """
     rng_data = np.random.default_rng([train_cfg.seed, 0])
     rng_model = np.random.default_rng([train_cfg.seed, 1])
@@ -237,6 +243,8 @@ def fit(splits, model_cfg: mdl.ModelConfig, train_cfg: TrainConfig) -> TrainResu
     total_steps = train_cfg.epochs * n_batches
     train = splits.train.astype(COMPUTE_DTYPE)
     val = splits.val.astype(COMPUTE_DTYPE)
+    nodes = train.series.shape[-1]
+    workspace = mdl.Workspace(model_cfg, min(bs, max(w, val.count)) * nodes, COMPUTE_DTYPE)
 
     result = TrainResult(
         params=params.astype(np.float64), best_val_loss=math.inf, best_epoch=-1,
@@ -252,7 +260,7 @@ def fit(splits, model_cfg: mdl.ModelConfig, train_cfg: TrainConfig) -> TrainResu
             for i in range(n_batches):
                 batch = mdl.ForecastBatch(*train.gather(perm[i * bs : (i + 1) * bs]))
                 lr = lr_at(step, total_steps, train_cfg)
-                loss, grads, clamped = mdl.backward(batch, params, model_cfg)
+                loss, grads, clamped = mdl.backward(batch, params, model_cfg, workspace)
                 norm = global_norm(grads)
                 clipped = clip_gradients(grads, train_cfg.clip_norm, norm)
                 optimizer_step(params, clipped, state, lr, train_cfg)
@@ -265,7 +273,7 @@ def fit(splits, model_cfg: mdl.ModelConfig, train_cfg: TrainConfig) -> TrainResu
                 )
                 epoch_losses.append(loss)
                 step += 1
-            val_loss, val_entries = _validate(val, params, model_cfg, bs)
+            val_loss, val_entries = _validate(val, params, model_cfg, bs, workspace)
         except ValueError as err:
             result.log_lines.append(f"epoch={epoch} diverged error={err}")
             result.diverged = True

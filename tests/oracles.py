@@ -271,14 +271,17 @@ def adamw_step(params: dict, grads: dict, m: dict, v: dict, t: int, lr: float, c
 
 def nll_components_last(logits, means, logvars, y, gradients=True):
     """`gmm.nll_and_gradients` on (..., K) head outputs and (...) targets,
-    broadcast to one element shape: moved rows last as (K, M) and (1, M),
-    and the results moved back to (...) and (..., K)."""
+    broadcast to one element shape: copied rows last as (K, M) and (1, M)
+    in their common dtype (the kernel consumes its inputs, and the
+    caller's arrays stay as they are), and the results moved back to (...)
+    and (..., K)."""
     k = np.shape(logits)[-1]
     shape = np.broadcast_shapes(*(np.shape(a)[:-1] for a in (logits, means, logvars)),
                                 np.shape(y))
-    args = [np.broadcast_to(a, shape + (k,)).reshape(-1, k).T
+    dtype = np.result_type(logits, means, logvars, y)
+    args = [np.broadcast_to(a, shape + (k,)).reshape(-1, k).T.astype(dtype)
             for a in (logits, means, logvars)]
-    nll, grads = nll_and_gradients(*args, np.broadcast_to(y, shape).reshape(1, -1),
+    nll, grads = nll_and_gradients(*args, np.broadcast_to(y, shape).reshape(1, -1).astype(dtype),
                                    gradients=gradients)
     if grads is not None:
         grads = tuple(g.T.reshape(shape + (k,)) for g in grads)

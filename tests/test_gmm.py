@@ -305,7 +305,7 @@ class TestLogSpaceNLL:
         for seed in range(60):
             rng = np.random.default_rng(seed)
             logits, means, logvars, y = random_head_outputs(rng, 128, int(rng.integers(1, 7)))
-            nll = gmm.nll_and_gradients(logits, means, logvars, y)[0]
+            nll = gmm.nll_and_gradients(logits.copy(), means.copy(), logvars.copy(), y)[0]
             ref = -oracles.log_density(mixtures_of(logits, means, logvars), y[0])
             assert nll.dtype == np.float64 and nll.shape == y.shape
             assert np.all(np.abs(nll[0] - ref) <= self.ORACLE_RTOL * np.maximum(1.0, np.abs(ref)))
@@ -314,7 +314,7 @@ class TestLogSpaceNLL:
         rng = np.random.default_rng(5)
         for dtype in (np.float64, np.float32):
             args = [a.astype(dtype) for a in random_head_outputs(rng, 36, 5)]
-            with_grad = gmm.nll_and_gradients(*args)[0]
+            with_grad = gmm.nll_and_gradients(*(a.copy() for a in args))[0]
             nll, grads = gmm.nll_and_gradients(*args, gradients=False)
             assert grads is None
             np.testing.assert_array_equal(nll.view(np.uint8), with_grad.view(np.uint8))
@@ -368,7 +368,7 @@ class TestResponsibilityCutoff:
     @given(grid_head_outputs())
     def test_zero_or_at_least_cutoff_of_largest(self, args):
         logits, means, logvars, y = args
-        nll, (d_logits, d_means, d_logvars) = gmm.nll_and_gradients(*args)
+        nll, (d_logits, d_means, d_logvars) = gmm.nll_and_gradients(*(a.copy() for a in args))
         # The kernel's responsibilities, recovered from d_means = gamma * r
         # with r as the kernel forms it, or from d_logvars = gamma / 2
         # where the mean sits on the target.

@@ -706,7 +706,8 @@ class TestFloat32IntervalGrid:
         (n, PIT_BINS)."""
         n, levels = y.size, np.asarray(cfg.levels)
         tallies = [np.zeros((n, w), dtype=np.int64) for w in (levels.size, levels.size, 10)]
-        clipped, _ = metrics._score_mixtures(mb, y, cfg, levels, metrics._ExactSums(n), tallies)
+        clipped, _ = metrics._score_mixtures(mb, y, cfg, levels, metrics._ExactSums(n), tallies,
+                                             metrics._GridBuffers())
         return tallies, clipped
 
     @staticmethod

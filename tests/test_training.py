@@ -341,14 +341,15 @@ class TestFit:
         seen = []
         real_backward = model.backward
 
-        def spy(batch, params, cfg):
+        def spy(batch, params, cfg, workspace):
             seen.append((batch.inputs.dtype, batch.targets.dtype,
-                         {v.dtype for v in params.tensors.values()}))
-            return real_backward(batch, params, cfg)
+                         {v.dtype for v in params.tensors.values()}, workspace.flat.dtype))
+            return real_backward(batch, params, cfg, workspace)
 
         monkeypatch.setattr(model, "backward", spy)
         res = training.fit(splits, mcfg, tcfg)
-        assert seen and all(s == (np.float32, np.float32, {np.dtype(np.float32)}) for s in seen)
+        assert seen and all(s == (np.float32, np.float32, {np.dtype(np.float32)}, np.float32)
+                            for s in seen)
         assert {v.dtype for v in res.params.tensors.values()} == {np.dtype(np.float64)}
         # The returned params are float32 values, widened.
         for v in res.params.tensors.values():
@@ -399,8 +400,8 @@ class TestFit:
         assert all(np.shape(h["weight_entropy"]) == np.shape(h["effective_k"]) == (mcfg.horizon,)
                    for h in res.history) and len(res.history) == 2
         val = model.ForecastBatch(inputs=splits.val.inputs, targets=splits.val.targets)
-        logits = model.blocked_loss([val], res.params, mcfg)[1]
-        entropy, effective_k = model.weight_entropy(logits)
+        rows = model.blocked_loss([val], res.params, mcfg)[1]
+        entropy, effective_k = model.weight_entropy(rows)
         best = res.history[res.best_epoch]
         np.testing.assert_allclose(best["weight_entropy"], entropy, rtol=1e-5)
         np.testing.assert_allclose(best["effective_k"], effective_k, rtol=1e-5)
@@ -428,11 +429,11 @@ class TestFit:
         params = res.params.astype(np.float32)  # the best epoch's params, as trained
         whole = model.ForecastBatch(inputs=splits.val.inputs.astype(np.float32),
                                     targets=splits.val.targets.astype(np.float32))
-        loss, logits = model.blocked_loss([whole], params, mcfg)
+        loss, rows = model.blocked_loss([whole], params, mcfg)
         best = res.history[res.best_epoch]
         assert best["val_loss"] == loss
         if variant != "det":
-            entropy, effective_k = model.weight_entropy(logits)
+            entropy, effective_k = model.weight_entropy(rows)
             assert best["weight_entropy"] == entropy.tolist()
             assert best["effective_k"] == effective_k.tolist()
 
@@ -465,5 +466,5 @@ class TestFitMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # Measured 0.28: mostly the validation logits and entropy tables.
+        # Measured 0.26: mostly the validation losses and entropy tables.
         assert peak < 0.4 * window_bytes
