@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 usage errors, 3 data/processing errors.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 import zipfile
@@ -360,32 +361,23 @@ def calibration_table(report) -> str:
 
 def comparison_table(reports: list) -> str:
     """Side-by-side metrics with relative CRPS improvement over the det
-    baseline (the baseline row reads 100%)."""
-    datasets = {r.meta.get("dataset") for r in reports}
-    if len(datasets) > 1:
-        raise data.DataError(f"reports come from different datasets: {sorted(datasets)}")
+    baseline (100% on its own row; `na` when its CRPS is 0 or not finite).
+    Reports of different datasets, spaces, level sets or element counts
+    are a DataError that names the key and its values."""
+    for key in ("dataset", "space", "levels", "elements"):
+        values = sorted({r.meta.get(key) for r in reports}, key=repr)
+        if len(values) > 1:
+            raise data.DataError(f"reports differ in meta.{key}: {' vs '.join(map(repr, values))}")
     baseline = next((r for r in reports if r.meta.get("variant") == "det"), reports[0])
     base_crps = baseline.crps_mean
-    header = "variant\tcrps\tavg_width\tcalib_error\tmae\tmape\trmse\tcrps_pct_of_det\timprovement_pct"
-    lines = [header]
+    if not (math.isfinite(base_crps) and base_crps != 0):
+        base_crps = math.nan
+    lines = ["variant\tcrps\tavg_width\tcalib_error\tmae\tmape\trmse\tcrps_pct_of_det\timprovement_pct"]
     for r in reports:
-        pct = 100.0 * r.crps_mean / base_crps
-        improvement = 100.0 * (base_crps - r.crps_mean) / base_crps
-        lines.append(
-            "\t".join(
-                [
-                    r.meta.get("variant", "?"),
-                    metrics._fmt(r.crps_mean),
-                    metrics._fmt(r.avg_width),
-                    metrics._fmt(r.calib_error),
-                    metrics._fmt(r.mae),
-                    metrics._fmt(r.mape),
-                    metrics._fmt(r.rmse),
-                    f"{pct:.2f}",
-                    f"{improvement:.2f}",
-                ]
-            )
-        )
+        pcts = (100.0 * r.crps_mean / base_crps, 100.0 * (base_crps - r.crps_mean) / base_crps)
+        lines.append("\t".join([r.meta.get("variant", "?"),
+                                *(metrics._fmt(getattr(r, k)) for k in metrics.SCALARS),
+                                *("na" if math.isnan(p) else f"{p:.2f}" for p in pcts)]))
     return "\n".join(lines) + "\n"
 
 

@@ -258,19 +258,20 @@ class Normalizer:
 
 @dataclass(frozen=True)
 class WindowSet:
-    """Stride-1 windows over one split's sessions, kept as the series they
-    are cut from. Sessions are equally long, so with P windows per session
-    window w starts at step w % P of row w // P.
+    """Stride-1 windows over one split's sessions, kept as the raw series
+    they are cut from (never written). Sessions are equally long, so with
+    P windows per session window w starts at step w % P of row w // P.
 
-    `series` is z-scored with the (train-split) normalizer. With a coverage
-    mask, the inputs feed uncovered nodes the train-split mean (0 after
-    normalization) and carry a per-node availability flag channel; the
-    targets stay complete. `gather` builds the model-ready arrays of any
-    subset of windows and `gather_raw` their raw-unit targets; `inputs`,
-    `targets` and `targets_raw` build them for every window, on each read."""
+    `gather` builds the model-ready arrays of any subset of windows,
+    z-scored with the (train-split) normalizer, in the set's `dtype`
+    (float64 unless tagged by `astype`). With a coverage mask, the inputs
+    feed uncovered nodes the train-split mean (0 after normalization) and
+    carry a per-node availability flag channel; the targets stay complete.
+    `gather_raw` builds their raw-unit targets; `inputs`, `targets` and
+    `targets_raw` build them for every window, on each read."""
 
-    series: np.ndarray  # (S, steps, N), normalized
-    raw: np.ndarray  # (S, steps, N), raw units
+    raw: np.ndarray  # (S, steps, N), raw units, float64
+    normalizer: Normalizer
     input_steps: int
     horizon: int
     coverage: np.ndarray | None = None  # (N,) bool sensor mask
@@ -278,7 +279,8 @@ class WindowSet:
     def __post_init__(self):
         # Every window's steps as a read-only view, (S, P, N, need).
         need = self.input_steps + self.horizon
-        object.__setattr__(self, "_steps", sliding_window_view(self.series, need, axis=1))
+        object.__setattr__(self, "_steps", sliding_window_view(self.raw, need, axis=1))
+        object.__setattr__(self, "dtype", np.dtype(np.float64))
 
     @property
     def count(self) -> int:
@@ -289,29 +291,38 @@ class WindowSet:
         return 1 if self.coverage is None else 2
 
     def astype(self, dtype) -> "WindowSet":
-        """These windows over a copy of the normalized series in `dtype`."""
-        return replace(self, series=self.series.astype(dtype))
+        """These windows, over the same series, gathered in `dtype`."""
+        tagged = replace(self)
+        object.__setattr__(tagged, "dtype", np.dtype(dtype))
+        return tagged
 
-    def _starts(self, idx):
-        """(session rows, step offsets) of the windows `idx`."""
-        return np.divmod(np.arange(self.count)[idx], self._steps.shape[1])
+    def _copies(self, idx, steps: slice) -> np.ndarray:
+        """The raw `steps` of the windows `idx`, (B, N, len): a copy, not
+        contiguous (advanced indexing copies)."""
+        return self._steps[..., steps][np.divmod(np.arange(self.count)[idx],
+                                                 self._steps.shape[1])]
 
     def gather(self, idx):
         """(inputs (B, N, input_steps * channels), targets (B, N, horizon)) of
-        the windows `idx` (anything that indexes range(count)), normalized,
-        contiguous, in the dtype of the series."""
-        steps = self._steps[self._starts(idx)]
-        x = np.ascontiguousarray(steps[..., : self.input_steps])
+        the windows `idx` (a slice or index array over range(count)),
+        contiguous, in the set's dtype: each copy is z-scored in place by
+        `Normalizer.transform`'s float64 operations, bit for bit, then cast."""
+        def normalized(steps):
+            z = self._copies(idx, steps)
+            z -= self.normalizer.mean
+            z /= self.normalizer.std
+            return np.ascontiguousarray(z, dtype=self.dtype)
+
+        x = normalized(slice(None, self.input_steps))
         if self.coverage is not None:
             x[:, ~self.coverage] = 0.0
             flags = np.broadcast_to(self.coverage[:, None].astype(x.dtype), x.shape)
             x = np.concatenate([x, flags], axis=2)
-        return x, np.ascontiguousarray(steps[..., self.input_steps :])
+        return x, normalized(slice(self.input_steps, None))
 
     def gather_raw(self, idx) -> np.ndarray:
         """The raw-unit targets (B, N, horizon) of the windows `idx`, contiguous."""
-        steps = sliding_window_view(self.raw, self._steps.shape[-1], axis=1)[self._starts(idx)]
-        return np.ascontiguousarray(steps[..., self.input_steps :])
+        return np.ascontiguousarray(self._copies(idx, slice(self.input_steps, None)))
 
     @property
     def inputs(self) -> np.ndarray:  # (W, N, input_steps * channels)
@@ -327,16 +338,16 @@ class WindowSet:
 
 
 def window(d: SeriesDataset, t_h: int, t_f: int, normalizer, sessions=None) -> WindowSet:
-    """Stride-1 sliding windows that never cross session boundaries.
-
-    The sessions' values are z-scored with the (train-split) normalizer;
-    a coverage mask on the dataset carries over to the windows' inputs.
-    Sessions shorter than one window are a DataError naming both lengths."""
+    """Stride-1 sliding windows that never cross session boundaries, over a
+    copy of the sessions' raw values, gathered z-scored with the
+    (train-split) normalizer; a coverage mask on the dataset carries over
+    to the windows' inputs. Sessions shorter than one window are a
+    DataError naming both lengths."""
     if d.session_steps < t_h + t_f:
         raise DataError(f"sessions have {d.session_steps} steps, fewer than "
                         f"input_steps + horizon = {t_h + t_f}")
     raw = d.values[np.arange(d.sessions) if sessions is None else sessions]
-    return WindowSet(series=normalizer.transform(raw), raw=raw, input_steps=t_h, horizon=t_f,
+    return WindowSet(raw=raw, normalizer=normalizer, input_steps=t_h, horizon=t_f,
                      coverage=d.coverage)
 
 

@@ -419,6 +419,10 @@ def evaluate(pairs, scoring: ScoringConfig | None = None,
 # ----------------------------------------------------------------------
 
 
+# The report's scalar metrics, in file and table order.
+SCALARS = ("crps_mean", "avg_width", "calib_error", "mae", "mape", "rmse")
+
+
 def _fmt(v: float) -> str:
     return "na" if isinstance(v, float) and math.isnan(v) else repr(float(v))
 
@@ -431,7 +435,7 @@ def report_to_text(r: EvaluationReport) -> str:
     lines = ["# evaluation report v1"]
     for k in sorted(r.meta):
         lines.append(f"meta.{k} = {r.meta[k]}")
-    for k in ("crps_mean", "avg_width", "calib_error", "mae", "mape", "rmse"):
+    for k in SCALARS:
         lines.append(f"{k} = {_fmt(getattr(r, k))}")
     lines.append("")
     lines.append("[per_horizon]")
@@ -469,14 +473,5 @@ def report_from_text(text: str) -> EvaluationReport:
         elif section == "calibration":
             level, cov = line.split()
             curve.append((_parse(level), _parse(cov)))
-    return EvaluationReport(
-        crps_mean=scalars["crps_mean"],
-        avg_width=scalars["avg_width"],
-        calib_error=scalars["calib_error"],
-        mae=scalars["mae"],
-        mape=scalars["mape"],
-        rmse=scalars["rmse"],
-        per_horizon=per_horizon,
-        calibration_curve=curve,
-        meta=meta,
-    )
+    return EvaluationReport(**{k: scalars[k] for k in SCALARS}, per_horizon=per_horizon,
+                            calibration_curve=curve, meta=meta)

@@ -349,23 +349,22 @@ def head_mixtures(outputs, shape) -> MixtureBatch:
                           for a in (w, means, np.exp(logvars, out=logvars))))
 
 
-def entropy_rows(logits):
-    """The component weights' entropy per horizon step and row, (horizon,
-    rows) float64, from `head_forward`'s rows-last (horizon, K, rows)
-    logits."""
-    entropy = np.empty((logits.shape[0], logits.shape[-1]))
-    for step, lg in zip(entropy, logits):  # step by step, to keep temporaries small
+def entropy_rows(logits, out):
+    """The component weights' entropy per horizon step and row, from
+    `head_forward`'s rows-last (horizon, K, rows) logits, written into and
+    returned as `out`, (horizon, rows) float64."""
+    for step, lg in zip(out, logits):  # step by step, to keep temporaries small
         shifted = lg - lg.max(axis=0).astype(np.float64)
         e = np.exp(shifted)
         e_sum = e.sum(axis=0)
         step[:] = np.log(e_sum) - (e * shifted).sum(axis=0) / e_sum
-    return entropy
+    return out
 
 
 def weight_entropy(rows):
-    """Per horizon step, the mean over rows of `entropy_rows`' entropies
-    and of their exp (the effective K)."""
-    return rows.mean(axis=-1), np.exp(rows).mean(axis=-1)
+    """Per horizon step, the mean over rows of `entropy_rows`' entropies,
+    then of their exp (the effective K), taken over the rows in place."""
+    return rows.mean(axis=-1), np.exp(rows, out=rows).mean(axis=-1)
 
 
 def _forward(inputs, params: ModelParams, cfg: ModelConfig, ws=None):
@@ -422,28 +421,34 @@ def _mean_loss(per, shape, cfg: ModelConfig) -> float:
     return loss
 
 
-def blocked_loss(batches, params: ModelParams, cfg: ModelConfig, workspace=None):
-    """(loss, entropy): the training loss of the windows of `batches` taken
-    in order as one batch, bit for bit, with one batch's activations alive
-    at a time (in `workspace`, if given). The loss is the plain mean over
-    all (window, location, step) elements: NLL for mixture variants,
-    absolute error for det. For norm/gmm each batch's per-row weight
-    entropy (`entropy_rows`) is taken before the NLL consumes its logits;
-    the per-element losses and the entropy rows are put back together, in
-    order, the entropy as (horizon, rows) float64 (None for det)."""
-    pers, entropy, windows = [], [], 0
-    for batch in batches:
-        rows = batch.targets.shape[0] * batch.targets.shape[1]
-        ws = None if workspace is None else workspace.views(rows)
-        preds = _forward(batch.inputs, params, cfg, ws)[0]
-        if cfg.variant != "det":
-            entropy.append(entropy_rows(preds[0]))
-        pers.append(_elementwise_loss(preds, batch.targets, cfg, with_grad=False, ws=ws)[0])
-        windows += batch.targets.shape[0]
-    # Rows (window-major) run along the first axis for det, the last otherwise.
-    per = np.concatenate(pers, axis=0 if cfg.variant == "det" else -1)
-    loss = _mean_loss(per, (windows,) + batch.targets.shape[1:], cfg)
-    return loss, (np.concatenate(entropy, axis=-1) if entropy else None)
+def blocked_loss(windows, params: ModelParams, cfg: ModelConfig, workspace=None, block=None):
+    """(loss, entropy): the training loss of `windows` (a `data.WindowSet`
+    or anything with its `count` and `gather`) as one batch, bit for bit,
+    forwarded `block` windows at a time (all at once when None), each in
+    `workspace` if given. The loss is the mean NLL for mixture variants,
+    the mean absolute error for det. Each block writes its per-element
+    losses and, for norm/gmm, its (horizon, rows) float64 `entropy_rows`
+    (taken before the NLL consumes the logits) into one array each, sized
+    for every window; the entropy is None for det."""
+    count, per, entropy = windows.count, None, None
+    det, block = cfg.variant == "det", block or count
+    for start in range(0, count, block):
+        inputs, targets = windows.gather(slice(start, start + block))
+        b, nodes, horizon = targets.shape
+        ws = None if workspace is None else workspace.views(b * nodes)
+        preds = _forward(inputs, params, cfg, ws)[0]
+        # Rows (window-major) run along the first axis for det, the last otherwise.
+        rows = slice(start * nodes, (start + b) * nodes)
+        if not det:
+            if entropy is None:
+                entropy = np.empty((horizon, count * nodes))
+            entropy_rows(preds[0], entropy[:, rows])
+        block_per = _elementwise_loss(preds, targets, cfg, with_grad=False, ws=ws)[0]
+        if per is None:
+            per = np.empty((count, nodes, horizon) if det else (horizon, 1, count * nodes),
+                           block_per.dtype)
+        per[slice(start, start + b) if det else (..., rows)] = block_per
+    return _mean_loss(per, (count, nodes, horizon), cfg), entropy
 
 
 def predict(params: ModelParams, cfg: ModelConfig, inputs):

@@ -8,9 +8,10 @@ digests in the training log).
 
 `fit` computes in float32, the usual precision of a deep-learning loop:
 it casts the initialized params (so the Adam moments are float32 too)
-and the train and validation series once at entry, and returns float64
-params, so checkpoints and everything downstream stay float64. The
-batch digests and the gradient norm are taken in float64.
+once at entry, gathers each batch in float32 from the split's raw
+series, and returns float64 params, so checkpoints and everything
+downstream stay float64. The batch digests and the gradient norm are
+taken in float64.
 
 Every step and validation block works in one `model.Workspace`, made
 once per `fit` for the largest batch it draws, so the loop allocates no
@@ -207,9 +208,7 @@ def _validate(val, params, model_cfg: mdl.ModelConfig, batch_size: int, workspac
     """(loss, history entries) of the validation windows `val`, forwarded in
     blocks of `batch_size` windows in `workspace`; for mixtures the
     entries are the per-step weight entropy and effective K."""
-    blocks = (mdl.ForecastBatch(*val.gather(slice(i, i + batch_size)))
-              for i in range(0, val.count, batch_size))
-    loss, rows = mdl.blocked_loss(blocks, params, model_cfg, workspace)
+    loss, rows = mdl.blocked_loss(val, params, model_cfg, workspace, batch_size)
     if rows is None:
         return loss, {}
     entropy, effective_k = mdl.weight_entropy(rows)
@@ -221,13 +220,12 @@ def fit(splits, model_cfg: mdl.ModelConfig, train_cfg: TrainConfig) -> TrainResu
     validation loss (NLL or MAE, per variant).
 
     `splits` carries train/val `data.WindowSet`s. Steps and validation run
-    in COMPUTE_DTYPE, on batches gathered from a copy of each split's
-    series made once here (params rounded from `init_params`' float64
-    draws); validation goes in blocks of batch_size windows. The
-    returned params are float64, and the batch digests hash the float64
-    windows given. Steps and validation blocks share one workspace, sized
-    for the largest batch drawn: min(batch_size, windows) windows of every
-    location. On divergence (non-finite loss or gradient) training stops
+    in COMPUTE_DTYPE, on batches each split gathers in it (params rounded
+    from `init_params`' float64 draws); validation goes in blocks of
+    batch_size windows. The returned params are float64, and the batch
+    digests hash the float64 windows given. Steps and validation blocks
+    share one workspace, sized for the largest batch drawn:
+    min(batch_size, windows) windows of every location. On divergence (non-finite loss or gradient) training stops
     and the last good checkpoint is returned with diverged=True.
     """
     rng_data = np.random.default_rng([train_cfg.seed, 0])
@@ -243,12 +241,10 @@ def fit(splits, model_cfg: mdl.ModelConfig, train_cfg: TrainConfig) -> TrainResu
     total_steps = train_cfg.epochs * n_batches
     train = splits.train.astype(COMPUTE_DTYPE)
     val = splits.val.astype(COMPUTE_DTYPE)
-    nodes = train.series.shape[-1]
+    nodes = train.raw.shape[-1]
     workspace = mdl.Workspace(model_cfg, min(bs, max(w, val.count)) * nodes, COMPUTE_DTYPE)
 
-    result = TrainResult(
-        params=params.astype(np.float64), best_val_loss=math.inf, best_epoch=-1,
-    )
+    result = TrainResult(params=params.astype(np.float64), best_val_loss=math.inf, best_epoch=-1)
     components = 0 if model_cfg.head is None else model_cfg.head.components
     step = 0
     for epoch in range(train_cfg.epochs):

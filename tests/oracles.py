@@ -17,7 +17,8 @@ against; the other interval helpers build one mixture's grid, read
 widths, containment, covered cells and selected mass, and run the batch
 HPD kernel (u and selected-cell counts) on the grid evaluation uses. `stacked_windows` is the
 windowing that stored every window as its own copy, the reference for
-`data.WindowSet`'s gathers. `exact_scores` is the correctly rounded
+`data.WindowSet`'s gathers, and `batch_windows` joins forecast batches
+into the windows `model.blocked_loss` takes. `exact_scores` is the correctly rounded
 reference for the means `metrics.evaluate` reports. None of them is on a
 CLI or library path, so they live beside the tests.
 """
@@ -69,6 +70,16 @@ def stacked_windows(d, t_h: int, t_f: int, normalizer, sessions=None):
         inputs = np.concatenate([np.where(flags > 0, inputs, 0.0), flags], axis=2)
     return SimpleNamespace(inputs=inputs, targets=normalizer.transform(targets_raw),
                            targets_raw=targets_raw, session_ids=np.asarray(sids))
+
+
+def batch_windows(*batches):
+    """The windows of `batches`, joined in order, as `model.blocked_loss`
+    takes them: their `count`, and `gather(idx)` giving copies of the
+    (inputs, targets) of the windows `idx`, as a `data.WindowSet` does."""
+    inputs = np.concatenate([b.inputs for b in batches])
+    targets = np.concatenate([b.targets for b in batches])
+    return SimpleNamespace(count=len(targets),
+                           gather=lambda idx: (inputs[idx].copy(), targets[idx].copy()))
 
 
 # ----------------------------------------------------------------------

@@ -139,8 +139,8 @@ class TestCriterion1Gradients:
                 p_up[name][idx] += h2
                 p_dn[name][idx] -= h2
                 fd = (
-                    model.blocked_loss([batch], p_up, mcfg)[0]
-                    - model.blocked_loss([batch], p_dn, mcfg)[0]
+                    model.blocked_loss(oracles.batch_windows(batch), p_up, mcfg)[0]
+                    - model.blocked_loss(oracles.batch_windows(batch), p_dn, mcfg)[0]
                 ) / (2 * h2)
                 worst_e2e = max(worst_e2e, rel_err(fd, grads[name][idx]))
         assert worst_e2e < 1e-3

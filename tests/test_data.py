@@ -8,6 +8,7 @@ import oracles
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from mixcast import data
 from mixcast.data import DataError, DatasetManifest, Normalizer, SyntheticSpec
@@ -268,13 +269,39 @@ class TestWindowing:
         assert w.channels == (2 if masked else 1)
         for name in ("inputs", "targets", "targets_raw"):
             same_bytes(getattr(w, name), getattr(ref, name))
-        # Any subset, in any order, and from a float32 copy of the series
-        # as training gathers it; the raw targets stay float64.
+        # Any subset, in any order, and gathered in float32 as training
+        # gathers it; the raw targets stay float64.
         idx = rng.permutation(w.count)[: int(rng.integers(1, w.count + 1))]
         w32 = w.astype(np.float32)
         for got, want in zip(w32.gather(idx), (ref.inputs, ref.targets)):
             same_bytes(got, want[idx].astype(np.float32))
         same_bytes(w32.gather_raw(idx), ref.targets_raw[idx])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_gathers_equal_windows_of_the_normalized_split(self, dtype, masked):
+        # The reference normalizes the whole split with Normalizer.transform,
+        # casts it, and only then cuts the windows; gather z-scores each
+        # window's copied steps instead. Every bit must agree, and the raw
+        # series must come through untouched.
+        d = data.generate(small_spec())
+        if masked:
+            d, _ = data.degrade_coverage(d, 0.5, seed=1)
+        splits = data.prepare_splits(d, t_h=5, t_f=4, fractions=SPLIT)
+        w = splits.train.astype(dtype)
+        raw = w.raw.copy()
+        steps = sliding_window_view(splits.normalizer.transform(w.raw).astype(dtype), 9, axis=1)
+        for idx in (slice(None), np.random.default_rng(0).permutation(w.count)[:25]):
+            picked = steps[np.divmod(np.arange(w.count)[idx], steps.shape[1])]
+            inputs = np.ascontiguousarray(picked[..., :5])
+            if masked:
+                inputs[:, ~d.coverage] = 0.0
+                flags = np.broadcast_to(d.coverage[:, None].astype(dtype), inputs.shape)
+                inputs = np.concatenate([inputs, flags], axis=2)
+            for got, want in zip(w.gather(idx), (inputs, picked[..., 5:])):
+                assert got.dtype == dtype and got.flags.c_contiguous
+                assert got.shape == want.shape and got.tobytes() == np.ascontiguousarray(want).tobytes()
+            assert w.raw.tobytes() == raw.tobytes()
 
     def test_normalizer_ignores_val_and_test(self):
         d = data.generate(small_spec())

@@ -51,7 +51,7 @@ def head_mixtures(z, cfg, params):
 
 def loss_of(batch, params, cfg):
     """The training loss of one batch."""
-    return model.blocked_loss([batch], params, cfg)[0]
+    return model.blocked_loss(oracles.batch_windows(batch), params, cfg)[0]
 
 
 def randomize(params, rng, scale=0.3):
@@ -247,7 +247,7 @@ class TestHeadForward:
         # random, checked against the entropy of the softmax weights.
         rng = np.random.default_rng(9)
         logits = np.stack([np.zeros((4, 3)), rng.normal(0, 2, (4, 3))]).astype(np.float32)
-        rows = model.entropy_rows(logits)
+        rows = model.entropy_rows(logits, np.empty((2, 3)))
         assert rows.shape == (2, 3) and rows.dtype == np.float64
         entropy, effective_k = model.weight_entropy(rows)
         assert entropy.dtype == effective_k.dtype == np.float64
@@ -375,12 +375,9 @@ class TestForwardLoss:
         params = randomize(model.init_params(cfg, rng), rng, scale=0.1)
         params, batch = as_dtype(params, random_batch(rng, cfg, b=7, n=3), dtype)
 
-        def blocks(batch):
-            return [ForecastBatch(inputs=batch.inputs[a:b], targets=batch.targets[a:b])
-                    for a, b in ((0, 2), (2, 5), (5, 7))]
-
-        loss, whole_rows = model.blocked_loss([batch], params, cfg)
-        blocked, rows = model.blocked_loss(blocks(batch), params, cfg)
+        # 7 windows in blocks of 3: (0, 3), (3, 6) and the short (6, 7).
+        loss, whole_rows = model.blocked_loss(oracles.batch_windows(batch), params, cfg)
+        blocked, rows = model.blocked_loss(oracles.batch_windows(batch), params, cfg, block=3)
         assert blocked == loss
         if variant == "det":
             assert rows is None is whole_rows
@@ -388,9 +385,9 @@ class TestForwardLoss:
             assert rows.tobytes() == whole_rows.tobytes()
         # A non-finite element in the last block is named by its index in
         # the whole batch.
-        batch.targets[5, 1, 3] = np.nan
-        with pytest.raises(ValueError, match=r"non-finite .* at element \(5, 1, 3\)$"):
-            model.blocked_loss(blocks(batch), params, cfg)
+        batch.targets[6, 1, 3] = np.nan
+        with pytest.raises(ValueError, match=r"non-finite .* at element \(6, 1, 3\)$"):
+            model.blocked_loss(oracles.batch_windows(batch), params, cfg, block=3)
 
 
 class TestBackward:
@@ -543,8 +540,9 @@ class TestWorkspace:
             assert grads.flat.tobytes() == fresh_grads.flat.tobytes()
             # Validation blocks share the workspace too.
             model.backward(a, params, cfg, ws)
-            loss, rows = model.blocked_loss([a, batch], params, cfg, ws)
-            fresh_loss, fresh_rows = model.blocked_loss([a, batch], params, cfg)
+            windows = oracles.batch_windows(a, batch)
+            loss, rows = model.blocked_loss(windows, params, cfg, ws, block=4)
+            fresh_loss, fresh_rows = model.blocked_loss(windows, params, cfg, block=4)
             assert loss == fresh_loss
             assert (rows is None is fresh_rows) or rows.tobytes() == fresh_rows.tobytes()
         if variant != "det":

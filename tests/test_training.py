@@ -267,7 +267,8 @@ def tiny_splits(rng, n_windows=64, nodes=2, t_h=4, t_f=2, bimodal=True):
 
     def mk(sl):
         rows = series[sl]
-        return data.WindowSet(series=rows, raw=rows, input_steps=t_h, horizon=t_f)
+        return data.WindowSet(raw=rows, normalizer=data.Normalizer(0.0, 1.0), input_steps=t_h,
+                              horizon=t_f)
 
     return SimpleNamespace(train=mk(slice(0, cut)), val=mk(slice(cut, None)))
 
@@ -399,8 +400,7 @@ class TestFit:
         res = training.fit(splits, mcfg, TrainConfig(epochs=2, seed=1))
         assert all(np.shape(h["weight_entropy"]) == np.shape(h["effective_k"]) == (mcfg.horizon,)
                    for h in res.history) and len(res.history) == 2
-        val = model.ForecastBatch(inputs=splits.val.inputs, targets=splits.val.targets)
-        rows = model.blocked_loss([val], res.params, mcfg)[1]
+        rows = model.blocked_loss(splits.val, res.params, mcfg)[1]
         entropy, effective_k = model.weight_entropy(rows)
         best = res.history[res.best_epoch]
         np.testing.assert_allclose(best["weight_entropy"], entropy, rtol=1e-5)
@@ -427,9 +427,7 @@ class TestFit:
         mcfg = small_model_cfg(variant)
         res = training.fit(splits, mcfg, TrainConfig(epochs=2, batch_size=5, seed=4))
         params = res.params.astype(np.float32)  # the best epoch's params, as trained
-        whole = model.ForecastBatch(inputs=splits.val.inputs.astype(np.float32),
-                                    targets=splits.val.targets.astype(np.float32))
-        loss, rows = model.blocked_loss([whole], params, mcfg)
+        loss, rows = model.blocked_loss(splits.val.astype(np.float32), params, mcfg)
         best = res.history[res.best_epoch]
         assert best["val_loss"] == loss
         if variant != "det":
@@ -452,9 +450,10 @@ class TestFit:
 
 class TestFitMemory:
     def test_traced_peak_stays_under_the_window_bytes(self):
-        # fit gathers each batch from the split's series. Holding a copy of
-        # every training window (their float64 inputs alone are a third of
-        # the bytes below), in any dtype, would push its peak past the bound.
+        # fit gathers each batch from the split's raw series. Holding a copy
+        # of every training window (their float64 inputs alone are a third
+        # of the bytes below), in any dtype, would push its peak past the
+        # bound.
         d = data.generate(data.SyntheticSpec(nodes=10, sessions=40, seed=1))
         splits = data.prepare_splits(d, t_h=10, t_f=10, fractions=SPLIT)
         window_bytes = sum(getattr(splits.train, name).nbytes
@@ -466,5 +465,30 @@ class TestFitMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # Measured 0.26: mostly the validation losses and entropy tables.
-        assert peak < 0.4 * window_bytes
+        # Measured 0.17: mostly the validation loss and entropy arrays. With
+        # float32 copies of the normalized series and the validation arrays
+        # joined block by block it read 0.26.
+        assert peak < 0.25 * window_bytes
+
+    def test_validation_peak_is_its_loss_and_entropy_rows(self):
+        # 410 validation windows x 10 nodes in blocks of 8 windows, in a
+        # workspace made beforehand. Each block writes into one float32
+        # (horizon, 1, rows) loss array and one float64 (horizon, rows)
+        # entropy array, and weight_entropy exponentiates the rows in place.
+        # Measured 1.07 times their bytes; joining per-block arrays and
+        # exponentiating into a new one read 2.05.
+        d = data.generate(data.SyntheticSpec(nodes=10, sessions=10, session_steps=60, seed=1))
+        val = data.window(d, 10, 10, data.Normalizer.fit(d.values)).astype(np.float32)
+        mcfg = small_model_cfg("gmm", t_h=10, t_f=10)
+        params = model.init_params(mcfg, np.random.default_rng(0)).astype(np.float32)
+        workspace = model.Workspace(mcfg, 8 * 10, np.float32)
+        training._validate(val, params, mcfg, 8, workspace)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            training._validate(val, params, mcfg, 8, workspace)
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        pair_bytes = val.count * 10 * mcfg.horizon * (4 + 8)
+        assert peak < 1.2 * pair_bytes
