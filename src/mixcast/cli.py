@@ -297,10 +297,12 @@ def evaluate_run(checkpoint_path, data_path, levels, grid_points, normalized_spa
     def pairs():
         for start in range(0, n_windows, step):
             idx = slice(start, start + step)
-            inputs, targets = test.gather(idx)
+            if normalized_space:
+                inputs, targets = test.gather(idx)
+            else:
+                inputs, targets = test.gather_inputs(idx), test.gather_raw(idx)
             preds = model.predict(params, mcfg, inputs)
             if not normalized_space:
-                targets = test.gather_raw(idx)
                 preds = nrm.inverse(preds) if det else preds.scale_shift(nrm.std, nrm.mean)
             if not det and start <= window < start + step:
                 ridge_mixtures.append(preds[window - start, node])

@@ -267,8 +267,9 @@ class WindowSet:
     (float64 unless tagged by `astype`). With a coverage mask, the inputs
     feed uncovered nodes the train-split mean (0 after normalization) and
     carry a per-node availability flag channel; the targets stay complete.
-    `gather_raw` builds their raw-unit targets; `inputs`, `targets` and
-    `targets_raw` build them for every window, on each read."""
+    `gather_inputs` builds the inputs alone and `gather_raw` the raw-unit
+    targets; `inputs`, `targets` and `targets_raw` build them for every
+    window, on each read."""
 
     raw: np.ndarray  # (S, steps, N), raw units, float64
     normalizer: Normalizer
@@ -302,23 +303,30 @@ class WindowSet:
         return self._steps[..., steps][np.divmod(np.arange(self.count)[idx],
                                                  self._steps.shape[1])]
 
-    def gather(self, idx):
-        """(inputs (B, N, input_steps * channels), targets (B, N, horizon)) of
-        the windows `idx` (a slice or index array over range(count)),
-        contiguous, in the set's dtype: each copy is z-scored in place by
-        `Normalizer.transform`'s float64 operations, bit for bit, then cast."""
-        def normalized(steps):
-            z = self._copies(idx, steps)
-            z -= self.normalizer.mean
-            z /= self.normalizer.std
-            return np.ascontiguousarray(z, dtype=self.dtype)
+    def _normalized(self, idx, steps: slice) -> np.ndarray:
+        """The `steps` of the windows `idx`, contiguous, in the set's dtype:
+        each copy is z-scored in place by `Normalizer.transform`'s float64
+        operations, bit for bit, then cast."""
+        z = self._copies(idx, steps)
+        z -= self.normalizer.mean
+        z /= self.normalizer.std
+        return np.ascontiguousarray(z, dtype=self.dtype)
 
-        x = normalized(slice(None, self.input_steps))
+    def gather_inputs(self, idx) -> np.ndarray:
+        """The inputs (B, N, input_steps * channels) of the windows `idx` (a
+        slice or index array over range(count)), contiguous, in the set's
+        dtype."""
+        x = self._normalized(idx, slice(None, self.input_steps))
         if self.coverage is not None:
             x[:, ~self.coverage] = 0.0
             flags = np.broadcast_to(self.coverage[:, None].astype(x.dtype), x.shape)
             x = np.concatenate([x, flags], axis=2)
-        return x, normalized(slice(self.input_steps, None))
+        return x
+
+    def gather(self, idx):
+        """(inputs, targets (B, N, horizon)) of the windows `idx`, as
+        `gather_inputs` builds the inputs."""
+        return self.gather_inputs(idx), self._normalized(idx, slice(self.input_steps, None))
 
     def gather_raw(self, idx) -> np.ndarray:
         """The raw-unit targets (B, N, horizon) of the windows `idx`, contiguous."""
@@ -326,7 +334,7 @@ class WindowSet:
 
     @property
     def inputs(self) -> np.ndarray:  # (W, N, input_steps * channels)
-        return self.gather(slice(None))[0]
+        return self.gather_inputs(slice(None))
 
     @property
     def targets(self) -> np.ndarray:  # (W, N, horizon)
@@ -480,31 +488,43 @@ def export_csv(d: SeriesDataset, path):
                 fh.write(stamp + "," + ",".join(cells) + "\n")
 
 
+def _lines(path):
+    """The lines of the text file at `path`, split as str.splitlines splits
+    the whole text, read one file line at a time."""
+    with open(path) as fh:
+        for chunk in fh:
+            yield from chunk.splitlines()
+
+
 def ingest_csv(path, manifest: DatasetManifest) -> SeriesDataset:
     """Parse and validate a CSV against its manifest.
 
     Errors carry row numbers (1-based, header = row 1) and node ids:
     malformed cells, non-monotone timestamps, out-of-range values and
-    row-count mismatches are all rejected."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
+    row-count mismatches are all rejected. The file is read line by line,
+    twice, and never held whole: the rows are counted before any is
+    parsed."""
+    lines = _lines(path)
+    header = next(lines, None)
+    rows = sum(1 for _ in lines)  # a decoding error anywhere comes first
+    if header is None:
         raise DataError(f"{path}: empty file")
-    header = lines[0].split(",")
+    header = header.split(",")
     if header[0] != "timestamp" or tuple(header[1:]) != tuple(manifest.node_ids):
         raise DataError(f"{path}: header does not match manifest node ids")
     expected_rows = manifest.sessions * manifest.session_steps
-    rows = lines[1:]
-    if len(rows) != expected_rows:
+    if rows != expected_rows:
         raise DataError(
-            f"{path}: {len(rows)} data rows, manifest expects {expected_rows}"
+            f"{path}: {rows} data rows, manifest expects {expected_rows}"
         )
     n = len(manifest.node_ids)
     values = np.zeros((expected_rows, n))
     missing = np.zeros((expected_rows, n), dtype=bool)
-    stamps = []
+    starts = []
     prev = None
-    for r, line in enumerate(rows, start=2):
+    lines = _lines(path)
+    next(lines)
+    for r, line in enumerate(lines, start=2):
         cells = line.split(",")
         if len(cells) != n + 1:
             raise DataError(f"{path}:{r}: {len(cells) - 1} cells for {n} nodes")
@@ -515,7 +535,8 @@ def ingest_csv(path, manifest: DatasetManifest) -> SeriesDataset:
         if prev is not None and stamp <= prev:
             raise DataError(f"{path}:{r}: non-monotone timestamp {cells[0]}")
         prev = stamp
-        stamps.append(stamp)
+        if (r - 2) % manifest.session_steps == 0:
+            starts.append(stamp.isoformat())
         for i, cell in enumerate(cells[1:]):
             if cell == "":
                 missing[r - 2, i] = True
@@ -535,15 +556,12 @@ def ingest_csv(path, manifest: DatasetManifest) -> SeriesDataset:
         )
         raise DataError(f"{path}: {bad.shape[0]} values outside [0, {manifest.max_value}]: {spots}")
     shape = (manifest.sessions, manifest.session_steps, n)
-    starts = tuple(
-        stamps[s * manifest.session_steps].isoformat() for s in range(manifest.sessions)
-    )
     return SeriesDataset(
         values=values.reshape(shape),
         step_minutes=manifest.step_minutes,
         max_value=manifest.max_value,
         node_ids=tuple(manifest.node_ids),
-        start_times=starts,
+        start_times=tuple(starts),
         seed=manifest.seed,
         missing=missing.reshape(shape) if missing.any() else None,
     )

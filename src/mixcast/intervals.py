@@ -16,6 +16,7 @@ elements can run concurrently.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,6 +139,20 @@ def _mass_before(density: np.ndarray, incl=None):
     return ranked, incl, total
 
 
+@functools.lru_cache(maxsize=8)
+def _lifting_operands(m: int, p: int, levels: tuple):
+    """Read-only (M, L) arrays of the levels, each row's first flat index
+    and its last, for `_selected_counts` on (m, p) rows; made once per
+    chunk shape and level set, since scoring chunks repeat a few shapes."""
+    shape = (m, len(levels))
+    operands = (np.broadcast_to(np.array(levels), shape).copy(),
+                np.broadcast_to((np.arange(m) * p)[:, None], shape).copy())
+    operands += (operands[1] + (p - 1),)
+    for a in operands:
+        a.flags.writeable = False
+    return operands
+
+
 def _selected_counts(incl, total, levels):
     """(M, L) counts of the fewest ranked cells whose normalized mass
     reaches each level, from `_mass_before`'s (incl, total).
@@ -148,15 +163,15 @@ def _selected_counts(incl, total, levels):
     never below, so the count of such j is found for all (M, L) pairs at
     once by binary lifting over flat indices, clamped to the row's last
     entry. Every operand is a full (M, L) array: broadcasting an (M, 1)
-    column makes numpy loop row by row.
+    column makes numpy loop row by row. Those that depend only on the
+    shape and the levels come from `_lifting_operands`.
     """
     m, p = incl.shape
     flat = incl.ravel()
-    shape = (m, np.size(levels))
-    levels = np.broadcast_to(np.asarray(levels, dtype=float), shape).copy()
-    total = np.broadcast_to(total[:, None], shape).copy()
-    pos = np.broadcast_to((np.arange(m) * p)[:, None], shape).copy()
-    last = pos + (p - 1)
+    levels = tuple(np.asarray(levels, dtype=float).ravel().tolist())
+    levels, start, last = _lifting_operands(m, p, levels)
+    total = np.broadcast_to(total[:, None], levels.shape).copy()
+    pos = start.copy()
     step = 1 << (p - 1).bit_length()
     reach = 0  # the largest offset pos can have reached
     while step := step >> 1:

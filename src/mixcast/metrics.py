@@ -24,14 +24,21 @@ from .gmm import _SQRT_HALF, MixtureBatch, _sum_k, erf, grid_densities
 DEFAULT_LEVELS = tuple(np.round(np.arange(0.50, 0.951, 0.05), 10))
 MAPE_EPSILON = 1e-3
 PIT_BINS = 10
-# Elements x grid points scored per chunk: 512 KiB per float32 (chunk,
-# grid) array and 1 MiB for its float64 cumulative mass, whatever the grid
-# size. Smaller chunks pay more per-call overhead; larger ones fall out of
-# cache and raise peak RSS.
+_PIT_EDGES = np.linspace(0.0, 1.0, PIT_BINS + 1)
+# Elements x grid points predicted per chunk of windows (`chunk_rows`).
 _CHUNK_CELLS = 2**17
+# Elements x grid points scored per chunk: 256 KiB for its float32 grid and
+# 512 KiB for its float64 cumulative mass, whatever the grid size. Smaller
+# chunks pay more per-call overhead; larger ones fall out of cache and
+# raise peak RSS.
+_SCORE_CELLS = 2**16
+# The most elements whose per-element work (CRPS, point errors, float32
+# inputs and target densities) runs at once: whole horizon rows of at
+# least one row, so one window of a 50-node, 10-step forecast is one block.
+_BLOCK_ELEMENTS = 2**9
 # The most interval grid points: one element's grid row fills at most one
-# scoring chunk, so a chunk of one horizon row (t_f elements, the least
-# `chunk_rows` gives) holds at most t_f * _CHUNK_CELLS cells.
+# prediction chunk's budget, and a scoring chunk, which holds at least one
+# element, at most MAX_INTERVAL_POINTS cells.
 MAX_INTERVAL_POINTS = _CHUNK_CELLS
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # The interval grid is float32 where that is safe: with every mean and the
@@ -58,7 +65,8 @@ class ScoringConfig:
     on-grid mass, and a target outside it is covered at no level. The CLI
     keeps the fixed physical range (0, max_value), as ingest rejects any
     value outside it: mass there is unobservable. `evaluate` keeps nothing
-    per element; its working memory is one chunk (see there).
+    per element; its working memory is one block and 768 KiB of grid
+    buffers (see there).
     """
 
     levels: tuple = DEFAULT_LEVELS
@@ -117,9 +125,21 @@ class EvaluationReport:
 
 def _abs_gap_mean(m: np.ndarray, s: np.ndarray) -> np.ndarray:
     """E|m + s Z| for standard normal Z: 2 s phi(m/s) + m (2 Phi(m/s) - 1),
-    with 2 Phi(z) - 1 taken as erf(z / sqrt 2), free of cancellation near 0."""
+    with 2 Phi(z) - 1 taken as erf(z / sqrt 2), free of cancellation near 0.
+    Evaluated in place where it can, in the order of that formula."""
     z = m / s
-    return 2.0 * s * _INV_SQRT_2PI * np.exp(-0.5 * z * z) + m * erf(z * _SQRT_HALF)
+    scale = np.multiply(2.0, s)
+    scale *= _INV_SQRT_2PI
+    density = np.multiply(-0.5, z)
+    density *= z
+    np.exp(density, out=density)
+    density *= scale  # z's dtype holds s's
+    del scale
+    z *= _SQRT_HALF
+    gap = erf(z)  # float64, whatever the dtype of m and s
+    gap *= m
+    gap += density
+    return gap
 
 
 def crps_mixture_batch(mb: MixtureBatch, y: np.ndarray) -> np.ndarray:
@@ -139,14 +159,20 @@ def crps_mixture_batch(mb: MixtureBatch, y: np.ndarray) -> np.ndarray:
     sd = np.sqrt(var)
     spread = _sum_k(w * _abs_gap_mean(y[..., None] - mu, sd))
     pairs = _sum_k(w * w * sd) / math.sqrt(math.pi)
-    k, l = np.triu_indices(mb.k, 1)
-    if k.size:  # K = 1 has no pairs
-        gap = _abs_gap_mean(mu[..., k] - mu[..., l], np.sqrt(var[..., k] + var[..., l]))
-        # In-order slab sums over the pair axis too: a row's sum then does
-        # not depend on how many rows come with it (np.sum adds one row
-        # pairwise but the columns of a many-row, column-major pair array
-        # in order).
-        pairs += _sum_k(w[..., k] * w[..., l] * gap)
+    if mb.k > 1:  # K = 1 has no pairs
+        # Component j against every later one, for j in order: each pair
+        # once, K - 1 columns at most at a time, and summed in order, so a
+        # row's sum does not depend on how many rows come with it (np.sum
+        # adds one row pairwise but the columns of many rows in order).
+        cross = np.zeros(mb.shape)
+        for j in range(mb.k - 1):
+            later = slice(j + 1, None)
+            gap = _abs_gap_mean(mu[..., j, None] - mu[..., later],
+                                np.sqrt(var[..., j, None] + var[..., later]))
+            gap = w[..., j, None] * w[..., later] * gap
+            for col in range(gap.shape[-1]):
+                cross += gap[..., col]
+        pairs += cross
     return spread - pairs
 
 
@@ -210,18 +236,40 @@ class _ExactSums:
 
 
 def chunk_rows(row_elements: int, points: int) -> int:
-    """How many rows of `row_elements` elements to score at once on a
+    """How many rows of `row_elements` elements to predict at once for a
     grid of `points`: as many whole rows as fit in _CHUNK_CELLS elements
     x grid points, and at least one."""
     return max(1, _CHUNK_CELLS // (row_elements * points))
 
 
+def _f32_inputs(mb: MixtureBatch, y: np.ndarray, lo: float, x: np.ndarray) -> tuple:
+    """The per-element inputs of `_interval_densities` for flat mixtures and
+    targets y (n,) on the grid x: (x32, w32, mu32, var32, p_y, far), the
+    float32 grid, weights, means and variances (grid, means and targets
+    shifted by lo in float64 first, all clipped to _F32_REACH), the
+    float32 target densities p_y (n,) and `far` (n,), the rows float32
+    cannot hold whatever their grid mass."""
+    w, mu, var = mb.weights, mb.means, mb.variances
+    mu_lo = mu - lo
+    far = ~(np.abs(mu_lo) <= _F32_REACH) | ~(var <= _F32_REACH**2)  # NaN is far too
+    far = far.any(axis=1) | (x[-1] - lo > _F32_REACH)
+    w32, mu32, var32 = (
+        a.astype(np.float32)
+        for a in (w, np.clip(mu_lo, -_F32_REACH, _F32_REACH), np.minimum(var, _F32_REACH**2))
+    )
+    x32 = np.minimum(x - lo, _F32_REACH).astype(np.float32)
+    y32 = np.clip(y - lo, -_F32_REACH, _F32_REACH).astype(np.float32)
+    p_y = grid_densities(w32, mu32, var32, y32[:, None])[:, 0]
+    return x32, w32, mu32, var32, p_y, far
+
+
 def _interval_densities(part: MixtureBatch, y: np.ndarray, lo: float, x: np.ndarray,
-                        out=None):
+                        inputs: tuple, out=None):
     """Grid and target densities of one chunk, in row groups, and each
     row's grid mass: ([(rows, dens (r, P), p_y (r,)), ...], mass (n,)).
-    The float32 grid goes into `out`, None or a (grid, scratch) pair of
-    (n, P) float32 buffers for `grid_densities`.
+    `inputs` are the chunk's `_f32_inputs`; the float32 grid goes into
+    `out`, None or a (grid, scratch) pair of (n, P) float32 buffers for
+    `grid_densities`.
 
     The grid is computed in float32: means, grid and targets are shifted
     by lo in float64 before the cast, so rounding scales with the grid
@@ -235,24 +283,14 @@ def _interval_densities(part: MixtureBatch, y: np.ndarray, lo: float, x: np.ndar
     first, so no float32 term overflows), or a float32 grid mass below
     _F32_MASS_MIN (a far tail that float32 flushes toward zero).
     """
+    x32, w32, mu32, var32, p_y, far = inputs
     dx = float(x[1] - x[0])
-    w, mu, var = part.weights, part.means, part.variances
-    mu_lo = mu - lo
-    far = ~(np.abs(mu_lo) <= _F32_REACH) | ~(var <= _F32_REACH**2)  # NaN is far too
-    wide = far.any(axis=1) | (x[-1] - lo > _F32_REACH)
-    w32, mu32, var32 = (
-        a.astype(np.float32)
-        for a in (w, np.clip(mu_lo, -_F32_REACH, _F32_REACH), np.minimum(var, _F32_REACH**2))
-    )
-    x32 = np.minimum(x - lo, _F32_REACH).astype(np.float32)
-    y32 = np.clip(y - lo, -_F32_REACH, _F32_REACH).astype(np.float32)
     dens = grid_densities(w32, mu32, var32, x32, out)
-    p_y = grid_densities(w32, mu32, var32, y32[:, None])[:, 0]
     mass = dens.sum(axis=1, dtype=np.float64) * dx
-    wide |= ~(mass >= _F32_MASS_MIN)
+    wide = far | ~(mass >= _F32_MASS_MIN)
     if not wide.any():
         return [(slice(None), dens, p_y)], mass
-    w, mu, var = w[wide], mu[wide], var[wide]
+    w, mu, var = part.weights[wide], part.means[wide], part.variances[wide]
     dens64 = grid_densities(w, mu, var, x)
     mass[wide] = dens64.sum(axis=1) * dx
     p_y64 = grid_densities(w, mu, var, y[wide, None])[:, 0]
@@ -261,8 +299,7 @@ def _interval_densities(part: MixtureBatch, y: np.ndarray, lo: float, x: np.ndar
 
 def _pit_bins(u: np.ndarray) -> np.ndarray:
     """u's bin of PIT_BINS equal bins over [0, 1], as np.histogram bins it."""
-    edges = np.linspace(0.0, 1.0, PIT_BINS + 1)
-    return np.minimum(np.searchsorted(edges, u, side="right") - 1, PIT_BINS - 1)
+    return np.minimum(np.searchsorted(_PIT_EDGES, u, side="right") - 1, PIT_BINS - 1)
 
 
 class _GridBuffers:
@@ -291,32 +328,48 @@ def _score_mixtures(mb: MixtureBatch, y: np.ndarray, cfg: ScoringConfig, levels:
     (t_f, L), u < level (t_f, L) and HPD-PIT bin (t_f, PIT_BINS) at its
     step, index mod t_f, into the int64 `tallies`. Return how many
     elements keep less than MASS_COMPLETE_MIN of their mass on the grid,
-    and how many keep none (their chunk adds no tallies). Each chunk of
-    whole steps is scored completely (float64 CRPS, float32 grid where
-    `_interval_densities` allows, HPD scores) in views of `buffers`."""
+    and how many keep none (their block adds no tallies).
+
+    Work is split by what it needs. Each block of at most _BLOCK_ELEMENTS
+    elements in whole steps does the per-element work once: float64 CRPS
+    and point errors, the float32 grid inputs and target densities
+    (`_f32_inputs`) and the tallies. Only the grid work runs per scoring
+    chunk of _SCORE_CELLS elements x grid points: the densities and their
+    masses (`_interval_densities`) and the HPD scores, in views of
+    `buffers`."""
     lo, hi = cfg.interval_range
     x = np.linspace(lo, hi, cfg.interval_points)
     cells, covered, pit = tallies
-    t_f = cells.shape[0]
+    t_f, n_levels = cells.shape
     clipped = empty = 0
-    rows = t_f * chunk_rows(t_f, x.size)
-    for start in range(0, y.size, rows):
-        sl = slice(start, start + rows)
+    block = t_f * max(1, _BLOCK_ELEMENTS // t_f)
+    rows = max(1, _SCORE_CELLS // x.size)
+    pit_offset = np.arange(min(block, y.size)) % t_f * PIT_BINS  # each step's first bin
+    for start in range(0, y.size, block):
+        sl = slice(start, start + block)
         part, y_part = mb[sl], y[sl]
+        n = y_part.size
         sums.add(y_part, part.point_estimates(), crps_mixture_batch(part, y_part))
-        grid, scratch, incl = buffers.views((y_part.size, x.size))
-        groups, mass = _interval_densities(part, y_part, lo, x, (grid, scratch))
-        clipped += int(np.count_nonzero(mass < iv.MASS_COMPLETE_MIN))
-        empty += int(np.count_nonzero(mass <= 0.0))
-        if empty:
-            continue  # nothing to select; evaluate's error counts every miss
+        inputs = _f32_inputs(part, y_part, lo, x)
         on_grid = (y_part >= lo) & (y_part <= hi)
-        u, counts = np.empty(y_part.size), np.empty((y_part.size, levels.size), dtype=np.int64)
-        for at, dens, p_y in groups:
-            u[at], counts[at] = iv.hpd_scores(dens, p_y, on_grid[at], levels, incl[: len(dens)])
-        cells += counts.reshape(-1, t_f, levels.size).sum(axis=0)
+        u, counts = np.empty(n), np.empty((n, n_levels), dtype=np.int64)
+        for at in range(0, n, rows):
+            c = slice(at, at + rows)
+            chunk = (inputs[0], *(a[c] for a in inputs[1:]))  # the grid x32 is shared
+            grid, scratch, incl = buffers.views((min(rows, n - at), x.size))
+            groups, mass = _interval_densities(part[c], y_part[c], lo, x, chunk, (grid, scratch))
+            clipped += int(np.count_nonzero(mass < iv.MASS_COMPLETE_MIN))
+            empty += int(np.count_nonzero(mass <= 0.0))
+            if empty:
+                continue  # nothing to select; evaluate's error counts every miss
+            for rows_g, dens, p_y in groups:
+                u[c][rows_g], counts[c][rows_g] = iv.hpd_scores(dens, p_y, on_grid[c][rows_g],
+                                                                levels, incl[: len(dens)])
+        if empty:
+            continue
+        cells += counts.reshape(-1, t_f, n_levels).sum(axis=0)
         covered += (u.reshape(-1, t_f, 1) < levels).sum(axis=0)
-        np.add.at(pit, (np.arange(u.size) % t_f, _pit_bins(u)), 1)
+        pit += np.bincount(pit_offset[:n] + _pit_bins(u), minlength=pit.size).reshape(pit.shape)
     return clipped, empty
 
 
@@ -335,12 +388,15 @@ def evaluate(pairs, scoring: ScoringConfig | None = None,
     without an interval_range, and how many elements' mixtures put no
     mass on the interval grid.
 
-    Each chunk is scored as it arrives, 2**17 // interval_points elements
-    at a time, and dropped: CRPS (per horizon step) and the point errors
-    go into exact sums (`_ExactSums`), so each mean is correctly rounded
-    whatever the chunking, and widths, coverage and the HPD-PIT into
-    integer tallies per step. Working memory is one chunk and a few
-    (2**17)-cell arrays of at most 1 MiB.
+    Each pair is scored as it arrives and dropped, in blocks of at most
+    2**9 elements for the per-element work and chunks of 2**16 //
+    interval_points elements for the grid (`_score_mixtures`): CRPS (per
+    horizon step) and the point errors go into exact sums (`_ExactSums`),
+    so each mean is correctly rounded whatever the blocking, and widths,
+    coverage and the HPD-PIT into integer tallies per step. Working memory
+    is one pair, one block's per-element arrays and two (2**16)-cell grid
+    buffers: 256 KiB of float32 densities and 512 KiB of float64
+    cumulative masses.
     """
     cfg = scoring or ScoringConfig()
     levels = np.asarray(cfg.levels, dtype=float)

@@ -8,10 +8,10 @@ digests in the training log).
 
 `fit` computes in float32, the usual precision of a deep-learning loop:
 it casts the initialized params (so the Adam moments are float32 too)
-once at entry, gathers each batch in float32 from the split's raw
-series, and returns float64 params, so checkpoints and everything
-downstream stay float64. The batch digests and the gradient norm are
-taken in float64.
+once at entry, gathers each batch once in float64 from the split's raw
+series and casts it, and returns float64 params, so checkpoints and
+everything downstream stay float64. The batch digests (of the float64
+batches) and the gradient norm are taken in float64.
 
 Every step and validation block works in one `model.Workspace`, made
 once per `fit` for the largest batch it draws, so the loop allocates no
@@ -189,19 +189,16 @@ class TrainResult:
     diverged: bool = False
 
 
-def _epoch_digest(windows, perm: np.ndarray, batch_size: int) -> str:
-    """Digest of the epoch's float64 inputs in consumption order, hashed
-    batch by batch. hashlib's OpenSSL SHA-256, imported here so that
-    importing the package does not load OpenSSL: it hashes about 46 MB
-    per run of the README's budget, several times faster than the
-    interpreter's own SHA-256 that `cli.dataset_id` uses, and `fit`
-    loads OpenSSL anyway through `numpy.random`."""
-    import hashlib
-
-    h = hashlib.sha256()
+def _hashed_batches(windows, perm: np.ndarray, batch_size: int, digest):
+    """The epoch's batches (inputs, targets) in consumption order, in
+    COMPUTE_DTYPE: each is gathered once by the float64 `windows`, its
+    inputs hashed into `digest`, then cast, and the float64 copies are
+    dropped before it is handed out."""
     for i in range(0, len(perm), batch_size):
-        h.update(windows.gather(perm[i : i + batch_size])[0])
-    return h.hexdigest()[:16]
+        inputs, targets = windows.gather(perm[i : i + batch_size])
+        digest.update(inputs)
+        inputs, targets = inputs.astype(COMPUTE_DTYPE), targets.astype(COMPUTE_DTYPE)
+        yield inputs, targets
 
 
 def _validate(val, params, model_cfg: mdl.ModelConfig, batch_size: int, workspace):
@@ -220,14 +217,23 @@ def fit(splits, model_cfg: mdl.ModelConfig, train_cfg: TrainConfig) -> TrainResu
     validation loss (NLL or MAE, per variant).
 
     `splits` carries train/val `data.WindowSet`s. Steps and validation run
-    in COMPUTE_DTYPE, on batches each split gathers in it (params rounded
-    from `init_params`' float64 draws); validation goes in blocks of
-    batch_size windows. The returned params are float64, and the batch
-    digests hash the float64 windows given. Steps and validation blocks
-    share one workspace, sized for the largest batch drawn:
-    min(batch_size, windows) windows of every location. On divergence (non-finite loss or gradient) training stops
-    and the last good checkpoint is returned with diverged=True.
+    in COMPUTE_DTYPE (params rounded from `init_params`' float64 draws):
+    each step's batch is gathered once, in float64, its inputs hashed for
+    the epoch's batch digest, and cast; validation goes in blocks of
+    batch_size windows that the split gathers in COMPUTE_DTYPE. The
+    returned params are float64. Steps and validation blocks share one
+    workspace, sized for the largest batch drawn: min(batch_size,
+    windows) windows of every location. On divergence (non-finite loss or
+    gradient) training stops and the last good checkpoint is returned
+    with diverged=True; that epoch's digest still covers all its batches.
     """
+    # hashlib's OpenSSL SHA-256, imported here so that importing the
+    # package does not load OpenSSL: it hashes about 46 MB per run of the
+    # README's budget, several times faster than the interpreter's own
+    # SHA-256 that `cli.dataset_id` uses, and `fit` loads OpenSSL anyway
+    # through `numpy.random`.
+    import hashlib
+
     rng_data = np.random.default_rng([train_cfg.seed, 0])
     rng_model = np.random.default_rng([train_cfg.seed, 1])
     params = mdl.init_params(model_cfg, rng_model).astype(COMPUTE_DTYPE)
@@ -239,22 +245,20 @@ def fit(splits, model_cfg: mdl.ModelConfig, train_cfg: TrainConfig) -> TrainResu
     bs = train_cfg.batch_size
     n_batches = (w + bs - 1) // bs
     total_steps = train_cfg.epochs * n_batches
-    train = splits.train.astype(COMPUTE_DTYPE)
     val = splits.val.astype(COMPUTE_DTYPE)
-    nodes = train.raw.shape[-1]
+    nodes = splits.train.raw.shape[-1]
     workspace = mdl.Workspace(model_cfg, min(bs, max(w, val.count)) * nodes, COMPUTE_DTYPE)
 
     result = TrainResult(params=params.astype(np.float64), best_val_loss=math.inf, best_epoch=-1)
     components = 0 if model_cfg.head is None else model_cfg.head.components
     step = 0
     for epoch in range(train_cfg.epochs):
-        perm = rng_data.permutation(w)
-        digest = _epoch_digest(splits.train, perm, bs)
-        result.batch_digests.append(digest)
+        digest = hashlib.sha256()
+        batches = _hashed_batches(splits.train, rng_data.permutation(w), bs, digest)
         epoch_losses = []
         try:
-            for i in range(n_batches):
-                batch = mdl.ForecastBatch(*train.gather(perm[i * bs : (i + 1) * bs]))
+            for inputs, targets in batches:
+                batch = mdl.ForecastBatch(inputs, targets)
                 lr = lr_at(step, total_steps, train_cfg)
                 loss, grads, clamped = mdl.backward(batch, params, model_cfg, workspace)
                 norm = global_norm(grads)
@@ -273,6 +277,11 @@ def fit(splits, model_cfg: mdl.ModelConfig, train_cfg: TrainConfig) -> TrainResu
         except ValueError as err:
             result.log_lines.append(f"epoch={epoch} diverged error={err}")
             result.diverged = True
+        for _ in batches:  # a diverged epoch's digest covers every batch too
+            pass
+        digest = digest.hexdigest()[:16]
+        result.batch_digests.append(digest)
+        if result.diverged:
             break
         mean_loss = float(np.mean(epoch_losses))
         result.history.append(

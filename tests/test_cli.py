@@ -816,6 +816,25 @@ class TestEvaluate:
 
 
 class TestEvaluateChunks:
+    @pytest.mark.parametrize("normalized", [False, True], ids=["raw", "normalized"])
+    def test_gathers_only_the_targets_it_scores(self, workspace, monkeypatch, normalized):
+        # Raw-space scoring gathers each chunk's inputs and raw targets and
+        # no normalized targets; normalized-space scoring no raw ones.
+        calls = []
+
+        def counted(name, method):
+            def wrapper(self, idx):
+                calls.append(name)
+                return method(self, idx)
+            return wrapper
+
+        for name in ("gather", "gather_inputs", "gather_raw"):
+            monkeypatch.setattr(data.WindowSet, name, counted(name, getattr(data.WindowSet, name)))
+        cli.evaluate_run(workspace / "gmm.ckpt.npz", workspace / "tiny", metrics.DEFAULT_LEVELS,
+                         500, normalized, (0, 0))
+        want = {"gather", "gather_inputs"} if normalized else {"gather_inputs", "gather_raw"}
+        assert set(calls) == want
+
     @pytest.mark.parametrize("variant", ["det", "norm", "gmm"])
     @pytest.mark.parametrize("normalized", [False, True], ids=["raw", "normalized"])
     def test_windows_predicted_and_scored_chunk_by_chunk(self, workspace, monkeypatch, variant,
@@ -1118,10 +1137,13 @@ else:
     report, _ = cli.evaluate_run(ckpt, work / "d", metrics.DEFAULT_LEVELS, 500, False, (0, 0))
     after = faults()
     # evaluate_run predicts chunk_rows windows at a time; metrics.evaluate
-    # scores each prediction chunk in scoring chunks of whole horizon rows.
+    # scores each prediction chunk in blocks of whole horizon rows, and
+    # each block in scoring chunks of _SCORE_CELLS // 500 elements.
     row, windows = 50 * 10, int(report.meta["elements"]) // 500
-    step, rows = metrics.chunk_rows(row, 500), 10 * metrics.chunk_rows(10, 500)
-    chunks = sum(math.ceil(min(step, windows - s) * row / rows) for s in range(0, windows, step))
+    step, block = metrics.chunk_rows(row, 500), 10 * (metrics._BLOCK_ELEMENTS // 10)
+    rows = metrics._SCORE_CELLS // 500
+    sizes = [min(step, windows - s) * row for s in range(0, windows, step)]
+    chunks = sum(math.ceil(min(block, n - b) / rows) for n in sizes for b in range(0, n, block))
     print(json.dumps([after - before, chunks]))
 """
 
@@ -1161,8 +1183,8 @@ class TestSteadyWithoutAllocatorSettings:
         assert self.faults_per_unit("fit", tmp_path) < 120
 
     def test_evaluate_minor_faults_per_chunk(self, tmp_path):
-        # 58 scoring chunks of 260 and 240 elements on a 500-point grid.
-        # Measured 11 per chunk; with a fresh grid, scratch and cumulative
+        # 116 scoring chunks of 131 and 107 elements on a 500-point grid.
+        # Measured 3 per chunk; with a fresh grid, scratch and cumulative
         # mass per chunk it read 265.
         assert self.faults_per_unit("evaluate", tmp_path) < 40
 

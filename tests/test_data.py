@@ -501,6 +501,46 @@ class TestCSVRoundTrip:
             data.SeriesDataset(values=np.ones((1, 2, 1)), step_minutes=3.0, max_value=math.inf,
                                node_ids=("a",), start_times=("2024-01-01T06:00:00",))
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("trailing", [True, False], ids=["trailing", "no-trailing"])
+    def test_line_endings_parse_alike(self, tmp_path, newline, trailing):
+        # ingest reads one line at a time; any line ending, with or without
+        # one after the last row, gives the arrays of the exported file.
+        d = data.generate(small_spec())
+        path = tmp_path / "series.csv"
+        data.export_csv(d, path)
+        text = path.read_text().replace("\n", newline)
+        path.write_bytes((text if trailing else text[: -len(newline)]).encode())
+        back = data.ingest_csv(path, DatasetManifest.for_dataset(d))
+        assert back.values.tobytes() == d.values.tobytes()
+        assert back.start_times == d.start_times and back.missing is None
+
+    def test_row_count_checked_before_any_row_is_parsed(self, tmp_path):
+        # Too many or too few rows are named before a bad cell in an earlier
+        # row; with the count right the bad cell is named. A line break
+        # that str.splitlines knows (here a form feed) splits a row, as
+        # when the whole text was split at once.
+        m = DatasetManifest(node_ids=("a", "b"), sessions=1, session_steps=3, step_minutes=3.0,
+                            max_value=14.0)
+        rows = ["2024-01-01T06:00:00,1.0,", "2024-01-01T06:03:00,x,2.0",
+                "2024-01-01T06:06:00,3.0,4.0", "2024-01-01T06:09:00,3.0,4.0"]
+        path = tmp_path / "rows.csv"
+        for body, want in (
+            (rows, f"{path}: 4 data rows, manifest expects 3"),
+            (rows[:2], f"{path}: 2 data rows, manifest expects 3"),
+            (rows[:3], f"{path}:3: node a: bad cell 'x'"),
+            ([rows[0], rows[1].replace(",x,", ",\x0c,"), rows[2]],
+             f"{path}: 4 data rows, manifest expects 3"),
+            ([], f"{path}: 0 data rows, manifest expects 3"),
+        ):
+            path.write_text("\n".join(["timestamp,a,b", *body]) + "\n")
+            with pytest.raises(DataError) as err:
+                data.ingest_csv(path, m)
+            assert str(err.value) == want
+        path.write_text("")
+        with pytest.raises(DataError, match="empty file"):
+            data.ingest_csv(path, m)
+
     def test_row_count_mismatch_rejected(self, tmp_path):
         path = tmp_path / "short.csv"
         path.write_text("timestamp,a\n2024-01-01T06:00:00,1.0\n")

@@ -540,7 +540,9 @@ class TestEvaluate:
         y = targets.ravel()
         u, counts = np.empty(y.size), np.empty((y.size, levels.size), dtype=np.int64)
         on_grid = (y >= lo) & (y <= hi)
-        for at, dens, p_y in metrics._interval_densities(mb.reshape(y.size), y, lo, x)[0]:
+        flat = mb.reshape(y.size)
+        inputs = metrics._f32_inputs(flat, y, lo, x)
+        for at, dens, p_y in metrics._interval_densities(flat, y, lo, x, inputs)[0]:
             u[at], counts[at] = iv.hpd_scores(dens, p_y, on_grid[at], levels)
         width = (x[1] - x[0]) * counts
         contained = u[:, None] < levels
@@ -591,7 +593,7 @@ class TestEvaluate:
             levels = tuple(inside[:: max(1, inside.size // 5)][:5]) or (0.5,)
         cfg = ScoringConfig(levels=levels, interval_range=(lo, hi), interval_points=points)
         bounds = [0, *sorted(c for c in cuts if c < windows), windows]
-        with mock.patch.object(metrics, "_CHUNK_CELLS", cells):
+        with mock.patch.object(metrics, "_SCORE_CELLS", cells):
             rep = metrics.evaluate([(targets[a:b], mb[a:b]) for a, b in zip(bounds, bounds[1:])],
                                    cfg)
         _, exact, width, w_step, coverage, ce_step, pit, pit_by_step = (
@@ -649,16 +651,16 @@ class TestEvaluate:
         return metrics.report_to_text(rep), json.dumps(results)
 
     @settings(max_examples=30, deadline=None)
-    @given(st.sets(st.integers(1, 14)), st.sampled_from([1, 7 * 4 * 301, metrics._CHUNK_CELLS]))
+    @given(st.sets(st.integers(1, 14)), st.sampled_from([1, 7 * 4 * 301, metrics._SCORE_CELLS]))
     def test_chunk_size_changes_no_result(self, cuts, cells):
         # Every mean is an exact sum divided once and every tally an integer
         # sum, so any split of the windows into prediction chunks, scored
-        # one row of 4 steps, seven rows or all at a time, gives the report
-        # text and run.json figures of one whole chunk.
+        # one element, seven rows of 4 steps or all at a time, gives the
+        # report text and run.json figures of one whole chunk.
         targets, mb, cfg = self.mixed_batch()
         whole = self.scored([(targets, mb)], cfg)
         bounds = [0, *sorted(cuts), len(targets)]
-        with mock.patch.object(metrics, "_CHUNK_CELLS", cells):
+        with mock.patch.object(metrics, "_SCORE_CELLS", cells):
             chunked = self.scored([(targets[a:b], mb[a:b]) for a, b in zip(bounds, bounds[1:])],
                                   cfg)
         assert chunked == whole
@@ -666,6 +668,61 @@ class TestEvaluate:
         assert json.loads(whole[1])[0] > 0  # clipped-mass elements
         assert json.loads(whole[1])[1][-1] > 0  # the off-grid target has u = 1
         assert math.isfinite(rep.avg_width)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["gmm", "norm", "det"]), st.integers(10, 20), st.integers(1, 2**12),
+           st.sets(st.integers(1, 14)))
+    def test_blocks_and_scoring_chunks_change_no_result(self, variant, log_cells, block, cuts):
+        # The per-element work runs once per block of whole rows and the
+        # grid work per scoring chunk. Any scoring-chunk budget from 2**10
+        # to 2**20 cells (three elements to all 120 at 301 points), any
+        # block cap (one row of 4 steps to all rows) and any split into
+        # pairs give the report text and run.json figures of the default
+        # sizes, for K = 5 and K = 1 mixtures and for point predictions.
+        targets, mb, cfg = self.mixed_batch()
+        if variant == "norm":
+            mb = MixtureBatch(np.ones(targets.shape + (1,)), mb.means[..., :1].copy(),
+                              mb.variances[..., :1].copy())
+        preds = mb.point_estimates() if variant == "det" else mb
+        whole = self.scored([(targets, preds)], cfg)
+        bounds = [0, *sorted(cuts), len(targets)]
+        with mock.patch.object(metrics, "_SCORE_CELLS", 2**log_cells), \
+                mock.patch.object(metrics, "_BLOCK_ELEMENTS", block):
+            split = self.scored([(targets[a:b], preds[a:b]) for a, b in zip(bounds, bounds[1:])],
+                                cfg)
+        assert split == whole
+
+    @pytest.mark.parametrize("nodes", [10, 50, 200])
+    def test_traced_peak_holds_half_size_grid_buffers(self, nodes):
+        # The 29 test windows of a 10-session dataset, K = 5 mixtures on the
+        # CLI's 500-point grid, in the pairs `cli.evaluate_run` predicts
+        # (chunk_rows windows each). Scoring chunks of 2**16 cells keep
+        # 768 KiB of grid buffers, and blocks of at most 2**9 elements, with
+        # CRPS pair terms K - 1 columns at a time, keep the per-element
+        # temporaries small. Measured 0.93, 0.98 and 1.07 MiB at 10, 50 and
+        # 200 nodes; scoring chunks of 2**17 cells (1.5 MiB of buffers)
+        # with all K (K - 1) / 2 pair columns at once read 1.35, 1.76 and
+        # 1.80 MiB.
+        rng = np.random.default_rng(nodes)
+        t_f, k, windows = 10, 5, 29
+        step = metrics.chunk_rows(nodes * t_f, 500)
+        pairs = []
+        for start in range(0, windows, step):
+            shape = (min(step, windows - start), nodes, t_f)
+            w = rng.random(shape + (k,)) + 0.1
+            mb = MixtureBatch(w / w.sum(-1, keepdims=True), rng.uniform(1.0, 13.0, shape + (k,)),
+                              rng.uniform(0.1, 2.0, shape + (k,)) ** 2)
+            pairs.append((rng.uniform(0.0, 14.0, shape), mb))
+        cfg = ScoringConfig(interval_range=(0.0, 14.0))
+        metrics.evaluate(pairs, cfg)  # caches and lazy imports first
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            metrics.evaluate(pairs, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 2**20
 
     @pytest.mark.parametrize("offset", range(0, 64, 8))
     def test_memory_placement_changes_no_result(self, offset):
@@ -692,7 +749,7 @@ class TestFloat32IntervalGrid:
     @staticmethod
     def grid_rows(mb, y, lo, x):
         """(dens, p_y) of `_interval_densities`, groups put back in row order."""
-        groups, _ = metrics._interval_densities(mb, y, lo, x)
+        groups, _ = metrics._interval_densities(mb, y, lo, x, metrics._f32_inputs(mb, y, lo, x))
         dens, p_y = np.empty((y.size, x.size)), np.empty(y.size)
         for at, g_dens, g_p_y in groups:
             dens[at], p_y[at] = g_dens, g_p_y
@@ -786,7 +843,8 @@ class TestFloat32IntervalGrid:
         levels = np.asarray(cfg.levels)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            groups, _ = metrics._interval_densities(mb, y, lo, x)
+            groups, _ = metrics._interval_densities(mb, y, lo, x,
+                                                    metrics._f32_inputs(mb, y, lo, x))
             tallies, clipped = self.scores(mb, y, cfg)
             wide = groups[1][0]
             ref_u, ref_counts, _ = oracles.hpd_scores_on_grid(mb[wide], y[wide], lo, hi, points, levels)

@@ -435,6 +435,41 @@ class TestFit:
             assert best["weight_entropy"] == entropy.tolist()
             assert best["effective_k"] == effective_k.tolist()
 
+    def test_one_gather_per_training_step(self, monkeypatch):
+        # Each step's batch is gathered once, in float64: the step casts it
+        # and the epoch digest hashes its inputs; validation gathers its
+        # own blocks in float32.
+        splits = tiny_splits(np.random.default_rng(6))
+        gathered = []
+        gather = data.WindowSet.gather
+
+        def counting_gather(self, idx):
+            gathered.append((self.raw is splits.train.raw, str(self.dtype)))
+            return gather(self, idx)
+
+        monkeypatch.setattr(data.WindowSet, "gather", counting_gather)
+        res = training.fit(splits, small_model_cfg("gmm"), TrainConfig(epochs=3, batch_size=16,
+                                                                        seed=7))
+        assert gathered.count((True, "float64")) == len(res.grad_norms) == 3 * 4
+        assert {key for key in gathered if key[0]} == {(True, "float64")}
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_epoch_digest_covers_every_batch(self):
+        # Training stops at the first step whose loss or gradient is not
+        # finite, mid-epoch; that epoch's digest still hashes all of its
+        # batches, as for an epoch that completes.
+        splits = tiny_splits(np.random.default_rng(6))
+        tcfg = TrainConfig(epochs=20, batch_size=16, lr=1e8, warmup_epochs=0.0, clip_norm=0.0,
+                           seed=7)
+        res = training.fit(splits, small_model_cfg("gmm"), tcfg)
+        assert res.diverged and len(res.grad_norms) % 4 != 0  # stopped mid-epoch
+        inputs = splits.train.inputs
+        rng = np.random.default_rng([7, 0])
+        assert res.batch_digests == [
+            hashlib.sha256(inputs[rng.permutation(len(inputs))].tobytes()).hexdigest()[:16]
+            for _ in res.batch_digests
+        ]
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_returns_last_good_checkpoint(self):
         splits = tiny_splits(np.random.default_rng(6))
