@@ -95,7 +95,9 @@ def dataset_id(manifest: data.DatasetManifest) -> str:
 def parse_levels(text: str, grid_points: int) -> tuple:
     """`lo:hi:step` (inclusive) or a comma list of levels. A range is
     counted before it is built: an empty one, or one of more levels than
-    `grid_points` (each width is a count of grid cells), is rejected."""
+    `grid_points` (each level costs every element a width term, as each
+    grid point costs it a density, so the levels stay within the grid's
+    size), is rejected."""
     try:
         if ":" in text:
             lo, hi, step = (float(p) for p in text.split(":"))
@@ -291,7 +293,7 @@ def evaluate_run(checkpoint_path, data_path, levels, grid_points, normalized_spa
         interval_points=grid_points,
         interval_range=interval_range,
     )
-    step = metrics.chunk_rows(n_nodes * t_f, grid_points)
+    step = metrics.chunk_rows(n_nodes * t_f)
     ridge_mixtures = []
 
     def pairs():
@@ -514,7 +516,8 @@ def cmd_train(data_path, variant, k, epochs, batch_size, lr, seed, input_steps, 
               show_default=True)
 @click.option("--grid-points", type=click.IntRange(min=2, max=metrics.MAX_INTERVAL_POINTS),
               default=metrics.ScoringConfig.interval_points, show_default=True,
-              help="Interval-derivation grid points.")
+              help="Interval grid points; widths and HPD values are second order in "
+                   "the grid spacing.")
 @click.option("--normalized-space", is_flag=True, default=False,
               help="Score in normalized space instead of raw units.")
 @click.option("--ridge-node", type=int, default=0, show_default=True)

@@ -4,12 +4,17 @@ Cells are ranked by density and their normalized mass is accumulated
 until the requested confidence level is reached (Hyndman's 1996
 highest-density regions), so multi-modal densities select several
 disjoint sub-intervals. The ranking has one implementation,
-`_mass_before`, and each level's selected-cell count one,
-`_selected_counts`. `hpd_scores` reduces them to each target's HPD value
-u(y), the smallest level whose selection covers y, and each level's
-selected-cell count; evaluation reads coverage at level c as mean(u < c)
-and a width as the count times the grid spacing, and builds no mask.
-`derive_intervals` reads the same counts back as sub-intervals.
+`_mass_before`, and each level's selection one, `_selected_cells`: the
+fewest ranked cells whose mass reaches the level, and its width in grid
+spacings to second order, the last cell counted only for the part of its
+mass still needed. `hpd_scores` reduces them to each target's HPD value
+u(y), the mass where the grid density, interpolated between grid points
+(by a quadratic where it crosses the target's), exceeds the target's,
+and each level's width;
+evaluation reads coverage at level c as mean(u < c) and a width as the
+cell width times the grid spacing, and builds no mask.
+`derive_intervals` reads the same selections back as sub-intervals whose
+lengths sum to those widths.
 
 Every function here is pure, so evaluation across (location, time)
 elements can run concurrently.
@@ -64,6 +69,40 @@ def _runs(mask: np.ndarray):
     return list(zip(starts.tolist(), stops.tolist()))
 
 
+
+
+def _footprints(row, mask, x, last, share):
+    """Sub-intervals of one row's selected cells `mask`: each run spans
+    its cells' footprints [x - dx/2, x + dx/2], and the cell `last` keeps
+    only `share` of its own, next to its denser selected neighbour (the
+    middle of it when it has none), so the lengths sum to dx times the
+    selected count less 1 - share."""
+    half = 0.5 * (x[1] - x[0])
+    cut = (1.0 - share) * 2.0 * half
+    ivs = []
+    for a, b in _runs(mask):
+        lo, hi = x[a] - half, x[b] + half
+        if not a <= last <= b:
+            ivs.append((lo, hi))
+        elif a == b:
+            ivs.append((x[a] - share * half, x[a] + share * half))
+        elif last == a:
+            ivs.append((lo + cut, hi))
+        elif last == b:
+            ivs.append((lo, hi - cut))
+        elif row[last - 1] >= row[last + 1]:  # inside a run: the gap opens on its sparser side
+            ivs += [(lo, x[last] + half - cut), (x[last] + half, hi)]
+        else:
+            ivs += [(lo, x[last] - half), (x[last] - half + cut, hi)]
+    out = []
+    for lo, hi in ivs:  # pieces that rounding made touch are one
+        if out and lo <= out[-1][1]:
+            out[-1] = (out[-1][0], hi)
+        elif lo < hi:
+            out.append((lo, hi))
+    return out
+
+
 def derive_intervals(density, x, levels) -> list:
     """Highest-density sub-intervals of (S, P) density rows on one grid x
     (P,) of evenly spaced points: out[s][l] is row s's IntervalSet at
@@ -72,13 +111,13 @@ def derive_intervals(density, x, levels) -> list:
     Rows need positive mass but no normalization. The level-c selection is
     the first `count` cells, in order of descending density with ascending
     index breaking ties, where `count` is the fewest cells whose
-    normalized mass reaches c (`_selected_counts`, the count `hpd_scores`
-    returns).
-
-    Run bounds are the selected grid coordinates themselves. A run of a
-    single cell would give lower == upper, which the IntervalSet contract
-    forbids, so single-cell runs are widened to the cell footprint
-    [x - dx/2, x + dx/2], clipped to the grid range.
+    normalized mass reaches c (`_selected_cells`, which `hpd_scores` uses
+    too). Each selected cell stands for its footprint [x - dx/2, x + dx/2],
+    the grid's end cells included, so a run may reach dx/2 past the grid.
+    The count-th cell keeps only the share of its footprint that its mass
+    still needed to reach c, next to its denser selected neighbour. A
+    row's sub-interval lengths then sum to its width at c,
+    `_selected_cells`' fractional cell count times dx, within rounding.
     """
     density = np.asarray(density)
     x = np.asarray(x, dtype=float)
@@ -91,24 +130,19 @@ def derive_intervals(density, x, levels) -> list:
     if levels.ndim != 1 or not np.all((levels > 0.0) & (levels < 1.0)):
         raise ValueError(f"confidence levels must be in (0, 1), got {levels!r}")
     ranked, incl, total = _mass_before(density.copy())  # rows are read below
-    counts = _selected_counts(incl, total, levels)
-    half = 0.5 * (x[1] - x[0])
+    counts, cells = _selected_cells(ranked, incl, total, levels)
     out = []
-    for row, row_ranked, row_counts in zip(density, ranked, counts):
+    for row, row_ranked, row_counts, row_cells in zip(density, ranked, counts, cells):
         sets = []
-        for c, count in zip(levels, row_counts):
+        for c, count, width in zip(levels, row_counts.tolist(), row_cells.tolist()):
             # Every cell denser than the count-th ranked value, then as
             # many of the cells tied with it, in index order, as the count
-            # leaves.
+            # leaves; the last of those is the count-th.
             cut = row_ranked[count - 1]
             mask = row > cut
-            mask[np.flatnonzero(row == cut)[: count - np.count_nonzero(mask)]] = True
-            ivs = []
-            for start, stop in _runs(mask):
-                if start == stop:
-                    ivs.append((max(x[0], x[start] - half), min(x[-1], x[start] + half)))
-                else:
-                    ivs.append((x[start], x[stop]))
+            ties = np.flatnonzero(row == cut)[: count - np.count_nonzero(mask)]
+            mask[ties] = True
+            ivs = _footprints(row, mask, x, int(ties[-1]), width - (count - 1))
             sets.append(IntervalSet(level=float(c), intervals=tuple(ivs)))
         out.append(sets)
     return out
@@ -142,7 +176,7 @@ def _mass_before(density: np.ndarray, incl=None):
 @functools.lru_cache(maxsize=8)
 def _lifting_operands(m: int, p: int, levels: tuple):
     """Read-only (M, L) arrays of the levels, each row's first flat index
-    and its last, for `_selected_counts` on (m, p) rows; made once per
+    and its last, for `_selected_cells` on (m, p) rows; made once per
     chunk shape and level set, since scoring chunks repeat a few shapes."""
     shape = (m, len(levels))
     operands = (np.broadcast_to(np.array(levels), shape).copy(),
@@ -153,18 +187,24 @@ def _lifting_operands(m: int, p: int, levels: tuple):
     return operands
 
 
-def _selected_counts(incl, total, levels):
-    """(M, L) counts of the fewest ranked cells whose normalized mass
-    reaches each level, from `_mass_before`'s (incl, total).
+def _selected_cells(ranked, incl, total, levels):
+    """(counts, cells), both (M, L), from `_mass_before`'s (ranked, incl,
+    total): counts are the fewest ranked cells whose normalized mass
+    reaches each level c, and cells the width of that selection in grid
+    spacings, second order in the spacing: the first count - 1 cells
+    whole, and the count-th only for the part of its mass still needed,
+    (c total - incl[:, count - 2]) / ranked[:, count - 1], clipped to
+    [0, 1] (taken over the normalized masses).
 
     Rank 0 is always selected, and each further rank j iff the mass
     before it, incl[:, j - 1], is below c of the total. incl is
     nondecreasing along a row and its last entry, the total itself, is
     never below, so the count of such j is found for all (M, L) pairs at
     once by binary lifting over flat indices, clamped to the row's last
-    entry. Every operand is a full (M, L) array: broadcasting an (M, 1)
-    column makes numpy loop row by row. Those that depend only on the
-    shape and the levels come from `_lifting_operands`.
+    entry; the count-th cell's mass is then positive. Every operand is a
+    full (M, L) array: broadcasting an (M, 1) column makes numpy loop row
+    by row. Those that depend only on the shape and the levels come from
+    `_lifting_operands`.
     """
     m, p = incl.shape
     flat = incl.ravel()
@@ -180,30 +220,84 @@ def _selected_counts(incl, total, levels):
             np.minimum(idx, last, out=idx)
         pos += step * (np.take(flat, idx) / total < levels)
         reach += step
-    return pos - (last - p)
+    # pos is now the flat index of the count-th cell's cumulative mass.
+    # Normalized as in the search, so the share is positive where the
+    # count-th cell is selected, and a subnormal grid loses nothing.
+    share = np.take(flat, pos - 1)
+    share[pos == start] = 0.0
+    share /= total
+    np.subtract(levels, share, out=share)
+    cell = np.take(ranked[:, ::-1].ravel(), last + start - pos)  # rows sorted ascending
+    share /= np.divide(cell, total, out=total)
+    np.clip(share, 0.0, 1.0, out=share)
+    pos -= start
+    share += pos
+    return pos + 1, share
 
 
 def hpd_scores(density, p_y, on_grid, levels, incl=None):
-    """Each target's HPD value u and each level's selected-cell count.
+    """Each target's HPD value u and each level's width in grid spacings.
 
-    density: (M, P) rows with positive mass, float32 or float64, sorted
-    in place (their order is lost); p_y: (M,) target densities, computed
-    like the grid's so that a target on a grid point ties its cell;
-    on_grid: (M,) bool; levels: (L,); incl: None or an (M, P) float64
-    buffer for the cumulative masses (`_mass_before`). Returns (u (M,)
-    float64, counts (M, L) int64). u is the normalized mass of the cells
-    denser than the target, so the target lies in the level-c selection
-    of `derive_intervals` iff u < c; off the grid u = 1. A width is the
-    count times the grid spacing, which exceeds derive_intervals' run
-    geometry by at most one spacing per run. Beyond one comparison with
-    p_y and `_mass_before`, neither takes a full pass over the grid: u
-    reads one accumulated mass per row, and each count is a search in its
-    row.
+    density: (M, P) rows with positive mass on P >= 2 evenly spaced
+    points, float32 or float64, sorted in place (their order is lost);
+    p_y: (M,)
+    target densities, computed like the grid's so that a target on a grid
+    point ties its cell; on_grid: (M,) bool; levels: (L,); incl: None or
+    an (M, P) float64 buffer for the cumulative masses (`_mass_before`),
+    whose bytes hold this pass's flags until then. Returns (u (M,)
+    float64, cells (M, L) float64), the widths of `_selected_cells`.
+
+    u is the mass where the density, interpolated between grid points,
+    exceeds p(y), over the interpolated total (the trapezoid sum), clipped
+    to [0, 1], so the target lies in a level-c region iff u < c; off the
+    grid u = 1. That is the cell sum of the grid points denser than the
+    target, the grid's end points at half weight, plus a term for each
+    grid interval whose end densities hi > p(y) >= lo straddle the
+    target's. There the quadratic
+    through lo, hi and the density beyond hi (2 hi - lo past a grid end)
+    places the crossing a share s of the interval from hi and gives the mass
+    above it, less the hi / 2 the cell sum gave the interval, plus the
+    trapezoid's end correction (Euler-Maclaurin) of the run that ends at
+    hi. Linear interpolation alone would bias u by about -r**2 phi(z) /
+    (6 z) for a Gaussian (r = dx / sd, z sd out), enough to move coverage
+    at 256 points by more than a whole-cell rule at 500. Beyond the
+    comparisons with p_y and `_mass_before`, nothing takes a full pass
+    over the grid: u reads one accumulated mass and the crossing
+    intervals per row, and each width is a search in its row.
     """
-    above = np.count_nonzero(density > p_y[:, None], axis=1)
-    incl, total = _mass_before(density, incl)[1:]
-    m, p = incl.shape
-    u = np.take(incl.ravel(), np.arange(m) * p + np.maximum(above - 1, 0)) / total
-    u[above == 0] = 0.0
-    u[~on_grid | (above == p)] = 1.0
-    return u, _selected_counts(incl, total, levels)
+    m, p = density.shape
+    if incl is None:
+        incl = np.empty(density.shape)
+    flags = incl.reshape(-1).view(np.bool_)
+    above = np.greater(density, p_y[:, None], out=flags[: m * p].reshape(m, p))
+    cross = np.not_equal(above[:, 1:], above[:, :-1],
+                         out=flags[m * p : m * (2 * p - 1)].reshape(m, p - 1))
+    count = np.count_nonzero(above, axis=1)
+    ends = density[:, [0, -1]].astype(np.float64)
+    ends_above = np.sum(ends * above[:, [0, -1]], axis=1)
+    rows, at = np.divmod(np.flatnonzero(cross), p - 1)
+    inner = at + (density[rows, at] <= density[rows, at + 1])  # the end above p(y)
+    outer = 2 * at + 1 - inner
+    beyond = 2 * inner - outer
+    hi, lo, far = (density[rows, np.clip(i, 0, p - 1)].astype(np.float64)
+                   for i in (inner, outer, beyond))
+    far = np.where(beyond == np.clip(beyond, 0, p - 1), far, 2.0 * hi - lo)
+    t = p_y[rows].astype(np.float64)
+    slope, bend = 0.5 * (lo - far), 0.5 * (lo + far) - hi  # q(s) = hi + slope s + bend s**2
+    root = np.sqrt(np.maximum(slope * slope - 4.0 * (hi - t) * bend, 0.0))
+    # q's first crossing of p(y), in the form free of cancellation: bend < 0
+    # where slope > 0, and a denominator that underflows gives share 1.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        share = np.where(slope > 0, (slope + root) / (-2.0 * bend), 2.0 * (hi - t) / (root - slope))
+    np.clip(share, 0.0, 1.0, out=share)
+    mass = share * (hi + share * (slope / 2 + share * bend / 3)) - hi / 2 + (far - lo) / 24
+    crossed = np.bincount(rows, weights=mass, minlength=m)
+    ranked, incl, total = _mass_before(density, incl)
+    u = np.take(incl.ravel(), np.arange(m) * p + np.maximum(count - 1, 0))
+    u[count == 0] = 0.0
+    u -= 0.5 * ends_above
+    u += crossed
+    u /= total - 0.5 * ends.sum(axis=1)
+    np.clip(u, 0.0, 1.0, out=u)
+    u[~on_grid] = 1.0
+    return u, _selected_cells(ranked, incl, total, levels)[1]

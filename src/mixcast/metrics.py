@@ -8,7 +8,8 @@ width (avg_width) and the mean absolute gap between nominal confidence
 and empirical coverage (calib_error), both averaged over a set of
 confidence levels. Intervals are highest-density regions on a shared
 grid: an element is covered at level c iff its HPD value u
-(`intervals.hpd_scores`) is below c.
+(`intervals.hpd_scores`) is below c, and its width at c is the
+second-order cell width of `intervals.hpd_scores` times the grid spacing.
 """
 from __future__ import annotations
 
@@ -25,8 +26,11 @@ DEFAULT_LEVELS = tuple(np.round(np.arange(0.50, 0.951, 0.05), 10))
 MAPE_EPSILON = 1e-3
 PIT_BINS = 10
 _PIT_EDGES = np.linspace(0.0, 1.0, PIT_BINS + 1)
-# Elements x grid points predicted per chunk of windows (`chunk_rows`).
-_CHUNK_CELLS = 2**17
+# Elements predicted per chunk of windows (`chunk_rows`), whatever the
+# grid size: predict's float64 bits depend on how many windows it takes
+# at once, so CRPS and the point errors would otherwise move with the
+# grid. 262 is 2**17 cells of a 500-point grid.
+_CHUNK_ELEMENTS = 262
 # Elements x grid points scored per chunk: 256 KiB for its float32 grid and
 # 512 KiB for its float64 cumulative mass, whatever the grid size. Smaller
 # chunks pay more per-call overhead; larger ones fall out of cache and
@@ -36,10 +40,9 @@ _SCORE_CELLS = 2**16
 # inputs and target densities) runs at once: whole horizon rows of at
 # least one row, so one window of a 50-node, 10-step forecast is one block.
 _BLOCK_ELEMENTS = 2**9
-# The most interval grid points: one element's grid row fills at most one
-# prediction chunk's budget, and a scoring chunk, which holds at least one
-# element, at most MAX_INTERVAL_POINTS cells.
-MAX_INTERVAL_POINTS = _CHUNK_CELLS
+# The most interval grid points: a scoring chunk holds at least one
+# element, so its grid buffers hold at most this many cells (1.5 MiB).
+MAX_INTERVAL_POINTS = 2**17
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # The interval grid is float32 where that is safe: with every mean and the
 # grid within _F32_REACH of the grid's low end and every variance at most
@@ -61,16 +64,23 @@ class ScoringConfig:
     interval grid range, e.g. (0, max speed) in raw units; mixtures need
     one, point predictions do not. The grid is computed in float32 (see
     `_interval_densities` for its error bound and float64 fallback).
-    Coverage and width are conditional on that range: u normalizes by the
-    on-grid mass, and a target outside it is covered at no level. The CLI
-    keeps the fixed physical range (0, max_value), as ingest rejects any
-    value outside it: mass there is unobservable. `evaluate` keeps nothing
+    Widths and u are second order in the grid spacing
+    or better (`intervals.hpd_scores`): for one Gaussian of sd s, with
+    r = dx / s, a width is within 0.4 r dx of its exact value, and u at z
+    sd from the mean within r**3 / (8 z) beyond two grid spacings of it
+    (tests/test_intervals.py). At 256 points the CLI's avg_width and
+    per-level coverage lie closer to their converged values than a
+    whole-cell rule reads them at 500. Coverage and width are conditional
+    on that range: u normalizes by the on-grid mass, and a target outside
+    it is covered at no level. The CLI keeps the fixed physical range
+    (0, max_value), as ingest rejects any value outside it: mass there is
+    unobservable. `evaluate` keeps nothing
     per element; its working memory is one block and 768 KiB of grid
     buffers (see there).
     """
 
     levels: tuple = DEFAULT_LEVELS
-    interval_points: int = 500
+    interval_points: int = 256
     interval_range: tuple | None = None
 
     def __post_init__(self):
@@ -194,26 +204,30 @@ def _exact_partials(terms: list) -> list:
     return out
 
 
-def _mean(partials: list, n: int) -> float:
-    """The correctly rounded mean of n terms, given `_exact_partials` of
-    their sum (NaN for no terms): over the largest partial denominator, a
-    power of 2, int / int rounds once, and loads no fractions module."""
+def _mean(partials: list, n: int, scale: float = 1.0) -> float:
+    """The correctly rounded mean of n terms times `scale`, given
+    `_exact_partials` of their sum (NaN for no terms): over the largest
+    partial denominator, a power of 2, int / int rounds once, and loads no
+    fractions module."""
     if not (n and math.isfinite(partials[0])):
-        return partials[0] if n else math.nan
+        return partials[0] * scale if n else math.nan
     ratios = [p.as_integer_ratio() for p in partials]
     den = max(d for _, d in ratios)
-    return sum(num * (den // d) for num, d in ratios) / (den * n)
+    num, scale_den = scale.as_integer_ratio()
+    return num * sum(p * (den // d) for p, d in ratios) / (scale_den * den * n)
 
 
 class _ExactSums:
     """Exact running sums, as `_exact_partials`, of each element's CRPS per
     horizon step and, over all steps, its |e|, e**2 and, where |y| >=
-    MAPE_EPSILON, |e / y| (e = point estimate - target), so no sum depends
-    on the chunking; `kept` counts the MAPE targets."""
+    MAPE_EPSILON, |e / y| (e = point estimate - target), and of mixtures'
+    widths in grid spacings per horizon step, so no sum depends on the
+    chunking; `kept` counts the MAPE targets."""
 
     def __init__(self, t_f: int):
         self.t_f, self.kept = t_f, 0
         self.crps, self.errors = [[] for _ in range(t_f)], [[], [], []]
+        self.widths = [[] for _ in range(t_f)]
 
     def add(self, y: np.ndarray, point: np.ndarray, crps: np.ndarray) -> None:
         """Add flat elements in whole rows of t_f steps."""
@@ -227,6 +241,13 @@ class _ExactSums:
         self.crps = [_exact_partials(s + c) for s, c in zip(self.crps, columns)]
         self.kept += int(np.count_nonzero(keep))
 
+    def add_widths(self, cells: np.ndarray) -> None:
+        """Add (n, L) widths of flat elements in whole rows of t_f steps,
+        one step's floats at a time."""
+        steps = cells.reshape(-1, self.t_f, cells.shape[1])
+        self.widths = [_exact_partials(s + steps[:, i].ravel().tolist())
+                       for i, s in enumerate(self.widths)]
+
     def means(self, rows: int):
         """(crps_mean, CRPS per step, mae, mape, rmse) of `rows` rows."""
         n, (abs_err, sq_err, pct_err) = rows * self.t_f, self.errors
@@ -235,11 +256,11 @@ class _ExactSums:
                 _mean(abs_err, n), 100.0 * _mean(pct_err, self.kept), math.sqrt(_mean(sq_err, n)))
 
 
-def chunk_rows(row_elements: int, points: int) -> int:
-    """How many rows of `row_elements` elements to predict at once for a
-    grid of `points`: as many whole rows as fit in _CHUNK_CELLS elements
-    x grid points, and at least one."""
-    return max(1, _CHUNK_CELLS // (row_elements * points))
+def chunk_rows(row_elements: int) -> int:
+    """How many rows of `row_elements` elements to predict at once: as
+    many whole rows as fit in _CHUNK_ELEMENTS elements, and at least one,
+    whatever the interval grid."""
+    return max(1, _CHUNK_ELEMENTS // row_elements)
 
 
 def _f32_inputs(mb: MixtureBatch, y: np.ndarray, lo: float, x: np.ndarray) -> tuple:
@@ -276,8 +297,10 @@ def _interval_densities(part: MixtureBatch, y: np.ndarray, lo: float, x: np.ndar
     span, not with lo, and a target on a grid point goes through the
     grid's own arithmetic and ties its cell. Masses are summed in float64.
     Over the CLI's domain float32 moves a row's normalized grid mass (L1)
-    by less than 1% of phi(0) * sum_k w_k dx / sd_k, the first-order term
-    of the grid's discretization budget (tests/test_metrics.py).
+    by less than 1% of phi(0) * r, r = sum_k w_k dx / sd_k, the near-mode
+    term of u's discretization budget, and at the default 256 points by
+    less than 1% of r**2, 1e-4 at r = 0.1: for broad components that, not
+    the grid's third-order term, bounds u (tests/test_metrics.py).
     Rows float32 cannot score are recomputed in float64 as a second group:
     a mean, sd or the grid end beyond _F32_REACH of lo (clipped there
     first, so no float32 term overflows), or a float32 grid mass below
@@ -307,7 +330,8 @@ class _GridBuffers:
     masses, one buffer each, grown to the largest chunk and reused by
     every chunk of an evaluation, since fresh (rows, P) arrays would be
     mapped and faulted in again for each chunk. The grid's scratch is the
-    front half of the masses' buffer: it is dead before they are summed."""
+    front half of the masses' buffer, and `intervals.hpd_scores` keeps its
+    flags in that buffer's bytes: each is dead before the next use."""
 
     size = 0
 
@@ -324,11 +348,11 @@ class _GridBuffers:
 def _score_mixtures(mb: MixtureBatch, y: np.ndarray, cfg: ScoringConfig, levels: np.ndarray,
                     sums: _ExactSums, tallies, buffers: _GridBuffers) -> tuple:
     """Score flat mixtures against their targets y (n,): add each element's
-    CRPS and point estimate into `sums`, and its selected-cell counts
-    (t_f, L), u < level (t_f, L) and HPD-PIT bin (t_f, PIT_BINS) at its
-    step, index mod t_f, into the int64 `tallies`. Return how many
+    CRPS, point estimate and widths in grid spacings at every level into
+    `sums`, and its u < level (t_f, L) and HPD-PIT bin (t_f, PIT_BINS) at
+    its step, index mod t_f, into the int64 `tallies`. Return how many
     elements keep less than MASS_COMPLETE_MIN of their mass on the grid,
-    and how many keep none (their block adds no tallies).
+    and how many keep none (their block adds no widths or tallies).
 
     Work is split by what it needs. Each block of at most _BLOCK_ELEMENTS
     elements in whole steps does the per-element work once: float64 CRPS
@@ -339,8 +363,8 @@ def _score_mixtures(mb: MixtureBatch, y: np.ndarray, cfg: ScoringConfig, levels:
     `buffers`."""
     lo, hi = cfg.interval_range
     x = np.linspace(lo, hi, cfg.interval_points)
-    cells, covered, pit = tallies
-    t_f, n_levels = cells.shape
+    covered, pit = tallies
+    t_f, n_levels = covered.shape
     clipped = empty = 0
     block = t_f * max(1, _BLOCK_ELEMENTS // t_f)
     rows = max(1, _SCORE_CELLS // x.size)
@@ -352,7 +376,7 @@ def _score_mixtures(mb: MixtureBatch, y: np.ndarray, cfg: ScoringConfig, levels:
         sums.add(y_part, part.point_estimates(), crps_mixture_batch(part, y_part))
         inputs = _f32_inputs(part, y_part, lo, x)
         on_grid = (y_part >= lo) & (y_part <= hi)
-        u, counts = np.empty(n), np.empty((n, n_levels), dtype=np.int64)
+        u, cells = np.empty(n), np.empty((n, n_levels))
         for at in range(0, n, rows):
             c = slice(at, at + rows)
             chunk = (inputs[0], *(a[c] for a in inputs[1:]))  # the grid x32 is shared
@@ -363,11 +387,11 @@ def _score_mixtures(mb: MixtureBatch, y: np.ndarray, cfg: ScoringConfig, levels:
             if empty:
                 continue  # nothing to select; evaluate's error counts every miss
             for rows_g, dens, p_y in groups:
-                u[c][rows_g], counts[c][rows_g] = iv.hpd_scores(dens, p_y, on_grid[c][rows_g],
-                                                                levels, incl[: len(dens)])
+                u[c][rows_g], cells[c][rows_g] = iv.hpd_scores(dens, p_y, on_grid[c][rows_g],
+                                                               levels, incl[: len(dens)])
         if empty:
             continue
-        cells += counts.reshape(-1, t_f, n_levels).sum(axis=0)
+        sums.add_widths(cells)
         covered += (u.reshape(-1, t_f, 1) < levels).sum(axis=0)
         pit += np.bincount(pit_offset[:n] + _pit_bins(u), minlength=pit.size).reshape(pit.shape)
     return clipped, empty
@@ -392,8 +416,11 @@ def evaluate(pairs, scoring: ScoringConfig | None = None,
     2**9 elements for the per-element work and chunks of 2**16 //
     interval_points elements for the grid (`_score_mixtures`): CRPS (per
     horizon step) and the point errors go into exact sums (`_ExactSums`),
-    so each mean is correctly rounded whatever the blocking, and widths,
-    coverage and the HPD-PIT into integer tallies per step. Working memory
+    so each mean is correctly rounded whatever the blocking; so do the
+    widths, each element's second-order cell width at every level
+    (`intervals.hpd_scores`), so avg_width and the per-step widths are the
+    correctly rounded means of width terms, cells times the grid spacing.
+    Coverage and the HPD-PIT go into integer tallies per step. Working memory
     is one pair, one block's per-element arrays and two (2**16)-cell grid
     buffers: 256 KiB of float32 densities and 512 KiB of float64
     cumulative masses.
@@ -415,7 +442,7 @@ def evaluate(pairs, scoring: ScoringConfig | None = None,
         if sums is None:
             sums = _ExactSums(y.shape[-1])
             tallies = [np.zeros((sums.t_f, w), np.int64)
-                       for w in (levels.size, levels.size, PIT_BINS)] if mixture else None
+                       for w in (levels.size, PIT_BINS)] if mixture else None
         elif mixture != (tallies is not None):
             raise ValueError("predictions mix mixtures and point values")
         elif y.shape[-1] != sums.t_f:
@@ -442,15 +469,15 @@ def evaluate(pairs, scoring: ScoringConfig | None = None,
     w_step = ce_step = [math.nan] * t_f
     curve, pit, pit_by_step = [], [], []
     if tallies is not None:
-        cells, covered, pit_rows = tallies
+        covered, pit_rows = tallies
         x = np.linspace(*cfg.interval_range, cfg.interval_points)
-        num, den = float(x[1] - x[0]).as_integer_ratio()  # dx; int / int rounds once
-        step_cells = cells.sum(axis=1).tolist()
+        dx = float(x[1] - x[0])
         coverage = covered.sum(axis=0) / n
         curve = [(float(c), float(v)) for c, v in zip(levels, coverage)]
-        avg_width = num * sum(step_cells) / (den * n * levels.size)
+        widths = _exact_partials([p for step in sums.widths for p in step])
+        avg_width = _mean(widths, n * levels.size, dx)
         calib_error = float(np.mean(np.abs(coverage - levels)))
-        w_step = [num * c / (den * rows * levels.size) for c in step_cells]
+        w_step = [_mean(step, rows * levels.size, dx) for step in sums.widths]
         ce_step = np.mean(np.abs(covered / rows - levels), axis=1).tolist()
         pit, pit_by_step = pit_rows.sum(axis=0).tolist(), pit_rows.tolist()
     per_horizon = [(s + 1, crps_by_step[s], w_step[s], ce_step[s]) for s in range(t_f)]

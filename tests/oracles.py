@@ -13,9 +13,12 @@ draw targets from predicted mixtures, and `congestion_prone_steps`
 picks the generator's high-demand steps. `hpd_select_batch` builds
 (M, L, P) HPD selection masks from their definition, the reference that
 `intervals.derive_intervals` and `intervals.hpd_scores` are checked
-against; the other interval helpers build one mixture's grid, read
+against, and `selection_widths` and `interpolated_u` the second-order
+widths and HPD values from their definitions, one grid interval at a
+time, and `separated_hpd` the exact HPD region of a mixture of well
+separated components; the other interval helpers build one mixture's grid, read
 widths, containment, covered cells and selected mass, and run the batch
-HPD kernel (u and selected-cell counts) on the grid evaluation uses. `stacked_windows` is the
+HPD kernel (u and widths in grid spacings) on the grid evaluation uses. `stacked_windows` is the
 windowing that stored every window as its own copy, the reference for
 `data.WindowSet`'s gathers, and `batch_windows` joins forecast batches
 into the windows `model.blocked_loss` takes. `exact_scores` is the correctly rounded
@@ -396,6 +399,103 @@ def hpd_select_batch(density, levels) -> np.ndarray:
     return before_grid[:, None, :] < np.asarray(levels, dtype=float)[None, :, None]
 
 
+def last_selected(density, mask) -> np.ndarray:
+    """One-hot (P,) flag of the last cell a selection mask of one row
+    takes in ranked order: the highest index among its least dense cells,
+    the one cell the second-order width counts only in part."""
+    density = np.asarray(density)
+    cut = density[mask].min()
+    flag = np.zeros(density.shape, dtype=bool)
+    flag[np.flatnonzero(mask & (density == cut))[-1]] = True
+    return flag
+
+
+def selection_widths(density, levels) -> np.ndarray:
+    """(M, L) widths in grid spacings of the HPD selections of (M, P) rows
+    with positive mass, from `hpd_select_batch`'s masks: every selected
+    cell but the last in ranked order whole, and that one for the part of
+    its mass still needed to reach c, clipped to [0, 1]."""
+    density = np.asarray(density, dtype=float)
+    masks = hpd_select_batch(density, levels)
+    out = np.empty(masks.shape[:2])
+    for i, (row, row_masks) in enumerate(zip(density, masks)):
+        total = np.cumsum(np.sort(row)[::-1])[-1]
+        for j, (c, mask) in enumerate(zip(levels, row_masks)):
+            last = last_selected(row, mask)
+            share = (c - row[mask & ~last].sum() / total) / (row[last][0] / total)
+            out[i, j] = mask.sum() - 1 + min(max(share, 0.0), 1.0)
+    return out
+
+
+def interpolated_u(density, p_y, on_grid) -> np.ndarray:
+    """(M,) HPD values from their definition, one grid interval at a time:
+    the mass above p_y of each (M, P) row's interpolated density over its
+    trapezoid mass, clipped to [0, 1]; 1 off the grid. An interval above p_y counts its
+    trapezoid. One whose ends hi > p_y >= lo straddle it counts the
+    integral above p_y, up to the quadratic's first crossing, of the
+    quadratic through lo, hi and the density `far` at the grid point
+    beyond hi (2 hi - lo past a grid end), plus the trapezoid's end
+    correction (far - lo) / 24 at hi."""
+    density = np.asarray(density, dtype=float)
+    u = np.ones(len(density))
+    for i, (row, t) in enumerate(zip(density, np.asarray(p_y, dtype=float))):
+        if not on_grid[i]:
+            continue
+        above = 0.0
+        for j in range(row.size - 1):
+            if min(row[j], row[j + 1]) > t:
+                above += (row[j] + row[j + 1]) / 2
+            elif max(row[j], row[j + 1]) > t:
+                h, l = (j, j + 1) if row[j] > row[j + 1] else (j + 1, j)
+                hi, lo, k = row[h], row[l], 2 * h - l
+                far = row[k] if 0 <= k < row.size else 2 * hi - lo
+                poly = [(lo + far) / 2 - hi, (lo - far) / 2, hi]  # hi at 0, lo at 1, far at -1
+                roots = np.roots(np.subtract(poly, [0.0, 0.0, t]))
+                share = min(r.real for r in roots if abs(r.imag) < 1e-12 and -1e-12 <= r.real)
+                above += np.polyval(np.polyint(poly), min(share, 1.0)) + (far - lo) / 24
+        u[i] = min(max(above / np.sum((row[:-1] + row[1:]) / 2), 0.0), 1.0)
+    return u
+
+
+def separated_hpd(m: MixtureBatch, c: float, t=None):
+    """Highest-density region of one mixture (element shape ()) whose
+    components are well separated, so {p > t} is one interval around each
+    mode denser than t, bracketed by the midpoints between neighbouring
+    means, which must lie below every level asked for: (sub-intervals,
+    their mass). At the level t = p(y) that mass is y's HPD value; with t
+    None the level is solved for mass c, and the lengths sum to the HPD
+    width at c. Roots by scipy's brentq on the
+    density, masses from the mixture CDF."""
+    from scipy.optimize import brentq
+
+    order = np.argsort(m.means)
+    means, sds = m.means[order], np.sqrt(m.variances[order])
+    mids = (means[:-1] + means[1:]) / 2
+    lows = np.concatenate(([means[0] - 40 * sds[0]], mids))
+    highs = np.concatenate((mids, [means[-1] + 40 * sds[-1]]))
+
+    terms = [(float(w) / math.sqrt(2 * math.pi * v), float(mu), -0.5 / float(v))
+             for w, mu, v in zip(m.weights, m.means, m.variances)]
+
+    def density(x):
+        return sum(coef * math.exp(scale * (x - mu) ** 2) for coef, mu, scale in terms)
+
+    def region(level):
+        ivs = []
+        for mu, a, b in zip(means, lows, highs):
+            if density(mu) > level:
+                ivs.append((brentq(lambda x: density(x) - level, a, mu),
+                            brentq(lambda x: density(x) - level, mu, b)))
+        return ivs, sum(float(mixture_cdf(m, hi) - mixture_cdf(m, lo)) for lo, hi in ivs)
+
+    if t is None:
+        top = max(density(mu) for mu in means)
+        floor = max(density(mid) for mid in mids) * (1 + 1e-9)  # below it the modes join
+        t = brentq(lambda level: region(level)[1] - c, floor, top * (1 - 1e-12),
+                   xtol=1e-300, rtol=1e-15)
+    return region(t)
+
+
 def mixture_grid(m: MixtureBatch, lo: float, hi: float, points: int):
     """(x, density): one mixture's (element shape ()) float64 density at
     `points` evenly spaced x over [lo, hi]."""
@@ -435,9 +535,10 @@ def contains(s: IntervalSet, y: float) -> bool:
 def hpd_scores_on_grid(mb: MixtureBatch, y, lo: float, hi: float, points: int, levels):
     """intervals.hpd_scores for an (M,) batch on the grid metrics.evaluate
     builds, computed in float64 (evaluate's grid is float32 unless a
-    mixture falls back to float64): (u, selected-cell counts (M, L), dx)."""
+    mixture falls back to float64): (u, widths in grid spacings (M, L),
+    dx)."""
     x = np.linspace(lo, hi, points)
     dens = grid_densities(mb.weights, mb.means, mb.variances, x)
     p_y = grid_densities(mb.weights, mb.means, mb.variances, y[:, None])[:, 0]
-    u, counts = hpd_scores(dens, p_y, (y >= lo) & (y <= hi), levels)
-    return u, counts, x[1] - x[0]
+    u, cells = hpd_scores(dens, p_y, (y >= lo) & (y <= hi), levels)
+    return u, cells, x[1] - x[0]

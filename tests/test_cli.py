@@ -555,7 +555,10 @@ class TestEvaluate:
                 assert [i for i, _, _ in rows] == list(range(1, len(rows) + 1))
                 bounds = [v for _, lo, hi in rows for v in (lo, hi)]
                 assert bounds == sorted(bounds) and len(set(bounds)) == len(bounds)
-                assert 0.0 <= bounds[0] and bounds[-1] <= 14.0
+                # Within the grid's cell footprints, half a spacing past
+                # each end of the 0..14 range.
+                half = (x[1] - x[0]) / 2
+                assert -half - 1e-12 <= bounds[0] and bounds[-1] <= 14.0 + half + 1e-12
                 # Nested as the level rises: every grid cell selected at a
                 # lower level is selected again.
                 cells = np.any([(lo <= x) & (x <= hi) for _, lo, hi in rows], axis=0)
@@ -621,6 +624,29 @@ class TestEvaluate:
         assert abs(rep.crps_mean - rep.mae) <= 1e-12
         assert math.isnan(rep.avg_width) and math.isnan(rep.calib_error)
         assert not (tmp_path / "d.density.tsv").exists()
+
+    @pytest.mark.parametrize("variant", ["norm", "gmm"])
+    def test_crps_and_point_lines_do_not_depend_on_the_grid(self, workspace, tmp_path, variant):
+        # Windows are predicted in chunks of a fixed element count whatever
+        # --grid-points is, so the CRPS and point-error lines keep their
+        # bytes across grid sizes; only the interval lines move.
+        kept = []
+        for points in (64, 500):
+            res = run(
+                ["evaluate", "--checkpoint", str(workspace / f"{variant}.ckpt.npz"),
+                 "--data", str(workspace / "tiny"), "--grid-points", str(points),
+                 "--name", f"g{points}", "--out", str(tmp_path)]
+            )
+            assert res.exit_code == 0, res.output
+            text = (tmp_path / f"g{points}.report.txt").read_text()
+            scalars = [l for l in text.splitlines() if l.split(" = ")[0] in
+                       ("crps_mean", "mae", "mape", "rmse")]
+            steps = text.split("[per_horizon]\n")[1].split("\n\n")[0].splitlines()[1:]
+            kept.append((scalars, [l.split()[:2] for l in steps], text))
+        (scalars, steps, text), (scalars_500, steps_500, text_500) = kept
+        assert len(scalars) == 4 and len(steps) == 6
+        assert scalars == scalars_500 and steps == steps_500
+        assert text != text_500  # the widths did move
 
     def test_custom_levels(self, workspace, tmp_path):
         res = run(
@@ -795,7 +821,7 @@ class TestEvaluate:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("levels,flags,message", [
-        ("0.5:0.95:1e-12", [], "the range holds more levels than --grid-points (500)"),
+        ("0.5:0.95:1e-12", [], "the range holds more levels than --grid-points (256)"),
         ("0.05:0.95:0.05", ["--grid-points", "10"],
          "the range holds more levels than --grid-points (10)"),
         ("0.9:0.5:0.1", [], "the range is empty"),
@@ -839,9 +865,9 @@ class TestEvaluateChunks:
     @pytest.mark.parametrize("normalized", [False, True], ids=["raw", "normalized"])
     def test_windows_predicted_and_scored_chunk_by_chunk(self, workspace, monkeypatch, variant,
                                                          normalized):
-        # 13 test windows of 6 nodes x 6 steps on 500 grid points: 7 fit
-        # in one chunk. Every variant and space streams the same chunks,
-        # and one chunk of all windows gives the same report but for the
+        # 13 test windows of 6 nodes x 6 steps: 7 fit in one chunk of 262
+        # elements. Every variant and space streams the same chunks, and
+        # one chunk of all windows gives the same report but for the
         # rounding of a differently blocked gemm in predict.
         ckpt = workspace / f"{variant}.ckpt.npz"
         predicted = []
@@ -853,8 +879,8 @@ class TestEvaluateChunks:
 
         monkeypatch.setattr(model, "predict", counting_predict)
         reports = []
-        for cells in (metrics._CHUNK_CELLS, 2**40):
-            monkeypatch.setattr(metrics, "_CHUNK_CELLS", cells)
+        for elements in (metrics._CHUNK_ELEMENTS, 2**40):
+            monkeypatch.setattr(metrics, "_CHUNK_ELEMENTS", elements)
             reports.append(cli.evaluate_run(ckpt, workspace / "tiny", metrics.DEFAULT_LEVELS, 500,
                                             normalized, (0, 0))[0])
         assert predicted == [7, 6, 13]
@@ -1140,7 +1166,7 @@ else:
     # scores each prediction chunk in blocks of whole horizon rows, and
     # each block in scoring chunks of _SCORE_CELLS // 500 elements.
     row, windows = 50 * 10, int(report.meta["elements"]) // 500
-    step, block = metrics.chunk_rows(row, 500), 10 * (metrics._BLOCK_ELEMENTS // 10)
+    step, block = metrics.chunk_rows(row), 10 * (metrics._BLOCK_ELEMENTS // 10)
     rows = metrics._SCORE_CELLS // 500
     sizes = [min(step, windows - s) * row for s in range(0, windows, step)]
     chunks = sum(math.ceil(min(block, n - b) / rows) for n in sizes for b in range(0, n, block))

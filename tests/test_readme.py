@@ -1,8 +1,10 @@
-"""The README's "Minimal library use" example stays in step with the API.
+"""The README stays in step with the API.
 
-The example itself trains for 18 epochs, so it is not run here: the block
-is compiled, every attribute it reads from a mixcast module must exist,
-and every keyword argument it passes must be a parameter of the callee.
+The "Minimal library use" example trains for 18 epochs, so it is not run
+here: the block is compiled, every attribute it reads from a mixcast
+module must exist, and every keyword argument it passes must be a
+parameter of the callee. The defaults the README's knob list states for
+`evaluate` must be the code's.
 """
 
 import ast
@@ -10,7 +12,7 @@ import inspect
 import re
 from pathlib import Path
 
-from mixcast import data, metrics, model, training
+from mixcast import cli, data, metrics, model, training
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 MODULES = {"data": data, "metrics": metrics, "model": model, "training": training}
@@ -49,3 +51,14 @@ def test_example_compiles_and_uses_existing_names():
             assert kw.arg in params, f"{ref[0].__name__}.{ref[1]} takes no {kw.arg!r}"
             calls += 1
     assert calls > 0, "the example passes no keyword arguments to check"
+
+
+def test_stated_evaluate_defaults_are_the_codes():
+    text = README.read_text()
+    points = re.search(r"^- `--grid-points (\d+)`", text, re.M)
+    assert points, "README states no --grid-points default"
+    assert int(points.group(1)) == metrics.ScoringConfig.interval_points
+    levels = re.search(r"^- `--levels (\S+)`", text, re.M)
+    assert levels, "README states no --levels default"
+    stated = cli.parse_levels(levels.group(1), metrics.ScoringConfig.interval_points)
+    assert stated == tuple(float(v) for v in metrics.DEFAULT_LEVELS)
