@@ -6,8 +6,9 @@ highest-density regions), so multi-modal densities select several
 disjoint sub-intervals. The ranking has one implementation,
 `_mass_before`, and each level's selection one, `_selected_cells`: the
 fewest ranked cells whose mass reaches the level, and its width in grid
-spacings to second order, the last cell counted only for the part of its
-mass still needed. `hpd_scores` reduces them to each target's HPD value
+spacings to second order, each cell over its footprint clipped to the
+grid (half a spacing at either end), the last one only for the part of
+its mass still needed. `hpd_scores` reduces them to each target's HPD value
 u(y), the mass where the grid density, interpolated between grid points
 (by a quadratic where it crosses the target's), exceeds the target's,
 and each level's width;
@@ -71,36 +72,29 @@ def _runs(mask: np.ndarray):
 
 
 
-def _footprints(row, mask, x, last, share):
+def _footprints(row, mask, x, last, cut):
     """Sub-intervals of one row's selected cells `mask`: each run spans
-    its cells' footprints [x - dx/2, x + dx/2], and the cell `last` keeps
-    only `share` of its own, next to its denser selected neighbour (the
-    middle of it when it has none), so the lengths sum to dx times the
-    selected count less 1 - share."""
+    its cells' footprints [x - dx/2, x + dx/2], clipped to the grid, less
+    a length `cut` of the footprint of the cell `last`, taken from the
+    edge it shares with no selected neighbour: from both edges equally
+    for a singleton, and inside a run from its sparser neighbour's."""
     half = 0.5 * (x[1] - x[0])
-    cut = (1.0 - share) * 2.0 * half
     ivs = []
     for a, b in _runs(mask):
-        lo, hi = x[a] - half, x[b] + half
+        lo, hi = max(x[a] - half, x[0]), min(x[b] + half, x[-1])
         if not a <= last <= b:
             ivs.append((lo, hi))
         elif a == b:
-            ivs.append((x[a] - share * half, x[a] + share * half))
-        elif last == a:
-            ivs.append((lo + cut, hi))
-        elif last == b:
-            ivs.append((lo, hi - cut))
-        elif row[last - 1] >= row[last + 1]:  # inside a run: the gap opens on its sparser side
-            ivs += [(lo, x[last] + half - cut), (x[last] + half, hi)]
+            ivs.append((lo + cut / 2, hi - cut / 2))
         else:
-            ivs += [(lo, x[last] - half), (x[last] - half + cut, hi)]
-    out = []
-    for lo, hi in ivs:  # pieces that rounding made touch are one
-        if out and lo <= out[-1][1]:
-            out[-1] = (out[-1][0], hi)
-        elif lo < hi:
-            out.append((lo, hi))
-    return out
+            if last == b or (last > a and row[last - 1] >= row[last + 1]):
+                gap_hi = min(x[last] + half, x[-1])
+                gap_lo = gap_hi - cut
+            else:
+                gap_lo = max(x[last] - half, x[0])
+                gap_hi = gap_lo + cut
+            ivs += [(lo, gap_lo), (gap_hi, hi)] if gap_lo < gap_hi else [(lo, hi)]
+    return [(lo, hi) for lo, hi in ivs if lo < hi]
 
 
 def derive_intervals(density, x, levels) -> list:
@@ -112,12 +106,12 @@ def derive_intervals(density, x, levels) -> list:
     the first `count` cells, in order of descending density with ascending
     index breaking ties, where `count` is the fewest cells whose
     normalized mass reaches c (`_selected_cells`, which `hpd_scores` uses
-    too). Each selected cell stands for its footprint [x - dx/2, x + dx/2],
-    the grid's end cells included, so a run may reach dx/2 past the grid.
-    The count-th cell keeps only the share of its footprint that its mass
-    still needed to reach c, next to its denser selected neighbour. A
-    row's sub-interval lengths then sum to its width at c,
-    `_selected_cells`' fractional cell count times dx, within rounding.
+    too). Each selected cell stands for its footprint [x - dx/2, x + dx/2]
+    clipped to the grid, and the count-th keeps only the share of it that
+    its mass still needed to reach c, next to its denser selected
+    neighbour (`_footprints`). A row's sub-interval lengths then sum to
+    its width at c, `_selected_cells`' fractional cell count times dx,
+    within rounding, and lie within [x[0], x[-1]].
     """
     density = np.asarray(density)
     x = np.asarray(x, dtype=float)
@@ -129,8 +123,10 @@ def derive_intervals(density, x, levels) -> list:
         raise ValueError("densities must be finite and nonnegative")
     if levels.ndim != 1 or not np.all((levels > 0.0) & (levels < 1.0)):
         raise ValueError(f"confidence levels must be in (0, 1), got {levels!r}")
+    ends = density[:, [0, -1]]
     ranked, incl, total = _mass_before(density.copy())  # rows are read below
-    counts, cells = _selected_cells(ranked, incl, total, levels)
+    counts, cells = _selected_cells(ranked, incl, total, levels, ends)
+    dx = x[1] - x[0]
     out = []
     for row, row_ranked, row_counts, row_cells in zip(density, ranked, counts, cells):
         sets = []
@@ -142,7 +138,9 @@ def derive_intervals(density, x, levels) -> list:
             mask = row > cut
             ties = np.flatnonzero(row == cut)[: count - np.count_nonzero(mask)]
             mask[ties] = True
-            ivs = _footprints(row, mask, x, int(ties[-1]), width - (count - 1))
+            # The selection's footprints, in spacings, less its width.
+            unused = max(count - 0.5 * (int(mask[0]) + int(mask[-1])) - width, 0.0)
+            ivs = _footprints(row, mask, x, int(ties[-1]), unused * dx)
             sets.append(IntervalSet(level=float(c), intervals=tuple(ivs)))
         out.append(sets)
     return out
@@ -187,24 +185,30 @@ def _lifting_operands(m: int, p: int, levels: tuple):
     return operands
 
 
-def _selected_cells(ranked, incl, total, levels):
+def _selected_cells(ranked, incl, total, levels, ends):
     """(counts, cells), both (M, L), from `_mass_before`'s (ranked, incl,
-    total): counts are the fewest ranked cells whose normalized mass
-    reaches each level c, and cells the width of that selection in grid
-    spacings, second order in the spacing: the first count - 1 cells
-    whole, and the count-th only for the part of its mass still needed,
+    total) and the rows' (M, 2) end densities `ends`, density[:, [0, -1]]:
+    counts are the fewest ranked cells whose normalized mass reaches each
+    level c, and cells the width of that selection in grid spacings,
+    second order in the spacing: the first count - 1 cells whole, and the
+    count-th only for the part of its mass still needed,
     (c total - incl[:, count - 2]) / ranked[:, count - 1], clipped to
-    [0, 1] (taken over the normalized masses).
+    [0, 1] (taken over the normalized masses). The grid's end cells span
+    half a spacing, as their footprints stop at the grid and as u's
+    trapezoid weighs them, so a selected end cell counts half, and half
+    its share when it is the count-th. Cells tied with the count-th are
+    selected in index order, so the first end is the count-th iff it is
+    the only tie selected, and the last end iff every tie is.
 
     Rank 0 is always selected, and each further rank j iff the mass
     before it, incl[:, j - 1], is below c of the total. incl is
     nondecreasing along a row and its last entry, the total itself, is
     never below, so the count of such j is found for all (M, L) pairs at
     once by binary lifting over flat indices, clamped to the row's last
-    entry; the count-th cell's mass is then positive. Every operand is a
-    full (M, L) array: broadcasting an (M, 1) column makes numpy loop row
-    by row. Those that depend only on the shape and the levels come from
-    `_lifting_operands`.
+    entry; the count-th cell's mass is then positive. Every operand of
+    the search is a full (M, L) array: broadcasting an (M, 1) column makes
+    numpy loop row by row. Those that depend only on the shape and the
+    levels come from `_lifting_operands`.
     """
     m, p = incl.shape
     flat = incl.ravel()
@@ -227,11 +231,19 @@ def _selected_cells(ranked, incl, total, levels):
     share[pos == start] = 0.0
     share /= total
     np.subtract(levels, share, out=share)
-    cell = np.take(ranked[:, ::-1].ravel(), last + start - pos)  # rows sorted ascending
+    pos -= start  # the count-th cell's rank
+    asc = ranked[:, ::-1].ravel()  # rows sorted ascending
+    at = last - pos
+    cell = np.take(asc, at)
     share /= np.divide(cell, total, out=total)
     np.clip(share, 0.0, 1.0, out=share)
-    pos -= start
-    share += pos
+    alone = (pos == 0) | (np.take(asc, np.minimum(at + 1, last)) > cell)
+    every = (pos == p - 1) | (np.take(asc, np.maximum(at - 1, start)) < cell)
+    first, final = ends[:, :1], ends[:, 1:]
+    whole = (first > cell).astype(float) + (final > cell) + ((first == cell) & ~alone)
+    partial = ((first == cell) & alone) | ((final == cell) & every)
+    share *= 1.0 - 0.5 * partial
+    share += pos - 0.5 * whole
     return pos + 1, share
 
 
@@ -300,4 +312,4 @@ def hpd_scores(density, p_y, on_grid, levels, incl=None):
     u /= total - 0.5 * ends.sum(axis=1)
     np.clip(u, 0.0, 1.0, out=u)
     u[~on_grid] = 1.0
-    return u, _selected_cells(ranked, incl, total, levels)[1]
+    return u, _selected_cells(ranked, incl, total, levels, ends)[1]

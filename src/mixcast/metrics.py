@@ -67,7 +67,8 @@ class ScoringConfig:
     Widths and u are second order in the grid spacing
     or better (`intervals.hpd_scores`): for one Gaussian of sd s, with
     r = dx / s, a width is within 0.4 r dx of its exact value, and u at z
-    sd from the mean within r**3 / (8 z) beyond two grid spacings of it
+    sd from the mean within r**3 / (8 z) beyond two grid spacings of it,
+    plus q / (1 - q) for the mass q outside the range
     (tests/test_intervals.py). At 256 points the CLI's avg_width and
     per-level coverage lie closer to their converged values than a
     whole-cell rule reads them at 500. Coverage and width are conditional

@@ -412,18 +412,21 @@ def last_selected(density, mask) -> np.ndarray:
 
 def selection_widths(density, levels) -> np.ndarray:
     """(M, L) widths in grid spacings of the HPD selections of (M, P) rows
-    with positive mass, from `hpd_select_batch`'s masks: every selected
-    cell but the last in ranked order whole, and that one for the part of
-    its mass still needed to reach c, clipped to [0, 1]."""
+    with positive mass, from `hpd_select_batch`'s masks: the length of
+    every selected cell's footprint clipped to the grid (1, or 1/2 at
+    either end), but that of the last in ranked order only for the part
+    of its mass still needed to reach c, clipped to [0, 1]."""
     density = np.asarray(density, dtype=float)
     masks = hpd_select_batch(density, levels)
     out = np.empty(masks.shape[:2])
     for i, (row, row_masks) in enumerate(zip(density, masks)):
         total = np.cumsum(np.sort(row)[::-1])[-1]
+        span = np.ones(row.size)
+        span[[0, -1]] = 0.5
         for j, (c, mask) in enumerate(zip(levels, row_masks)):
             last = last_selected(row, mask)
             share = (c - row[mask & ~last].sum() / total) / (row[last][0] / total)
-            out[i, j] = mask.sum() - 1 + min(max(share, 0.0), 1.0)
+            out[i, j] = span[mask & ~last].sum() + span[last][0] * min(max(share, 0.0), 1.0)
     return out
 
 

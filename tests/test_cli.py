@@ -555,10 +555,7 @@ class TestEvaluate:
                 assert [i for i, _, _ in rows] == list(range(1, len(rows) + 1))
                 bounds = [v for _, lo, hi in rows for v in (lo, hi)]
                 assert bounds == sorted(bounds) and len(set(bounds)) == len(bounds)
-                # Within the grid's cell footprints, half a spacing past
-                # each end of the 0..14 range.
-                half = (x[1] - x[0]) / 2
-                assert -half - 1e-12 <= bounds[0] and bounds[-1] <= 14.0 + half + 1e-12
+                assert 0.0 <= bounds[0] and bounds[-1] <= 14.0
                 # Nested as the level rises: every grid cell selected at a
                 # lower level is selected again.
                 cells = np.any([(lo <= x) & (x <= hi) for _, lo, hi in rows], axis=0)

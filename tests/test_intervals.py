@@ -29,7 +29,7 @@ def selected(density, c):
     """The cells the kernel's count selects in one row: the first `count`
     in order of descending density, ascending index breaking ties."""
     ranked, incl, total = iv._mass_before(np.array([density]))
-    count = iv._selected_cells(ranked, incl, total, [c])[0][0, 0]
+    count = iv._selected_cells(ranked, incl, total, [c], density[None, [0, -1]])[0][0, 0]
     mask = np.zeros(density.size, dtype=bool)
     mask[np.argsort(-density, kind="stable")[:count]] = True
     return mask
@@ -143,10 +143,10 @@ class TestDeriveIntervals:
         assert np.allclose(s.intervals, [(2.0 - 0.26, 2.0 + 0.26)], rtol=0, atol=1e-15)
         assert oracles.contains(s, 2.0)
         assert not oracles.contains(s, 3.0)
-        # At a grid edge the footprint reaches past the grid range, so the
-        # width is that of any other cell.
+        # At a grid edge the footprint is clipped to the grid range, half
+        # a spacing, and the cell keeps the middle 0.52 of that.
         s = one_set(np.array([10.0, 0.1, 0.1, 0.1, 0.1]), x, 0.5)
-        assert np.allclose(s.intervals, [(-0.26, 0.26)], rtol=0, atol=1e-15)
+        assert np.allclose(s.intervals, [(0.12, 0.38)], rtol=0, atol=1e-15)
 
     def test_deterministic_under_ties(self):
         dens = np.array([1.0, 2.0, 2.0, 1.0, 2.0, 0.5])
@@ -166,15 +166,20 @@ class TestDeriveIntervals:
     )
     def test_selects_the_oracle_masks_cells(self, density, levels):
         # Rows are unnormalized and full of ties; levels come in any order.
+        # Each set lies on the grid, and its lengths sum to the selection's
+        # width, end cells and the last cell in part included.
         assume(np.all(density.sum(axis=1) > 0))
         x = np.arange(density.shape[1], dtype=float)
         sets = iv.derive_intervals(density, x, levels)
         masks = oracles.hpd_select_batch(density, levels)
+        widths = oracles.selection_widths(density, levels)
         assert len(sets) == len(density)
-        for row, row_sets, row_masks in zip(density, sets, masks):
+        for row, row_sets, row_masks, row_widths in zip(density, sets, masks, widths):
             assert [s.level for s in row_sets] == levels
-            for s, mask in zip(row_sets, row_masks):
+            for s, mask, width in zip(row_sets, row_masks, row_widths):
                 assert_covers_selection(s, x, row, mask)
+                assert x[0] <= s.intervals[0][0] and s.intervals[-1][1] <= x[-1]
+                assert oracles.interval_width(s) == pytest.approx(width, rel=0, abs=1e-12)
 
 
 class TestMassCoverage:
@@ -280,23 +285,29 @@ class TestIntervalSetOps:
             iv.IntervalSet(0.9, ((1.0, 2.0), (-2.0, -1.0)))
 
 
-def gaussian_budget(weights, sds, dx, z):
-    """The error budget of u for a mixture of well separated components,
-    components on the last axis: sum_k w_k b(r_k, z_k), with r_k = dx /
-    sd_k and z_k how many sd from
-    its mean component k crosses the target's density. Beyond two cells of
-    the mode b = r**3 / (8 z): the quadratic through each crossing places
-    it to third order, and the trapezoid's end correction leaves the
-    interior mass fourth order. Within them b = min(phi(0) r + r**2,
-    r**2 / (4 z)): the grid point nearest the mode can sit under the
-    target's density, so u can miss up to about p(y) dx, first order, but
-    no level of interest lies there."""
-    r = dx / np.asarray(sds)
+def gaussian_budget(weights, means, sds, dx, z, lo, hi):
+    """The error budget of u for a mixture of well separated components on
+    a grid over [lo, hi], components on the last axis: sum_k w_k b(r_k,
+    z_k) + q / (1 - q), with r_k = dx / sd_k, z_k how many sd from its
+    mean component k crosses the target's density, and q the mixture's
+    mass outside [lo, hi]. Beyond two cells of the mode b = r**3 / (8 z):
+    the quadratic through each crossing places it to third order, and the
+    trapezoid's end correction leaves the interior mass fourth order.
+    Within them b = min(phi(0) r + r**2, r**2 / (4 z)): the grid point
+    nearest the mode can sit under the target's density, so u can miss up
+    to about p(y) dx, first order, but no level of interest lies there.
+    The last term is the range's: u normalizes by the mass on the grid,
+    so against the closed form, whose mass is all of the line's, it reads
+    the region's mass over 1 - q (5e-8 of it at sd 1.5, 5.3 sd inside
+    the grid's end)."""
+    weights, means, sds = (np.asarray(a, dtype=float) for a in (weights, means, sds))
+    r = dx / sds
     z = np.asarray(z)
     with np.errstate(divide="ignore"):
         near = np.minimum(norm.pdf(0.0) * r + r**2, r**2 / (4 * z))
         far = r**3 / (8 * z)
-    return np.sum(np.asarray(weights) * np.where(z > 2 * r, far, near), axis=-1)
+    q = np.sum(weights * (norm.cdf((lo - means) / sds) + norm.sf((hi - means) / sds)), axis=-1)
+    return np.sum(weights * np.where(z > 2 * r, far, near), axis=-1) + q / (1 - q)
 
 
 class TestHPDScores:
@@ -305,10 +316,11 @@ class TestHPDScores:
         the HPD width W = 2 s Phi^-1((1 + c) / 2). With r = dx / s <= 0.5:
 
         - |u - U| <= r^3 / (8 z), z = |y - mu| / s, beyond two cells of
-          the mode, and min(phi(0) r + r^2, r^2 / (4 z)) within them
+          the mode, and min(phi(0) r + r^2, r^2 / (4 z)) within them,
+          plus q / (1 - q) for the mass q outside the grid
           (`gaussian_budget`): first order only next to the mode, where no
           level of interest lies; measured at most 0.57 of it beyond and
-          0.97 within.
+          0.87 within.
         - |width - W| <= 0.4 r dx: the selection's mass reaches c exactly,
           its last cell counted in part, and the cells' midpoint sums and
           the boundary cells' densities err by order r dx; measured at
@@ -318,7 +330,7 @@ class TestHPDScores:
         for points, sd_lo in ((2001, 0.05), (501, 0.1), (129, 0.4)):
             n = 2000
             mu = rng.uniform(-2.0, 2.0, n)
-            sd = rng.uniform(sd_lo, 1.0, n)
+            sd = rng.uniform(sd_lo, 1.5, n)
             y = mu + sd * rng.uniform(-3.0, 3.0, n)
             x = np.linspace(-10.0, 10.0, points)
             y[: n // 4] = x[rng.integers(0, points, n // 4)]  # exactly on grid points
@@ -329,13 +341,13 @@ class TestHPDScores:
             assert r.max() <= 0.5
             z = np.abs(y - mu) / sd
             exact_u = 2.0 * norm.cdf(z) - 1.0
-            budget = gaussian_budget(1.0, sd[:, None], dx, z[:, None])
+            budget = gaussian_budget(1.0, mu[:, None], sd[:, None], dx, z[:, None], -10.0, 10.0)
             assert np.all(np.abs(u - exact_u) <= budget + 1e-12)
             gap = dx * cells - 2.0 * sd[:, None] * norm.ppf((1.0 + LEVELS) / 2.0)
             assert np.all(np.abs(gap) <= 0.4 * (r * dx)[:, None] + 1e-12)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.floats(-2.0, 2.0), st.floats(0.32, 1.0), st.floats(-3.5, 3.5), st.booleans(),
+    @given(st.floats(-2.0, 2.0), st.floats(0.32, 1.5), st.floats(-3.5, 3.5), st.booleans(),
            st.sampled_from([129, 256, 501, 2001]))
     def test_single_gaussian_property(self, mu, sd, z, on_point, points):
         # One N(mu, sd^2) on a grid of [-10, 10] with r = dx / sd <= 0.5,
@@ -350,7 +362,8 @@ class TestHPDScores:
         mb = MixtureBatch(np.ones((1, 1)), np.array([[mu]]), np.array([[sd * sd]]))
         u, cells, _ = oracles.hpd_scores_on_grid(mb, np.array([y]), -10.0, 10.0, points, LEVELS)
         exact_u = 2.0 * norm.cdf(abs(y - mu) / sd) - 1.0
-        assert abs(u[0] - exact_u) <= gaussian_budget(1.0, [sd], dx, [abs(y - mu) / sd]) + 1e-12
+        budget = gaussian_budget(1.0, [mu], [sd], dx, [abs(y - mu) / sd], -10.0, 10.0)
+        assert abs(u[0] - exact_u) <= budget + 1e-12
         gap = dx * cells[0] - 2.0 * sd * norm.ppf((1.0 + LEVELS) / 2.0)
         assert np.all(np.abs(gap) <= 0.4 * dx * dx / sd + 1e-12)
 
@@ -381,7 +394,7 @@ class TestHPDScores:
         t = float(np.exp(oracles.log_density(mb, y)))
         exact_u = oracles.separated_hpd(mb, None, t)[1]
         z_k = np.sqrt(np.maximum(0.0, 2 * np.log(w / (sd * np.sqrt(2 * np.pi) * t))))
-        assert abs(u[0] - exact_u) <= gaussian_budget(w, sd, dx, z_k) + 1e-12
+        assert abs(u[0] - exact_u) <= gaussian_budget(w, mu, sd, dx, z_k, lo, hi) + 1e-12
         for c, width in zip(levels, dx * cells[0]):
             exact = sum(b - a for a, b in oracles.separated_hpd(mb, c)[0])
             assert abs(width - exact) <= 0.4 * dx * np.sum(dx / sd) + 1e-12
@@ -428,8 +441,14 @@ class TestHPDScores:
         covered = u[0] < levels
         assert np.all(covered[:-1] <= covered[1:])
         assert cells.dtype == np.float64 and np.all(np.diff(cells[0]) >= 0)
-        counts = oracles.hpd_select_batch(density, levels)[0].sum(axis=1)
-        assert np.all((counts - 1 <= cells[0]) & (cells[0] <= counts))
+        # Between the selection's footprint length, end cells half, and
+        # that less its last cell's.
+        masks = oracles.hpd_select_batch(density, levels)[0]
+        span = np.ones(density.shape[1])
+        span[[0, -1]] = 0.5
+        full = masks @ span
+        last = np.array([span[oracles.last_selected(density[0], m)][0] for m in masks])
+        assert np.all((full - last <= cells[0]) & (cells[0] <= full))
         assert cells[0] == pytest.approx(oracles.selection_widths(density, levels)[0],
                                          rel=0, abs=1e-9)
 
@@ -456,7 +475,8 @@ class TestInPlaceRanking:
         assert np.array_equal(grid, np.sort(dens, axis=1))
         ranked = np.sort(dens, axis=1)[:, ::-1]
         incl = np.cumsum(ranked.astype(np.float64), axis=1)
-        assert np.array_equal(cells, iv._selected_cells(ranked, incl, incl[:, -1], LEVELS)[1])
+        ends = dens[:, [0, -1]]
+        assert np.array_equal(cells, iv._selected_cells(ranked, incl, incl[:, -1], LEVELS, ends)[1])
         stale = np.full((m, p), np.nan)
         again = iv.hpd_scores(dens.copy(), p_y, on_grid, LEVELS, stale)
         assert np.array_equal(again[0], u) and np.array_equal(again[1], cells)
