@@ -237,19 +237,13 @@ def _selected_cells(ranked, incl, total, levels, ends):
     cell = np.take(asc, at)
     share /= np.divide(cell, total, out=total)
     np.clip(share, 0.0, 1.0, out=share)
-    # Only the few (row, level) pairs that select an end cell count it
-    # short; the rest add their whole cells.
-    near = (ends[:, :1] >= cell) | (ends[:, 1:] >= cell)
-    np.add(share, pos, out=share, where=~near)
-    i, j = np.nonzero(near)
-    if i.size:
-        c, rank, k = cell[i, j], pos[i, j], at[i, j]
-        first, final = ends[i, 0], ends[i, 1]
-        alone = (rank == 0) | (asc[np.minimum(k + 1, last[i, j])] > c)
-        every = (rank == p - 1) | (asc[np.maximum(k - 1, start[i, j])] < c)
-        whole = (first > c).astype(float) + (final > c) + ((first == c) & ~alone)
-        partial = ((first == c) & alone) | ((final == c) & every)
-        share[i, j] = share[i, j] * (1.0 - 0.5 * partial) + (rank - 0.5 * whole)
+    alone = (pos == 0) | (np.take(asc, np.minimum(at + 1, last)) > cell)
+    every = (pos == p - 1) | (np.take(asc, np.maximum(at - 1, start)) < cell)
+    first, final = ends[:, :1], ends[:, 1:]
+    whole = (first > cell).astype(float) + (final > cell) + ((first == cell) & ~alone)
+    partial = ((first == cell) & alone) | ((final == cell) & every)
+    share *= 1.0 - 0.5 * partial
+    share += pos - 0.5 * whole
     return pos + 1, share
 
 
@@ -271,17 +265,17 @@ def hpd_scores(density, p_y, on_grid, levels, incl=None):
     grid u = 1. That is the cell sum of the grid points denser than the
     target, the grid's end points at half weight, plus a term for each
     grid interval whose end densities hi > p(y) >= lo straddle the
-    target's (`_crossing_mass`). There the quadratic through lo, hi and
-    the density beyond hi (2 hi - lo past a grid end) places the crossing
-    a share s of the interval from hi and gives the mass above it, less
-    the hi / 2 the cell sum gave the interval, plus the trapezoid's end
-    correction (Euler-Maclaurin) of the run that ends at hi. Linear
-    interpolation alone would bias u by about -r**2 phi(z) / (6 z) for a
-    Gaussian (r = dx / sd, z sd out), enough to move coverage at 256
-    points by more than a whole-cell rule at 500. Beyond the comparisons
-    with p_y and `_mass_before`, nothing takes a full pass over the grid:
-    u reads one accumulated mass and the crossing intervals per row, and
-    each width is a search in its row.
+    target's. There the quadratic
+    through lo, hi and the density beyond hi (2 hi - lo past a grid end)
+    places the crossing a share s of the interval from hi and gives the mass
+    above it, less the hi / 2 the cell sum gave the interval, plus the
+    trapezoid's end correction (Euler-Maclaurin) of the run that ends at
+    hi. Linear interpolation alone would bias u by about -r**2 phi(z) /
+    (6 z) for a Gaussian (r = dx / sd, z sd out), enough to move coverage
+    at 256 points by more than a whole-cell rule at 500. Beyond the
+    comparisons with p_y and `_mass_before`, nothing takes a full pass
+    over the grid: u reads one accumulated mass and the crossing
+    intervals per row, and each width is a search in its row.
     """
     m, p = density.shape
     if incl is None:
@@ -293,25 +287,6 @@ def hpd_scores(density, p_y, on_grid, levels, incl=None):
     count = np.count_nonzero(above, axis=1)
     ends = density[:, [0, -1]].astype(np.float64)
     ends_above = np.sum(ends * above[:, [0, -1]], axis=1)
-    crossed = _crossing_mass(density, p_y, cross)
-    ranked, incl, total = _mass_before(density, incl)
-    u = np.take(incl.ravel(), np.arange(m) * p + np.maximum(count - 1, 0))
-    u[count == 0] = 0.0
-    u -= 0.5 * ends_above
-    u += crossed
-    u /= total - 0.5 * ends.sum(axis=1)
-    np.clip(u, 0.0, 1.0, out=u)
-    u[~on_grid] = 1.0
-    return u, _selected_cells(ranked, incl, total, levels, ends)[1]
-
-
-def _crossing_mass(density, p_y, cross):
-    """(M,) float64: for `hpd_scores`, each row's sum over the grid
-    intervals flagged in `cross` (M, P - 1), where the density crosses
-    p_y, of the quadratic's mass above p_y there less the hi / 2 the
-    cell sum gave the interval, plus the trapezoid's end correction. Its
-    per-crossing arrays are freed on return, before the ranking's peak."""
-    m, p = density.shape
     rows, at = np.divmod(np.flatnonzero(cross), p - 1)
     inner = at + (density[rows, at] <= density[rows, at + 1])  # the end above p(y)
     outer = 2 * at + 1 - inner
@@ -328,4 +303,13 @@ def _crossing_mass(density, p_y, cross):
         share = np.where(slope > 0, (slope + root) / (-2.0 * bend), 2.0 * (hi - t) / (root - slope))
     np.clip(share, 0.0, 1.0, out=share)
     mass = share * (hi + share * (slope / 2 + share * bend / 3)) - hi / 2 + (far - lo) / 24
-    return np.bincount(rows, weights=mass, minlength=m)
+    crossed = np.bincount(rows, weights=mass, minlength=m)
+    ranked, incl, total = _mass_before(density, incl)
+    u = np.take(incl.ravel(), np.arange(m) * p + np.maximum(count - 1, 0))
+    u[count == 0] = 0.0
+    u -= 0.5 * ends_above
+    u += crossed
+    u /= total - 0.5 * ends.sum(axis=1)
+    np.clip(u, 0.0, 1.0, out=u)
+    u[~on_grid] = 1.0
+    return u, _selected_cells(ranked, incl, total, levels, ends)[1]
