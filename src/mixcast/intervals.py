@@ -70,8 +70,6 @@ def _runs(mask: np.ndarray):
     return list(zip(starts.tolist(), stops.tolist()))
 
 
-
-
 def _footprints(row, mask, x, last, cut):
     """Sub-intervals of one row's selected cells `mask`: each run spans
     its cells' footprints [x - dx/2, x + dx/2], clipped to the grid, less
