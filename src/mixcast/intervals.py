@@ -235,13 +235,19 @@ def _selected_cells(ranked, incl, total, levels, ends):
     cell = np.take(asc, at)
     share /= np.divide(cell, total, out=total)
     np.clip(share, 0.0, 1.0, out=share)
-    alone = (pos == 0) | (np.take(asc, np.minimum(at + 1, last)) > cell)
-    every = (pos == p - 1) | (np.take(asc, np.maximum(at - 1, start)) < cell)
-    first, final = ends[:, :1], ends[:, 1:]
-    whole = (first > cell).astype(float) + (final > cell) + ((first == cell) & ~alone)
-    partial = ((first == cell) & alone) | ((final == cell) & every)
-    share *= 1.0 - 0.5 * partial
-    share += pos - 0.5 * whole
+    # Only the few (row, level) pairs that select an end cell count it
+    # short; the rest add their whole cells.
+    near = (ends[:, :1] >= cell) | (ends[:, 1:] >= cell)
+    np.add(share, pos, out=share, where=~near)
+    i, j = np.nonzero(near)
+    if i.size:
+        c, rank, k = cell[i, j], pos[i, j], at[i, j]
+        first, final = ends[i, 0], ends[i, 1]
+        alone = (rank == 0) | (asc[np.minimum(k + 1, last[i, j])] > c)
+        every = (rank == p - 1) | (asc[np.maximum(k - 1, start[i, j])] < c)
+        whole = (first > c).astype(float) + (final > c) + ((first == c) & ~alone)
+        partial = ((first == c) & alone) | ((final == c) & every)
+        share[i, j] = share[i, j] * (1.0 - 0.5 * partial) + (rank - 0.5 * whole)
     return pos + 1, share
 
 
