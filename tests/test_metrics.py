@@ -508,6 +508,8 @@ class TestEvaluate:
         # its width at level c lies between the float64 kernel's at c - e
         # and c + e (no end cell is selected here). Widths are fractional,
         # so the two kernels no longer agree to rounding as counts did.
+        # Every u here lies more than e from every level, so coverage reads
+        # the same from either kernel's u; at this seed so does the HPD-PIT.
         rng = np.random.default_rng(21)
         n, t_f = 24, 3
         w = rng.random((n, 2)) + 0.3
@@ -526,16 +528,18 @@ class TestEvaluate:
             one = (mb[i : i + 1], targets[i : i + 1], -9.0, 9.0, 901)
             (below,), (above,) = (oracles.hpd_scores_on_grid(*one, levels + d)[1] for d in (-e_i, e_i))
             assert np.all((dx * below <= width_i) & (width_i <= dx * above))
-        coverage = (u[:, None] < levels).mean(axis=0)
-        assert [cov for _, cov in rep.calibration_curve] == pytest.approx(coverage, abs=1e-12)
         w_step = width.reshape(-1, t_f, levels.size).mean(axis=(0, 2))
         assert [row[2] for row in rep.per_horizon] == pytest.approx(w_step, rel=1e-14, abs=0)
-        assert rep.hpd_pit_counts == np.histogram(u, bins=10, range=(0, 1))[0].tolist()
+        u64 = oracles.hpd_scores_on_grid(mb, targets, -9.0, 9.0, 901, levels)[0]
+        for u_ref in (u, u64):
+            coverage = (u_ref[:, None] < levels).mean(axis=0)
+            assert [cov for _, cov in rep.calibration_curve] == pytest.approx(coverage, abs=1e-12)
+            assert rep.hpd_pit_counts == np.histogram(u_ref, bins=10, range=(0, 1))[0].tolist()
+            assert rep.hpd_pit_counts_by_step == [
+                np.histogram(u_ref.reshape(-1, t_f)[:, s], bins=10, range=(0, 1))[0].tolist()
+                for s in range(t_f)
+            ]
         assert sum(rep.hpd_pit_counts) == n
-        assert rep.hpd_pit_counts_by_step == [
-            np.histogram(u.reshape(-1, t_f)[:, s], bins=10, range=(0, 1))[0].tolist()
-            for s in range(t_f)
-        ]
 
     @staticmethod
     def per_element_reference(targets, mb, cfg):
